@@ -150,6 +150,112 @@ fn parallel_counters_obey_the_catalogue_invariants() {
     assert!(splices.count > 0, "parallel build splices shards");
 }
 
+/// The explorer's exact work on the checked-in models, one row per
+/// `(model, timed, jobs, budget)` cell: `store.probes`, `store.hits`,
+/// `store.misses`, `pager.faults`, `pager.evictions`,
+/// `pager.spill_read_bytes`, `pager.spill_write_bytes`, `reach.levels`
+/// and `reach.peak_frontier`. A budget of 0 means unlimited.
+///
+/// jobs = 4 is deterministic here: no level of these models reaches the
+/// `max(jobs, 2) × 48` states at which worker threads spawn, so every
+/// level is expanded inline in one chunk.
+#[rustfmt::skip]
+const EXPLORER_WORK: &[(&str, bool, usize, usize, [u64; 9])] = &[
+    ("three_stage", false, 1, 0, [1989, 1375, 614, 0, 0, 0, 0, 27, 51]),
+    ("three_stage", false, 1, 64, [1989, 1375, 614, 57, 61, 643872, 52772, 27, 51]),
+    ("three_stage", false, 4, 0, [2602, 239, 614, 0, 0, 0, 0, 27, 51]),
+    ("three_stage", false, 4, 64, [2602, 239, 614, 0, 4, 0, 29504, 27, 51]),
+    ("three_stage", true, 1, 0, [4877, 1486, 3391, 0, 0, 0, 0, 54, 166]),
+    ("three_stage", true, 1, 64, [4877, 1486, 3391, 1770, 1812, 27039648, 453504, 54, 166]),
+    ("three_stage", true, 4, 0, [8267, 732, 3391, 0, 0, 0, 0, 54, 166]),
+    ("three_stage", true, 4, 64, [8267, 732, 3391, 187, 230, 2851216, 460376, 54, 166]),
+    ("interpreted_analysis", false, 1, 0, [8888, 5505, 3383, 0, 0, 0, 0, 130, 64]),
+    ("interpreted_analysis", false, 1, 64, [8888, 5505, 3383, 766, 812, 7476160, 380052, 130, 64]),
+    ("interpreted_analysis", false, 4, 0, [12251, 496, 3383, 0, 0, 0, 0, 130, 64]),
+    ("interpreted_analysis", false, 4, 64, [12251, 496, 3383, 27, 73, 263520, 391708, 130, 64]),
+    ("interpreted_analysis", true, 1, 0, [985, 347, 638, 0, 0, 0, 0, 162, 12]),
+    ("interpreted_analysis", true, 1, 64, [985, 347, 638, 1, 4, 12560, 41636, 162, 12]),
+    ("interpreted_analysis", true, 4, 0, [1603, 29, 638, 0, 0, 0, 0, 162, 12]),
+    ("interpreted_analysis", true, 4, 64, [1603, 29, 638, 1, 4, 12560, 41636, 162, 12]),
+    ("sequential", false, 1, 0, [27, 8, 19, 0, 0, 0, 0, 10, 4]),
+    ("sequential", false, 1, 64, [27, 8, 19, 0, 0, 0, 0, 10, 4]),
+    ("sequential", false, 4, 0, [45, 4, 19, 0, 0, 0, 0, 10, 4]),
+    ("sequential", false, 4, 64, [45, 4, 19, 0, 0, 0, 0, 10, 4]),
+    ("sequential", true, 1, 0, [40, 8, 32, 0, 0, 0, 0, 15, 7]),
+    ("sequential", true, 1, 64, [40, 8, 32, 0, 0, 0, 0, 15, 7]),
+    ("sequential", true, 4, 0, [71, 4, 32, 0, 0, 0, 0, 15, 7]),
+    ("sequential", true, 4, 64, [71, 4, 32, 0, 0, 0, 0, 15, 7]),
+    ("pager_protocol", false, 1, 0, [37, 16, 21, 0, 0, 0, 0, 10, 3]),
+    ("pager_protocol", false, 1, 64, [37, 16, 21, 0, 0, 0, 0, 10, 3]),
+    ("pager_protocol", false, 4, 0, [57, 9, 21, 0, 0, 0, 0, 10, 3]),
+    ("pager_protocol", false, 4, 64, [57, 9, 21, 0, 0, 0, 0, 10, 3]),
+    ("pager_protocol", true, 1, 0, [37, 16, 21, 0, 0, 0, 0, 10, 3]),
+    ("pager_protocol", true, 1, 64, [37, 16, 21, 0, 0, 0, 0, 10, 3]),
+    ("pager_protocol", true, 4, 0, [57, 9, 21, 0, 0, 0, 0, 10, 3]),
+    ("pager_protocol", true, 4, 64, [57, 9, 21, 0, 0, 0, 0, 10, 3]),
+];
+
+#[test]
+fn explorer_work_is_pinned_on_the_checked_in_models() {
+    use pnut::reach::graph::build_timed;
+
+    let _g = serial();
+    let names = [
+        "store.probes",
+        "store.hits",
+        "store.misses",
+        "pager.faults",
+        "pager.evictions",
+        "pager.spill_read_bytes",
+        "pager.spill_write_bytes",
+        "reach.levels",
+    ];
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut got = Vec::new();
+    for model in [
+        "three_stage",
+        "interpreted_analysis",
+        "sequential",
+        "pager_protocol",
+    ] {
+        let src = std::fs::read_to_string(root.join("models").join(format!("{model}.pn")))
+            .expect("checked-in model");
+        let net = pnut::lang::parse(&src).expect("parses");
+        for timed in [false, true] {
+            for jobs in [1, 4] {
+                for budget_kib in [0, 64] {
+                    let budget = if budget_kib == 0 {
+                        usize::MAX
+                    } else {
+                        budget_kib * 1024
+                    };
+                    obs::install();
+                    let build = if timed { build_timed } else { build_untimed };
+                    let g = build(&net, &options(jobs, budget)).expect("builds");
+                    obs::uninstall();
+                    drop(g);
+                    let snap = obs::snapshot();
+                    let mut work = [0u64; 9];
+                    for (w, name) in work.iter_mut().zip(names) {
+                        *w = snap.counter(name);
+                    }
+                    work[8] = snap.gauge("reach.peak_frontier");
+                    got.push((model, timed, jobs, budget_kib, work));
+                }
+            }
+        }
+    }
+    let rendered: String = got
+        .iter()
+        .map(|(m, t, j, b, w)| format!("    ({m:?}, {t}, {j}, {b}, {w:?}),\n"))
+        .collect();
+    assert_eq!(
+        got.as_slice(),
+        EXPLORER_WORK,
+        "explorer work changed; the measured table is:\n{rendered}"
+    );
+}
+
 /// Satellite audit of the fault counters: every reload error path —
 /// injected I/O error, short read, bad version/kind header — must tick
 /// `pager.fault_failures` exactly once before propagating, the silent
