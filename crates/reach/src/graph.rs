@@ -25,16 +25,58 @@
 //! `budget + one pinned guard (state segment + edge segment) + one
 //! segment of slack` for the *analysis* phase too, not just the build —
 //! asserted by `tests/paged_analysis.rs`.
+//!
+//! # Exploration: one kernel, two sinks
+//!
+//! [`build_untimed`] and [`build_timed`] run the same breadth-first
+//! driver at every job count. States are numbered densely in discovery
+//! order, so a level is an index range: the initial state is the first
+//! level, and each next level is every state first interned while
+//! expanding the one before.
+//!
+//! The firing rule exists once, in the `expand` kernel, which turns one
+//! loaded state into its successor row. For each transition in id
+//! order, readiness (marking, inhibitors, concurrency cap), the enabling
+//! gate and the predicate decide whether it can start; the action, the
+//! firing delay, the token movement and the enabling-clock refresh then
+//! build the successor of its `Fire` edge. When nothing can start, one
+//! `Advance` edge jumps to the earliest pending completion or enabling
+//! deadline. Untimed builds run the same rule with every firing atomic
+//! and no clocks, so they never advance.
+//!
+//! The kernel hands each successor's environment and state to an intern
+//! sink, and `jobs` alone picks which:
+//!
+//! * **Direct** (`jobs = 1`) interns straight into the [`StateStore`]
+//!   and appends each row to the paged edge arena as soon as it is
+//!   finished. It evicts at every `&mut` point: after each state load,
+//!   inside each intern, and after each row.
+//! * **Pending shards** (`jobs > 1`) probe the frozen store read-only and
+//!   park misses in lock-striped pending shards under the *discovery
+//!   key* `(source, edge seq)` of the edge that found them. Levels of at
+//!   least `max(jobs, 2) × 48` states are split over scoped threads;
+//!   smaller ones run inline. At the level barrier the novel states are
+//!   spliced into the store, pending targets are rewritten, the rows are
+//!   appended, and the store evicts — its only eviction point.
+//!
+//! Every `jobs` × budget setting builds a bit-identical graph. The
+//! ascending discovery-key order in which the barrier commits a level's
+//! states (and the environments its actions mint) is exactly the order
+//! in which the direct sink interns them, so both number every state
+//! and environment alike; and paging only changes where rows live,
+//! never what they hold. The work differs — the shards probe the store
+//! once per edge and again at the splice — but each sink's counters are
+//! deterministic.
 
 use crate::pager::{EdgeSegment, PagedEdges, PagerConfig, SegmentData, SpillError};
 use crate::store::{self, EnvRef, MarkingView, PendingShard, StateRef, StateStore};
 use crate::sync::Mutex;
 use pnut_core::expr::compile as bc;
-use pnut_core::{Net, Time, Transition, TransitionId};
+use pnut_core::{Delay, Env, Net, Transition, TransitionId};
 use pnut_obs as obs;
 use std::cell::OnceCell;
 use std::fmt;
-use std::ops::Range;
+use std::ops::{DerefMut, Range};
 
 /// Limits for graph construction.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -595,13 +637,6 @@ impl<'g> SegmentGuard<'g> {
     }
 }
 
-fn check_deterministic(net: &Net) -> Result<(), ReachError> {
-    if net.uses_random() {
-        return Err(ReachError::UsesRandom);
-    }
-    Ok(())
-}
-
 fn eval_err(t: &Transition, source: pnut_core::EvalError) -> ReachError {
     ReachError::Eval {
         transition: t.name().to_string(),
@@ -609,9 +644,35 @@ fn eval_err(t: &Transition, source: pnut_core::EvalError) -> ReachError {
     }
 }
 
-/// One transition lowered to flat index/delta form for the hot loop:
-/// raw place indices instead of `PlaceId`s, duplicate arcs merged, and
-/// the token movement of a firing as a single signed-delta pass.
+// ---------------------------------------------------------------------------
+// The firing rule
+// ---------------------------------------------------------------------------
+
+/// A firing or enabling delay, lowered once per build.
+enum Ticks {
+    /// A constant number of ticks.
+    Fixed(u64),
+    /// A deterministic expression, resolved per state.
+    Expr(bc::Program),
+}
+
+impl Ticks {
+    /// Lower `delay`; `expr` is the program [`bc::CompiledNet`] holds
+    /// for it, which it compiles exactly for expression delays.
+    fn new(delay: &Delay, expr: Option<bc::Program>) -> Self {
+        match expr {
+            Some(prog) => Ticks::Expr(prog),
+            None => Ticks::Fixed(match delay {
+                Delay::Fixed(ticks) => *ticks,
+                Delay::Expr(_) => 0,
+            }),
+        }
+    }
+}
+
+/// One transition lowered for the hot loop: raw place indices instead
+/// of `PlaceId`s, duplicate arcs merged, token movements as signed
+/// deltas, and its bytecode programs.
 struct Compiled {
     id: TransitionId,
     /// `(place, tokens)` enablement lower bounds; duplicate input arcs
@@ -623,254 +684,256 @@ struct Compiled {
     /// Net token movement of an atomic firing — inputs negative,
     /// outputs positive, zero-sum self-loops dropped.
     fire_delta: Vec<(u32, i64)>,
-    /// Token movement of a timed firing *start* (inputs only; outputs
-    /// are delivered at end-of-firing).
+    /// Token movement of a timed firing *start* (inputs only).
     start_delta: Vec<(u32, i64)>,
+    /// Token movement of a timed firing's *completion* (outputs only).
+    end_delta: Vec<(u32, i64)>,
     /// Maximum concurrent firings (timed nets).
     cap: Option<u32>,
-    has_predicate: bool,
-    has_action: bool,
+    predicate: Option<bc::Program>,
+    action: Option<bc::ActionProgram>,
+    firing: Ticks,
+    enabling: Ticks,
 }
 
-fn compile(net: &Net) -> Vec<Compiled> {
-    use std::collections::BTreeMap;
-    net.transitions()
-        .map(|(id, t)| {
-            let mut needs: BTreeMap<u32, u64> = BTreeMap::new();
-            let mut inhib: BTreeMap<u32, u32> = BTreeMap::new();
-            let mut fire: BTreeMap<u32, i64> = BTreeMap::new();
-            let mut start: BTreeMap<u32, i64> = BTreeMap::new();
-            for &(p, w) in t.inputs() {
-                let p = p.index() as u32;
-                *needs.entry(p).or_default() += u64::from(w);
-                *fire.entry(p).or_default() -= i64::from(w);
-                *start.entry(p).or_default() -= i64::from(w);
-            }
-            for &(p, th) in t.inhibitors() {
-                let e = inhib.entry(p.index() as u32).or_insert(th);
-                *e = (*e).min(th);
-            }
-            for &(p, w) in t.outputs() {
-                *fire.entry(p.index() as u32).or_default() += i64::from(w);
-            }
-            Compiled {
-                id,
-                needs: needs
-                    .into_iter()
-                    // A summed requirement above u32::MAX is unsatisfiable
-                    // in practice; saturating keeps the type small.
-                    .map(|(p, w)| (p, u32::try_from(w).unwrap_or(u32::MAX)))
-                    .collect(),
-                inhib: inhib.into_iter().collect(),
-                fire_delta: fire.into_iter().filter(|&(_, d)| d != 0).collect(),
-                start_delta: start.into_iter().collect(),
-                cap: t.max_concurrent(),
-                has_predicate: t.predicate().is_some(),
-                has_action: t.action().is_some(),
-            }
-        })
-        .collect()
-}
-
-/// Apply merged token deltas to a scratch marking, keeping its
-/// commutative hash (see [`StateStore::marking_elem_hash`]) in sync.
-/// Returns the corruption detail on underflow/overflow.
-#[inline]
-fn apply_delta(
-    marking: &mut [u32],
-    hash: &mut u64,
-    delta: &[(u32, i64)],
-) -> Result<(), &'static str> {
-    for &(p, d) in delta {
-        let p = p as usize;
-        let old = marking[p];
-        let new = i64::from(old) + d;
-        let Ok(new) = u32::try_from(new) else {
-            return Err(if new < 0 {
-                "input place underflow (arc weights exceed tokens)"
-            } else {
-                "token count overflowed u32"
-            });
-        };
-        marking[p] = new;
-        *hash = hash
-            .wrapping_sub(StateStore::marking_elem_hash(p, old))
-            .wrapping_add(StateStore::marking_elem_hash(p, new));
-    }
-    Ok(())
-}
-
-/// Per-transition delays of a timed build.
-struct TimedTicks {
-    /// Firing time per transition (ticks between start and completion):
-    /// `Some` for a pre-resolved constant, `None` for a deterministic
-    /// expression resolved per state against the successor environment —
-    /// after the action, the simulator's order, so the paper's
-    /// table-driven delays (§3) see their own updates.
-    firing: Vec<Option<u64>>,
-    /// Enabling time per transition (ticks of continuous readiness
-    /// before the start-firing event becomes eligible): `Some` for a
-    /// pre-resolved constant (`Some(0)` = never clocked), `None` for a
-    /// deterministic expression resolved per state against the
-    /// environment at arm time — the simulator's `refresh_enabling`
-    /// order, so table-driven enabling delays follow the state.
-    enabling: Vec<Option<u64>>,
-}
-
-/// The firing delay of compiled transition `ti`/`id` for the successor
-/// under construction: the pre-resolved constant, or the expression
-/// evaluated against `env` (the environment *after* the action — "the
-/// action runs before the delay is resolved so table-driven models can
-/// compute their own firing times", paper §3).
-fn firing_delay(
-    net: &Net,
-    programs: &bc::CompiledNet,
-    ticks: &TimedTicks,
-    ti: usize,
-    id: TransitionId,
-    slots: &bc::EnvSlots,
-    vm: &mut bc::Scratch,
-) -> Result<u64, ReachError> {
-    if let Some(t) = ticks.firing[ti] {
-        return Ok(t);
-    }
-    let prog = programs.transitions[ti]
-        .firing
-        .as_ref()
-        .expect("non-constant slot holds an expression delay");
-    let t = net.transition(id);
-    let v = prog
-        .eval_pure(slots, &programs.map, vm)
-        .and_then(|v| v.as_int())
-        .map_err(|e| eval_err(t, e))?;
-    u64::try_from(v).map_err(|_| eval_err(t, pnut_core::EvalError::Overflow))
-}
-
-/// The enabling delay of compiled transition `ti`/`id` for a state
-/// whose environment is `env`: the pre-resolved constant, or the
-/// expression evaluated against the environment *at arm time* — the
-/// moment the transition becomes ready in the successor under
-/// construction, mirroring the simulator's `refresh_enabling` (which
-/// resolves once when the clock arms and keeps the deadline while the
-/// transition stays continuously ready).
-fn enabling_delay(
-    net: &Net,
-    programs: &bc::CompiledNet,
-    ticks: &TimedTicks,
-    ti: usize,
-    id: TransitionId,
-    slots: &bc::EnvSlots,
-    vm: &mut bc::Scratch,
-) -> Result<u64, ReachError> {
-    if let Some(t) = ticks.enabling[ti] {
-        return Ok(t);
-    }
-    let prog = programs.transitions[ti]
-        .enabling
-        .as_ref()
-        .expect("non-constant slot holds an expression delay");
-    let t = net.transition(id);
-    let v = prog
-        .eval_pure(slots, &programs.map, vm)
-        .and_then(|v| v.as_int())
-        .map_err(|e| eval_err(t, e))?;
-    u64::try_from(v).map_err(|_| eval_err(t, pnut_core::EvalError::Overflow))
-}
-
-/// Reusable per-worker scratch buffers: one copy of the state under
-/// expansion and one successor under construction, so successor
-/// generation is allocation-free on the steady state. The sequential
-/// explorer owns one; the parallel builder gives each worker its own.
-struct Scratch {
-    /// Copy of the current state's marking (stable while the store grows).
-    cur_marking: Vec<u32>,
-    /// Marking-part hash of `cur_marking`.
-    cur_hash: u64,
-    /// Copy of the current state's in-flight multiset.
-    cur_inflight: Vec<(TransitionId, u64)>,
-    /// Copy of the current state's enabling-clock multiset.
-    cur_enabling: Vec<(TransitionId, u64)>,
-    /// Successor marking under construction.
-    next_marking: Vec<u32>,
-    /// Marking-part hash of `next_marking`, maintained incrementally.
-    next_hash: u64,
-    /// Successor in-flight multiset under construction.
-    next_inflight: Vec<(TransitionId, u64)>,
-    /// Successor enabling-clock multiset under construction.
-    next_enabling: Vec<(TransitionId, u64)>,
-}
-
-impl Scratch {
-    fn new(places: usize) -> Self {
-        Scratch {
-            cur_marking: vec![0; places],
-            cur_hash: 0,
-            cur_inflight: Vec::new(),
-            cur_enabling: Vec::new(),
-            next_marking: vec![0; places],
-            next_hash: 0,
-            next_inflight: Vec::new(),
-            next_enabling: Vec::new(),
+impl Compiled {
+    fn new(id: TransitionId, t: &Transition, programs: bc::CompiledTransition) -> Self {
+        use std::collections::BTreeMap;
+        let mut needs: BTreeMap<u32, u64> = BTreeMap::new();
+        let mut inhib: BTreeMap<u32, u32> = BTreeMap::new();
+        let mut fire: BTreeMap<u32, i64> = BTreeMap::new();
+        let mut start: BTreeMap<u32, i64> = BTreeMap::new();
+        let mut end: BTreeMap<u32, i64> = BTreeMap::new();
+        for &(p, w) in t.inputs() {
+            let p = p.index() as u32;
+            *needs.entry(p).or_default() += u64::from(w);
+            *fire.entry(p).or_default() -= i64::from(w);
+            *start.entry(p).or_default() -= i64::from(w);
+        }
+        for &(p, th) in t.inhibitors() {
+            let e = inhib.entry(p.index() as u32).or_insert(th);
+            *e = (*e).min(th);
+        }
+        for &(p, w) in t.outputs() {
+            let p = p.index() as u32;
+            *fire.entry(p).or_default() += i64::from(w);
+            *end.entry(p).or_default() += i64::from(w);
+        }
+        Compiled {
+            id,
+            needs: needs
+                .into_iter()
+                // A summed requirement above u32::MAX is unsatisfiable in
+                // practice; saturating keeps the type small.
+                .map(|(p, w)| (p, u32::try_from(w).unwrap_or(u32::MAX)))
+                .collect(),
+            inhib: inhib.into_iter().collect(),
+            fire_delta: fire.into_iter().filter(|&(_, d)| d != 0).collect(),
+            start_delta: start.into_iter().collect(),
+            end_delta: end.into_iter().collect(),
+            cap: t.max_concurrent(),
+            predicate: programs.predicate,
+            action: programs.action,
+            firing: Ticks::new(t.firing_time(), programs.firing),
+            enabling: Ticks::new(t.enabling_time(), programs.enabling),
         }
     }
 
-    /// Load state `cur` into the scratch copies (faulting its segment
-    /// in if evicted); returns its env id.
-    fn load(&mut self, store: &StateStore, cur: usize) -> Result<u32, ReachError> {
-        self.cur_marking
-            .copy_from_slice(store.try_marking_slice(cur)?);
-        self.cur_hash = StateStore::marking_hash(&self.cur_marking);
-        self.cur_inflight.clear();
-        self.cur_inflight
-            .extend_from_slice(store.try_in_flight_slice(cur)?);
-        self.cur_enabling.clear();
-        self.cur_enabling
-            .extend_from_slice(store.try_enabling_slice(cur)?);
-        store.try_env_id(cur)
-    }
-
-    /// Whether compiled transition `ct` is marking-enabled in the
-    /// current state.
+    /// Whether the transition may be under way in `state`:
+    /// marking-enabled, inhibitors clear, and its concurrency cap not
+    /// reached. (Untimed states carry no in-flight firings, so the cap
+    /// never binds there.)
     #[inline]
-    fn enabled(&self, ct: &Compiled) -> bool {
-        ct.needs
+    fn ready(&self, state: &StateBuf) -> bool {
+        self.needs
             .iter()
-            .all(|&(p, w)| self.cur_marking[p as usize] >= w)
-            && ct
+            .all(|&(p, w)| state.marking[p as usize] >= w)
+            && self
                 .inhib
                 .iter()
-                .all(|&(p, th)| self.cur_marking[p as usize] < th)
+                .all(|&(p, th)| state.marking[p as usize] < th)
+            && self.cap.is_none_or(|cap| {
+                (state
+                    .in_flight
+                    .iter()
+                    .filter(|&&(x, _)| x == self.id)
+                    .count() as u32)
+                    < cap
+            })
+    }
+}
+
+/// One state in scratch form: a copy that stays stable while the store
+/// grows.
+#[derive(Default)]
+struct StateBuf {
+    marking: Vec<u32>,
+    /// Marking-part hash of `marking` (see
+    /// [`StateStore::marking_elem_hash`]), maintained incrementally.
+    hash: u64,
+    /// In-flight firings as `(transition, remaining ticks)`, sorted.
+    in_flight: Vec<(TransitionId, u64)>,
+    /// Enabling clocks as `(transition, countdown)`, sorted by id.
+    enabling: Vec<(TransitionId, u64)>,
+}
+
+impl StateBuf {
+    /// Apply transition `t`'s token `delta` to the marking, keeping its
+    /// commutative hash in sync.
+    #[inline]
+    fn apply(
+        &mut self,
+        net: &Net,
+        t: TransitionId,
+        delta: &[(u32, i64)],
+    ) -> Result<(), ReachError> {
+        for &(p, d) in delta {
+            let p = p as usize;
+            let old = self.marking[p];
+            let new = i64::from(old) + d;
+            let Ok(new) = u32::try_from(new) else {
+                return Err(ReachError::MarkingCorrupt {
+                    transition: net.transition(t).name().to_string(),
+                    detail: if new < 0 {
+                        "input place underflow (arc weights exceed tokens)"
+                    } else {
+                        "token count overflowed u32"
+                    },
+                });
+            };
+            self.marking[p] = new;
+            self.hash = self
+                .hash
+                .wrapping_sub(StateStore::marking_elem_hash(p, old))
+                .wrapping_add(StateStore::marking_elem_hash(p, new));
+        }
+        Ok(())
+    }
+}
+
+/// Reusable per-worker scratch: the state under expansion, the
+/// successor under construction, their slot-form environments and the
+/// bytecode registers, so successor generation is allocation-free on
+/// the steady state.
+#[derive(Default)]
+struct Scratch {
+    cur: StateBuf,
+    next: StateBuf,
+    /// Slot-form environment of the state under expansion.
+    cur_slots: bc::EnvSlots,
+    /// Which interned env id `cur_slots` holds: consecutive states
+    /// usually share an environment, so reloads are skipped.
+    loaded_env: Option<u32>,
+    /// Slot-form successor environment (after an action).
+    next_slots: bc::EnvSlots,
+    /// Bytecode register file, shared by every program.
+    vm: bc::Scratch,
+}
+
+impl Scratch {
+    /// Load state `src` into `cur` (faulting its segment in if evicted)
+    /// and its environment into `cur_slots`; returns its env id.
+    fn load(
+        &mut self,
+        map: &bc::SlotMap,
+        store: &StateStore,
+        src: usize,
+    ) -> Result<u32, ReachError> {
+        let cur = &mut self.cur;
+        cur.marking.clear();
+        cur.marking.extend_from_slice(store.try_marking_slice(src)?);
+        cur.hash = StateStore::marking_hash(&cur.marking);
+        cur.in_flight.clear();
+        cur.in_flight
+            .extend_from_slice(store.try_in_flight_slice(src)?);
+        cur.enabling.clear();
+        cur.enabling
+            .extend_from_slice(store.try_enabling_slice(src)?);
+        let env = store.try_env_id(src)?;
+        if self.loaded_env != Some(env) {
+            self.cur_slots.load(map, store.env(env));
+            self.loaded_env = Some(env);
+        }
+        Ok(env)
     }
 
-    /// Reset the scratch successor to the current marking.
+    /// Reset the successor's marking to the current one.
     #[inline]
     fn begin_next(&mut self) {
-        self.next_marking.copy_from_slice(&self.cur_marking);
-        self.next_hash = self.cur_hash;
+        self.next.marking.clone_from(&self.cur.marking);
+        self.next.hash = self.cur.hash;
     }
+}
 
-    /// Build the successor marking for firing `ct`: the full movement
-    /// when `atomic`, inputs only otherwise (timed nets deliver outputs
-    /// at end-of-firing).
-    fn fire(&mut self, net: &Net, ct: &Compiled, atomic: bool) -> Result<(), ReachError> {
-        self.next_marking.copy_from_slice(&self.cur_marking);
-        self.next_hash = self.cur_hash;
-        let delta = if atomic {
-            &ct.fire_delta
-        } else {
-            &ct.start_delta
-        };
-        apply_delta(&mut self.next_marking, &mut self.next_hash, delta).map_err(|detail| {
-            ReachError::MarkingCorrupt {
-                transition: net.transition(ct.id).name().to_string(),
-                detail,
-            }
+/// The firing rule of one net, compiled once per build and shared
+/// read-only by every worker.
+struct Rule<'n> {
+    net: &'n Net,
+    /// The slot map every program was compiled against.
+    map: bc::SlotMap,
+    /// One entry per transition, in id order.
+    compiled: Vec<Compiled>,
+    /// Timed semantics: firing delays, concurrency caps, enabling
+    /// clocks and time advances. Untimed firings are atomic.
+    timed: bool,
+}
+
+impl<'n> Rule<'n> {
+    fn new(net: &'n Net, timed: bool) -> Result<Self, ReachError> {
+        let bc::CompiledNet { map, transitions } =
+            bc::CompiledNet::compile(net).map_err(ReachError::Compile)?;
+        let compiled = net
+            .transitions()
+            .zip(transitions)
+            .map(|((id, t), programs)| Compiled::new(id, t, programs))
+            .collect();
+        Ok(Rule {
+            net,
+            map,
+            compiled,
+            timed,
         })
     }
 
-    /// Recompute the enabling-clock multiset of the successor under
-    /// construction (`next_marking` + `next_inflight` + `env`) into
-    /// `next_enabling`, mirroring the simulator's `refresh_enabling`:
+    /// Run `ct`'s predicate against `slots` (true when it has none).
+    fn predicate(
+        &self,
+        ct: &Compiled,
+        slots: &bc::EnvSlots,
+        vm: &mut bc::Scratch,
+    ) -> Result<bool, ReachError> {
+        let Some(p) = &ct.predicate else {
+            return Ok(true);
+        };
+        p.eval_pure(slots, &self.map, vm)
+            .and_then(|v| v.as_bool())
+            .map_err(|e| eval_err(self.net.transition(ct.id), e))
+    }
+
+    /// Resolve one of `ct`'s delays: the constant, or the expression
+    /// evaluated against `slots`.
+    fn delay(
+        &self,
+        ct: &Compiled,
+        ticks: &Ticks,
+        slots: &bc::EnvSlots,
+        vm: &mut bc::Scratch,
+    ) -> Result<u64, ReachError> {
+        let prog = match ticks {
+            Ticks::Fixed(t) => return Ok(*t),
+            Ticks::Expr(prog) => prog,
+        };
+        let t = self.net.transition(ct.id);
+        let v = prog
+            .eval_pure(slots, &self.map, vm)
+            .and_then(|v| v.as_int())
+            .map_err(|e| eval_err(t, e))?;
+        u64::try_from(v).map_err(|_| eval_err(t, pnut_core::EvalError::Overflow))
+    }
+
+    /// Recompute the successor's enabling clocks into `next.enabling`,
+    /// as the simulator's `refresh_enabling` does (untimed builds keep
+    /// none):
     ///
     /// * a transition with a (possibly per-state) enabling delay gets
     ///   an entry iff it is *ready* in the successor (marking-enabled,
@@ -880,551 +943,324 @@ impl Scratch {
     ///   current state keeps its clock, minus `elapsed` ticks for an
     ///   `Advance` edge (readiness cannot change mid-interval — the
     ///   marking only moves at the endpoints); expression delays are
-    ///   *not* re-resolved while continuously ready, exactly like the
-    ///   simulator;
+    ///   *not* re-resolved while continuously ready;
     /// * the transition that just `fired` (if any) re-arms from a fresh
     ///   delay resolution — a firing always ends its own enabling
     ///   interval;
     /// * a newly ready transition starts a fresh clock, resolving an
-    ///   expression delay against `env` — the environment at arm time.
+    ///   expression delay against the environment at arm time: the
+    ///   post-action `next_slots` when `acted`, else `cur_slots`.
     ///
     /// Entries come out sorted by transition id because `compiled` is
-    /// iterated in id order.
-    #[allow(clippy::too_many_arguments)] // bundled per-build context threads through
-    fn compute_next_enabling(
-        &mut self,
-        net: &Net,
-        compiled: &[Compiled],
-        programs: &bc::CompiledNet,
-        ticks: &TimedTicks,
-        slots: &bc::EnvSlots,
-        vm: &mut bc::Scratch,
+    /// in id order.
+    fn refresh_clocks(
+        &self,
+        sc: &mut Scratch,
+        acted: bool,
         fired: Option<TransitionId>,
         elapsed: u64,
     ) -> Result<(), ReachError> {
-        self.next_enabling.clear();
-        for (ti, ct) in compiled.iter().enumerate() {
-            if ticks.enabling[ti] == Some(0) {
+        sc.next.enabling.clear();
+        if !self.timed {
+            return Ok(());
+        }
+        let slots = if acted { &sc.next_slots } else { &sc.cur_slots };
+        for ct in &self.compiled {
+            if matches!(ct.enabling, Ticks::Fixed(0))
+                || !ct.ready(&sc.next)
+                || !self.predicate(ct, slots, &mut sc.vm)?
+            {
                 continue;
             }
-            let ready = ct
-                .needs
-                .iter()
-                .all(|&(p, w)| self.next_marking[p as usize] >= w)
-                && ct
-                    .inhib
-                    .iter()
-                    .all(|&(p, th)| self.next_marking[p as usize] < th)
-                && ct.cap.is_none_or(|cap| {
-                    (self
-                        .next_inflight
-                        .iter()
-                        .filter(|&&(x, _)| x == ct.id)
-                        .count() as u32)
-                        < cap
-                });
-            if !ready {
-                continue;
-            }
-            if ct.has_predicate && !predicate_holds(net, programs, ti, ct, slots, vm)? {
-                continue;
-            }
-            let countdown = if fired == Some(ct.id) {
-                enabling_delay(net, programs, ticks, ti, ct.id, slots, vm)?
+            let running = if fired == Some(ct.id) {
+                None
             } else {
-                match self.cur_enabling.iter().find(|&&(x, _)| x == ct.id) {
-                    Some(&(_, k)) => k - elapsed,
-                    None => enabling_delay(net, programs, ticks, ti, ct.id, slots, vm)?,
+                sc.cur.enabling.iter().find(|&&(x, _)| x == ct.id)
+            };
+            let countdown = match running {
+                Some(&(_, k)) => k - elapsed,
+                None => self.delay(ct, &ct.enabling, slots, &mut sc.vm)?,
+            };
+            sc.next.enabling.push((ct.id, countdown));
+        }
+        Ok(())
+    }
+
+    /// Arm the initial state's enabling clocks into `sc.next.enabling`:
+    /// the simulator refreshes its clocks before the first step, so
+    /// every initially ready transition starts with a full countdown.
+    fn arm_initial(
+        &self,
+        sc: &mut Scratch,
+        store: &StateStore,
+        initial_env: u32,
+    ) -> Result<(), ReachError> {
+        sc.cur_slots.load(&self.map, store.env(initial_env));
+        sc.loaded_env = Some(initial_env);
+        sc.next.marking = self.net.initial_marking().as_slice().to_vec();
+        self.refresh_clocks(sc, false, None, 0)
+    }
+
+    /// The kernel: expand state `src` into its successor `row`,
+    /// interning every successor through `sink`. On error, `row` holds
+    /// the edges before the one that failed, so `row.len()` is that
+    /// edge's sequence number.
+    fn expand<S: Sink>(
+        &self,
+        sc: &mut Scratch,
+        sink: &mut S,
+        src: usize,
+        row: &mut Vec<(EdgeLabel, S::Target)>,
+    ) -> Result<(), ReachError> {
+        row.clear();
+        let env_id = sc.load(&self.map, sink.store(), src)?;
+        sink.loaded()?;
+        let mut can_start = false;
+        for ct in &self.compiled {
+            // Enabling gate: a transition whose enabling clock is still
+            // counting down cannot start. (Ready transitions with a
+            // pending delay always carry a clock entry, so a missing
+            // entry means the resolved delay was 0.)
+            if !ct.ready(&sc.cur)
+                || sc.cur.enabling.iter().any(|&(x, k)| x == ct.id && k > 0)
+                || !self.predicate(ct, &sc.cur_slots, &mut sc.vm)?
+            {
+                continue;
+            }
+            can_start = true;
+            let key = discovery_key(src, row.len());
+            // The action runs before the firing delay is resolved, as in
+            // the simulator, so table-driven models compute their own
+            // firing times (paper §3).
+            let env = match &ct.action {
+                None => S::EnvId::from(env_id),
+                Some(action) => {
+                    sc.next_slots.copy_from(&sc.cur_slots);
+                    action
+                        .apply_pure(&mut sc.next_slots, &self.map, &mut sc.vm)
+                        .map_err(|e| eval_err(self.net.transition(ct.id), e))?;
+                    sink.intern_env(&sc.next_slots.to_env(&self.map), key)?
                 }
             };
-            self.next_enabling.push((ct.id, countdown));
+            let acted = ct.action.is_some();
+            let ft = if self.timed {
+                let slots = if acted { &sc.next_slots } else { &sc.cur_slots };
+                self.delay(ct, &ct.firing, slots, &mut sc.vm)?
+            } else {
+                0
+            };
+            // Zero-delay firings are atomic: outputs appear immediately
+            // and the in-flight multiset is unchanged.
+            sc.begin_next();
+            let delta = if ft == 0 {
+                &ct.fire_delta
+            } else {
+                &ct.start_delta
+            };
+            sc.next.apply(self.net, ct.id, delta)?;
+            sc.next.in_flight.clone_from(&sc.cur.in_flight);
+            if ft != 0 {
+                sc.next.in_flight.push((ct.id, ft));
+                sc.next.in_flight.sort_unstable();
+            }
+            self.refresh_clocks(sc, acted, Some(ct.id), 0)?;
+            row.push((
+                EdgeLabel::Fire(ct.id),
+                sink.intern_state(&sc.next, env, key)?,
+            ));
         }
+
+        // Maximal-progress time advance: only when nothing can start and
+        // something is pending — an in-flight completion or an enabling
+        // deadline (when nothing can start, every enabling countdown is
+        // positive, so `dt` is always > 0).
+        if can_start {
+            return Ok(());
+        }
+        let pending = sc.cur.in_flight.iter().chain(&sc.cur.enabling);
+        let Some(dt) = pending.map(|&(_, r)| r).min() else {
+            return Ok(());
+        };
+        debug_assert!(dt > 0, "zero advance would loop forever");
+        let key = discovery_key(src, row.len());
+        sc.begin_next();
+        sc.next.in_flight.clear();
+        for &(tid, r) in &sc.cur.in_flight {
+            if r == dt {
+                let done = &self.compiled[tid.index()].end_delta;
+                sc.next.apply(self.net, tid, done)?;
+            } else {
+                sc.next.in_flight.push((tid, r - dt));
+            }
+        }
+        sc.next.in_flight.sort_unstable();
+        self.refresh_clocks(sc, false, None, dt)?;
+        let target = sink.intern_state(&sc.next, S::EnvId::from(env_id), key)?;
+        row.push((EdgeLabel::Advance(dt), target));
         Ok(())
     }
-
-    /// Add `t`'s output tokens to the scratch successor.
-    fn deliver_outputs(&mut self, t: &Transition) -> Result<(), ReachError> {
-        for &(p, w) in t.outputs() {
-            let p = p.index();
-            let old = self.next_marking[p];
-            let new = old
-                .checked_add(w)
-                .ok_or_else(|| ReachError::MarkingCorrupt {
-                    transition: t.name().to_string(),
-                    detail: "token count overflowed u32",
-                })?;
-            self.next_marking[p] = new;
-            self.next_hash = self
-                .next_hash
-                .wrapping_sub(StateStore::marking_elem_hash(p, old))
-                .wrapping_add(StateStore::marking_elem_hash(p, new));
-        }
-        Ok(())
-    }
 }
 
-/// Run `ct`'s compiled predicate against the slot-form environment
-/// (true when absent).
-fn predicate_holds(
-    net: &Net,
-    programs: &bc::CompiledNet,
-    ti: usize,
-    ct: &Compiled,
-    slots: &bc::EnvSlots,
-    vm: &mut bc::Scratch,
-) -> Result<bool, ReachError> {
-    match &programs.transitions[ti].predicate {
-        None => Ok(true),
-        Some(p) => {
-            let t = net.transition(ct.id);
-            p.eval_pure(slots, &programs.map, vm)
-                .and_then(|v| v.as_bool())
-                .map_err(|e| eval_err(t, e))
-        }
-    }
+// ---------------------------------------------------------------------------
+// Intern sinks
+// ---------------------------------------------------------------------------
+
+/// Where the kernel interns the successors it builds (see the module
+/// docs for the two implementations and their eviction points).
+trait Sink {
+    /// How a successor names its environment.
+    type EnvId: Copy + From<u32>;
+    /// How an edge names its target state.
+    type Target;
+    /// The committed store source states are loaded from.
+    fn store(&self) -> &StateStore;
+    /// Called after each source state is loaded.
+    fn loaded(&mut self) -> Result<(), ReachError>;
+    /// Intern a post-action environment found by the edge with
+    /// discovery `key`.
+    fn intern_env(&mut self, env: &Env, key: u64) -> Result<Self::EnvId, ReachError>;
+    /// Intern the successor `next` found by the edge with discovery
+    /// `key`.
+    fn intern_state(
+        &mut self,
+        next: &StateBuf,
+        env: Self::EnvId,
+        key: u64,
+    ) -> Result<Self::Target, ReachError>;
 }
 
-/// A fresh [`Scratch`] whose `next_enabling` holds the initial state's
-/// armed enabling clocks (empty for untimed builds): the simulator
-/// refreshes its clocks before the first step, so every initially ready
-/// transition starts with a full countdown. Shared by the sequential
-/// and parallel builders so their initial states can never diverge.
-fn arm_initial(
-    net: &Net,
-    compiled: &[Compiled],
-    programs: &bc::CompiledNet,
-    ticks: Option<&TimedTicks>,
-    store: &StateStore,
-    initial_env: u32,
-) -> Result<Scratch, ReachError> {
-    let mut scratch = Scratch::new(net.place_count());
-    if let Some(ticks) = ticks {
-        let mut slots = bc::EnvSlots::new();
-        slots.load(&programs.map, store.env(initial_env));
-        let mut vm = bc::Scratch::new();
-        scratch
-            .next_marking
-            .copy_from_slice(net.initial_marking().as_slice());
-        scratch.compute_next_enabling(net, compiled, programs, ticks, &slots, &mut vm, None, 0)?;
-    }
-    Ok(scratch)
-}
-
-/// Shared exploration machinery for the sequential timed and untimed
-/// builds: the store, the paged CSR edge arena, the compiled
-/// transitions, and the scratch buffers.
-struct Explorer {
-    max_states: usize,
-    compiled: Vec<Compiled>,
-    /// Bytecode programs for every transition expression, compiled once
-    /// against the net's slot map.
-    programs: bc::CompiledNet,
-    store: StateStore,
-    /// The paged edge arena, attached to the store's budget ledger.
-    edges: PagedEdges,
-    /// The successor row of the state under expansion, flushed into
-    /// `edges` by [`Self::end_row`] (edge rows seal/spill on the state
-    /// grain, so they are appended whole).
-    row: Vec<Edge>,
-    scratch: Scratch,
-    /// Slot-form environment of the state under expansion.
-    cur_slots: bc::EnvSlots,
-    /// Slot-form successor environment (after an action).
-    next_slots: bc::EnvSlots,
-    /// Which interned env id `cur_slots` holds: consecutive states
-    /// usually share an environment, so reloads are skipped.
-    loaded_env: Option<u32>,
-    /// Bytecode register file, shared by every program.
-    vm: bc::Scratch,
-}
-
-impl Explorer {
-    fn new(
-        net: &Net,
-        options: &ReachOptions,
-        ticks: Option<&TimedTicks>,
-    ) -> Result<Self, ReachError> {
-        let places = net.place_count();
-        let mut store = StateStore::with_config(places, &options.pager_config());
-        let initial_env = store.intern_env(net.initial_env())?;
-        let initial = net.initial_marking();
-        let compiled = compile(net);
-        let programs = bc::CompiledNet::compile(net).map_err(ReachError::Compile)?;
-        let scratch = arm_initial(net, &compiled, &programs, ticks, &store, initial_env)?;
-        store.intern(initial.as_slice(), initial_env, &[], &scratch.next_enabling)?;
-        let edges = PagedEdges::new(
-            store.seg_states(),
-            store.pager_shared(),
-            options.spill_dir.clone(),
-        );
-        Ok(Explorer {
-            max_states: options.max_states,
-            compiled,
-            programs,
-            store,
-            edges,
-            row: Vec::new(),
-            scratch,
-            cur_slots: bc::EnvSlots::new(),
-            next_slots: bc::EnvSlots::new(),
-            loaded_env: None,
-            vm: bc::Scratch::new(),
-        })
-    }
-
-    /// Load state `cur` into the scratch copies and open its CSR row.
-    /// Loading may fault `cur`'s segment back in; the follow-up
-    /// `maintain` evicts back under budget so the resident envelope
-    /// stays at most one segment above it between interns.
-    fn load(&mut self, cur: usize) -> Result<u32, ReachError> {
-        self.row.clear();
-        let env = self.scratch.load(&self.store, cur)?;
-        self.store.maintain()?;
-        if self.loaded_env != Some(env) {
-            self.cur_slots.load(&self.programs.map, self.store.env(env));
-            self.loaded_env = Some(env);
-        }
-        Ok(env)
-    }
-
-    /// Environment after `ti`'s action: runs the compiled action over
-    /// `next_slots` (starting from the current state's slots) and
-    /// interns the result. The common actionless path reuses the
-    /// interned id without touching the environment at all.
-    fn next_env(&mut self, net: &Net, ti: usize, env_id: u32) -> Result<u32, ReachError> {
-        if !self.compiled[ti].has_action {
-            return Ok(env_id);
-        }
-        let t = net.transition(self.compiled[ti].id);
-        let prog = self.programs.transitions[ti]
-            .action
-            .as_ref()
-            .expect("has_action");
-        self.next_slots.copy_from(&self.cur_slots);
-        prog.apply_pure(&mut self.next_slots, &self.programs.map, &mut self.vm)
-            .map_err(|e| eval_err(t, e))?;
-        let env = self.next_slots.to_env(&self.programs.map);
-        self.store.intern_env(&env)
-    }
-
-    /// Intern the scratch successor and record an edge to it. The state
-    /// cap is enforced *before* interning, so a [`ReachError::StateLimit`]
+/// The `jobs = 1` sink: interns straight into the committed store.
+struct Direct<'s> {
+    store: &'s mut StateStore,
+    /// Checked before every append, so a [`ReachError::StateLimit`]
     /// leaves the store with exactly `max_states` states.
-    fn link(&mut self, label: EdgeLabel, env_id: u32) -> Result<(), ReachError> {
+    max_states: usize,
+}
+
+impl Sink for Direct<'_> {
+    type EnvId = u32;
+    type Target = u32;
+
+    fn store(&self) -> &StateStore {
+        self.store
+    }
+
+    /// Loading may fault the source's segment back in; evict right
+    /// away, so the resident envelope stays at most one segment above
+    /// the budget between interns.
+    fn loaded(&mut self) -> Result<(), ReachError> {
+        self.store.maintain()
+    }
+
+    fn intern_env(&mut self, env: &Env, _key: u64) -> Result<u32, ReachError> {
+        self.store.intern_env(env)
+    }
+
+    fn intern_state(&mut self, next: &StateBuf, env: u32, _key: u64) -> Result<u32, ReachError> {
         let (target, _) = self.store.intern_bounded(
-            &self.scratch.next_marking,
-            self.scratch.next_hash,
-            env_id,
-            &self.scratch.next_inflight,
-            &self.scratch.next_enabling,
+            &next.marking,
+            next.hash,
+            env,
+            &next.in_flight,
+            &next.enabling,
             self.max_states,
         )?;
-        self.row.push((label, target as u32));
-        Ok(())
-    }
-
-    /// Flush the finished successor row of the scanned state into the
-    /// paged edge arena (its own `&mut` point: the arena evicts itself
-    /// back under budget per row).
-    fn end_row(&mut self) -> Result<(), ReachError> {
-        self.edges.push_row(&self.row)
-    }
-
-    fn finish(mut self) -> Result<ReachabilityGraph, ReachError> {
-        debug_assert_eq!(
-            self.edges.row_count(),
-            self.store.len(),
-            "one edge row per state"
-        );
-        // Final squeeze back under budget (a no-op unless the last
-        // appends left the arenas over); also the "seal" phase boundary
-        // for the span hierarchy.
-        let _seal = obs::span("seal");
-        self.store.maintain()?;
-        Ok(ReachabilityGraph {
-            store: self.store,
-            edges: self.edges,
-        })
+        Ok(target as u32)
     }
 }
 
-// ---------------------------------------------------------------------------
-// Parallel level-synchronous exploration
-// ---------------------------------------------------------------------------
+/// The discovery key of the `seq`-th edge out of state `src`: the
+/// position of that edge in the direct sink's traversal order. Pending
+/// states and environments are committed in ascending key order at the
+/// level barrier.
+fn discovery_key(src: usize, seq: usize) -> u64 {
+    ((src as u64) << 32) | seq as u64
+}
 
-/// An edge target as seen during a parallel level: either a state the
-/// committed store already holds, or a packed pending id into the
-/// level's shards (rewritten to a dense index at the barrier).
+/// An edge target during a sharded level: either a state the committed
+/// store already holds, or a packed pending id into the level's shards
+/// (rewritten to a dense index at the barrier).
 #[derive(Debug, Clone, Copy)]
 enum RawTarget {
     Committed(u32),
     Pending(u32),
 }
 
-/// Per-source edge rows produced by one worker chunk, in source order.
-type Rows = Vec<Vec<(EdgeLabel, RawTarget)>>;
-
-/// Everything a worker needs, shared read-only across the pool (the
-/// pending shards carry their own lock stripes).
-struct WorkerCtx<'a> {
-    net: &'a Net,
-    compiled: &'a [Compiled],
-    /// Compiled bytecode programs, shared read-only by all workers.
-    programs: &'a bc::CompiledNet,
+/// The `jobs > 1` sink: probes the frozen committed store read-only and
+/// parks misses in the level's lock-striped pending shards.
+#[derive(Clone, Copy)]
+struct Pending<'a> {
     store: &'a StateStore,
     shards: &'a [Mutex<PendingShard>],
-    /// `Some` for timed builds: constant firing and enabling delays per
-    /// transition.
-    ticks: Option<&'a TimedTicks>,
 }
 
-/// The discovery key of the `seq`-th edge out of state `src`: the
-/// position of that edge in the sequential build's traversal order.
-/// Pending states and environments are committed in ascending key order
-/// at the level barrier, which is what makes the parallel build
-/// bit-identical to the sequential one.
-fn discovery_key(src: usize, seq: usize) -> u64 {
-    ((src as u64) << 32) | seq as u64
-}
-
-/// Resolve the environment of the successor under construction: reuse
-/// the source's committed id on the (common) actionless path, otherwise
-/// run the compiled action over `next_slots` (starting from the
-/// current state's `cur_slots`) and intern the result — into the
-/// committed table if the content is already known, into a pending
-/// shard otherwise. On the action path `next_slots` holds the
-/// post-action environment afterwards, so the timed builder resolves
-/// delays and predicates against it without re-deriving it per state.
-#[allow(clippy::too_many_arguments)] // per-worker scratch threads through
-fn next_env_ref(
-    ctx: &WorkerCtx<'_>,
-    ct: &Compiled,
-    ti: usize,
-    env_id: u32,
-    cur_slots: &bc::EnvSlots,
-    next_slots: &mut bc::EnvSlots,
-    vm: &mut bc::Scratch,
-    key: u64,
-) -> Result<EnvRef, ReachError> {
-    if !ct.has_action {
-        return Ok(EnvRef::Committed(env_id));
+impl<'a> Pending<'a> {
+    /// Lock the shard selected by the top bits of `hash`.
+    fn shard(&self, hash: u64) -> impl DerefMut<Target = PendingShard> + 'a {
+        let shards = self.shards;
+        shards[store::shard_index(hash, shards.len())]
+            .lock()
+            .expect("pending shard lock")
     }
-    let t = ctx.net.transition(ct.id);
-    let prog = ctx.programs.transitions[ti]
-        .action
-        .as_ref()
-        .expect("has_action");
-    next_slots.copy_from(cur_slots);
-    prog.apply_pure(next_slots, &ctx.programs.map, vm)
-        .map_err(|e| eval_err(t, e))?;
-    let env = next_slots.to_env(&ctx.programs.map);
-    let hash = store::fx_hash_of(&env);
-    if let Some(id) = ctx.store.find_env_hashed(&env, hash) {
-        return Ok(EnvRef::Committed(id));
-    }
-    let shard = store::shard_index(hash, ctx.shards.len());
-    let mut sh = ctx.shards[shard].lock().expect("env shard lock");
-    let id = sh.intern_env(&env, hash, key)?;
-    drop(sh);
-    Ok(EnvRef::Pending(id))
 }
 
-/// Intern the scratch successor: a committed-table hit resolves to its
-/// dense index immediately; a miss lands in the pending shard selected
-/// by the top bits of its hash.
-fn intern_target(
-    ctx: &WorkerCtx<'_>,
-    sc: &Scratch,
-    env_ref: EnvRef,
-    key: u64,
-) -> Result<RawTarget, ReachError> {
-    if let EnvRef::Committed(e) = env_ref {
-        if let Some(i) = ctx.store.find_state_hashed(
-            &sc.next_marking,
-            sc.next_hash,
-            e,
-            &sc.next_inflight,
-            &sc.next_enabling,
-        )? {
-            return Ok(RawTarget::Committed(i));
+impl Sink for Pending<'_> {
+    type EnvId = EnvRef;
+    type Target = RawTarget;
+
+    fn store(&self) -> &StateStore {
+        self.store
+    }
+
+    fn loaded(&mut self) -> Result<(), ReachError> {
+        Ok(())
+    }
+
+    fn intern_env(&mut self, env: &Env, key: u64) -> Result<EnvRef, ReachError> {
+        let hash = store::fx_hash_of(env);
+        if let Some(id) = self.store.find_env_hashed(env, hash) {
+            return Ok(EnvRef::Committed(id));
         }
+        self.shard(hash)
+            .intern_env(env, hash, key)
+            .map(EnvRef::Pending)
     }
-    let hash =
-        store::pending_state_hash(sc.next_hash, env_ref, &sc.next_inflight, &sc.next_enabling);
-    let shard = store::shard_index(hash, ctx.shards.len());
-    let mut sh = ctx.shards[shard].lock().expect("state shard lock");
-    sh.intern_state(
-        &sc.next_marking,
-        sc.next_hash,
-        hash,
-        env_ref,
-        &sc.next_inflight,
-        &sc.next_enabling,
-        key,
-    )
-    .map(RawTarget::Pending)
-}
 
-/// Expand one contiguous chunk of the frontier, producing the edge rows
-/// of every source in order. Mirrors the sequential loops of
-/// [`build_untimed`]/[`build_timed`] exactly — same transition order,
-/// same cap/predicate gating, same advance-edge placement — so the edge
-/// lists concatenate to the sequential CSR. Errors carry the discovery
-/// key of the edge that raised them so the barrier can report the one
-/// the sequential build would have hit first.
-fn explore_chunk(
-    ctx: &WorkerCtx<'_>,
-    chunk: std::ops::Range<usize>,
-) -> Result<Rows, (u64, ReachError)> {
-    let mut sc = Scratch::new(ctx.store.places());
-    let mut cur_slots = bc::EnvSlots::new();
-    let mut next_slots = bc::EnvSlots::new();
-    let mut vm = bc::Scratch::new();
-    let mut loaded_env: Option<u32> = None;
-    let mut rows = Vec::with_capacity(chunk.len());
-    for src in chunk {
-        let env_id = sc
-            .load(ctx.store, src)
-            .map_err(|e| (discovery_key(src, 0), e))?;
-        if loaded_env != Some(env_id) {
-            cur_slots.load(&ctx.programs.map, ctx.store.env(env_id));
-            loaded_env = Some(env_id);
+    fn intern_state(
+        &mut self,
+        next: &StateBuf,
+        env: EnvRef,
+        key: u64,
+    ) -> Result<RawTarget, ReachError> {
+        if let EnvRef::Committed(e) = env {
+            if let Some(i) = self.store.find_state_hashed(
+                &next.marking,
+                next.hash,
+                e,
+                &next.in_flight,
+                &next.enabling,
+            )? {
+                return Ok(RawTarget::Committed(i));
+            }
         }
-        let mut row: Vec<(EdgeLabel, RawTarget)> = Vec::new();
-        let mut can_start = false;
-        for (ti, ct) in ctx.compiled.iter().enumerate() {
-            if !sc.enabled(ct) {
-                continue;
-            }
-            let key = discovery_key(src, row.len());
-            if ctx.ticks.is_some() {
-                if let Some(cap) = ct.cap {
-                    let inflight =
-                        sc.cur_inflight.iter().filter(|&&(x, _)| x == ct.id).count() as u32;
-                    if inflight >= cap {
-                        continue;
-                    }
-                }
-                // Enabling gate: a transition whose enabling clock is
-                // still counting down cannot start. (Ready transitions
-                // with a pending delay — constant or per-state
-                // expression — always carry a clock entry; a missing
-                // entry means the resolved delay was 0.)
-                if sc.cur_enabling.iter().any(|&(x, k)| x == ct.id && k > 0) {
-                    continue;
-                }
-            }
-            if ct.has_predicate
-                && !predicate_holds(ctx.net, ctx.programs, ti, ct, &cur_slots, &mut vm)
-                    .map_err(|e| (key, e))?
-            {
-                continue;
-            }
-            can_start = true;
-            // The successor environment is resolved first (the action
-            // runs before the firing delay, as in the simulator and the
-            // sequential explorer above).
-            let env_ref = next_env_ref(
-                ctx,
-                ct,
-                ti,
-                env_id,
-                &cur_slots,
-                &mut next_slots,
-                &mut vm,
+        let hash = store::pending_state_hash(next.hash, env, &next.in_flight, &next.enabling);
+        self.shard(hash)
+            .intern_state(
+                &next.marking,
+                next.hash,
+                hash,
+                env,
+                &next.in_flight,
+                &next.enabling,
                 key,
             )
-            .map_err(|e| (key, e))?;
-            match ctx.ticks {
-                None => {
-                    sc.fire(ctx.net, ct, true).map_err(|e| (key, e))?;
-                    sc.next_inflight.clear();
-                    sc.next_enabling.clear();
-                }
-                Some(ticks) => {
-                    // The post-action environment already sits in
-                    // `next_slots`; actionless firings keep the
-                    // current slots.
-                    let slots = if ct.has_action {
-                        &next_slots
-                    } else {
-                        &cur_slots
-                    };
-                    let ft = firing_delay(ctx.net, ctx.programs, ticks, ti, ct.id, slots, &mut vm)
-                        .map_err(|e| (key, e))?;
-                    sc.fire(ctx.net, ct, ft == 0).map_err(|e| (key, e))?;
-                    sc.next_inflight.clear();
-                    let (next, cur) = (&mut sc.next_inflight, &sc.cur_inflight);
-                    next.extend_from_slice(cur);
-                    if ft != 0 {
-                        sc.next_inflight.push((ct.id, ft));
-                        sc.next_inflight.sort_unstable();
-                    }
-                    sc.compute_next_enabling(
-                        ctx.net,
-                        ctx.compiled,
-                        ctx.programs,
-                        ticks,
-                        slots,
-                        &mut vm,
-                        Some(ct.id),
-                        0,
-                    )
-                    .map_err(|e| (key, e))?;
-                }
-            }
-            let target = intern_target(ctx, &sc, env_ref, key).map_err(|e| (key, e))?;
-            row.push((EdgeLabel::Fire(ct.id), target));
-        }
-
-        // Maximal-progress time advance: only when nothing can start and
-        // something is pending (a completion or an enabling deadline).
-        if let Some(ticks) = ctx.ticks {
-            if !(can_start || (sc.cur_inflight.is_empty() && sc.cur_enabling.is_empty())) {
-                let key = discovery_key(src, row.len());
-                let dt = sc
-                    .cur_inflight
-                    .iter()
-                    .chain(sc.cur_enabling.iter())
-                    .map(|&(_, r)| r)
-                    .min()
-                    .expect("non-empty");
-                sc.begin_next();
-                sc.next_inflight.clear();
-                for i in 0..sc.cur_inflight.len() {
-                    let (tid, r) = sc.cur_inflight[i];
-                    if r == dt {
-                        sc.deliver_outputs(ctx.net.transition(tid))
-                            .map_err(|e| (key, e))?;
-                    } else {
-                        sc.next_inflight.push((tid, r - dt));
-                    }
-                }
-                sc.next_inflight.sort_unstable();
-                sc.compute_next_enabling(
-                    ctx.net,
-                    ctx.compiled,
-                    ctx.programs,
-                    ticks,
-                    &cur_slots,
-                    &mut vm,
-                    None,
-                    dt,
-                )
-                .map_err(|e| (key, e))?;
-                let target = intern_target(ctx, &sc, EnvRef::Committed(env_id), key)
-                    .map_err(|e| (key, e))?;
-                row.push((EdgeLabel::Advance(dt), target));
-            }
-        }
-        rows.push(row);
+            .map(RawTarget::Pending)
     }
-    Ok(rows)
 }
 
 /// Split `level` into at most `jobs` contiguous chunks of near-equal
 /// size, in frontier order.
-fn split_chunks(level: std::ops::Range<usize>, jobs: usize) -> Vec<std::ops::Range<usize>> {
+fn split_chunks(level: Range<usize>, jobs: usize) -> Vec<Range<usize>> {
     let n = level.len();
     let per = n.div_ceil(jobs);
     (0..jobs)
@@ -1442,10 +1278,134 @@ fn split_chunks(level: std::ops::Range<usize>, jobs: usize) -> Vec<std::ops::Ran
 /// chunk), which keeps shallow prefixes and tails cheap.
 const SPAWN_THRESHOLD_PER_JOB: usize = 48;
 
-/// Per-level observability, shared by the sequential and parallel
-/// builders (the sequential loops recover the same level boundaries
-/// with a watermark, so both emit identical level metrics — the builds
-/// are bit-identical). `level` is 1-based and `width` is the state
+/// The pending shards of the `jobs > 1` sink, reused level to level.
+struct Shards {
+    shards: Vec<Mutex<PendingShard>>,
+    jobs: usize,
+}
+
+impl Shards {
+    fn new(jobs: usize, places: usize) -> Self {
+        let count = (jobs * 4).next_power_of_two().min(64);
+        Shards {
+            shards: (0..count)
+                .map(|s| Mutex::new(PendingShard::new(s, places)))
+                .collect(),
+            jobs,
+        }
+    }
+
+    /// Expand `level` into the pending shards, then commit it at the
+    /// barrier: splice the novel states, rewrite pending targets, append
+    /// the rows, evict.
+    fn expand_level(
+        &mut self,
+        rule: &Rule<'_>,
+        g: &mut ReachabilityGraph,
+        level: Range<usize>,
+        max_states: usize,
+    ) -> Result<(), ReachError> {
+        let sink = Pending {
+            store: &g.store,
+            shards: &self.shards,
+        };
+        let chunk = |range: Range<usize>| {
+            let (mut sc, mut sink) = (Scratch::default(), sink);
+            range
+                .map(|src| {
+                    let mut row = Vec::new();
+                    rule.expand(&mut sc, &mut sink, src, &mut row)
+                        .map_err(|e| (discovery_key(src, row.len()), e))?;
+                    Ok(row)
+                })
+                .collect::<Result<Vec<_>, (u64, ReachError)>>()
+        };
+        let results: Vec<_> = if level.len() < self.jobs.max(2) * SPAWN_THRESHOLD_PER_JOB {
+            vec![chunk(level)]
+        } else {
+            std::thread::scope(|scope| {
+                let handles: Vec<_> = split_chunks(level, self.jobs)
+                    .into_iter()
+                    .map(|range| scope.spawn(move || chunk(range)))
+                    .collect();
+                handles
+                    .into_iter()
+                    .map(|h| h.join().expect("worker thread panicked"))
+                    .collect()
+            })
+        };
+
+        // Barrier. Everything below is single-threaded and ordered by
+        // discovery key, so it is deterministic regardless of how the
+        // workers interleaved.
+        let mut chunks = Vec::with_capacity(results.len());
+        let mut first_err: Option<(u64, ReachError)> = None;
+        for result in results {
+            match result {
+                Ok(rows) => chunks.push(rows),
+                Err((key, e)) => {
+                    if first_err.as_ref().is_none_or(|&(first, _)| key < first) {
+                        first_err = Some((key, e));
+                    }
+                }
+            }
+        }
+        let mut shard_refs: Vec<&mut PendingShard> = self
+            .shards
+            .iter_mut()
+            .map(|m| m.get_mut().expect("shard lock"))
+            .collect();
+        let novel = store::collect_novel_states(&shard_refs);
+        let base = g.store.len();
+        if !novel.is_empty() && base + novel.len() > max_states {
+            // The direct sink errors at the first novel state that does
+            // not fit — and never errors without an intern attempt,
+            // hence the emptiness guard (a deadlocked initial state
+            // builds fine even with `max_states` 0). Report StateLimit
+            // only if that key precedes the earliest worker error.
+            // (`saturating_sub` covers the degenerate `max_states <
+            // base` case — only reachable with a cap below the
+            // always-admitted initial state — where the first novel
+            // state is already over the cap.)
+            let limit_key = novel[max_states.saturating_sub(base)].0;
+            if first_err.as_ref().is_none_or(|&(key, _)| limit_key < key) {
+                return Err(ReachError::StateLimit { limit: max_states });
+            }
+        }
+        if let Some((_, e)) = first_err {
+            return Err(e);
+        }
+        let state_map = g.store.splice_level(&mut shard_refs, &novel)?;
+
+        // Append this level's CSR rows in source order (worker chunks
+        // are contiguous and ordered), rewriting pending targets to
+        // their dense indices.
+        let mut rewritten: Vec<Edge> = Vec::new();
+        for row in chunks.into_iter().flatten() {
+            rewritten.clear();
+            rewritten.extend(row.into_iter().map(|(label, target)| {
+                let target = match target {
+                    RawTarget::Committed(i) => i,
+                    RawTarget::Pending(p) => {
+                        state_map[store::pending_shard(p)][store::pending_local(p)]
+                    }
+                };
+                (label, target)
+            }));
+            g.edges.push_row(&rewritten)?;
+        }
+        // Workers may have faulted cold state segments in (read-only
+        // loads cannot evict); squeeze back under budget before the
+        // next level.
+        g.store.maintain()
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The level driver
+// ---------------------------------------------------------------------------
+
+/// Per-level observability. `level` is 1-based and `width` is the state
 /// count of the level just completed. The heartbeat line is built from
 /// deterministic quantities only, so a fixed run configuration always
 /// prints the same lines.
@@ -1464,144 +1424,68 @@ fn note_level(store: &StateStore, level: u64, width: usize, budget: usize) {
     });
 }
 
-/// Level-synchronous parallel construction (untimed when `ticks` is
-/// `None`, timed otherwise). See [`crate::store`] for the sharding
-/// and barrier design; the result is bit-identical to the sequential
-/// build for every job count.
-fn build_parallel(
+/// Build the graph breadth-first, one level at a time, through the
+/// sink that `options.jobs` picks (see the module docs).
+fn explore(
     net: &Net,
     options: &ReachOptions,
-    ticks: Option<TimedTicks>,
+    timed: bool,
 ) -> Result<ReachabilityGraph, ReachError> {
+    if net.uses_random() {
+        return Err(ReachError::UsesRandom);
+    }
     let _span = obs::span("build");
-    let jobs = options.effective_jobs();
     let places = net.place_count();
     let mut store = StateStore::with_config(places, &options.pager_config());
     let initial_env = store.intern_env(net.initial_env())?;
-    let compiled = compile(net);
-    let programs = bc::CompiledNet::compile(net).map_err(ReachError::Compile)?;
-    let init = arm_initial(
-        net,
-        &compiled,
-        &programs,
-        ticks.as_ref(),
-        &store,
-        initial_env,
-    )?;
+    let rule = Rule::new(net, timed)?;
+    let mut sc = Scratch::default();
+    rule.arm_initial(&mut sc, &store, initial_env)?;
     store.intern(
         net.initial_marking().as_slice(),
         initial_env,
         &[],
-        &init.next_enabling,
+        &sc.next.enabling,
     )?;
-    let shard_count = (jobs * 4).next_power_of_two().min(64);
-    let mut shards: Vec<Mutex<PendingShard>> = (0..shard_count)
-        .map(|s| Mutex::new(PendingShard::new(s, places)))
-        .collect();
-    let mut edges = PagedEdges::new(
+    let edges = PagedEdges::new(
         store.seg_states(),
         store.pager_shared(),
         options.spill_dir.clone(),
     );
-    let mut rewritten: Vec<Edge> = Vec::new();
-    let mut level = 0..1;
-    let mut levels = 0u64;
-
+    let mut g = ReachabilityGraph { store, edges };
+    let jobs = options.effective_jobs();
+    let mut shards = (jobs > 1).then(|| Shards::new(jobs, places));
+    let mut row = Vec::new();
+    let (mut level, mut levels) = (0..1, 0u64);
     while !level.is_empty() {
-        let ctx = WorkerCtx {
-            net,
-            compiled: &compiled,
-            programs: &programs,
-            store: &store,
-            shards: &shards,
-            ticks: ticks.as_ref(),
-        };
-        let results: Vec<Result<Rows, (u64, ReachError)>> =
-            if level.len() < jobs.max(2) * SPAWN_THRESHOLD_PER_JOB {
-                vec![explore_chunk(&ctx, level.clone())]
-            } else {
-                let chunks = split_chunks(level.clone(), jobs);
-                std::thread::scope(|scope| {
-                    let handles: Vec<_> = chunks
-                        .into_iter()
-                        .map(|chunk| {
-                            let ctx = &ctx;
-                            scope.spawn(move || explore_chunk(ctx, chunk))
-                        })
-                        .collect();
-                    handles
-                        .into_iter()
-                        .map(|h| h.join().expect("worker thread panicked"))
-                        .collect()
-                })
-            };
-
-        // Barrier. Everything below is single-threaded and ordered by
-        // discovery key, so it is deterministic regardless of how the
-        // workers interleaved.
-        let min_err: Option<&(u64, ReachError)> = results
-            .iter()
-            .filter_map(|r| r.as_ref().err())
-            .min_by_key(|(k, _)| *k);
-        let mut shard_refs: Vec<&mut PendingShard> = shards
-            .iter_mut()
-            .map(|m| m.get_mut().expect("shard lock"))
-            .collect();
-        let novel = store::collect_novel_states(&shard_refs);
-        let base = store.len();
-        if !novel.is_empty() && base + novel.len() > options.max_states {
-            // The sequential build errors at the first novel state that
-            // does not fit — and never errors without an intern attempt,
-            // hence the emptiness guard (a deadlocked initial state
-            // builds fine even with `max_states` 0, matching sequential).
-            // Report StateLimit only if that key precedes the earliest
-            // worker error. (`saturating_sub` covers the degenerate
-            // `max_states < base` case — only reachable with a cap below
-            // the always-admitted initial state — where the first novel
-            // state is already over the cap.)
-            let limit_key = novel[options.max_states.saturating_sub(base)].0;
-            if min_err.is_none_or(|&(k, _)| limit_key < k) {
-                return Err(ReachError::StateLimit {
-                    limit: options.max_states,
-                });
+        match &mut shards {
+            None => {
+                let mut sink = Direct {
+                    store: &mut g.store,
+                    max_states: options.max_states,
+                };
+                for src in level.clone() {
+                    rule.expand(&mut sc, &mut sink, src, &mut row)?;
+                    // The edge arena evicts itself back under budget as
+                    // its segments seal.
+                    g.edges.push_row(&row)?;
+                }
+            }
+            Some(shards) => {
+                shards.expand_level(&rule, &mut g, level.clone(), options.max_states)?
             }
         }
-        if let Some((_, e)) = min_err {
-            return Err(e.clone());
-        }
-        let state_map = store.splice_level(&mut shard_refs, &novel)?;
-
-        // Append this level's CSR rows in source order (worker chunks
-        // are contiguous and ordered), rewriting pending targets to
-        // their dense indices. `push_row` evicts the edge arena back
-        // under budget as segments seal.
-        for rows in results {
-            for row in rows.expect("worker errors handled above") {
-                rewritten.clear();
-                rewritten.extend(row.into_iter().map(|(label, target)| {
-                    let target = match target {
-                        RawTarget::Committed(i) => i,
-                        RawTarget::Pending(p) => {
-                            state_map[store::pending_shard(p)][store::pending_local(p)]
-                        }
-                    };
-                    (label, target)
-                }));
-                edges.push_row(&rewritten)?;
-            }
-        }
-        // Level barrier: workers may have faulted cold state segments
-        // in (read-only loads cannot evict); squeeze back under budget
-        // before the next level.
-        store.maintain()?;
         levels += 1;
-        note_level(&store, levels, level.len(), options.mem_budget);
-        level = base..store.len();
+        note_level(&g.store, levels, level.len(), options.mem_budget);
+        level = level.end..g.store.len();
     }
-    debug_assert_eq!(edges.row_count(), store.len(), "one edge row per state");
+    debug_assert_eq!(g.edges.row_count(), g.store.len(), "one edge row per state");
+    // Final squeeze back under budget (a no-op unless the last appends
+    // left the arenas over); also the "seal" phase boundary for the
+    // span hierarchy.
     let _seal = obs::span("seal");
-    store.maintain()?;
-    Ok(ReachabilityGraph { store, edges })
+    g.store.maintain()?;
+    Ok(g)
 }
 
 /// Build the untimed (classical occurrence semantics) reachability
@@ -1612,66 +1496,13 @@ fn build_parallel(
 /// See [`ReachError`]; most commonly [`ReachError::StateLimit`] for
 /// unbounded nets.
 pub fn build_untimed(net: &Net, options: &ReachOptions) -> Result<ReachabilityGraph, ReachError> {
-    check_deterministic(net)?;
-    if options.effective_jobs() > 1 {
-        return build_parallel(net, options, None);
-    }
-    let _span = obs::span("build");
-    let mut ex = Explorer::new(net, options, None)?;
-    let mut cur = 0;
-    // Level watermark: when `cur` reaches it, a full BFS level has been
-    // scanned — the exact boundary the parallel build barriers on.
-    let mut level_start = 0usize;
-    let mut level_end = 1usize;
-    let mut levels = 0u64;
-    // States are discovered in BFS order and numbered densely, so the
-    // frontier is simply "indices not yet scanned" — no queue needed.
-    while cur < ex.store.len() {
-        let env_id = ex.load(cur)?;
-        for ti in 0..ex.compiled.len() {
-            if !ex.scratch.enabled(&ex.compiled[ti]) {
-                continue;
-            }
-            if ex.compiled[ti].has_predicate
-                && !predicate_holds(
-                    net,
-                    &ex.programs,
-                    ti,
-                    &ex.compiled[ti],
-                    &ex.cur_slots,
-                    &mut ex.vm,
-                )?
-            {
-                continue;
-            }
-            ex.scratch.fire(net, &ex.compiled[ti], true)?;
-            ex.scratch.next_inflight.clear();
-            ex.scratch.next_enabling.clear();
-            let next_env = ex.next_env(net, ti, env_id)?;
-            let label = EdgeLabel::Fire(ex.compiled[ti].id);
-            ex.link(label, next_env)?;
-        }
-        ex.end_row()?;
-        cur += 1;
-        if cur == level_end {
-            levels += 1;
-            note_level(
-                &ex.store,
-                levels,
-                level_end - level_start,
-                options.mem_budget,
-            );
-            level_start = level_end;
-            level_end = ex.store.len();
-        }
-    }
-    ex.finish()
+    explore(net, options, false)
 }
 
 /// Build the timed reachability graph: states extend the `[RP84]` pair
 /// (marking, in-flight firings with remaining times) with **enabling
 /// clocks** — one countdown per ready transition with a non-zero
-/// enabling delay, mirroring the simulator's continuous-enabling rule
+/// enabling delay, following the simulator's continuous-enabling rule
 /// (the clock arms when the transition becomes ready, resets when
 /// readiness is lost or the transition itself fires). From each state
 /// either an eligible transition starts firing (marking-enabled, under
@@ -1693,168 +1524,7 @@ pub fn build_untimed(net: &Net, options: &ReachOptions) -> Result<ReachabilityGr
 ///
 /// See [`ReachError`].
 pub fn build_timed(net: &Net, options: &ReachOptions) -> Result<ReachabilityGraph, ReachError> {
-    check_deterministic(net)?;
-    let mut firing = Vec::with_capacity(net.transition_count());
-    let mut enabling = Vec::with_capacity(net.transition_count());
-    for (_, t) in net.transitions() {
-        match t.enabling_time() {
-            pnut_core::Delay::Fixed(ticks) => enabling.push(Some(*ticks)),
-            pnut_core::Delay::Expr(_) => enabling.push(None),
-        }
-        match t.firing_time() {
-            pnut_core::Delay::Fixed(ticks) => firing.push(Some(*ticks)),
-            pnut_core::Delay::Expr(_) => firing.push(None),
-        }
-    }
-    let ticks = TimedTicks { firing, enabling };
-
-    if options.effective_jobs() > 1 {
-        return build_parallel(net, options, Some(ticks));
-    }
-    let _span = obs::span("build");
-    let mut ex = Explorer::new(net, options, Some(&ticks))?;
-    let mut cur = 0;
-    // Same level watermark as the untimed loop (see `note_level`).
-    let mut level_start = 0usize;
-    let mut level_end = 1usize;
-    let mut levels = 0u64;
-    while cur < ex.store.len() {
-        let env_id = ex.load(cur)?;
-        let mut can_start = false;
-        #[allow(clippy::needless_range_loop)] // `ti` indexes `ex.compiled` too
-        for ti in 0..ex.compiled.len() {
-            if !ex.scratch.enabled(&ex.compiled[ti]) {
-                continue;
-            }
-            let tid = ex.compiled[ti].id;
-            if let Some(cap) = ex.compiled[ti].cap {
-                let inflight = ex
-                    .scratch
-                    .cur_inflight
-                    .iter()
-                    .filter(|&&(x, _)| x == tid)
-                    .count() as u32;
-                if inflight >= cap {
-                    continue;
-                }
-            }
-            // Enabling gate: a transition whose enabling clock is still
-            // counting down cannot start. (Ready transitions with a
-            // pending delay always carry a clock entry — the successor
-            // construction maintains that invariant — so a missing
-            // entry means the resolved delay was 0.)
-            if ex
-                .scratch
-                .cur_enabling
-                .iter()
-                .any(|&(x, k)| x == tid && k > 0)
-            {
-                continue;
-            }
-            if ex.compiled[ti].has_predicate
-                && !predicate_holds(
-                    net,
-                    &ex.programs,
-                    ti,
-                    &ex.compiled[ti],
-                    &ex.cur_slots,
-                    &mut ex.vm,
-                )?
-            {
-                continue;
-            }
-            can_start = true;
-            // The environment (and with it any table-driven firing
-            // delay) is resolved before the token movement: the action
-            // runs first, exactly as in the simulator. On the action
-            // path `next_slots` holds the post-action environment
-            // afterwards, so delay resolution and the enabling refresh
-            // reuse it instead of re-deriving it from the store.
-            let next_env = ex.next_env(net, ti, env_id)?;
-            let slots = if ex.compiled[ti].has_action {
-                &ex.next_slots
-            } else {
-                &ex.cur_slots
-            };
-            let ft = firing_delay(net, &ex.programs, &ticks, ti, tid, slots, &mut ex.vm)?;
-            // Zero-delay firings are atomic: outputs appear immediately
-            // and the in-flight multiset is unchanged.
-            ex.scratch.fire(net, &ex.compiled[ti], ft == 0)?;
-            ex.scratch.next_inflight.clear();
-            let (next, cur) = (&mut ex.scratch.next_inflight, &ex.scratch.cur_inflight);
-            next.extend_from_slice(cur);
-            if ft != 0 {
-                ex.scratch.next_inflight.push((tid, ft));
-                ex.scratch.next_inflight.sort_unstable();
-            }
-            ex.scratch.compute_next_enabling(
-                net,
-                &ex.compiled,
-                &ex.programs,
-                &ticks,
-                slots,
-                &mut ex.vm,
-                Some(tid),
-                0,
-            )?;
-            ex.link(EdgeLabel::Fire(tid), next_env)?;
-        }
-
-        // Maximal-progress time advance: only when nothing can start and
-        // something is pending — an in-flight completion or an enabling
-        // deadline (when nothing can start, every enabling countdown is
-        // positive, so `dt` is always > 0).
-        if !(can_start
-            || (ex.scratch.cur_inflight.is_empty() && ex.scratch.cur_enabling.is_empty()))
-        {
-            let dt = ex
-                .scratch
-                .cur_inflight
-                .iter()
-                .chain(ex.scratch.cur_enabling.iter())
-                .map(|&(_, r)| r)
-                .min()
-                .expect("non-empty");
-            debug_assert!(dt > 0, "zero advance would loop forever");
-            ex.scratch.begin_next();
-            ex.scratch.next_inflight.clear();
-            for i in 0..ex.scratch.cur_inflight.len() {
-                let (tid, r) = ex.scratch.cur_inflight[i];
-                if r == dt {
-                    ex.scratch.deliver_outputs(net.transition(tid))?;
-                } else {
-                    ex.scratch.next_inflight.push((tid, r - dt));
-                }
-            }
-            ex.scratch.next_inflight.sort_unstable();
-            ex.scratch.compute_next_enabling(
-                net,
-                &ex.compiled,
-                &ex.programs,
-                &ticks,
-                &ex.cur_slots,
-                &mut ex.vm,
-                None,
-                dt,
-            )?;
-            ex.link(EdgeLabel::Advance(dt), env_id)?;
-        }
-        ex.end_row()?;
-        cur += 1;
-        if cur == level_end {
-            levels += 1;
-            note_level(
-                &ex.store,
-                levels,
-                level_end - level_start,
-                options.mem_budget,
-            );
-            level_start = level_end;
-            level_end = ex.store.len();
-        }
-    }
-    let _ = Time::ZERO; // Time is part of the public vocabulary via labels.
-    ex.finish()
+    explore(net, options, true)
 }
 
 #[cfg(test)]

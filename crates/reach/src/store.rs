@@ -53,10 +53,11 @@
 //!
 //! # Parallel levels: sharding and the barrier splice
 //!
-//! The parallel builder in [`crate::graph`] explores breadth-first one
-//! *level* at a time: the committed store above is frozen (shared
-//! read-only — probes are plain `&self` loads, no atomics) while a
-//! scoped worker pool scans disjoint chunks of the frontier. Successors
+//! The explorer in [`crate::graph`] runs breadth-first one *level* at a
+//! time. At `jobs > 1` its pending-shard sink keeps the committed store
+//! above frozen for the whole level (shared read-only — probes are plain
+//! `&self` loads, no atomics) while a scoped worker pool scans disjoint
+//! chunks of the frontier (levels too narrow to split run inline). Successors
 //! that miss the committed table land in a ring of [`PendingShard`]s —
 //! the same open-addressing scheme, lock-striped, with a shard picked by
 //! the **top bits** of the precomputed FxHash (the low bits index
@@ -70,11 +71,12 @@
 //! pending state carries the discovery key `(source index, edge seq)`
 //! of the edge that produced it, shards min-reduce that key per entry,
 //! and [`StateStore::splice_level`] commits the level's novel states in
-//! ascending key order — exactly the order the sequential build first
-//! interns them. Environments created by transition actions get the
-//! identical treatment (pending env sub-tables, min-key, committed at
-//! the barrier before the states that reference them). The result is a
-//! graph **bit-identical** to the sequential build at any worker count.
+//! ascending key order — exactly the order the `jobs = 1` direct sink,
+//! which interns every successor straight into this store, first interns
+//! them. Environments created by transition actions get the identical
+//! treatment (pending env sub-tables, min-key, committed at the barrier
+//! before the states that reference them). The result is a graph
+//! **bit-identical** to the `jobs = 1` build at any worker count.
 //!
 //! # Paging: how the arenas scale past RAM
 //!
@@ -96,9 +98,10 @@
 //! under `&self`, which is what keeps the frozen-store parallel probes
 //! of the level builder working (see [`crate::pager`] for the
 //! load-only-under-`&self` safety argument). Eviction happens at `&mut`
-//! points (every append and every level barrier), so the resident set
-//! tracks the budget with at most one faulted segment of slack in the
-//! sequential build. Environments are deduplicated and stay resident.
+//! points: at `jobs = 1` after every state load, intern and edge row,
+//! so the resident set tracks the budget with at most one faulted
+//! segment of slack; at `jobs > 1` only at the level barrier.
+//! Environments are deduplicated and stay resident.
 //!
 //! The paged store is **bit-identical** to the unbounded in-memory
 //! build at any budget: paging changes where rows live, never what they
@@ -549,7 +552,7 @@ impl StateStore {
 
     /// Arena bytes of the largest sealed state segment — the
     /// granularity of the budget envelope (`resident ≤ budget + one
-    /// segment` at the sequential build's `&mut` points).
+    /// segment` at the `jobs = 1` build's `&mut` points).
     pub fn max_segment_bytes(&self) -> usize {
         self.states.max_segment_bytes()
     }
@@ -828,6 +831,12 @@ pub(crate) enum EnvRef {
     Pending(u32),
 }
 
+impl From<u32> for EnvRef {
+    fn from(id: u32) -> Self {
+        EnvRef::Committed(id)
+    }
+}
+
 /// Bits of a packed pending id reserved for the shard-local index; the
 /// remaining high bits carry the shard number.
 const PENDING_LOCAL_BITS: u32 = 26;
@@ -1048,7 +1057,7 @@ impl PendingShard {
 }
 
 /// All novel states of a level as sorted `(discovery key, packed id)`
-/// pairs — ascending key order **is** the order the sequential build
+/// pairs — ascending key order **is** the order the `jobs = 1` build
 /// would first intern them.
 pub(crate) fn collect_novel_states(shards: &[&mut PendingShard]) -> Vec<(u64, u32)> {
     let mut novel: Vec<(u64, u32)> = shards
@@ -1068,7 +1077,7 @@ impl StateStore {
     /// Commit one parallel level: intern the pending environments, then
     /// the pending states (`novel`, already sorted by discovery key —
     /// see [`collect_novel_states`]), into the committed arenas in
-    /// sequential-build order, and reset the shards for the next level.
+    /// `jobs = 1` build order, and reset the shards for the next level.
     ///
     /// Returns the per-shard map from local pending index to final dense
     /// state index, for edge-target rewriting.
@@ -1525,7 +1534,7 @@ mod race_tests {
                 .splice_level(&mut refs, &novel)
                 .expect("barrier splice");
             // Discovery-key order, regardless of interleaving: the
-            // store is bit-identical to the sequential build's.
+            // store is bit-identical to the `jobs = 1` build's.
             assert_eq!(store.len(), 4);
             assert_eq!(
                 store.try_marking_slice(1).unwrap(),
