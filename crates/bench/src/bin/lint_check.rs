@@ -24,38 +24,12 @@
 //!    is how CI holds the checked-in models error-clean).
 //!
 //! The format is machine-written, so a tolerant hand parser beats
-//! dragging in a JSON dependency (same stance as `metrics_check`).
+//! dragging in a JSON dependency (fields are read with
+//! [`pnut_bench::ndjson`], like `metrics_check`).
 
 use std::process::ExitCode;
 
-/// Extract the string value of `"key":"..."` from one line. Escapes
-/// are left as-is: the validator only compares whole values that never
-/// contain them (types, severities, codes).
-fn field_str<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    let pat = format!("\"{key}\":\"");
-    let start = line.find(&pat)? + pat.len();
-    let mut end = start;
-    let bytes = line.as_bytes();
-    while end < line.len() {
-        match bytes[end] {
-            b'\\' => end += 2,
-            b'"' => return Some(&line[start..end]),
-            _ => end += 1,
-        }
-    }
-    None
-}
-
-/// Extract the integer value of `"key":N` from one line.
-fn field_u64(line: &str, key: &str) -> Option<u64> {
-    let pat = format!("\"{key}\":");
-    let start = line.find(&pat)? + pat.len();
-    let num: String = line[start..]
-        .chars()
-        .take_while(char::is_ascii_digit)
-        .collect();
-    num.parse().ok()
-}
+use pnut_bench::ndjson::{field_str, field_u64};
 
 /// Findings and bounds seen since the current `model` line.
 #[derive(Default)]

@@ -24,30 +24,13 @@
 //!    the 64 KiB golden run really paged).
 //!
 //! The format is machine-written, so a tolerant hand parser beats
-//! dragging in a JSON dependency (same stance as `bench_diff`).
+//! dragging in a JSON dependency (fields are read with
+//! [`pnut_bench::ndjson`]).
 
 use std::process::ExitCode;
 
+use pnut_bench::ndjson::{field_str, field_u64};
 use pnut_obs::metrics::{Metric, REGISTRY};
-
-/// Extract the string value of `"key":"..."` from one line.
-fn field_str<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    let pat = format!("\"{key}\":\"");
-    let start = line.find(&pat)? + pat.len();
-    let end = start + line[start..].find('"')?;
-    Some(&line[start..end])
-}
-
-/// Extract the integer value of `"key":N` from one line.
-fn field_u64(line: &str, key: &str) -> Option<u64> {
-    let pat = format!("\"{key}\":");
-    let start = line.find(&pat)? + pat.len();
-    let num: String = line[start..]
-        .chars()
-        .take_while(char::is_ascii_digit)
-        .collect();
-    num.parse().ok()
-}
 
 /// Sum the counts of a `"buckets":[[lo,n],...]` array.
 fn bucket_count_sum(line: &str) -> Option<u64> {

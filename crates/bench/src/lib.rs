@@ -19,6 +19,7 @@
 //! paper-vs-measured record.
 
 pub mod legacy_reach;
+pub mod ndjson;
 pub mod workloads;
 
 use pnut_pipeline::ThreeStageConfig;

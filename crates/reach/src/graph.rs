@@ -57,16 +57,17 @@
 //!   least `max(jobs, 2) × 48` states are split over scoped threads;
 //!   smaller ones run inline. At the level barrier the novel states are
 //!   spliced into the store, pending targets are rewritten, the rows are
-//!   appended, and the store evicts — its only eviction point.
+//!   appended, and the store evicts. The barrier is this sink's only
+//!   eviction point.
 //!
 //! Every `jobs` × budget setting builds a bit-identical graph. The
 //! ascending discovery-key order in which the barrier commits a level's
 //! states (and the environments its actions mint) is exactly the order
 //! in which the direct sink interns them, so both number every state
 //! and environment alike; and paging only changes where rows live,
-//! never what they hold. The work differs — the shards probe the store
-//! once per edge and again at the splice — but each sink's counters are
-//! deterministic.
+//! never what they hold. Only the work differs: the shards probe the
+//! frozen store during the level and again for each novel state at the
+//! splice, so the two sinks report different store and pager counters.
 
 use crate::pager::{EdgeSegment, PagedEdges, PagerConfig, SegmentData, SpillError};
 use crate::store::{self, EnvRef, MarkingView, PendingShard, StateRef, StateStore};

@@ -6,11 +6,12 @@
 //! The gate reads the sources (tier-1, no extra tooling): `panic!` is
 //! banned outright outside `#[cfg(test)]`, and every `.expect(` /
 //! `.unwrap(` must carry a message on the explicit allowlist below —
-//! all of which sit on the *build* path (exploration workers, compiled
-//! delay slots), where an internal-invariant panic is still the right
-//! call. Adding a new expect to these files means consciously adding
-//! its message here, with a reason it cannot be on the paged read
-//! path. The deleted `Self::paged` helper must stay deleted.
+//! all of which sit on the *build* path (the exploration worker pool) or
+//! guard a same-iteration invariant, where an internal-invariant panic
+//! is still the right call. Adding a new expect to these files means
+//! consciously adding its message here, with a reason it cannot be on
+//! the paged read path; deleting one deletes its entry. The deleted
+//! `Self::paged` helper must stay deleted.
 
 use std::path::Path;
 
@@ -31,19 +32,11 @@ fn non_test_source(path: &str) -> String {
 /// Every entry must be justified: none of these can execute during a
 /// post-build segment sweep.
 const ALLOWED_EXPECTS: &[(&str, &str)] = &[
-    // Compiled delay slots: filled at net-compile time, read during
-    // exploration — the paged analyses never evaluate delays.
-    ("non-constant slot holds an expression delay", "build"),
-    ("has_action", "build"),
     // Exploration worker pool: shard locks and joins exist only while
     // the graph is under construction (`&mut` exploration).
-    ("env shard lock", "build"),
-    ("state shard lock", "build"),
+    ("pending shard lock", "build"),
     ("worker thread panicked", "build"),
     ("shard lock", "build"),
-    ("worker errors handled above", "build"),
-    // Frontier bookkeeping during construction.
-    ("non-empty", "build"),
     // Markov chain extraction guards a state it just classified as
     // non-deadlock in the same loop iteration — no I/O in between.
     ("non-deadlock state has an edge", "extraction invariant"),
@@ -117,12 +110,28 @@ fn expect_count_is_pinned() {
         let src = non_test_source(path);
         total += src.matches(".expect(").count() + src.matches(".unwrap(").count();
     }
-    // 11 build-path expects in graph.rs, 3 parser `self.expect` calls
+    // 3 build-path expects in graph.rs, 3 parser `self.expect` calls
     // in ctl.rs, 1 extraction invariant + 1 doc example in markov.rs.
-    assert!(
-        total <= 16,
-        "gated files gained a new `.expect(`/`.unwrap(` (now {total}); \
-         the paged read path must stay panic-free — thread a Result or \
-         justify it in tests/no_panic_gate.rs"
+    assert_eq!(
+        total, 8,
+        "the gated files' `.expect(`/`.unwrap(` count changed (now {total}); \
+         a new one must stay off the paged read path — thread a Result or \
+         justify it in tests/no_panic_gate.rs — and a removed one lowers \
+         this pin"
     );
+}
+
+/// Every allowlisted message still names a live expect, so entries for
+/// deleted expects cannot linger and silently re-admit a new one.
+#[test]
+fn allowlist_has_no_stale_entries() {
+    let sources: Vec<String> = GATED_FILES.iter().map(|p| non_test_source(p)).collect();
+    for (msg, why) in ALLOWED_EXPECTS {
+        let quoted = format!("\"{msg}\"");
+        assert!(
+            sources.iter().any(|src| src.contains(&quoted)),
+            "ALLOWED_EXPECTS entry {quoted} ({why}) matches no expect in the gated \
+             files; delete it"
+        );
+    }
 }
