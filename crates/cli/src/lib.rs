@@ -1171,6 +1171,7 @@ mod tests {
 
     #[test]
     fn help_and_unknown_command() {
+        let _g = obs_serial();
         let (code, out) = run_args(&["help"]);
         assert_eq!(code, 0);
         assert!(out.contains("usage"));
@@ -1181,6 +1182,7 @@ mod tests {
 
     #[test]
     fn check_reports_invariants() {
+        let _g = obs_serial();
         let dir = tmpdir("check");
         let model = write_model(&dir);
         let (code, out) = run_args(&["check", &model]);
@@ -1191,6 +1193,7 @@ mod tests {
 
     #[test]
     fn sim_stat_query_pipeline() {
+        let _g = obs_serial();
         let dir = tmpdir("pipeline");
         let model = write_model(&dir);
         let trace_path = dir.join("t.json").to_string_lossy().into_owned();
@@ -1226,6 +1229,7 @@ mod tests {
 
     #[test]
     fn filter_and_anim_and_timeline() {
+        let _g = obs_serial();
         let dir = tmpdir("tools");
         let model = write_model(&dir);
         let trace_path = dir.join("t.json").to_string_lossy().into_owned();
@@ -1262,6 +1266,7 @@ mod tests {
 
     #[test]
     fn reach_with_ctl_and_cover_and_cycle() {
+        let _g = obs_serial();
         let dir = tmpdir("verify");
         let model = write_model(&dir);
 
@@ -1294,6 +1299,7 @@ mod tests {
 
     #[test]
     fn markov_subcommand_reports_steady_state() {
+        let _g = obs_serial();
         let dir = tmpdir("markov");
         let ring = dir.join("ring.pn");
         fs::write(
@@ -1310,6 +1316,7 @@ mod tests {
 
     #[test]
     fn heatmap_and_measure_subcommands() {
+        let _g = obs_serial();
         let dir = tmpdir("hm");
         let model = write_model(&dir);
         let trace_path = dir.join("t.json").to_string_lossy().into_owned();
@@ -1341,6 +1348,7 @@ mod tests {
 
     #[test]
     fn dot_subcommand_renders_graphviz() {
+        let _g = obs_serial();
         let dir = tmpdir("dot");
         let model = write_model(&dir);
         let (code, out) = run_args(&["dot", &model]);
@@ -1351,6 +1359,7 @@ mod tests {
 
     #[test]
     fn print_canonicalizes_roundtrip() {
+        let _g = obs_serial();
         let dir = tmpdir("print");
         let model = write_model(&dir);
         let (code, printed) = run_args(&["print", &model]);
@@ -1361,6 +1370,7 @@ mod tests {
 
     #[test]
     fn reach_honors_max_states_and_jobs() {
+        let _g = obs_serial();
         let dir = tmpdir("limits");
         let model = write_model(&dir);
 
@@ -1392,6 +1402,7 @@ mod tests {
 
     #[test]
     fn cover_and_markov_honor_max_states_and_jobs() {
+        let _g = obs_serial();
         let dir = tmpdir("limits2");
         let model = write_model(&dir);
         let (code, out) = run_args(&["cover", &model, "--max-states", "10", "--jobs", "2"]);
@@ -1428,6 +1439,7 @@ mod tests {
 
     #[test]
     fn timed_reach_and_markov_cover_enabling_time_models() {
+        let _g = obs_serial();
         // The checked-in bus model uses enabling times on both
         // transitions — the flagship `reach --timed` path used to
         // reject it outright (`EnablingTimesUnsupported`).
@@ -1467,8 +1479,9 @@ mod tests {
         );
     }
 
-    // The obs recorder is process-global; tests that install it (any
-    // test passing --stats/--metrics-json/--progress) serialize here.
+    // The obs recorder is process-global: while one test records, any
+    // other test's command would add to its counters. So every test
+    // that runs a command serializes here.
     static OBS_TESTS: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
     fn obs_serial<'a>() -> std::sync::MutexGuard<'a, ()> {
@@ -1586,6 +1599,7 @@ mod tests {
 
     #[test]
     fn reach_mem_budget_pages_without_changing_output() {
+        let _g = obs_serial();
         let dir = tmpdir("budget");
         let model = write_model(&dir);
         // The bus model fits any budget; the flag must parse and the
@@ -1636,6 +1650,7 @@ mod tests {
 
     #[test]
     fn cover_warns_about_ignored_flags_but_still_runs() {
+        let _g = obs_serial();
         // The warnings go to stderr; the report itself must be
         // unaffected by the ignored flags.
         let dir = tmpdir("coverwarn");
@@ -1650,6 +1665,7 @@ mod tests {
 
     #[test]
     fn bad_limit_flags_are_usage_errors_not_panics() {
+        let _g = obs_serial();
         let dir = tmpdir("badflags");
         let model = write_model(&dir);
         for argv in [
@@ -1671,6 +1687,7 @@ mod tests {
 
     #[test]
     fn filter_reports_truncated_traces_instead_of_panicking() {
+        let _g = obs_serial();
         let dir = tmpdir("trunc");
         let model = write_model(&dir);
         let trace_path = dir.join("t.json").to_string_lossy().into_owned();
@@ -1692,6 +1709,7 @@ mod tests {
 
     #[test]
     fn usage_errors_are_reported() {
+        let _g = obs_serial();
         let mut out = String::new();
         assert!(run(&["stat".to_string()], &mut out).is_err());
         assert!(run(&["sim".to_string(), "nonexistent.pn".to_string()], &mut out).is_err());
@@ -1729,6 +1747,7 @@ mod tests {
 
     #[test]
     fn lint_clean_model_exits_zero() {
+        let _g = obs_serial();
         let dir = tmpdir("lintok");
         let model = write_model(&dir);
         let (code, out) = run_args(&["lint", &model]);
@@ -1740,6 +1759,7 @@ mod tests {
 
     #[test]
     fn lint_bad_model_yields_exactly_three_findings() {
+        let _g = obs_serial();
         let dir = tmpdir("lintbad");
         let model = write_bad_model(&dir);
 
@@ -1781,6 +1801,7 @@ mod tests {
 
     #[test]
     fn lint_takes_several_files_and_requires_one() {
+        let _g = obs_serial();
         let dir = tmpdir("lintmulti");
         let ok = write_model(&dir);
         let bad = write_bad_model(&dir);
@@ -1799,6 +1820,7 @@ mod tests {
 
     #[test]
     fn reach_check_invariants_flag_reports_and_stays_identical() {
+        let _g = obs_serial();
         let dir = tmpdir("reachinv");
         let model = write_model(&dir);
         let (code, plain) = run_args(&["reach", &model]);

@@ -9,6 +9,9 @@
 //! * **Conservation at jobs>1**: schedule-dependent counters still obey
 //!   the catalogue's invariants (probes ≥ hits, misses == states,
 //!   faults == reloads on a clean run, level count matches jobs=1).
+//! * **Exact explorer work**: the store, pager and level counters of
+//!   every build of the checked-in models are pinned, so a change to the
+//!   explorer's work (not just its result) fails here.
 //!
 //! The recorder is process-global, so this lives in its own test
 //! binary and every test serializes on one mutex.
