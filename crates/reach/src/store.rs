@@ -55,14 +55,14 @@
 //!
 //! The explorer in [`crate::graph`] runs breadth-first one *level* at a
 //! time. At `jobs > 1` its pending-shard sink keeps the committed store
-//! above frozen for the whole level (shared read-only — probes are plain
-//! `&self` loads, no atomics) while a scoped worker pool scans disjoint
-//! chunks of the frontier (levels too narrow to split run inline). Successors
-//! that miss the committed table land in a ring of [`PendingShard`]s —
-//! the same open-addressing scheme, lock-striped, with a shard picked by
-//! the **top bits** of the precomputed FxHash (the low bits index
-//! buckets *within* a table, so top-bit sharding keeps both selections
-//! independent). Each shard owns its own marking/in-flight/environment
+//! above frozen for the whole level (shared read-only — probes are
+//! plain `&self` loads, no atomics) while a scoped worker pool scans
+//! disjoint chunks of the frontier (levels too narrow to split run
+//! inline). Successors that miss the committed table land in a ring of
+//! [`PendingShard`]s — the same open-addressing scheme, lock-striped,
+//! with a shard picked by the **top bits** of the precomputed FxHash
+//! (the low bits index buckets *within* a table, so top-bit sharding
+//! keeps both selections independent). Each shard owns its own marking/in-flight/environment
 //! segment; the inserting worker copies the state in under the shard
 //! lock so other workers can probe it for duplicates immediately.
 //!
