@@ -2,9 +2,9 @@
 //!
 //! The paper's tools exchange traces as plain text so they can be piped
 //! between processes; this module is the modern JSON equivalent,
-//! implemented directly (writer + recursive-descent reader) so the trace
-//! crate stays free of external dependencies. The schema is flat and
-//! stable:
+//! implemented directly (a writer and a schema-directed reader) so the
+//! trace crate stays free of external dependencies. The schema is flat
+//! and stable:
 //!
 //! ```json
 //! {
@@ -22,10 +22,33 @@
 //!   ]
 //! }
 //! ```
+//!
+//! # Reading
+//!
+//! The reader makes one pass, linear in the input. It validates UTF-8
+//! once over the whole buffer, then a byte cursor decodes the header
+//! fields and each delta straight into the trace types. Strings without
+//! escapes are borrowed from the input: keys and kind tags are never
+//! copied, and names only once, into the trace. The accepted language:
+//!
+//! * keys come in any order, and the first occurrence of a duplicate
+//!   key wins;
+//! * unknown fields are skipped, but still syntax-checked, nesting
+//!   included (at most 128 levels);
+//! * integers are checked for type and range, and delta place and
+//!   transition indices against the header once the pass is done;
+//! * a `\u` escape takes exactly four hex digits;
+//! * nothing but whitespace may follow the trace.
+//!
+//! Input that is not UTF-8 is [`JsonError::Parse`] at its first bad
+//! byte. Other input that is not well-formed JSON is `Parse` at its
+//! first syntax error, even when a schema error comes before it.
+//! Well-formed input that is not a trace is [`JsonError::Schema`].
 
 use crate::{Delta, DeltaKind, RecordedTrace, TraceHeader};
 use pnut_core::expr::{Env, Value};
 use pnut_core::{PlaceId, Time, TransitionId};
+use std::borrow::Cow;
 use std::fmt;
 use std::io::{Read, Write};
 
@@ -209,47 +232,53 @@ pub(crate) fn write_trace(trace: &RecordedTrace, mut out: impl Write) -> Result<
 }
 
 // ---------------------------------------------------------------------------
-// Parsing
+// Reading
 // ---------------------------------------------------------------------------
 
-/// A parsed JSON value. Numbers are kept as `i128` when integral so
-/// `u64` tick counts round-trip exactly.
-#[derive(Debug, Clone, PartialEq)]
-enum Json {
-    Null,
-    Bool(bool),
-    Int(i128),
-    Float(f64),
-    Str(String),
-    Arr(Vec<Json>),
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    fn type_name(&self) -> &'static str {
-        match self {
-            Json::Null => "null",
-            Json::Bool(_) => "bool",
-            Json::Int(_) | Json::Float(_) => "number",
-            Json::Str(_) => "string",
-            Json::Arr(_) => "array",
-            Json::Obj(_) => "object",
-        }
-    }
-}
-
-/// Nesting ceiling for the recursive-descent parser: traces nest a
-/// handful of levels, so anything deeper is garbage — reject it as a
-/// parse error instead of overflowing the stack.
+/// Nesting ceiling: traces nest four levels, so anything deeper is
+/// garbage — reject it as a parse error instead of overflowing the stack
+/// while skipping it.
 const MAX_DEPTH: u32 = 128;
 
-struct Parser<'a> {
-    bytes: &'a [u8],
+/// A byte cursor over input already validated as UTF-8, decoding the
+/// trace schema as it goes. `depth` is the nesting level of the value at
+/// `pos` (the document itself is level 0).
+struct Cursor<'a> {
+    text: &'a str,
     pos: usize,
     depth: u32,
 }
 
-impl<'a> Parser<'a> {
+/// Where the first occurrence of each known delta-kind field's value
+/// starts.
+#[derive(Default)]
+struct KindOffsets {
+    ty: Option<usize>,
+    transition: Option<usize>,
+    firing: Option<usize>,
+    place: Option<usize>,
+    delta: Option<usize>,
+    name: Option<usize>,
+    value: Option<usize>,
+}
+
+impl<'a> Cursor<'a> {
+    fn new(text: &'a str) -> Self {
+        Cursor {
+            text,
+            pos: 0,
+            depth: 0,
+        }
+    }
+
+    fn bytes(&self) -> &'a [u8] {
+        self.text.as_bytes()
+    }
+
+    fn peek(&self) -> Option<u8> {
+        self.bytes().get(self.pos).copied()
+    }
+
     fn err(&self, message: impl Into<String>) -> JsonError {
         JsonError::Parse {
             message: message.into(),
@@ -257,14 +286,37 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn skip_ws(&mut self) {
-        while matches!(self.bytes.get(self.pos), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.pos += 1;
+    /// A schema error — unless the input is not well-formed JSON at all.
+    /// A syntax error anywhere wins, so which of the two an input gets
+    /// does not depend on how far the decoder read before failing.
+    fn schema(&self, message: impl Into<String>) -> JsonError {
+        match Cursor::new(self.text).document(Cursor::skip) {
+            Err(e) => e,
+            Ok(()) => JsonError::Schema(message.into()),
         }
     }
 
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+    /// The JSON type of the value at the cursor, for schema messages
+    /// (only a well-formed value reaches one; see `schema`).
+    fn found(&self) -> &'static str {
+        match self.peek() {
+            Some(b'{') => "object",
+            Some(b'[') => "array",
+            Some(b'"') => "string",
+            Some(b't' | b'f') => "bool",
+            Some(b'n') => "null",
+            _ => "number",
+        }
+    }
+
+    fn required<T>(&self, slot: Option<T>, name: &str) -> Result<T, JsonError> {
+        slot.ok_or_else(|| self.schema(format!("missing field `{name}`")))
+    }
+
+    fn ws(&mut self) {
+        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
+            self.pos += 1;
+        }
     }
 
     fn expect(&mut self, b: u8) -> Result<(), JsonError> {
@@ -276,370 +328,417 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn eat_lit(&mut self, lit: &str) -> bool {
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
+    fn eat(&mut self, lit: &str) -> bool {
+        let hit = self.bytes()[self.pos..].starts_with(lit.as_bytes());
+        if hit {
             self.pos += lit.len();
-            true
-        } else {
-            false
         }
+        hit
     }
 
-    fn value(&mut self) -> Result<Json, JsonError> {
-        self.skip_ws();
+    /// The whole input: one value, then nothing but whitespace.
+    fn document<T>(
+        &mut self,
+        value: impl FnOnce(&mut Self) -> Result<T, JsonError>,
+    ) -> Result<T, JsonError> {
+        self.ws();
+        let v = value(self)?;
+        self.ws();
+        if self.pos != self.text.len() {
+            return Err(self.err("trailing input"));
+        }
+        Ok(v)
+    }
+
+    /// Syntax-check and step over one value of any type.
+    fn skip(&mut self) -> Result<(), JsonError> {
         if self.depth >= MAX_DEPTH {
             return Err(self.err("nesting deeper than 128 levels"));
         }
-        self.depth += 1;
-        let v = self.value_inner();
-        self.depth -= 1;
-        v
-    }
-
-    fn value_inner(&mut self) -> Result<Json, JsonError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b't') if self.eat_lit("true") => Ok(Json::Bool(true)),
-            Some(b'f') if self.eat_lit("false") => Ok(Json::Bool(false)),
-            Some(b'n') if self.eat_lit("null") => Ok(Json::Null),
-            Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
+            Some(b'{') => self.object("", |c, _| c.skip()),
+            Some(b'[') => self.array("", Cursor::skip),
+            Some(b'"') => self.string().map(drop),
+            Some(b'-' | b'0'..=b'9') => self.number().map(drop),
+            _ if self.eat("true") || self.eat("false") || self.eat("null") => Ok(()),
             _ => Err(self.err("expected a JSON value")),
         }
     }
 
-    fn object(&mut self) -> Result<Json, JsonError> {
-        self.expect(b'{')?;
-        let mut fields = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Obj(fields));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            let val = self.value()?;
-            fields.push((key, val));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(fields));
+    /// The comma-separated members of an array or object, from its
+    /// opening bracket through `close`; `item` consumes one member.
+    fn items(
+        &mut self,
+        close: u8,
+        mut item: impl FnMut(&mut Self) -> Result<(), JsonError>,
+    ) -> Result<(), JsonError> {
+        self.pos += 1;
+        self.depth += 1;
+        self.ws();
+        if self.peek() != Some(close) {
+            loop {
+                self.ws();
+                item(self)?;
+                self.ws();
+                match self.peek() {
+                    Some(b',') => self.pos += 1,
+                    Some(c) if c == close => break,
+                    _ => return Err(self.err(format!("expected `,` or `{}`", close as char))),
                 }
-                _ => return Err(self.err("expected `,` or `}`")),
             }
         }
+        self.pos += 1;
+        self.depth -= 1;
+        Ok(())
     }
 
-    fn array(&mut self) -> Result<Json, JsonError> {
-        self.expect(b'[')?;
+    /// Step through an object, handing `member` each key with the cursor
+    /// on its value, which `member` must consume.
+    fn object(
+        &mut self,
+        what: &str,
+        mut member: impl FnMut(&mut Self, &str) -> Result<(), JsonError>,
+    ) -> Result<(), JsonError> {
+        if self.peek() != Some(b'{') {
+            return Err(self.schema(format!("{what}: expected object, found {}", self.found())));
+        }
+        self.items(b'}', |c| {
+            let key = c.string()?;
+            c.ws();
+            c.expect(b':')?;
+            c.ws();
+            member(c, &key)
+        })
+    }
+
+    fn array(
+        &mut self,
+        what: &str,
+        item: impl FnMut(&mut Self) -> Result<(), JsonError>,
+    ) -> Result<(), JsonError> {
+        if self.peek() != Some(b'[') {
+            return Err(self.schema(format!("{what}: expected array, found {}", self.found())));
+        }
+        self.items(b']', item)
+    }
+
+    fn list<T>(
+        &mut self,
+        what: &str,
+        mut item: impl FnMut(&mut Self) -> Result<T, JsonError>,
+    ) -> Result<Vec<T>, JsonError> {
         let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                _ => return Err(self.err("expected `,` or `]`")),
-            }
-        }
+        self.array(what, |c| {
+            items.push(item(c)?);
+            Ok(())
+        })?;
+        Ok(items)
     }
 
-    fn string(&mut self) -> Result<String, JsonError> {
+    /// Decode a field's first occurrence into `slot`; later duplicates are
+    /// only syntax-checked.
+    fn first<T>(
+        &mut self,
+        slot: &mut Option<T>,
+        decode: impl FnOnce(&mut Self) -> Result<T, JsonError>,
+    ) -> Result<(), JsonError> {
+        if slot.is_some() {
+            return self.skip();
+        }
+        *slot = Some(decode(self)?);
+        Ok(())
+    }
+
+    /// One string, borrowed from the input unless it has escapes.
+    fn string(&mut self) -> Result<Cow<'a, str>, JsonError> {
         self.expect(b'"')?;
-        let mut out = String::new();
+        let text = self.text;
+        let mut owned: Option<String> = None;
         loop {
-            match self.peek() {
-                None => return Err(self.err("unterminated string")),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .ok_or_else(|| self.err("truncated \\u escape"))?;
-                            let hex =
-                                std::str::from_utf8(hex).map_err(|_| self.err("bad \\u escape"))?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| self.err("bad \\u escape"))?;
-                            // Traces only emit BMP characters; surrogate
-                            // pairs decode to the replacement character.
-                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                            self.pos += 4;
-                        }
-                        _ => return Err(self.err("bad escape")),
-                    }
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Consume one UTF-8 encoded char.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.err("invalid UTF-8"))?;
-                    let c = rest
-                        .chars()
-                        .next()
-                        .ok_or_else(|| self.err("unterminated"))?;
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
+            let start = self.pos;
+            let Some(len) = self.bytes()[start..]
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\')
+            else {
+                self.pos = text.len();
+                return Err(self.err("unterminated string"));
+            };
+            self.pos += len;
+            // `"` and `\` are ASCII, so both ends of the run are char
+            // boundaries.
+            let run = &text[start..self.pos];
+            if self.peek() == Some(b'"') {
+                self.pos += 1;
+                return Ok(match owned {
+                    None => Cow::Borrowed(run),
+                    Some(s) => Cow::Owned(s + run),
+                });
             }
+            let out = owned.get_or_insert_with(String::new);
+            out.push_str(run);
+            self.pos += 1;
+            out.push(match self.peek() {
+                Some(b'"') => '"',
+                Some(b'\\') => '\\',
+                Some(b'/') => '/',
+                Some(b'n') => '\n',
+                Some(b'r') => '\r',
+                Some(b't') => '\t',
+                Some(b'b') => '\u{8}',
+                Some(b'f') => '\u{c}',
+                Some(b'u') => self.unicode_escape()?,
+                _ => return Err(self.err("bad escape")),
+            });
+            self.pos += 1;
         }
     }
 
-    fn number(&mut self) -> Result<Json, JsonError> {
+    /// The character of a `\u` escape, which takes exactly four hex
+    /// digits; the cursor is on the `u` and ends on the last digit.
+    fn unicode_escape(&mut self) -> Result<char, JsonError> {
+        let hex = self
+            .bytes()
+            .get(self.pos + 1..self.pos + 5)
+            .ok_or_else(|| self.err("truncated \\u escape"))?;
+        let code = hex
+            .iter()
+            .try_fold(0, |code, &h| Some(code * 16 + char::from(h).to_digit(16)?))
+            .ok_or_else(|| self.err("bad \\u escape"))?;
+        self.pos += 4;
+        // Traces only emit BMP characters; surrogate pairs decode to the
+        // replacement character.
+        Ok(char::from_u32(code).unwrap_or('\u{fffd}'))
+    }
+
+    /// One number: `Some` if integral, `None` if it has a fraction or an
+    /// exponent. Integers beyond `i128` are malformed.
+    fn number(&mut self) -> Result<Option<i128>, JsonError> {
+        fn digits(c: &mut Cursor<'_>) {
+            while matches!(c.peek(), Some(b'0'..=b'9')) {
+                c.pos += 1;
+            }
+        }
         let start = self.pos;
         if self.peek() == Some(b'-') {
             self.pos += 1;
         }
-        while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-            self.pos += 1;
-        }
-        let mut float = false;
+        digits(self);
+        let mut integral = true;
         if self.peek() == Some(b'.') {
-            float = true;
+            integral = false;
             self.pos += 1;
-            while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-                self.pos += 1;
-            }
+            digits(self);
         }
         if matches!(self.peek(), Some(b'e' | b'E')) {
-            float = true;
+            integral = false;
             self.pos += 1;
             if matches!(self.peek(), Some(b'+' | b'-')) {
                 self.pos += 1;
             }
-            while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-                self.pos += 1;
-            }
+            digits(self);
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| self.err("invalid number"))?;
-        if float {
-            text.parse()
-                .map(Json::Float)
-                .map_err(|_| self.err("invalid number"))
+        let text = &self.text[start..self.pos];
+        let number = if integral {
+            text.parse().ok().map(Some)
         } else {
-            text.parse()
-                .map(Json::Int)
-                .map_err(|_| self.err("invalid number"))
-        }
+            text.parse::<f64>().ok().map(|_| None)
+        };
+        number.ok_or_else(|| self.err("invalid number"))
     }
-}
 
-fn parse(bytes: &[u8]) -> Result<Json, JsonError> {
-    let mut p = Parser {
-        bytes,
-        pos: 0,
-        depth: 0,
-    };
-    let v = p.value()?;
-    p.skip_ws();
-    if p.pos != bytes.len() {
-        return Err(p.err("trailing input"));
-    }
-    Ok(v)
-}
-
-// ---------------------------------------------------------------------------
-// Schema mapping
-// ---------------------------------------------------------------------------
-
-fn schema(msg: impl Into<String>) -> JsonError {
-    JsonError::Schema(msg.into())
-}
-
-fn field<'v>(obj: &'v Json, name: &str) -> Result<&'v Json, JsonError> {
-    match obj {
-        Json::Obj(fields) => fields
-            .iter()
-            .find(|(k, _)| k == name)
-            .map(|(_, v)| v)
-            .ok_or_else(|| schema(format!("missing field `{name}`"))),
-        other => Err(schema(format!(
-            "expected object, found {}",
-            other.type_name()
-        ))),
-    }
-}
-
-fn as_int<T: TryFrom<i128>>(v: &Json, what: &str) -> Result<T, JsonError> {
-    match v {
-        Json::Int(i) => T::try_from(*i).map_err(|_| schema(format!("{what}: {i} out of range"))),
-        other => Err(schema(format!(
-            "{what}: expected integer, found {}",
-            other.type_name()
-        ))),
-    }
-}
-
-fn as_str<'v>(v: &'v Json, what: &str) -> Result<&'v str, JsonError> {
-    match v {
-        Json::Str(s) => Ok(s),
-        other => Err(schema(format!(
-            "{what}: expected string, found {}",
-            other.type_name()
-        ))),
-    }
-}
-
-fn as_arr<'v>(v: &'v Json, what: &str) -> Result<&'v [Json], JsonError> {
-    match v {
-        Json::Arr(items) => Ok(items),
-        other => Err(schema(format!(
-            "{what}: expected array, found {}",
-            other.type_name()
-        ))),
-    }
-}
-
-fn as_value(v: &Json, what: &str) -> Result<Value, JsonError> {
-    match v {
-        Json::Bool(b) => Ok(Value::Bool(*b)),
-        Json::Int(_) => Ok(Value::Int(as_int(v, what)?)),
-        other => Err(schema(format!(
-            "{what}: expected integer or bool, found {}",
-            other.type_name()
-        ))),
-    }
-}
-
-fn read_env(v: &Json) -> Result<Env, JsonError> {
-    let mut env = Env::new();
-    if let Json::Obj(vars) = field(v, "vars")? {
-        for (name, val) in vars {
-            env.set_var(name.clone(), as_value(val, "env var")?);
-        }
-    } else {
-        return Err(schema("env `vars` must be an object"));
-    }
-    if let Json::Obj(tables) = field(v, "tables")? {
-        for (name, val) in tables {
-            let items = as_arr(val, "env table")?
-                .iter()
-                .map(|x| as_int(x, "table element"))
-                .collect::<Result<Vec<i64>, _>>()?;
-            env.define_table(name.clone(), items);
-        }
-    } else {
-        return Err(schema("env `tables` must be an object"));
-    }
-    Ok(env)
-}
-
-/// Parse one delta kind, validating place/transition indices against
-/// the header so malformed traces fail here with a schema error instead
-/// of panicking downstream in `StateIter`.
-fn read_kind(v: &Json, places: usize, transitions: usize) -> Result<DeltaKind, JsonError> {
-    let transition_id = |v: &Json| -> Result<TransitionId, JsonError> {
-        let i: usize = as_int(v, "transition")?;
-        if i >= transitions {
-            return Err(schema(format!(
-                "transition index {i} out of range ({transitions} transitions)"
-            )));
-        }
-        Ok(TransitionId::new(i))
-    };
-    match as_str(field(v, "type")?, "delta kind")? {
-        "start" => Ok(DeltaKind::Start {
-            transition: transition_id(field(v, "transition")?)?,
-            firing: as_int(field(v, "firing")?, "firing")?,
-        }),
-        "finish" => Ok(DeltaKind::Finish {
-            transition: transition_id(field(v, "transition")?)?,
-            firing: as_int(field(v, "firing")?, "firing")?,
-        }),
-        "place" => {
-            let place: usize = as_int(field(v, "place")?, "place")?;
-            if place >= places {
-                return Err(schema(format!(
-                    "place index {place} out of range ({places} places)"
-                )));
+    /// An integer converted to `T`; `expected` names what the field
+    /// accepts, for the type-mismatch message.
+    fn int_or<T: TryFrom<i128>>(&mut self, what: &str, expected: &str) -> Result<T, JsonError> {
+        let found = self.found();
+        if matches!(self.peek(), Some(b'-' | b'0'..=b'9')) {
+            if let Some(i) = self.number()? {
+                return T::try_from(i)
+                    .map_err(|_| self.schema(format!("{what}: {i} out of range")));
             }
-            Ok(DeltaKind::PlaceDelta {
-                place: PlaceId::new(place),
-                delta: as_int(field(v, "delta")?, "delta")?,
-            })
         }
-        "var" => Ok(DeltaKind::VarSet {
-            name: as_str(field(v, "name")?, "var name")?.to_string(),
-            value: as_value(field(v, "value")?, "var value")?,
-        }),
-        other => Err(schema(format!("unknown delta kind `{other}`"))),
+        Err(self.schema(format!("{what}: expected {expected}, found {found}")))
+    }
+
+    fn int<T: TryFrom<i128>>(&mut self, what: &str) -> Result<T, JsonError> {
+        self.int_or(what, "integer")
+    }
+
+    fn value(&mut self, what: &str) -> Result<Value, JsonError> {
+        if self.eat("true") {
+            Ok(Value::Bool(true))
+        } else if self.eat("false") {
+            Ok(Value::Bool(false))
+        } else {
+            self.int_or(what, "integer or bool").map(Value::Int)
+        }
+    }
+
+    fn str(&mut self, what: &str) -> Result<Cow<'a, str>, JsonError> {
+        if self.peek() != Some(b'"') {
+            return Err(self.schema(format!("{what}: expected string, found {}", self.found())));
+        }
+        self.string()
+    }
+
+    fn env(&mut self) -> Result<Env, JsonError> {
+        let mut env = Env::new();
+        let (mut vars, mut tables) = (None, None);
+        self.object("initial_env", |c, key| match key {
+            "vars" => c.first(&mut vars, |c| {
+                c.object("env vars", |c, name| {
+                    env.set_var(name, c.value("env var")?);
+                    Ok(())
+                })
+            }),
+            "tables" => c.first(&mut tables, |c| {
+                c.object("env tables", |c, name| {
+                    env.define_table(name, c.list("env table", |c| c.int("table element"))?);
+                    Ok(())
+                })
+            }),
+            _ => c.skip(),
+        })?;
+        self.required(vars, "vars")?;
+        self.required(tables, "tables")?;
+        Ok(env)
+    }
+
+    fn delta(&mut self) -> Result<Delta, JsonError> {
+        let (mut time, mut step, mut kind) = (None, None, None);
+        self.object("delta", |c, key| match key {
+            "time" => c.first(&mut time, |c| c.int("delta time")),
+            "step" => c.first(&mut step, |c| c.int("delta step")),
+            "kind" => c.first(&mut kind, Cursor::kind),
+            _ => c.skip(),
+        })?;
+        Ok(Delta {
+            time: Time::from_ticks(self.required(time, "time")?),
+            step: self.required(step, "step")?,
+            kind: self.required(kind, "kind")?,
+        })
+    }
+
+    /// One delta kind. `type` decides which fields matter and may come
+    /// after them, so the pass over the object only notes where each
+    /// known field starts; the ones `type` needs are decoded afterwards.
+    fn kind(&mut self) -> Result<DeltaKind, JsonError> {
+        let mut at = KindOffsets::default();
+        self.object("delta kind", |c, key| {
+            let slot = match key {
+                "type" => &mut at.ty,
+                "transition" => &mut at.transition,
+                "firing" => &mut at.firing,
+                "place" => &mut at.place,
+                "delta" => &mut at.delta,
+                "name" => &mut at.name,
+                "value" => &mut at.value,
+                _ => return c.skip(),
+            };
+            slot.get_or_insert(c.pos);
+            c.skip()
+        })?;
+        let end = self.pos;
+        let ty = self.seek(at.ty, "type")?.str("delta kind")?;
+        let kind = match &*ty {
+            "start" | "finish" => {
+                let transition =
+                    TransitionId::new(self.seek(at.transition, "transition")?.int("transition")?);
+                let firing = self.seek(at.firing, "firing")?.int("firing")?;
+                if ty == "start" {
+                    DeltaKind::Start { transition, firing }
+                } else {
+                    DeltaKind::Finish { transition, firing }
+                }
+            }
+            "place" => DeltaKind::PlaceDelta {
+                place: PlaceId::new(self.seek(at.place, "place")?.int("place")?),
+                delta: self.seek(at.delta, "delta")?.int("delta")?,
+            },
+            "var" => DeltaKind::VarSet {
+                name: self.seek(at.name, "name")?.str("var name")?.into_owned(),
+                value: self.seek(at.value, "value")?.value("var value")?,
+            },
+            other => return Err(self.schema(format!("unknown delta kind `{other}`"))),
+        };
+        self.pos = end;
+        Ok(kind)
+    }
+
+    /// Move to a noted kind field, which must be present.
+    fn seek(&mut self, start: Option<usize>, name: &str) -> Result<&mut Self, JsonError> {
+        self.pos = self.required(start, name)?;
+        Ok(self)
     }
 }
 
 pub(crate) fn read_trace(mut reader: impl Read) -> Result<RecordedTrace, JsonError> {
     let mut bytes = Vec::new();
     reader.read_to_end(&mut bytes)?;
-    let root = parse(&bytes)?;
+    let text = std::str::from_utf8(&bytes).map_err(|e| JsonError::Parse {
+        message: "invalid UTF-8".into(),
+        offset: e.valid_up_to(),
+    })?;
+    let mut c = Cursor::new(text);
+    let (mut net_name, mut place_names, mut transition_names) = (None, None, None);
+    let (mut initial_marking, mut initial_env) = (None, None);
+    let (mut start_time, mut end_time, mut deltas) = (None, None, None);
+    c.document(|c| {
+        c.object("top level", |c, key| match key {
+            "net_name" => c.first(&mut net_name, |c| c.str("net_name")),
+            "place_names" => c.first(&mut place_names, |c| {
+                c.list("place_names", |c| Ok(c.str("place name")?.into_owned()))
+            }),
+            "transition_names" => c.first(&mut transition_names, |c| {
+                c.list("transition_names", |c| {
+                    Ok(c.str("transition name")?.into_owned())
+                })
+            }),
+            "initial_marking" => c.first(&mut initial_marking, |c| {
+                c.list("initial_marking", |c| c.int("marking entry"))
+            }),
+            "initial_env" => c.first(&mut initial_env, Cursor::env),
+            "start_time" => c.first(&mut start_time, |c| c.int("start_time")),
+            "end_time" => c.first(&mut end_time, |c| c.int("end_time")),
+            "deltas" => c.first(&mut deltas, |c| c.list("deltas", Cursor::delta)),
+            _ => c.skip(),
+        })
+    })?;
 
-    let place_names = as_arr(field(&root, "place_names")?, "place_names")?
-        .iter()
-        .map(|v| as_str(v, "place name").map(str::to_string))
-        .collect::<Result<Vec<_>, _>>()?;
-    let transition_names = as_arr(field(&root, "transition_names")?, "transition_names")?
-        .iter()
-        .map(|v| as_str(v, "transition name").map(str::to_string))
-        .collect::<Result<Vec<_>, _>>()?;
-    let initial_marking = as_arr(field(&root, "initial_marking")?, "initial_marking")?
-        .iter()
-        .map(|v| as_int(v, "marking entry"))
-        .collect::<Result<Vec<u32>, _>>()?;
+    let place_names = c.required(place_names, "place_names")?;
+    let transition_names = c.required(transition_names, "transition_names")?;
+    let initial_marking: Vec<u32> = c.required(initial_marking, "initial_marking")?;
     if initial_marking.len() != place_names.len() {
-        return Err(schema("initial_marking length differs from place_names"));
+        return Err(JsonError::Schema(
+            "initial_marking length differs from place_names".into(),
+        ));
     }
-
+    // Indices are checked once the header is in hand (keys come in any
+    // order), so a malformed trace fails here instead of panicking
+    // downstream in `StateIter`.
+    let deltas = c.required(deltas, "deltas")?;
+    for d in &deltas {
+        let (what, index, count) = match d.kind {
+            DeltaKind::Start { transition, .. } | DeltaKind::Finish { transition, .. } => {
+                ("transition", transition.index(), transition_names.len())
+            }
+            DeltaKind::PlaceDelta { place, .. } => ("place", place.index(), place_names.len()),
+            DeltaKind::VarSet { .. } => continue,
+        };
+        if index >= count {
+            return Err(JsonError::Schema(format!(
+                "{what} index {index} out of range ({count} {what}s)"
+            )));
+        }
+    }
     let header = TraceHeader {
-        net_name: as_str(field(&root, "net_name")?, "net_name")?.to_string(),
+        net_name: c.required(net_name, "net_name")?.into_owned(),
         place_names,
         transition_names,
         initial_marking,
-        initial_env: read_env(field(&root, "initial_env")?)?,
-        start_time: Time::from_ticks(as_int(field(&root, "start_time")?, "start_time")?),
+        initial_env: c.required(initial_env, "initial_env")?,
+        start_time: Time::from_ticks(c.required(start_time, "start_time")?),
     };
-
-    let deltas = as_arr(field(&root, "deltas")?, "deltas")?
-        .iter()
-        .map(|d| {
-            Ok(Delta {
-                time: Time::from_ticks(as_int(field(d, "time")?, "delta time")?),
-                step: as_int(field(d, "step")?, "delta step")?,
-                kind: read_kind(
-                    field(d, "kind")?,
-                    header.place_names.len(),
-                    header.transition_names.len(),
-                )?,
-            })
-        })
-        .collect::<Result<Vec<_>, JsonError>>()?;
-
-    let end_time = Time::from_ticks(as_int(field(&root, "end_time")?, "end_time")?);
+    let end_time = Time::from_ticks(c.required(end_time, "end_time")?);
     Ok(RecordedTrace::new(header, deltas, end_time))
 }
 
@@ -647,36 +746,189 @@ pub(crate) fn read_trace(mut reader: impl Read) -> Result<RecordedTrace, JsonErr
 mod tests {
     use super::*;
 
+    /// A minimal valid trace with `extra` spliced in as an unknown field
+    /// and `net_name` as given, both raw JSON.
+    fn trace_with(extra: &str, net_name: &str) -> Vec<u8> {
+        format!(
+            r#"{{"extra": {extra}, "net_name": {net_name}, "place_names": ["p"],
+            "transition_names": ["t"], "initial_marking": [0],
+            "initial_env": {{"vars": {{}}, "tables": {{}}}}, "start_time": 0,
+            "end_time": 0, "deltas": []}}"#
+        )
+        .into_bytes()
+    }
+
+    /// A trace whose names need every string path: plain ASCII, bare
+    /// non-ASCII (borrowed on read) and characters the writer escapes.
+    fn odd_names_trace() -> RecordedTrace {
+        let odd = ["q\"", "b\\", "n\n", "t\t", "c\u{1}", "é", "日本", "plain"];
+        let names = |prefix: &str| odd.iter().map(|s| format!("{prefix}{s}")).collect();
+        let mut env = Env::new();
+        for (i, name) in odd.iter().enumerate() {
+            env.set_var(format!("v{name}"), Value::Int(i as i64 - 3));
+        }
+        env.define_table("tab\"é", vec![-1, 0, i64::MAX]);
+        let header = TraceHeader::new(odd.concat(), names("p"), names("t"))
+            .with_initial_marking((0..odd.len() as u32).collect())
+            .with_initial_env(env);
+        let mut deltas = Vec::new();
+        for (i, name) in odd.iter().enumerate() {
+            let time = Time::from_ticks(i as u64);
+            let transition = TransitionId::new(i);
+            deltas.extend([
+                Delta::new(
+                    time,
+                    2 * i as u64,
+                    DeltaKind::Start {
+                        transition,
+                        firing: i as u64,
+                    },
+                ),
+                Delta::new(
+                    time,
+                    2 * i as u64,
+                    DeltaKind::PlaceDelta {
+                        place: PlaceId::new(i),
+                        delta: -(i as i64),
+                    },
+                ),
+                Delta::new(
+                    time,
+                    2 * i as u64 + 1,
+                    DeltaKind::VarSet {
+                        name: format!("v{name}"),
+                        value: Value::Bool(i % 2 == 0),
+                    },
+                ),
+                Delta::new(
+                    time,
+                    2 * i as u64 + 1,
+                    DeltaKind::Finish {
+                        transition,
+                        firing: i as u64,
+                    },
+                ),
+            ]);
+        }
+        RecordedTrace::new(header, deltas, Time::from_ticks(99))
+    }
+
+    fn written(trace: &RecordedTrace) -> Vec<u8> {
+        let mut buf = Vec::new();
+        write_trace(trace, &mut buf).unwrap();
+        buf
+    }
+
     #[test]
     fn parser_handles_scalars_and_nesting() {
-        assert_eq!(parse(b"null").unwrap(), Json::Null);
-        assert_eq!(parse(b" true ").unwrap(), Json::Bool(true));
-        assert_eq!(parse(b"-42").unwrap(), Json::Int(-42));
-        assert_eq!(parse(b"1.5").unwrap(), Json::Float(1.5));
-        assert_eq!(parse(br#""a\nbA""#).unwrap(), Json::Str("a\nbA".into()));
-        let v = parse(br#"{"a": [1, {"b": []}], "c": "x"}"#).unwrap();
-        assert_eq!(as_arr(field(&v, "a").unwrap(), "a").unwrap().len(), 2);
+        for extra in [
+            "null",
+            " true ",
+            "-42",
+            "1.5",
+            r#""a\nbA""#,
+            r#"{"a": [1, {"b": []}], "c": "x"}"#,
+        ] {
+            let doc = trace_with(extra, r#""n""#);
+            assert!(read_trace(doc.as_slice()).is_ok(), "should accept: {extra}");
+        }
+        for (net_name, decoded) in [(r#""a\nbA""#, "a\nbA"), (r#""\u0041""#, "A")] {
+            let trace = read_trace(trace_with("0", net_name).as_slice()).unwrap();
+            assert_eq!(trace.header().net_name, decoded);
+        }
     }
 
     #[test]
     fn parser_rejects_malformed_input() {
-        for bad in [
-            &b"{"[..],
-            b"[1,",
-            b"\"unterminated",
-            b"12 34",
-            b"{\"a\" 1}",
-            b"nulll",
-        ] {
-            assert!(parse(bad).is_err(), "should fail: {bad:?}");
+        let is_parse = |doc: &[u8]| matches!(read_trace(doc), Err(JsonError::Parse { .. }));
+        for bad in ["{", "[1,", "\"unterminated", "12 34", "{\"a\" 1}", "nulll"] {
+            assert!(is_parse(bad.as_bytes()), "should fail to parse: {bad}");
+            assert!(
+                is_parse(&trace_with(bad, r#""n""#)),
+                "should fail spliced: {bad}"
+            );
+        }
+        // A syntax error anywhere outranks an earlier schema error.
+        let mut doc = trace_with("0", "5");
+        assert!(matches!(
+            read_trace(doc.as_slice()),
+            Err(JsonError::Schema(_))
+        ));
+        doc.pop();
+        assert!(is_parse(&doc), "truncated after a schema error");
+        // `\u` takes exactly four hex digits: no sign, no short form.
+        for net_name in [r#""x\u+041""#, r#""x\u041""#] {
+            let e = read_trace(trace_with("0", net_name).as_slice()).unwrap_err();
+            assert!(e.to_string().contains("bad \\u escape"), "{e}");
         }
     }
 
     #[test]
     fn deep_nesting_is_a_parse_error_not_a_crash() {
-        let bomb = vec![b'['; 100_000];
-        let e = parse(&bomb).unwrap_err();
+        let bomb = trace_with(&"[".repeat(100_000), r#""n""#);
+        let e = read_trace(bomb.as_slice()).unwrap_err();
+        assert!(matches!(e, JsonError::Parse { .. }), "{e}");
         assert!(e.to_string().contains("nesting"), "{e}");
+    }
+
+    #[test]
+    fn every_strict_prefix_is_an_error() {
+        let buf = written(&odd_names_trace());
+        for n in 0..buf.len() {
+            assert!(
+                read_trace(&buf[..n]).is_err(),
+                "prefix of {n} bytes accepted"
+            );
+        }
+    }
+
+    #[test]
+    fn invalid_utf8_is_a_parse_error_at_the_bad_byte() {
+        let mut buf = written(&odd_names_trace());
+        let at = buf.windows(5).position(|w| w == b"plain").unwrap() + 2;
+        buf[at] = 0xff;
+        match read_trace(buf.as_slice()) {
+            Err(JsonError::Parse { offset, .. }) => assert_eq!(offset, at),
+            other => panic!("expected a parse error at byte {at}, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn odd_names_round_trip() {
+        let trace = odd_names_trace();
+        assert_eq!(read_trace(written(&trace).as_slice()).unwrap(), trace);
+    }
+
+    #[test]
+    fn keys_come_in_any_order_and_the_first_duplicate_wins() {
+        let t = br#"{"deltas":[{"kind":{"delta":-1,"transition":"x","place":0,"type":"place",
+            "place":"dup"},"step":0,"time":2,"time":"dup"}],"end_time":5,"start_time":1,
+            "initial_env":{"tables":{"tab":[3]},"vars":{"x":1,"x":true},"vars":7},
+            "initial_marking":[1],"transition_names":["t"],"place_names":["p"],
+            "net_name":"n","net_name":7}"#;
+        let trace = read_trace(&t[..]).unwrap();
+        let mut env = Env::new();
+        env.set_var("x", Value::Bool(true));
+        env.define_table("tab", vec![3]);
+        let header = TraceHeader::new("n", vec!["p".into()], vec!["t".into()])
+            .with_initial_marking(vec![1])
+            .with_initial_env(env);
+        let header = TraceHeader {
+            start_time: Time::from_ticks(1),
+            ..header
+        };
+        let delta = Delta::new(
+            Time::from_ticks(2),
+            0,
+            DeltaKind::PlaceDelta {
+                place: PlaceId::new(0),
+                delta: -1,
+            },
+        );
+        assert_eq!(
+            trace,
+            RecordedTrace::new(header, vec![delta], Time::from_ticks(5))
+        );
     }
 
     #[test]

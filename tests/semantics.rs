@@ -2,9 +2,9 @@
 //! pipeline composition, and tool agreement on the same run.
 
 use pnut::core::{NetBuilder, Time};
-use pnut::sim::Simulator;
+use pnut::sim::{SimOptions, Simulator};
 use pnut::stat::StatCollector;
-use pnut::trace::{Filter, FilterSpec, Recorder, Tee};
+use pnut::trace::{DeltaKind, Filter, FilterSpec, RecordedTrace, Recorder, Tee};
 
 /// "Firing times can be easily simulated using enabling times" (§1):
 /// a transition with firing time d behaves, for place occupancy of its
@@ -394,17 +394,63 @@ fn replay_equals_live() {
     assert_eq!(live, replayed);
 }
 
-/// JSON round-trip across crate boundaries with a real model trace.
+/// JSON round-trip across crate boundaries with real model traces: the
+/// three-stage pipeline, the interpreted pipeline (variables and tables
+/// in the initial env, `var` deltas) and the 40-net `random_net` sweep.
 #[test]
 fn trace_json_roundtrip_full_model() {
+    let roundtrip = |trace: &RecordedTrace| {
+        let mut buf = Vec::new();
+        trace.write_json(&mut buf).expect("serializes");
+        let back = RecordedTrace::read_json(buf.as_slice()).expect("deserializes");
+        assert_eq!(*trace, back);
+        back
+    };
+    let var_sets = |trace: &RecordedTrace| {
+        trace
+            .deltas()
+            .iter()
+            .filter(|d| matches!(d.kind, DeltaKind::VarSet { .. }))
+            .count()
+    };
+
     let net = pnut::pipeline::three_stage::build(&pnut::pipeline::ThreeStageConfig::default())
         .expect("builds");
     let trace = pnut::sim::simulate(&net, 6, Time::from_ticks(500)).expect("runs");
-    let mut buf = Vec::new();
-    trace.write_json(&mut buf).expect("serializes");
-    let back = pnut::trace::RecordedTrace::read_json(buf.as_slice()).expect("deserializes");
-    assert_eq!(trace, back);
+    let back = roundtrip(&trace);
     assert_eq!(pnut::stat::analyze(&trace), pnut::stat::analyze(&back));
+
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("models/interpreted.pn");
+    let text = std::fs::read_to_string(path).expect("model file exists");
+    let interpreted = pnut::lang::parse(&text).expect("parses");
+    for seed in 0..5 {
+        let trace = pnut::sim::simulate(&interpreted, seed, Time::from_ticks(250)).expect("runs");
+        assert_eq!(trace.header().initial_env.tables().count(), 5);
+        assert!(var_sets(&trace) > 0, "seed {seed}: no `var` deltas");
+        roundtrip(&trace);
+    }
+
+    let mut random_var_sets = 0;
+    // A low livelock cap keeps the zero-delay-cycle nets, which are
+    // skipped, cheap to reject.
+    let options = SimOptions {
+        max_firings_per_instant: 10_000,
+    };
+    for seed in 0..40 {
+        let net = pnut_bench::workloads::random_net(seed);
+        let mut sim = Simulator::with_options(&net, seed, options).expect("constructs");
+        let mut rec = Recorder::new();
+        if sim.run(Time::from_ticks(100), &mut rec).is_err() {
+            continue;
+        }
+        let trace = rec.into_trace().expect("complete");
+        random_var_sets += var_sets(&trace);
+        roundtrip(&trace);
+    }
+    assert!(
+        random_var_sets > 0,
+        "the random_net sweep saw no `var` deltas"
+    );
 }
 
 /// The textual language round-trips the full paper model and the
