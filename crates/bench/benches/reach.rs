@@ -11,7 +11,7 @@
 
 use criterion::{criterion_group, Criterion};
 use pnut_bench::{legacy_reach, workloads};
-use pnut_core::expr::compile::{CompiledNet, EnvSlots, Scratch};
+use pnut_core::expr::compile::{CompiledNet, EnvSlots, Scratch, Ticks};
 use pnut_core::{Delay, Net};
 use pnut_reach::ctl;
 use pnut_reach::graph::{build_timed, build_untimed, ReachOptions, ReachabilityGraph};
@@ -214,7 +214,8 @@ fn bytecode_sweep(g: &ReachabilityGraph, programs: &CompiledNet) -> u64 {
                 next.copy_from(&cur);
                 acc += u64::from(a.apply_pure(&mut next, &programs.map, &mut vm).is_ok());
             }
-            for p in [&ct.firing, &ct.enabling].into_iter().flatten() {
+            for ticks in [&ct.firing, &ct.enabling] {
+                let Ticks::Expr(p) = ticks else { continue };
                 if let Ok(v) = p
                     .eval_pure(&cur, &programs.map, &mut vm)
                     .and_then(|v| v.as_int())

@@ -56,12 +56,50 @@
 //! `tests/bytecode_diff.rs` (plus `tests/props.rs` under the
 //! `proptest-tests` feature) checks this over the full grammar,
 //! including the error cases.
+//!
+//! # Lowered transitions
+//!
+//! [`CompiledNet`] is the one lowered form of a net, and both engines,
+//! the simulator and the timed explorer, fire transitions from it. Each
+//! [`CompiledTransition`] holds:
+//!
+//! * its token movements over raw place indices: `start` (inputs,
+//!   negative) and `end` (outputs, positive) in the net's **arc
+//!   order**, and `atomic`, the two merged per place for a zero-delay
+//!   firing. Arc order matters because the simulator writes one trace
+//!   delta per arc, and several checked-in models list arcs out of
+//!   place order, so sorting by place would reorder trace lines. The
+//!   explorer's marking hash is commutative, so any order suits it;
+//! * both delays as [`Ticks`]: a constant, or a program resolved on
+//!   demand by [`Ticks::resolve`], with an RNG in the simulator and
+//!   without one in the explorer (which rejects `irand` nets up front);
+//! * its inhibitor thresholds, concurrency cap, predicate and action.
+//!
+//! Both engines rely on one contract:
+//!
+//! * **Readiness** ([`CompiledTransition::ready`]): inputs covered,
+//!   inhibitors clear and, for a capped transition, fewer than `cap`
+//!   firings in flight; the in-flight count is only asked for when the
+//!   transition is capped. A transition may start when it is ready, its
+//!   predicate holds ([`CompiledTransition::predicate_holds`]) and its
+//!   enabling clock has run out.
+//! * **Enabling clocks** ([`CompiledTransition::clock`]): after every
+//!   step, a transition that is not ready or whose predicate fails has
+//!   no clock; one that was already counting and did not just fire
+//!   keeps its clock; any other arms a fresh enabling delay, resolved
+//!   against the environment of that moment. The explorer keeps clocks
+//!   as relative countdowns and never stores one for a constant-zero
+//!   delay; the simulator keeps absolute deadlines.
+//! * **Firing**: the action runs before the firing delay is resolved,
+//!   so table-driven models compute their own firing times (paper §3).
+//!   A zero delay moves `atomic` at once; otherwise `start` moves at
+//!   once and `end` when the firing completes.
 
 use super::ast::{Assignment, BinOp, Expr, Func, Target, UnaryOp};
 use super::env::{Env, Value};
 use super::eval::EvalError;
 use super::Action;
-use crate::net::{Delay, Net};
+use crate::net::{Delay, Net, PlaceId};
 use crate::Randomness;
 use std::collections::BTreeSet;
 use std::fmt;
@@ -908,29 +946,6 @@ enum Step {
     },
 }
 
-/// A write performed by [`ActionProgram::apply_logged`], in execution
-/// order. `Var` entries are the scalar assignments simulators put in
-/// traces; `Elem` entries let callers mirror table writes elsewhere.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Write {
-    /// `vars[slot] = value`.
-    Var {
-        /// Variable slot written.
-        slot: u32,
-        /// Value stored.
-        value: Value,
-    },
-    /// `tables[table][index] = value`.
-    Elem {
-        /// Table slot written.
-        table: u32,
-        /// Element index written.
-        index: i64,
-        /// Value stored.
-        value: i64,
-    },
-}
-
 /// A compiled [`Action`]: assignments over slots, in order.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ActionProgram {
@@ -981,10 +996,10 @@ impl ActionProgram {
         self.run(slots, map, scratch, &mut None, None)
     }
 
-    /// Apply with randomness, appending every write to `log` in
-    /// execution order. Mirrors [`Action::apply_logged`] (whose log
-    /// holds only the `Var` writes; `Elem` writes are included here so
-    /// callers can replay table mutations into a mirror [`Env`]).
+    /// Apply with randomness, appending every scalar assignment to `log`
+    /// as `(slot, value)` in execution order: the variable writes a
+    /// simulator puts in its trace. Table-element writes are applied but
+    /// not logged.
     ///
     /// # Errors
     ///
@@ -995,7 +1010,7 @@ impl ActionProgram {
         map: &SlotMap,
         scratch: &mut Scratch,
         rng: &mut dyn Randomness,
-        log: &mut Vec<Write>,
+        log: &mut Vec<(u32, Value)>,
     ) -> Result<(), EvalError> {
         self.run(slots, map, scratch, &mut Some(rng), Some(log))
     }
@@ -1006,7 +1021,7 @@ impl ActionProgram {
         map: &SlotMap,
         scratch: &mut Scratch,
         rng: &mut Option<&mut dyn Randomness>,
-        mut log: Option<&mut Vec<Write>>,
+        mut log: Option<&mut Vec<(u32, Value)>>,
     ) -> Result<(), EvalError> {
         for step in &self.steps {
             match step {
@@ -1014,10 +1029,7 @@ impl ActionProgram {
                     let v = value.run(slots, map, scratch, rng)?;
                     slots.vars[*slot as usize] = Some(v);
                     if let Some(log) = log.as_deref_mut() {
-                        log.push(Write::Var {
-                            slot: *slot,
-                            value: v,
-                        });
+                        log.push((*slot, v));
                     }
                 }
                 Step::SetElem {
@@ -1042,13 +1054,6 @@ impl ActionProgram {
                         },
                     )?;
                     *cell = x;
-                    if let Some(log) = log.as_deref_mut() {
-                        log.push(Write::Elem {
-                            table: *table,
-                            index: i,
-                            value: x,
-                        });
-                    }
                 }
             }
         }
@@ -1105,19 +1110,159 @@ fn collect_expr(e: &Expr, vars: &mut BTreeSet<String>, tables: &mut BTreeSet<Str
     }
 }
 
-/// All compiled programs of one transition. `None` means the
-/// transition has no such expression (e.g. a `Delay::Fixed` delay,
-/// which keeps its constant fast path).
+/// A firing or enabling delay, lowered: a constant, or a program
+/// resolved each time the delay is asked for.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Ticks {
+    /// A constant number of ticks.
+    Fixed(u64),
+    /// An expression, evaluated against the environment of the moment
+    /// the delay is resolved.
+    Expr(Program),
+}
+
+impl Ticks {
+    /// Whether the delay is the constant zero.
+    #[inline]
+    pub fn is_zero_constant(&self) -> bool {
+        matches!(self, Ticks::Fixed(0))
+    }
+
+    /// The delay in ticks against `slots`, drawing any `irand` from
+    /// `rng`.
+    ///
+    /// # Errors
+    ///
+    /// The program's [`EvalError`] ([`EvalError::RandomnessUnavailable`]
+    /// on `irand` without `rng`), and [`EvalError::Overflow`] for a
+    /// negative delay.
+    #[inline]
+    pub fn resolve(
+        &self,
+        slots: &EnvSlots,
+        map: &SlotMap,
+        scratch: &mut Scratch,
+        mut rng: Option<&mut dyn Randomness>,
+    ) -> Result<u64, EvalError> {
+        match self {
+            Ticks::Fixed(ticks) => Ok(*ticks),
+            Ticks::Expr(prog) => {
+                let v = prog.run(slots, map, scratch, &mut rng)?.as_int()?;
+                u64::try_from(v).map_err(|_| EvalError::Overflow)
+            }
+        }
+    }
+}
+
+/// The enabling-clock decision of [`CompiledTransition::clock`]; `T` is
+/// however the caller keeps a running clock.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Clock<T> {
+    /// Not ready: the transition carries no clock.
+    Off,
+    /// Ready ever since its clock armed: the clock keeps counting.
+    Keep(T),
+    /// Newly ready, or still ready after its own firing: a fresh
+    /// countdown of this many ticks.
+    Arm(u64),
+}
+
+/// One transition lowered for both engines (see "Lowered transitions"
+/// in the module docs): token movements over raw place indices, and
+/// its compiled programs.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CompiledTransition {
+    /// A firing's start: `(place, -weight)` per input arc, in the net's
+    /// arc order.
+    pub start: Vec<(u32, i64)>,
+    /// A firing's end: `(place, weight)` per output arc, in arc order.
+    pub end: Vec<(u32, i64)>,
+    /// `start` and `end` merged per place, zero-sum self-loops dropped:
+    /// the movement of an atomic (zero-delay) firing.
+    pub atomic: Vec<(u32, i64)>,
+    /// `(place, threshold)` per inhibitor arc: ready only while the
+    /// place holds fewer tokens.
+    pub inhibitors: Vec<(u32, u32)>,
+    /// Maximum concurrent firings, if capped.
+    pub cap: Option<u32>,
     /// Compiled predicate, if any.
     pub predicate: Option<Program>,
     /// Compiled action, if any.
     pub action: Option<ActionProgram>,
-    /// Compiled firing-time expression (`None` for `Delay::Fixed`).
-    pub firing: Option<Program>,
-    /// Compiled enabling-time expression (`None` for `Delay::Fixed`).
-    pub enabling: Option<Program>,
+    /// Firing delay.
+    pub firing: Ticks,
+    /// Enabling delay.
+    pub enabling: Ticks,
+}
+
+impl CompiledTransition {
+    /// Whether the transition may be under way: every input arc covered
+    /// by `marking`, every inhibitor clear and, if it is capped, fewer
+    /// than `cap` firings in flight. `in_flight` counts those and is
+    /// called only for a capped transition.
+    #[inline]
+    pub fn ready(&self, marking: &[u32], in_flight: impl FnOnce() -> u32) -> bool {
+        self.start
+            .iter()
+            .all(|&(p, d)| i64::from(marking[p as usize]) + d >= 0)
+            && self
+                .inhibitors
+                .iter()
+                .all(|&(p, th)| marking[p as usize] < th)
+            && self.cap.is_none_or(|cap| in_flight() < cap)
+    }
+
+    /// Whether the predicate holds against `slots` (true without one).
+    ///
+    /// # Errors
+    ///
+    /// The predicate's [`EvalError`], or a type mismatch if its value
+    /// is not a boolean.
+    #[inline]
+    pub fn predicate_holds(
+        &self,
+        slots: &EnvSlots,
+        map: &SlotMap,
+        scratch: &mut Scratch,
+    ) -> Result<bool, EvalError> {
+        match &self.predicate {
+            Some(p) => p.eval_pure(slots, map, scratch)?.as_bool(),
+            None => Ok(true),
+        }
+    }
+
+    /// The continuous-enabling rule, applied after every step. A
+    /// transition that is not `ready` (readiness and predicate) has no
+    /// clock. One that is still counting keeps its clock: `running`
+    /// yields it, and must yield `None` right after the transition's
+    /// own firing, which ends its enabling interval. Any other ready
+    /// transition arms a fresh countdown, its enabling delay resolved
+    /// against `slots`.
+    ///
+    /// # Errors
+    ///
+    /// As [`Ticks::resolve`].
+    #[inline]
+    pub fn clock<T>(
+        &self,
+        ready: bool,
+        running: impl FnOnce() -> Option<T>,
+        slots: &EnvSlots,
+        map: &SlotMap,
+        scratch: &mut Scratch,
+        rng: Option<&mut dyn Randomness>,
+    ) -> Result<Clock<T>, EvalError> {
+        if !ready {
+            return Ok(Clock::Off);
+        }
+        match running() {
+            Some(clock) => Ok(Clock::Keep(clock)),
+            None => self
+                .enabling
+                .resolve(slots, map, scratch, rng)
+                .map(Clock::Arm),
+        }
+    }
 }
 
 /// Compile-time lowering failure, naming the transition and the
@@ -1183,23 +1328,40 @@ impl CompiledNet {
                 }
                 None => None,
             };
-            let firing = match t.firing_time() {
-                Delay::Expr(e) => {
-                    Some(Program::compile(e, &map).map_err(|err| wrap(e.to_string(), err))?)
-                }
-                Delay::Fixed(_) => None,
+            let ticks = |delay: &Delay| match delay {
+                Delay::Fixed(ticks) => Ok(Ticks::Fixed(*ticks)),
+                Delay::Expr(e) => Program::compile(e, &map)
+                    .map(Ticks::Expr)
+                    .map_err(|err| wrap(e.to_string(), err)),
             };
-            let enabling = match t.enabling_time() {
-                Delay::Expr(e) => {
-                    Some(Program::compile(e, &map).map_err(|err| wrap(e.to_string(), err))?)
-                }
-                Delay::Fixed(_) => None,
+            let arcs = |arcs: &[(PlaceId, u32)], sign: i64| -> Vec<(u32, i64)> {
+                arcs.iter()
+                    .map(|&(p, w)| (p.index() as u32, sign * i64::from(w)))
+                    .collect()
             };
+            let (start, end) = (arcs(t.inputs(), -1), arcs(t.outputs(), 1));
+            let mut atomic = start.clone();
+            for &(p, d) in &end {
+                match atomic.iter_mut().find(|(q, _)| *q == p) {
+                    Some((_, sum)) => *sum += d,
+                    None => atomic.push((p, d)),
+                }
+            }
+            atomic.retain(|&(_, d)| d != 0);
             transitions.push(CompiledTransition {
+                start,
+                end,
+                atomic,
+                inhibitors: t
+                    .inhibitors()
+                    .iter()
+                    .map(|&(p, th)| (p.index() as u32, th))
+                    .collect(),
+                cap: t.max_concurrent(),
                 predicate,
                 action,
-                firing,
-                enabling,
+                firing: ticks(t.firing_time())?,
+                enabling: ticks(t.enabling_time())?,
             });
         }
         Ok(CompiledNet { map, transitions })
@@ -1417,24 +1579,12 @@ mod tests {
         prog.apply_logged(&mut slots, &map, &mut scratch, &mut rng, &mut log)
             .unwrap();
         let x = map.var_slot("x").unwrap();
+        assert_eq!(log, vec![(x, Value::Int(7)), (x, Value::Int(8))]);
         let t = map.table_slot("t").unwrap();
         assert_eq!(
-            log,
-            vec![
-                Write::Var {
-                    slot: x,
-                    value: Value::Int(7)
-                },
-                Write::Elem {
-                    table: t,
-                    index: 1,
-                    value: 9
-                },
-                Write::Var {
-                    slot: x,
-                    value: Value::Int(8)
-                },
-            ]
+            slots.table(t),
+            Some(&[0, 9][..]),
+            "table writes apply unlogged"
         );
     }
 
@@ -1462,11 +1612,13 @@ mod tests {
     #[test]
     fn compiled_net_indexes_by_transition() {
         let mut b = Net::builder("n");
-        b.place("p", 1);
+        b.places_empty(["a", "b", "c"]);
         b.var("x", 0);
         b.transition("t")
-            .input("p")
-            .output("p")
+            .input("c")
+            .input_weighted("a", 2)
+            .output_weighted("a", 2)
+            .output("b")
             .predicate_str("x < 3")
             .unwrap()
             .action_str("x = x + 1;")
@@ -1478,8 +1630,79 @@ mod tests {
         let ct = &compiled.transitions[0];
         assert!(ct.predicate.is_some());
         assert!(ct.action.is_some());
-        assert!(ct.firing.is_none());
-        assert!(ct.enabling.is_none());
+        assert_eq!(
+            (&ct.firing, &ct.enabling),
+            (&Ticks::Fixed(0), &Ticks::Fixed(0))
+        );
+        // Movements keep the arc order; the atomic one merges per place
+        // and drops the zero-sum self-loop on `a`.
+        assert_eq!(ct.start, [(2, -1), (0, -2)]);
+        assert_eq!(ct.end, [(0, 2), (1, 1)]);
+        assert_eq!(ct.atomic, [(2, -1), (1, 1)]);
+        assert!(ct.ready(&[2, 0, 1], || unreachable!("uncapped: never counted")));
+        assert!(!ct.ready(&[1, 0, 1], || unreachable!("uncapped: never counted")));
+    }
+
+    #[test]
+    fn readiness_predicate_and_clock_gate_a_transition() {
+        let mut b = Net::builder("n");
+        b.place("p", 1);
+        b.place("stop", 0);
+        b.var("go", 0);
+        b.transition("t")
+            .input("p")
+            .inhibitor("stop")
+            .max_concurrent(1)
+            .enabling(2)
+            .predicate_str("go == 1")
+            .unwrap()
+            .add();
+        let net = b.build().unwrap();
+        let compiled = CompiledNet::compile(&net).unwrap();
+        let (ct, map) = (&compiled.transitions[0], &compiled.map);
+        assert!(ct.ready(&[1, 0], || 0));
+        assert!(!ct.ready(&[0, 0], || 0), "input uncovered");
+        assert!(!ct.ready(&[1, 1], || 0), "inhibited");
+        assert!(!ct.ready(&[1, 0], || 1), "at its cap");
+
+        let mut env = net.initial_env().clone();
+        let (mut slots, mut scratch) = (EnvSlots::new(), Scratch::new());
+        slots.load(map, &env);
+        assert_eq!(ct.predicate_holds(&slots, map, &mut scratch), Ok(false));
+        env.set_var("go", Value::Int(1));
+        slots.load(map, &env);
+        assert_eq!(ct.predicate_holds(&slots, map, &mut scratch), Ok(true));
+
+        let mut clock = |ready, running: Option<u64>| {
+            ct.clock(ready, || running, &slots, map, &mut scratch, None)
+        };
+        assert_eq!(clock(false, Some(1)), Ok(Clock::Off));
+        assert_eq!(clock(true, Some(1)), Ok(Clock::Keep(1)));
+        assert_eq!(clock(true, None), Ok(Clock::Arm(2)));
+    }
+
+    #[test]
+    fn ticks_resolve_constants_and_expressions() {
+        let map = SlotMap::from_names(["x".to_string()], []);
+        let mut env = Env::new();
+        env.set_var("x", Value::Int(3));
+        let (mut slots, mut scratch) = (EnvSlots::new(), Scratch::new());
+        slots.load(&map, &env);
+        let expr =
+            |src: &str| Ticks::Expr(Program::compile(&Expr::parse(src).unwrap(), &map).unwrap());
+        let mut resolve = |ticks: Ticks, rng: Option<&mut dyn Randomness>| {
+            ticks.resolve(&slots, &map, &mut scratch, rng)
+        };
+        assert!(Ticks::Fixed(0).is_zero_constant() && !expr("0 * x").is_zero_constant());
+        assert_eq!(resolve(Ticks::Fixed(5), None), Ok(5));
+        assert_eq!(resolve(expr("2 * x"), None), Ok(6));
+        assert_eq!(resolve(expr("0 - 1"), None), Err(EvalError::Overflow));
+        let mut rng = CyclingRandomness::new();
+        assert_eq!(resolve(expr("irand(4, 4)"), Some(&mut rng)), Ok(4));
+        assert_eq!(
+            resolve(expr("irand(4, 4)"), None),
+            Err(EvalError::RandomnessUnavailable)
+        );
     }
 
     #[test]

@@ -108,31 +108,6 @@ impl Action {
         Ok(())
     }
 
-    /// Execute the action, returning the scalar-variable assignments
-    /// performed, in order. Used by simulators to emit variable deltas
-    /// into traces; table-element writes are applied but not logged.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Action::apply`].
-    pub fn apply_logged(
-        &self,
-        env: &mut Env,
-        rng: &mut dyn Randomness,
-    ) -> Result<Vec<(String, Value)>, EvalError> {
-        let mut log = Vec::new();
-        for a in &self.assignments {
-            eval::apply_assignment(a, env, &mut Some(rng))?;
-            if let Target::Var(name) = &a.target {
-                let value = env
-                    .var(name)
-                    .expect("assignment target variable must exist after assignment");
-                log.push((name.clone(), value));
-            }
-        }
-        Ok(log)
-    }
-
     /// Whether any assignment's expression uses `irand`.
     pub fn uses_random(&self) -> bool {
         self.assignments.iter().any(|a| {

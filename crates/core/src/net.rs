@@ -1,9 +1,7 @@
 //! The net structure: places, transitions, arcs, delays.
 
-use crate::expr::{Action, Env, EvalError, Expr};
+use crate::expr::{Action, Env, Expr};
 use crate::marking::Marking;
-use crate::time::Time;
-use crate::Randomness;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -105,25 +103,6 @@ impl Delay {
     /// Whether the delay is a constant.
     pub fn is_fixed(&self) -> bool {
         matches!(self, Delay::Fixed(_))
-    }
-
-    /// Resolve the delay to a duration.
-    ///
-    /// # Errors
-    ///
-    /// Propagates expression-evaluation failures; a negative result is
-    /// reported as [`EvalError::TypeMismatch`]-adjacent overflow via
-    /// [`EvalError::Overflow`].
-    pub fn resolve(&self, env: &Env, rng: &mut dyn Randomness) -> Result<Time, EvalError> {
-        match self {
-            Delay::Fixed(t) => Ok(Time::from_ticks(*t)),
-            Delay::Expr(e) => {
-                let v = e.eval_int(env, rng)?;
-                u64::try_from(v)
-                    .map(Time::from_ticks)
-                    .map_err(|_| EvalError::Overflow)
-            }
-        }
     }
 }
 
@@ -411,32 +390,6 @@ impl Net {
     pub fn uses_random(&self) -> bool {
         self.transitions.iter().any(Transition::uses_random)
     }
-
-    /// Whether `transition` may start firing in `marking` with variable
-    /// state `env`: marking-enabled and predicate-true.
-    ///
-    /// Enabling *time* is the simulator's concern (it needs a clock); this
-    /// checks the instantaneous condition the clock measures.
-    ///
-    /// # Errors
-    ///
-    /// Propagates predicate evaluation failures.
-    pub fn enabled(
-        &self,
-        transition: TransitionId,
-        marking: &Marking,
-        env: &Env,
-        rng: &mut dyn Randomness,
-    ) -> Result<bool, EvalError> {
-        let t = self.transition(transition);
-        if !t.marking_enabled(marking) {
-            return Ok(false);
-        }
-        match t.predicate() {
-            Some(p) => p.eval_bool(env, rng),
-            None => Ok(true),
-        }
-    }
 }
 
 impl fmt::Display for Net {
@@ -471,7 +424,7 @@ impl fmt::Display for Net {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{CyclingRandomness, NetBuilder};
+    use crate::NetBuilder;
 
     fn two_place_net() -> Net {
         let mut b = NetBuilder::new("t");
@@ -534,37 +487,7 @@ mod tests {
     }
 
     #[test]
-    fn enabled_consults_predicate() {
-        let mut b = NetBuilder::new("t");
-        b.place("p", 1);
-        b.var("go", 0);
-        b.transition("t1")
-            .input("p")
-            .predicate_str("go == 1")
-            .unwrap()
-            .add();
-        let net = b.build().unwrap();
-        let t1 = net.transition_id("t1").unwrap();
-        let m = net.initial_marking();
-        let mut env = net.initial_env().clone();
-        let mut rng = CyclingRandomness::new();
-        assert!(!net.enabled(t1, &m, &env, &mut rng).unwrap());
-        env.set_var("go", crate::Value::Int(1));
-        assert!(net.enabled(t1, &m, &env, &mut rng).unwrap());
-    }
-
-    #[test]
-    fn delay_resolution() {
-        let env = Env::new();
-        let mut rng = CyclingRandomness::new();
-        assert_eq!(
-            Delay::Fixed(5).resolve(&env, &mut rng).unwrap(),
-            Time::from_ticks(5)
-        );
-        let d = Delay::Expr(Expr::parse("2 * 3").unwrap());
-        assert_eq!(d.resolve(&env, &mut rng).unwrap(), Time::from_ticks(6));
-        let neg = Delay::Expr(Expr::parse("0 - 1").unwrap());
-        assert!(neg.resolve(&env, &mut rng).is_err());
+    fn delay_constants() {
         assert!(Delay::ZERO.is_zero_constant());
         assert!(Delay::from(3u64).is_fixed());
     }

@@ -34,15 +34,19 @@
 //! level, and each next level is every state first interned while
 //! expanding the one before.
 //!
-//! The firing rule exists once, in the `expand` kernel, which turns one
-//! loaded state into its successor row. For each transition in id
-//! order, readiness (marking, inhibitors, concurrency cap), the enabling
-//! gate and the predicate decide whether it can start; the action, the
-//! firing delay, the token movement and the enabling-clock refresh then
-//! build the successor of its `Fire` edge. When nothing can start, one
-//! `Advance` edge jumps to the earliest pending completion or enabling
-//! deadline. Untimed builds run the same rule with every firing atomic
-//! and no clocks, so they never advance.
+//! The firing rule lives once, in `pnut-core`: readiness, the cap gate,
+//! the predicate, both delays, token movement and the enabling-clock
+//! decision are methods of the lowered transitions of
+//! [`pnut_core::CompiledNet`], which the simulator runs too (see
+//! "Lowered transitions" in [`pnut_core::expr::compile`]). This module
+//! keeps only the explorer's scheduler, the `expand` kernel, which
+//! turns one loaded state into its successor row. Every transition
+//! that can start (ready, enabling clock run out, predicate true) is a
+//! `Fire` edge, in id order. Clocks are relative countdowns. When
+//! nothing can start, one maximal-progress `Advance` edge jumps to the
+//! earliest pending completion or enabling deadline. Untimed builds run
+//! the same rule with every firing atomic and no clocks, so they never
+//! advance.
 //!
 //! The kernel hands each successor's environment and state to an intern
 //! sink, and `jobs` alone picks which:
@@ -72,8 +76,8 @@
 use crate::pager::{EdgeSegment, PagedEdges, PagerConfig, SegmentData, SpillError};
 use crate::store::{self, EnvRef, MarkingView, PendingShard, StateRef, StateStore};
 use crate::sync::Mutex;
-use pnut_core::expr::compile as bc;
-use pnut_core::{Delay, Env, Net, Transition, TransitionId};
+use pnut_core::expr::compile::{self as bc, Clock};
+use pnut_core::{Env, Net, TransitionId};
 use pnut_obs as obs;
 use std::cell::OnceCell;
 use std::fmt;
@@ -638,131 +642,9 @@ impl<'g> SegmentGuard<'g> {
     }
 }
 
-fn eval_err(t: &Transition, source: pnut_core::EvalError) -> ReachError {
-    ReachError::Eval {
-        transition: t.name().to_string(),
-        source,
-    }
-}
-
 // ---------------------------------------------------------------------------
-// The firing rule
+// The expansion kernel
 // ---------------------------------------------------------------------------
-
-/// A firing or enabling delay, lowered once per build.
-enum Ticks {
-    /// A constant number of ticks.
-    Fixed(u64),
-    /// A deterministic expression, resolved per state.
-    Expr(bc::Program),
-}
-
-impl Ticks {
-    /// Lower `delay`; `expr` is the program [`bc::CompiledNet`] holds
-    /// for it, which it compiles exactly for expression delays.
-    fn new(delay: &Delay, expr: Option<bc::Program>) -> Self {
-        match expr {
-            Some(prog) => Ticks::Expr(prog),
-            None => Ticks::Fixed(match delay {
-                Delay::Fixed(ticks) => *ticks,
-                Delay::Expr(_) => 0,
-            }),
-        }
-    }
-}
-
-/// One transition lowered for the hot loop: raw place indices instead
-/// of `PlaceId`s, duplicate arcs merged, token movements as signed
-/// deltas, and its bytecode programs.
-struct Compiled {
-    id: TransitionId,
-    /// `(place, tokens)` enablement lower bounds; duplicate input arcs
-    /// are merged by summing, so multi-arc requirements are exact.
-    needs: Vec<(u32, u32)>,
-    /// `(place, threshold)` inhibitor bounds (duplicates merged to the
-    /// tightest threshold); enabled iff tokens < threshold.
-    inhib: Vec<(u32, u32)>,
-    /// Net token movement of an atomic firing — inputs negative,
-    /// outputs positive, zero-sum self-loops dropped.
-    fire_delta: Vec<(u32, i64)>,
-    /// Token movement of a timed firing *start* (inputs only).
-    start_delta: Vec<(u32, i64)>,
-    /// Token movement of a timed firing's *completion* (outputs only).
-    end_delta: Vec<(u32, i64)>,
-    /// Maximum concurrent firings (timed nets).
-    cap: Option<u32>,
-    predicate: Option<bc::Program>,
-    action: Option<bc::ActionProgram>,
-    firing: Ticks,
-    enabling: Ticks,
-}
-
-impl Compiled {
-    fn new(id: TransitionId, t: &Transition, programs: bc::CompiledTransition) -> Self {
-        use std::collections::BTreeMap;
-        let mut needs: BTreeMap<u32, u64> = BTreeMap::new();
-        let mut inhib: BTreeMap<u32, u32> = BTreeMap::new();
-        let mut fire: BTreeMap<u32, i64> = BTreeMap::new();
-        let mut start: BTreeMap<u32, i64> = BTreeMap::new();
-        let mut end: BTreeMap<u32, i64> = BTreeMap::new();
-        for &(p, w) in t.inputs() {
-            let p = p.index() as u32;
-            *needs.entry(p).or_default() += u64::from(w);
-            *fire.entry(p).or_default() -= i64::from(w);
-            *start.entry(p).or_default() -= i64::from(w);
-        }
-        for &(p, th) in t.inhibitors() {
-            let e = inhib.entry(p.index() as u32).or_insert(th);
-            *e = (*e).min(th);
-        }
-        for &(p, w) in t.outputs() {
-            let p = p.index() as u32;
-            *fire.entry(p).or_default() += i64::from(w);
-            *end.entry(p).or_default() += i64::from(w);
-        }
-        Compiled {
-            id,
-            needs: needs
-                .into_iter()
-                // A summed requirement above u32::MAX is unsatisfiable in
-                // practice; saturating keeps the type small.
-                .map(|(p, w)| (p, u32::try_from(w).unwrap_or(u32::MAX)))
-                .collect(),
-            inhib: inhib.into_iter().collect(),
-            fire_delta: fire.into_iter().filter(|&(_, d)| d != 0).collect(),
-            start_delta: start.into_iter().collect(),
-            end_delta: end.into_iter().collect(),
-            cap: t.max_concurrent(),
-            predicate: programs.predicate,
-            action: programs.action,
-            firing: Ticks::new(t.firing_time(), programs.firing),
-            enabling: Ticks::new(t.enabling_time(), programs.enabling),
-        }
-    }
-
-    /// Whether the transition may be under way in `state`:
-    /// marking-enabled, inhibitors clear, and its concurrency cap not
-    /// reached. (Untimed states carry no in-flight firings, so the cap
-    /// never binds there.)
-    #[inline]
-    fn ready(&self, state: &StateBuf) -> bool {
-        self.needs
-            .iter()
-            .all(|&(p, w)| state.marking[p as usize] >= w)
-            && self
-                .inhib
-                .iter()
-                .all(|&(p, th)| state.marking[p as usize] < th)
-            && self.cap.is_none_or(|cap| {
-                (state
-                    .in_flight
-                    .iter()
-                    .filter(|&&(x, _)| x == self.id)
-                    .count() as u32)
-                    < cap
-            })
-    }
-}
 
 /// One state in scratch form: a copy that stays stable while the store
 /// grows.
@@ -779,6 +661,12 @@ struct StateBuf {
 }
 
 impl StateBuf {
+    /// In-flight firings of `t`.
+    #[inline]
+    fn in_flight_of(&self, t: TransitionId) -> u32 {
+        self.in_flight.iter().filter(|&&(x, _)| x == t).count() as u32
+    }
+
     /// Apply transition `t`'s token `delta` to the marking, keeping its
     /// commutative hash in sync.
     #[inline]
@@ -866,14 +754,13 @@ impl Scratch {
     }
 }
 
-/// The firing rule of one net, compiled once per build and shared
-/// read-only by every worker.
+/// The scheduler of one net's firing rule, shared read-only by every
+/// worker. The rule itself is `pnut-core`'s lowered
+/// [`bc::CompiledTransition`], which the simulator runs too.
 struct Rule<'n> {
     net: &'n Net,
-    /// The slot map every program was compiled against.
-    map: bc::SlotMap,
-    /// One entry per transition, in id order.
-    compiled: Vec<Compiled>,
+    /// Every transition, lowered once per build, with its slot map.
+    programs: bc::CompiledNet,
     /// Timed semantics: firing delays, concurrency caps, enabling
     /// clocks and time advances. Untimed firings are atomic.
     timed: bool,
@@ -881,79 +768,35 @@ struct Rule<'n> {
 
 impl<'n> Rule<'n> {
     fn new(net: &'n Net, timed: bool) -> Result<Self, ReachError> {
-        let bc::CompiledNet { map, transitions } =
-            bc::CompiledNet::compile(net).map_err(ReachError::Compile)?;
-        let compiled = net
-            .transitions()
-            .zip(transitions)
-            .map(|((id, t), programs)| Compiled::new(id, t, programs))
-            .collect();
         Ok(Rule {
             net,
-            map,
-            compiled,
+            programs: bc::CompiledNet::compile(net).map_err(ReachError::Compile)?,
             timed,
         })
     }
 
-    /// Run `ct`'s predicate against `slots` (true when it has none).
-    fn predicate(
-        &self,
-        ct: &Compiled,
-        slots: &bc::EnvSlots,
-        vm: &mut bc::Scratch,
-    ) -> Result<bool, ReachError> {
-        let Some(p) = &ct.predicate else {
-            return Ok(true);
-        };
-        p.eval_pure(slots, &self.map, vm)
-            .and_then(|v| v.as_bool())
-            .map_err(|e| eval_err(self.net.transition(ct.id), e))
+    fn eval_err(&self, t: TransitionId, source: pnut_core::EvalError) -> ReachError {
+        ReachError::Eval {
+            transition: self.net.transition(t).name().to_string(),
+            source,
+        }
     }
 
-    /// Resolve one of `ct`'s delays: the constant, or the expression
-    /// evaluated against `slots`.
-    fn delay(
-        &self,
-        ct: &Compiled,
-        ticks: &Ticks,
-        slots: &bc::EnvSlots,
-        vm: &mut bc::Scratch,
-    ) -> Result<u64, ReachError> {
-        let prog = match ticks {
-            Ticks::Fixed(t) => return Ok(*t),
-            Ticks::Expr(prog) => prog,
-        };
-        let t = self.net.transition(ct.id);
-        let v = prog
-            .eval_pure(slots, &self.map, vm)
-            .and_then(|v| v.as_int())
-            .map_err(|e| eval_err(t, e))?;
-        u64::try_from(v).map_err(|_| eval_err(t, pnut_core::EvalError::Overflow))
-    }
-
-    /// Recompute the successor's enabling clocks into `next.enabling`,
-    /// as the simulator's `refresh_enabling` does (untimed builds keep
-    /// none):
+    /// Recompute the successor's enabling clocks into `next.enabling`
+    /// with the shared clock rule, [`bc::CompiledTransition::clock`]
+    /// (untimed builds keep none). Clocks are relative countdowns:
     ///
-    /// * a transition with a (possibly per-state) enabling delay gets
-    ///   an entry iff it is *ready* in the successor (marking-enabled,
-    ///   inhibitors clear, concurrency cap not reached, predicate
-    ///   true) — constant-0 delays are never clocked at all;
-    /// * a ready transition that was already counting down in the
-    ///   current state keeps its clock, minus `elapsed` ticks for an
-    ///   `Advance` edge (readiness cannot change mid-interval — the
-    ///   marking only moves at the endpoints); expression delays are
-    ///   *not* re-resolved while continuously ready;
-    /// * the transition that just `fired` (if any) re-arms from a fresh
-    ///   delay resolution — a firing always ends its own enabling
-    ///   interval;
-    /// * a newly ready transition starts a fresh clock, resolving an
-    ///   expression delay against the environment at arm time: the
-    ///   post-action `next_slots` when `acted`, else `cur_slots`.
+    /// * constant-0 enabling delays are skipped before asking, so they
+    ///   are never stored;
+    /// * readiness and the predicate are judged on the successor, whose
+    ///   environment is the post-action `next_slots` when `acted`, else
+    ///   `cur_slots`; a fresh delay resolves against it too;
+    /// * a clock already counting in the current state keeps running,
+    ///   minus `elapsed` ticks for an `Advance` edge (readiness cannot
+    ///   change mid-interval: the marking only moves at the endpoints),
+    ///   except for the transition that just `fired`, which re-arms.
     ///
-    /// Entries come out sorted by transition id because `compiled` is
-    /// in id order.
+    /// Entries come out sorted by transition id.
     fn refresh_clocks(
         &self,
         sc: &mut Scratch,
@@ -965,24 +808,28 @@ impl<'n> Rule<'n> {
         if !self.timed {
             return Ok(());
         }
+        let map = &self.programs.map;
         let slots = if acted { &sc.next_slots } else { &sc.cur_slots };
-        for ct in &self.compiled {
-            if matches!(ct.enabling, Ticks::Fixed(0))
-                || !ct.ready(&sc.next)
-                || !self.predicate(ct, slots, &mut sc.vm)?
-            {
+        for (i, ct) in self.programs.transitions.iter().enumerate() {
+            if ct.enabling.is_zero_constant() {
                 continue;
             }
-            let running = if fired == Some(ct.id) {
-                None
-            } else {
-                sc.cur.enabling.iter().find(|&&(x, _)| x == ct.id)
+            let (id, vm) = (TransitionId::new(i), &mut sc.vm);
+            let ready = ct.ready(&sc.next.marking, || sc.next.in_flight_of(id))
+                && ct
+                    .predicate_holds(slots, map, vm)
+                    .map_err(|e| self.eval_err(id, e))?;
+            let running = || {
+                let cur = sc.cur.enabling.iter().find(|&&(x, _)| x == id);
+                cur.filter(|_| fired != Some(id)).map(|&(_, k)| k)
             };
-            let countdown = match running {
-                Some(&(_, k)) => k - elapsed,
-                None => self.delay(ct, &ct.enabling, slots, &mut sc.vm)?,
+            let clock = ct.clock(ready, running, slots, map, vm, None);
+            let countdown = match clock.map_err(|e| self.eval_err(id, e))? {
+                Clock::Off => continue,
+                Clock::Keep(k) => k - elapsed,
+                Clock::Arm(k) => k,
             };
-            sc.next.enabling.push((ct.id, countdown));
+            sc.next.enabling.push((id, countdown));
         }
         Ok(())
     }
@@ -996,7 +843,8 @@ impl<'n> Rule<'n> {
         store: &StateStore,
         initial_env: u32,
     ) -> Result<(), ReachError> {
-        sc.cur_slots.load(&self.map, store.env(initial_env));
+        sc.cur_slots
+            .load(&self.programs.map, store.env(initial_env));
         sc.loaded_env = Some(initial_env);
         sc.next.marking = self.net.initial_marking().as_slice().to_vec();
         self.refresh_clocks(sc, false, None, 0)
@@ -1014,17 +862,21 @@ impl<'n> Rule<'n> {
         row: &mut Vec<(EdgeLabel, S::Target)>,
     ) -> Result<(), ReachError> {
         row.clear();
-        let env_id = sc.load(&self.map, sink.store(), src)?;
+        let map = &self.programs.map;
+        let env_id = sc.load(map, sink.store(), src)?;
         sink.loaded()?;
         let mut can_start = false;
-        for ct in &self.compiled {
+        for (i, ct) in self.programs.transitions.iter().enumerate() {
+            let id = TransitionId::new(i);
             // Enabling gate: a transition whose enabling clock is still
             // counting down cannot start. (Ready transitions with a
             // pending delay always carry a clock entry, so a missing
             // entry means the resolved delay was 0.)
-            if !ct.ready(&sc.cur)
-                || sc.cur.enabling.iter().any(|&(x, k)| x == ct.id && k > 0)
-                || !self.predicate(ct, &sc.cur_slots, &mut sc.vm)?
+            if !ct.ready(&sc.cur.marking, || sc.cur.in_flight_of(id))
+                || sc.cur.enabling.iter().any(|&(x, k)| x == id && k > 0)
+                || !ct
+                    .predicate_holds(&sc.cur_slots, map, &mut sc.vm)
+                    .map_err(|e| self.eval_err(id, e))?
             {
                 continue;
             }
@@ -1038,37 +890,32 @@ impl<'n> Rule<'n> {
                 Some(action) => {
                     sc.next_slots.copy_from(&sc.cur_slots);
                     action
-                        .apply_pure(&mut sc.next_slots, &self.map, &mut sc.vm)
-                        .map_err(|e| eval_err(self.net.transition(ct.id), e))?;
-                    sink.intern_env(&sc.next_slots.to_env(&self.map), key)?
+                        .apply_pure(&mut sc.next_slots, map, &mut sc.vm)
+                        .map_err(|e| self.eval_err(id, e))?;
+                    sink.intern_env(&sc.next_slots.to_env(map), key)?
                 }
             };
             let acted = ct.action.is_some();
             let ft = if self.timed {
                 let slots = if acted { &sc.next_slots } else { &sc.cur_slots };
-                self.delay(ct, &ct.firing, slots, &mut sc.vm)?
+                ct.firing
+                    .resolve(slots, map, &mut sc.vm, None)
+                    .map_err(|e| self.eval_err(id, e))?
             } else {
                 0
             };
             // Zero-delay firings are atomic: outputs appear immediately
             // and the in-flight multiset is unchanged.
             sc.begin_next();
-            let delta = if ft == 0 {
-                &ct.fire_delta
-            } else {
-                &ct.start_delta
-            };
-            sc.next.apply(self.net, ct.id, delta)?;
+            let delta = if ft == 0 { &ct.atomic } else { &ct.start };
+            sc.next.apply(self.net, id, delta)?;
             sc.next.in_flight.clone_from(&sc.cur.in_flight);
             if ft != 0 {
-                sc.next.in_flight.push((ct.id, ft));
+                sc.next.in_flight.push((id, ft));
                 sc.next.in_flight.sort_unstable();
             }
-            self.refresh_clocks(sc, acted, Some(ct.id), 0)?;
-            row.push((
-                EdgeLabel::Fire(ct.id),
-                sink.intern_state(&sc.next, env, key)?,
-            ));
+            self.refresh_clocks(sc, acted, Some(id), 0)?;
+            row.push((EdgeLabel::Fire(id), sink.intern_state(&sc.next, env, key)?));
         }
 
         // Maximal-progress time advance: only when nothing can start and
@@ -1088,7 +935,7 @@ impl<'n> Rule<'n> {
         sc.next.in_flight.clear();
         for &(tid, r) in &sc.cur.in_flight {
             if r == dt {
-                let done = &self.compiled[tid.index()].end_delta;
+                let done = &self.programs.transitions[tid.index()].end;
                 sc.next.apply(self.net, tid, done)?;
             } else {
                 sc.next.in_flight.push((tid, r - dt));
@@ -1503,9 +1350,10 @@ pub fn build_untimed(net: &Net, options: &ReachOptions) -> Result<ReachabilityGr
 /// Build the timed reachability graph: states extend the `[RP84]` pair
 /// (marking, in-flight firings with remaining times) with **enabling
 /// clocks** — one countdown per ready transition with a non-zero
-/// enabling delay, following the simulator's continuous-enabling rule
-/// (the clock arms when the transition becomes ready, resets when
-/// readiness is lost or the transition itself fires). From each state
+/// enabling delay, following the continuous-enabling rule that
+/// `pnut-core` holds for both engines (the clock arms when the
+/// transition becomes ready, resets when readiness is lost or the
+/// transition itself fires). From each state
 /// either an eligible transition starts firing (marking-enabled, under
 /// its concurrency cap, predicate true, enabling clock expired), or —
 /// when nothing can start — time advances to the earliest pending
@@ -1516,8 +1364,9 @@ pub fn build_untimed(net: &Net, options: &ReachOptions) -> Result<ReachabilityGr
 /// times resolve per state against the post-action environment (the
 /// paper's §3 table-driven idiom), and enabling times resolve per
 /// state against the environment *at arm time* — the moment the
-/// transition becomes ready — exactly as the simulator's
-/// `refresh_enabling` does, so a constant-valued expression is
+/// transition becomes ready — by the same rule the simulator runs
+/// ([`pnut_core::expr::compile::CompiledTransition::clock`]), so a
+/// constant-valued expression is
 /// indistinguishable from the constant itself (pinned by the
 /// desugaring test in `tests/semantics.rs`).
 ///

@@ -1,10 +1,16 @@
 //! The discrete-event engine.
+//!
+//! The firing rule (readiness, predicate, delays, token movement and
+//! the enabling-clock decision) comes from `pnut-core`'s lowered
+//! [`bc::CompiledTransition`], the same one the timed explorer runs;
+//! this module keeps only the scheduler: an event queue of completions,
+//! absolute enabling deadlines, and frequency-weighted conflict choice.
 
 use crate::error::SimError;
 use crate::rng::SeededRandomness;
-use pnut_core::expr::compile as bc;
+use pnut_core::expr::compile::{self as bc, Clock};
 use pnut_core::expr::Env;
-use pnut_core::{Delay, EvalError, Marking, Net, Randomness, Time, TransitionId};
+use pnut_core::{Marking, Net, PlaceId, Randomness, Time, TransitionId, Value};
 use pnut_obs as obs;
 use pnut_trace::{Delta, DeltaKind, TraceHeader, TraceSink};
 use std::cmp::Reverse;
@@ -63,17 +69,14 @@ pub struct Simulator<'n> {
     options: SimOptions,
     time: Time,
     marking: Marking,
-    /// Mirror of the slot state, kept bit-identical by replaying the
-    /// write log of every fired action. Serves [`Simulator::env`] and
-    /// the trace header; all hot-path evaluation runs on `slots`.
-    env: Env,
     programs: bc::CompiledNet,
     slots: bc::EnvSlots,
     vm: bc::Scratch,
-    writes: Vec<bc::Write>,
+    /// Scalar assignments of the action being fired, for its trace.
+    writes: Vec<(u32, Value)>,
     firing_counts: Vec<u32>,
     firing_seq: Vec<u64>,
-    enabled_since: Vec<Option<Time>>,
+    /// Absolute enabling deadline of every transition whose clock runs.
     deadline: Vec<Option<Time>>,
     completions: BinaryHeap<Reverse<Completion>>,
     step: u64,
@@ -107,9 +110,8 @@ impl<'n> Simulator<'n> {
             }
         }
         let programs = bc::CompiledNet::compile(net).map_err(SimError::Compile)?;
-        let env = net.initial_env().clone();
         let mut slots = bc::EnvSlots::new();
-        slots.load(&programs.map, &env);
+        slots.load(&programs.map, net.initial_env());
         let n = net.transition_count();
         Ok(Simulator {
             net,
@@ -117,14 +119,12 @@ impl<'n> Simulator<'n> {
             options,
             time: Time::ZERO,
             marking: net.initial_marking(),
-            env,
             programs,
             slots,
             vm: bc::Scratch::new(),
             writes: Vec::new(),
             firing_counts: vec![0; n],
             firing_seq: vec![0; n],
-            enabled_since: vec![None; n],
             deadline: vec![None; n],
             completions: BinaryHeap::new(),
             step: 0,
@@ -144,9 +144,9 @@ impl<'n> Simulator<'n> {
         &self.marking
     }
 
-    /// Current variable environment.
-    pub fn env(&self) -> &Env {
-        &self.env
+    /// Current variable environment, built from the engine's slots.
+    pub fn env(&self) -> Env {
+        self.slots.to_env(&self.programs.map)
     }
 
     /// In-flight firings of `transition`.
@@ -161,7 +161,9 @@ impl<'n> Simulator<'n> {
     /// Run until the clock reaches `until` (processing events *at*
     /// `until`), streaming the trace into `sink`. May be called again to
     /// continue the experiment; each call emits a complete trace whose
-    /// header describes the state at the start of the call.
+    /// header describes the state at the start of the call. A horizon
+    /// before the clock runs nothing and leaves the clock where it is,
+    /// so time never runs backwards.
     ///
     /// # Errors
     ///
@@ -175,19 +177,21 @@ impl<'n> Simulator<'n> {
         let finished_before = self.finished;
         sink.begin(&self.header());
 
-        let outcome = self.run_inner(until, sink);
-        let quiescent = match outcome {
-            Ok(q) => q,
-            Err(e) => {
-                sink.end(self.time);
-                return Err(e);
-            }
-        };
-        // Even when the net goes quiescent early, the experiment ran to
-        // its horizon: the final state persists and time-weighted
-        // statistics must account for it (the paper's "Length of
-        // Simulation" is the horizon).
-        self.time = until;
+        let mut quiescent = false;
+        if until >= self.time {
+            quiescent = match self.run_inner(until, sink) {
+                Ok(q) => q,
+                Err(e) => {
+                    sink.end(self.time);
+                    return Err(e);
+                }
+            };
+            // Even when the net goes quiescent early, the experiment ran
+            // to its horizon: the final state persists and time-weighted
+            // statistics must account for it (the paper's "Length of
+            // Simulation" is the horizon).
+            self.time = until;
+        }
         sink.end(self.time);
         Ok(RunSummary {
             initial_clock,
@@ -211,7 +215,7 @@ impl<'n> Simulator<'n> {
                 .collect(),
         )
         .with_initial_marking(self.marking.as_slice().to_vec())
-        .with_initial_env(self.env.clone());
+        .with_initial_env(self.env());
         h.start_time = self.time;
         h
     }
@@ -264,75 +268,31 @@ impl<'n> Simulator<'n> {
         }
     }
 
-    /// Whether `tid` is instantaneously ready: marking-enabled, predicate
-    /// true, concurrency cap not reached.
-    fn is_ready(&mut self, tid: TransitionId) -> Result<bool, SimError> {
-        let t = self.net.transition(tid);
-        if let Some(cap) = t.max_concurrent() {
-            if self.firing_counts[tid.index()] >= cap {
-                return Ok(false);
-            }
-        }
-        if !t.marking_enabled(&self.marking) {
-            return Ok(false);
-        }
-        match &self.programs.transitions[tid.index()].predicate {
-            Some(p) => p
-                .eval_pure(&self.slots, &self.programs.map, &mut self.vm)
-                .and_then(|v| v.as_bool())
-                .map_err(|source| SimError::Eval {
-                    transition: t.name().to_string(),
-                    source,
-                }),
-            None => Ok(true),
-        }
-    }
-
-    /// Resolve a delay against the current slot state, drawing `irand`
-    /// from the engine RNG. `prog` is the compiled form of the delay's
-    /// expression when it has one. Mirrors [`Delay::resolve`].
-    fn resolve_delay(
-        &mut self,
-        tid: TransitionId,
-        delay: &Delay,
-        compiled: fn(&bc::CompiledTransition) -> Option<&bc::Program>,
-    ) -> Result<Time, SimError> {
-        match delay {
-            Delay::Fixed(t) => Ok(Time::from_ticks(*t)),
-            Delay::Expr(_) => {
-                let prog = compiled(&self.programs.transitions[tid.index()])
-                    .expect("expression delays always compile to a program");
-                prog.eval(&self.slots, &self.programs.map, &mut self.vm, &mut self.rng)
-                    .and_then(|v| v.as_int())
-                    .and_then(|v| {
-                        u64::try_from(v)
-                            .map(Time::from_ticks)
-                            .map_err(|_| EvalError::Overflow)
-                    })
-                    .map_err(|source| SimError::Eval {
-                        transition: self.net.transition(tid).name().to_string(),
-                        source,
-                    })
-            }
-        }
-    }
-
-    /// Maintain the continuous-enabling clocks: start the clock (and
-    /// resolve the enabling delay) when a transition becomes ready,
-    /// reset it whenever readiness is lost.
+    /// Apply the enabling-clock rule to every transition: arm a
+    /// deadline when it becomes ready, drop it when readiness is lost.
     fn refresh_enabling(&mut self) -> Result<(), SimError> {
-        for i in 0..self.net.transition_count() {
-            let tid = TransitionId::new(i);
-            let ready = self.is_ready(tid)?;
-            if ready && self.enabled_since[i].is_none() {
-                self.enabled_since[i] = Some(self.time);
-                let enabling = self.net.transition(tid).enabling_time();
-                let d = self.resolve_delay(tid, enabling, |ct| ct.enabling.as_ref())?;
-                self.deadline[i] = Some(self.time + d);
-            } else if !ready {
-                self.enabled_since[i] = None;
-                self.deadline[i] = None;
-            }
+        let (map, slots) = (&self.programs.map, &self.slots);
+        for (i, ct) in self.programs.transitions.iter().enumerate() {
+            let eval = |source| SimError::Eval {
+                transition: self.net.transition(TransitionId::new(i)).name().to_string(),
+                source,
+            };
+            let vm = &mut self.vm;
+            let ready = ct.ready(self.marking.as_slice(), || self.firing_counts[i])
+                && ct.predicate_holds(slots, map, vm).map_err(eval)?;
+            let clock = ct.clock(
+                ready,
+                || self.deadline[i],
+                slots,
+                map,
+                vm,
+                Some(&mut self.rng),
+            );
+            self.deadline[i] = match clock.map_err(eval)? {
+                Clock::Off => None,
+                Clock::Keep(deadline) => Some(deadline),
+                Clock::Arm(ticks) => Some(self.time + Time::from_ticks(ticks)),
+            };
         }
         Ok(())
     }
@@ -369,9 +329,10 @@ impl<'n> Simulator<'n> {
     }
 
     fn fire<S: TraceSink>(&mut self, tid: TransitionId, sink: &mut S) -> Result<(), SimError> {
-        let t = self.net.transition(tid);
-        let firing = self.firing_seq[tid.index()];
-        self.firing_seq[tid.index()] += 1;
+        let i = tid.index();
+        let ct = &self.programs.transitions[i];
+        let firing = self.firing_seq[i];
+        self.firing_seq[i] += 1;
         self.step += 1;
 
         self.emit(
@@ -381,19 +342,12 @@ impl<'n> Simulator<'n> {
                 firing,
             },
         );
-        for &(p, w) in t.inputs() {
-            let removed = self.marking.try_remove(p, w);
-            debug_assert!(removed, "eligible transition must have its input tokens");
-            self.emit(
-                sink,
-                DeltaKind::PlaceDelta {
-                    place: p,
-                    delta: -i64::from(w),
-                },
-            );
-        }
-
-        if let Some(prog) = &self.programs.transitions[tid.index()].action {
+        move_tokens(&mut self.marking, &ct.start, sink, self.time, self.step);
+        let eval = |source| SimError::Eval {
+            transition: self.net.transition(tid).name().to_string(),
+            source,
+        };
+        if let Some(prog) = &ct.action {
             self.writes.clear();
             prog.apply_logged(
                 &mut self.slots,
@@ -402,43 +356,25 @@ impl<'n> Simulator<'n> {
                 &mut self.rng,
                 &mut self.writes,
             )
-            .map_err(|source| SimError::Eval {
-                transition: t.name().to_string(),
-                source,
-            })?;
-            // Replay the write log into the `Env` mirror (keeping
-            // `env()` and the trace header exact) and surface scalar
-            // assignments as trace deltas, in execution order.
-            for w in &self.writes {
-                match w {
-                    bc::Write::Var { slot, value } => {
-                        let name = self.programs.map.var_name(*slot);
-                        self.env.set_var(name, *value);
-                        self.emit(
-                            sink,
-                            DeltaKind::VarSet {
-                                name: name.to_string(),
-                                value: *value,
-                            },
-                        );
-                    }
-                    bc::Write::Elem {
-                        table,
-                        index,
-                        value,
-                    } => {
-                        let name = self.programs.map.table_name(*table);
-                        self.env
-                            .set_table_elem(name, *index, *value)
-                            .expect("slot write succeeded, mirror must too");
-                    }
-                }
+            .map_err(eval)?;
+            // Scalar assignments become trace deltas, in execution order.
+            for &(slot, value) in &self.writes {
+                let name = self.programs.map.var_name(slot).to_string();
+                self.emit(sink, DeltaKind::VarSet { name, value });
             }
         }
 
         // The action runs before the delay is resolved so table-driven
         // models can compute their own firing times (paper §3).
-        let duration = self.resolve_delay(tid, t.firing_time(), |ct| ct.firing.as_ref())?;
+        let duration = ct
+            .firing
+            .resolve(
+                &self.slots,
+                &self.programs.map,
+                &mut self.vm,
+                Some(&mut self.rng),
+            )
+            .map_err(eval)?;
 
         self.started += 1;
         obs::metrics::SIM_EVENTS.inc();
@@ -449,31 +385,14 @@ impl<'n> Simulator<'n> {
                 self.time.ticks()
             )
         });
-        if duration == Time::ZERO {
+        if duration == 0 {
             // Atomic firing: finish within the same step so invariants
             // like Bus_free + Bus_busy = 1 hold in every observable state.
-            self.emit(
-                sink,
-                DeltaKind::Finish {
-                    transition: tid,
-                    firing,
-                },
-            );
-            for &(p, w) in t.outputs() {
-                self.marking.add(p, w);
-                self.emit(
-                    sink,
-                    DeltaKind::PlaceDelta {
-                        place: p,
-                        delta: i64::from(w),
-                    },
-                );
-            }
-            self.finished += 1;
+            self.deliver(tid, firing, sink);
         } else {
-            self.firing_counts[tid.index()] += 1;
+            self.firing_counts[i] += 1;
             self.completions.push(Reverse(Completion {
-                finish: self.time + duration,
+                finish: self.time + Time::from_ticks(duration),
                 order: self.completion_order,
                 transition: tid,
                 firing,
@@ -484,14 +403,18 @@ impl<'n> Simulator<'n> {
         // A firing ends the transition's current enabling interval; if it
         // is still ready the clock restarts (refresh re-arms it at the
         // current instant).
-        self.enabled_since[tid.index()] = None;
-        self.deadline[tid.index()] = None;
+        self.deadline[i] = None;
         Ok(())
     }
 
     fn finish_firing<S: TraceSink>(&mut self, tid: TransitionId, firing: u64, sink: &mut S) {
-        let t = self.net.transition(tid);
         self.step += 1;
+        self.deliver(tid, firing, sink);
+        self.firing_counts[tid.index()] -= 1;
+    }
+
+    /// End `tid`'s `firing`: emit `Finish` and deliver its outputs.
+    fn deliver<S: TraceSink>(&mut self, tid: TransitionId, firing: u64, sink: &mut S) {
         self.emit(
             sink,
             DeltaKind::Finish {
@@ -499,18 +422,35 @@ impl<'n> Simulator<'n> {
                 firing,
             },
         );
-        for &(p, w) in t.outputs() {
-            self.marking.add(p, w);
-            self.emit(
-                sink,
-                DeltaKind::PlaceDelta {
-                    place: p,
-                    delta: i64::from(w),
-                },
-            );
-        }
-        self.firing_counts[tid.index()] -= 1;
+        let end = &self.programs.transitions[tid.index()].end;
+        move_tokens(&mut self.marking, end, sink, self.time, self.step);
         self.finished += 1;
+    }
+}
+
+/// Apply one lowered token movement to `marking`, writing one
+/// `PlaceDelta` per arc, in arc order.
+fn move_tokens<S: TraceSink>(
+    marking: &mut Marking,
+    movement: &[(u32, i64)],
+    sink: &mut S,
+    time: Time,
+    step: u64,
+) {
+    for &(p, delta) in movement {
+        let place = PlaceId::new(p as usize);
+        let tokens = u32::try_from(delta.unsigned_abs()).unwrap_or(u32::MAX);
+        if delta < 0 {
+            let removed = marking.try_remove(place, tokens);
+            debug_assert!(removed, "eligible transition must have its input tokens");
+        } else {
+            marking.add(place, tokens);
+        }
+        sink.delta(&Delta::new(
+            time,
+            step,
+            DeltaKind::PlaceDelta { place, delta },
+        ));
     }
 }
 
@@ -807,7 +747,15 @@ mod tests {
     fn run_can_continue_from_previous_state() {
         let mut b = NetBuilder::new("n");
         b.place("p", 1);
-        b.transition("t").input("p").output("p").firing(3).add();
+        b.var("n", 0);
+        b.table("tab", vec![0, 0]);
+        b.transition("t")
+            .input("p")
+            .output("p")
+            .firing(3)
+            .action_str("n = n + 1; tab[1] = n;")
+            .unwrap()
+            .add();
         let net = b.build().unwrap();
         let mut sim = Simulator::new(&net, 0).unwrap();
         let mut rec1 = Recorder::new();
@@ -817,9 +765,33 @@ mod tests {
         assert_eq!(s2.initial_clock, Time::from_ticks(4));
         let tr2 = rec2.into_trace().unwrap();
         assert_eq!(tr2.header().start_time, Time::from_ticks(4));
+        // The header carries the first run's writes (firings at 0 and 3),
+        // table elements included, though traces record only scalars.
+        let env = &tr2.header().initial_env;
+        assert_eq!(env.int("n").unwrap(), 2);
+        assert_eq!(env.table("tab").unwrap(), &[0, 2]);
         // Continuation trace carries the in-flight state implicitly:
         // first event is the completion at t=6.
         assert_eq!(tr2.deltas()[0].time, Time::from_ticks(6));
+    }
+
+    #[test]
+    fn a_horizon_before_the_clock_runs_nothing() {
+        let mut b = NetBuilder::new("n");
+        b.place("p", 1);
+        b.transition("t").input("p").output("p").firing(3).add();
+        let net = b.build().unwrap();
+        let mut sim = Simulator::new(&net, 0).unwrap();
+        sim.run(Time::from_ticks(10), &mut CountingSink::new())
+            .unwrap();
+        let mut rec = Recorder::new();
+        let s = sim.run(Time::from_ticks(5), &mut rec).unwrap();
+        let ten = Time::from_ticks(10);
+        assert_eq!((s.initial_clock, s.end_time, sim.time()), (ten, ten, ten));
+        assert_eq!((s.events_started, s.events_finished), (0, 0));
+        let tr = rec.into_trace().unwrap();
+        assert_eq!((tr.header().start_time, tr.end_time()), (ten, ten));
+        assert!(tr.deltas().is_empty());
     }
 
     #[test]

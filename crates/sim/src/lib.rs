@@ -26,6 +26,16 @@
 //!   start-of-firing and may set the variables that expression-valued
 //!   delays read (the paper's table-driven models, §3).
 //!
+//! The engine runs the same compiled firing rule as the timed
+//! reachability graph (`pnut_reach::graph::build_timed`): readiness,
+//! predicates, both delays, token movement and the enabling-clock
+//! decision all come from `pnut-core`'s
+//! [`CompiledTransition`](pnut_core::expr::CompiledTransition). Only the
+//! scheduling differs: an event queue, absolute deadlines and
+//! frequency-weighted conflict choice here, maximal-progress time
+//! advances there. `tests/semantics.rs` replays seeded traces of the
+//! checked-in models and of random nets as paths of the timed graph.
+//!
 //! # Example
 //!
 //! ```

@@ -712,11 +712,21 @@ pub(crate) fn read_trace(mut reader: impl Read) -> Result<RecordedTrace, JsonErr
             "initial_marking length differs from place_names".into(),
         ));
     }
-    // Indices are checked once the header is in hand (keys come in any
-    // order), so a malformed trace fails here instead of panicking
-    // downstream in `StateIter`.
+    // Indices and times are checked once the header is in hand (keys
+    // come in any order), so a malformed trace fails here instead of
+    // panicking downstream in `StateIter` or the statistics.
     let deltas = c.required(deltas, "deltas")?;
+    let start_time = Time::from_ticks(c.required(start_time, "start_time")?);
+    let end_time = Time::from_ticks(c.required(end_time, "end_time")?);
+    let mut clock = start_time;
     for d in &deltas {
+        if d.time < clock {
+            return Err(JsonError::Schema(format!(
+                "delta at time {} precedes time {clock}",
+                d.time
+            )));
+        }
+        clock = d.time;
         let (what, index, count) = match d.kind {
             DeltaKind::Start { transition, .. } | DeltaKind::Finish { transition, .. } => {
                 ("transition", transition.index(), transition_names.len())
@@ -730,15 +740,19 @@ pub(crate) fn read_trace(mut reader: impl Read) -> Result<RecordedTrace, JsonErr
             )));
         }
     }
+    if end_time < clock {
+        return Err(JsonError::Schema(format!(
+            "end_time {end_time} precedes time {clock}"
+        )));
+    }
     let header = TraceHeader {
         net_name: c.required(net_name, "net_name")?.into_owned(),
         place_names,
         transition_names,
         initial_marking,
         initial_env: c.required(initial_env, "initial_env")?,
-        start_time: Time::from_ticks(c.required(start_time, "start_time")?),
+        start_time,
     };
-    let end_time = Time::from_ticks(c.required(end_time, "end_time")?);
     Ok(RecordedTrace::new(header, deltas, end_time))
 }
 
@@ -945,6 +959,30 @@ mod tests {
             "end_time":0}"#;
         let e = read_trace(&t[..]).unwrap_err();
         assert!(e.to_string().contains("out of range"), "{e}");
+    }
+
+    #[test]
+    fn time_reversed_traces_are_schema_errors() {
+        let trace = |start: u64, times: [u64; 2], end: u64| {
+            format!(
+                r#"{{"net_name":"n","place_names":["p"],"transition_names":["t"],
+                "initial_marking":[0],"initial_env":{{"vars":{{}},"tables":{{}}}},
+                "start_time":{start},"end_time":{end},"deltas":[
+                {{"time":{},"step":1,"kind":{{"type":"place","place":0,"delta":1}}}},
+                {{"time":{},"step":2,"kind":{{"type":"place","place":0,"delta":-1}}}}]}}"#,
+                times[0], times[1]
+            )
+        };
+        assert!(read_trace(trace(2, [2, 5], 5).as_bytes()).is_ok());
+        for (bad, why) in [
+            (trace(2, [5, 3], 9), "a delta before the previous one"),
+            (trace(4, [3, 5], 9), "a delta before start_time"),
+            (trace(2, [2, 5], 4), "end_time before the last delta"),
+        ] {
+            let e = read_trace(bad.as_bytes()).unwrap_err();
+            assert!(matches!(e, JsonError::Schema(_)), "{why}: {e}");
+            assert!(e.to_string().contains("precedes"), "{why}: {e}");
+        }
     }
 
     #[test]

@@ -1,10 +1,22 @@
 //! Cross-crate semantic checks: the §1 time-semantics claims, the trace
 //! pipeline composition, and tool agreement on the same run.
 
-use pnut::core::{NetBuilder, Time};
+use pnut::core::expr::Env;
+use pnut::core::{Net, NetBuilder, Time};
+use pnut::reach::graph::{EdgeLabel, ReachabilityGraph};
 use pnut::sim::{SimOptions, Simulator};
 use pnut::stat::StatCollector;
-use pnut::trace::{DeltaKind, Filter, FilterSpec, RecordedTrace, Recorder, Tee};
+use pnut::trace::{DeltaKind, Filter, FilterSpec, RecordedTrace, Recorder, Tee, TraceState};
+use pnut_bench::workloads::random_net;
+
+/// A checked-in model from `models/`.
+fn model(name: &str) -> Net {
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("models")
+        .join(format!("{name}.pn"));
+    let text = std::fs::read_to_string(path).expect("model file exists");
+    pnut::lang::parse(&text).expect("parses")
+}
 
 /// "Firing times can be easily simulated using enabling times" (§1):
 /// a transition with firing time d behaves, for place occupancy of its
@@ -196,9 +208,9 @@ fn enabling_clock_graph_matches_hold_place_desugaring() {
 /// be *indistinguishable* from writing the constant directly — the
 /// constant-delay desugaring that pins the arm-time resolution
 /// semantics: `build_timed` evaluates `Delay::Expr` enabling times
-/// against the state's environment at the moment the clock arms
-/// (mirroring the simulator's `refresh_enabling`), so a never-written
-/// variable behaves exactly like its initial value.
+/// against the state's environment at the moment the clock arms (the
+/// clock rule the simulator shares), so a never-written variable
+/// behaves exactly like its initial value.
 #[test]
 fn expression_enabling_time_matches_constant_desugaring() {
     use pnut::reach::graph::{build_timed, ReachOptions};
@@ -420,9 +432,7 @@ fn trace_json_roundtrip_full_model() {
     let back = roundtrip(&trace);
     assert_eq!(pnut::stat::analyze(&trace), pnut::stat::analyze(&back));
 
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("models/interpreted.pn");
-    let text = std::fs::read_to_string(path).expect("model file exists");
-    let interpreted = pnut::lang::parse(&text).expect("parses");
+    let interpreted = model("interpreted");
     for seed in 0..5 {
         let trace = pnut::sim::simulate(&interpreted, seed, Time::from_ticks(250)).expect("runs");
         assert_eq!(trace.header().initial_env.tables().count(), 5);
@@ -437,7 +447,7 @@ fn trace_json_roundtrip_full_model() {
         max_firings_per_instant: 10_000,
     };
     for seed in 0..40 {
-        let net = pnut_bench::workloads::random_net(seed);
+        let net = random_net(seed);
         let mut sim = Simulator::with_options(&net, seed, options).expect("constructs");
         let mut rec = Recorder::new();
         if sim.run(Time::from_ticks(100), &mut rec).is_err() {
@@ -468,3 +478,249 @@ fn lang_roundtrip_preserves_behaviour() {
     let t2 = pnut::sim::simulate(&reparsed, 77, horizon).expect("runs");
     assert_eq!(t1.deltas(), t2.deltas());
 }
+
+/// Walk `trace` from state 0 of `g`, the timed graph of the simulated
+/// net, and return the number of edges taken. Each `Start` step follows
+/// its `Fire` edge, so the simulator's conflict choice must be an edge
+/// of the graph. Each time jump follows the one `Advance` edge of that
+/// length, which completes every firing due at the new instant at once,
+/// so it absorbs the trace's `Finish`-only steps there. After every edge
+/// the graph state's marking, in-flight firings per transition and
+/// scalar variables must equal the trace state's (traces record no
+/// table writes).
+fn replay_on_graph(g: &ReachabilityGraph, trace: &RecordedTrace) -> Result<usize, String> {
+    let states: Vec<TraceState> = trace.states().collect();
+    // The transition each step starts, `None` for a completion step;
+    // `starts[k]` belongs to `states[k + 1]`.
+    let mut starts = Vec::new();
+    for (k, d) in trace.deltas().iter().enumerate() {
+        if k == 0 || trace.deltas()[k - 1].step != d.step {
+            starts.push(match d.kind {
+                DeltaKind::Start { transition, .. } => Some(transition),
+                _ => None,
+            });
+        }
+    }
+    let follow = |s: usize, label: EdgeLabel| -> Result<usize, String> {
+        let row = g.successors(s).map_err(|e| e.to_string())?;
+        let mut targets = row.iter().filter(|&&(l, _)| l == label);
+        match (targets.next(), targets.next()) {
+            (Some(&(_, t)), None) => Ok(t as usize),
+            _ => Err(format!("state {s} has no single {label:?} edge: {row:?}")),
+        }
+    };
+    let vars = |env: &Env| {
+        env.vars()
+            .map(|(n, v)| (n.to_string(), v))
+            .collect::<Vec<_>>()
+    };
+    let check = |s: usize, st: &TraceState| -> Result<(), String> {
+        let gs = g.state(s).map_err(|e| e.to_string())?;
+        let marking: Vec<u32> = gs.marking.iter().map(|(_, t)| t).collect();
+        let mut in_flight = vec![0; st.firing_counts.len()];
+        for &(t, _) in gs.in_flight {
+            in_flight[t.index()] += 1;
+        }
+        if marking != st.marking.as_slice()
+            || in_flight != st.firing_counts
+            || vars(gs.env) != vars(&st.env)
+        {
+            return Err(format!(
+                "graph state {s} differs from trace state #{} at t={}",
+                st.index, st.time
+            ));
+        }
+        Ok(())
+    };
+
+    let (mut s, mut now, mut edges) = (0, trace.header().start_time, 0);
+    check(s, &states[0])?;
+    let mut i = 1;
+    while i < states.len() {
+        if states[i].time > now {
+            s = follow(s, EdgeLabel::Advance((states[i].time - now).ticks()))?;
+            now = states[i].time;
+            let mut absorbed = &states[i - 1];
+            while i < states.len() && states[i].time == now && starts[i - 1].is_none() {
+                absorbed = &states[i];
+                i += 1;
+            }
+            check(s, absorbed)?;
+        } else {
+            let t = starts[i - 1].ok_or_else(|| format!("completion at t={now} without a jump"))?;
+            s = follow(s, EdgeLabel::Fire(t))?;
+            check(s, &states[i])?;
+            i += 1;
+        }
+        edges += 1;
+    }
+    Ok(edges)
+}
+
+/// The refinement check between the two engines: every simulation of a
+/// deterministic-delay net replays, state by state, as a path of
+/// `build_timed`'s graph ([`replay_on_graph`]). Only conflict choices
+/// may differ, and each one must be an existing edge. Nets over the
+/// 5 000-state cap are skipped; `pager_protocol` is left out because it
+/// is untimed, so the simulator reports an instant livelock at time 0.
+#[test]
+fn simulations_replay_as_paths_of_the_timed_graph() {
+    use pnut::reach::graph::{build_timed, ReachError, ReachOptions};
+
+    let options = ReachOptions {
+        max_states: 5_000,
+        ..ReachOptions::default()
+    };
+    let mut nets: Vec<(String, Net, u64)> = ["three_stage", "interpreted_analysis", "sequential"]
+        .into_iter()
+        .map(|m| (m.to_string(), model(m), 500))
+        .collect();
+    nets.extend((0..40).map(|seed| (format!("random_net({seed})"), random_net(seed), 200)));
+    let mut replayed_random_nets = 0;
+    for (name, net, until) in &nets {
+        let g = match build_timed(net, &options) {
+            Err(ReachError::StateLimit { .. }) => continue,
+            g => g.expect("builds"),
+        };
+        let mut edges = 0;
+        for seed in 0..8 {
+            let trace = pnut::sim::simulate(net, seed, Time::from_ticks(*until)).expect("runs");
+            edges +=
+                replay_on_graph(&g, &trace).unwrap_or_else(|e| panic!("{name}, seed {seed}: {e}"));
+        }
+        if name.starts_with("random_net") {
+            replayed_random_nets += usize::from(edges > 0);
+        } else {
+            assert!(edges > 0, "{name}: empty traces");
+        }
+    }
+    assert!(
+        replayed_random_nets >= 16,
+        "only {replayed_random_nets} random nets replayed a non-empty trace"
+    );
+}
+
+/// FNV-1a, 64-bit.
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// Per run: `(net, seed, deltas, events started, events finished,
+/// FNV-1a-64 of the JSON trace)`.
+type SimRun<'a> = (&'a str, u64, usize, u64, u64, u64);
+
+/// The simulator's output, pinned exactly: `interpreted.pn` draws
+/// `irand` in actions and delays (so this pins the RNG draw order),
+/// three_stage exercises enabling clocks and caps, and the random nets
+/// cover weighted arcs, inhibitors, predicates, table writes and one
+/// zero-delay cycle, whose livelock error leaves a closed partial
+/// trace.
+#[test]
+fn simulator_output_is_pinned() {
+    let mut runs: Vec<(String, Net, u64, u64)> = Vec::new();
+    for seed in 1..=4 {
+        runs.push(("interpreted".into(), model("interpreted"), seed, 250));
+    }
+    for seed in 1..=2 {
+        runs.push(("three_stage".into(), model("three_stage"), seed, 2_000));
+    }
+    for net in 0..40 {
+        runs.push((format!("random_net({net})"), random_net(net), 1, 200));
+    }
+    // Keeps the zero-delay cycle's livelock short.
+    let options = SimOptions {
+        max_firings_per_instant: 10_000,
+    };
+    let mut got = Vec::new();
+    for (name, net, seed, until) in &runs {
+        let mut sim = Simulator::with_options(net, *seed, options).expect("constructs");
+        let mut rec = Recorder::new();
+        let summary = sim.run(Time::from_ticks(*until), &mut rec);
+        let trace = rec.into_trace().expect("closed even on failure");
+        let count =
+            |f: fn(&DeltaKind) -> bool| trace.deltas().iter().filter(|d| f(&d.kind)).count();
+        let started = count(|k| matches!(k, DeltaKind::Start { .. })) as u64;
+        let finished = count(|k| matches!(k, DeltaKind::Finish { .. })) as u64;
+        if let Ok(s) = summary {
+            assert_eq!(
+                (s.events_started, s.events_finished),
+                (started, finished),
+                "{name}"
+            );
+        }
+        let mut bytes = Vec::new();
+        trace.write_json(&mut bytes).expect("serializes");
+        got.push((
+            name.as_str(),
+            *seed,
+            trace.deltas().len(),
+            started,
+            finished,
+            fnv1a64(&bytes),
+        ));
+    }
+    let rendered: String = got.iter().map(|r| format!("    {r:?},\n")).collect();
+    assert_eq!(
+        got.as_slice(),
+        SIM_OUTPUT,
+        "simulator output changed; the measured table is:\n{rendered}"
+    );
+}
+
+const SIM_OUTPUT: &[SimRun<'static>] = &[
+    ("interpreted", 1, 2159, 366, 365, 15770965534207904686),
+    ("interpreted", 2, 1756, 296, 296, 12052456031355859893),
+    ("interpreted", 3, 1687, 284, 284, 2744897303797885282),
+    ("interpreted", 4, 1887, 318, 318, 9269661568692833246),
+    ("three_stage", 1, 9804, 1903, 1902, 6817053908590405060),
+    ("three_stage", 2, 11116, 2163, 2163, 3969881047265282051),
+    ("random_net(0)", 1, 12, 3, 3, 657376550397489818),
+    ("random_net(1)", 1, 204, 41, 41, 15558330687072871825),
+    ("random_net(2)", 1, 0, 0, 0, 18094484814144630950),
+    ("random_net(3)", 1, 3, 1, 1, 4755286154632082391),
+    ("random_net(4)", 1, 3, 1, 1, 9721246055259134280),
+    ("random_net(5)", 1, 397, 200, 197, 16056528485191981278),
+    ("random_net(6)", 1, 0, 0, 0, 13947345517900489396),
+    ("random_net(7)", 1, 0, 0, 0, 12166923349008436626),
+    ("random_net(8)", 1, 1200, 300, 300, 2118267438156053987),
+    ("random_net(9)", 1, 400, 100, 100, 2446367426921119328),
+    ("random_net(10)", 1, 726, 266, 263, 6600330228106498176),
+    ("random_net(11)", 1, 0, 0, 0, 5789261460970618288),
+    ("random_net(12)", 1, 0, 0, 0, 4266777279877649201),
+    ("random_net(13)", 1, 6, 2, 2, 5397906134313231576),
+    ("random_net(14)", 1, 1589, 400, 395, 9705358565841448851),
+    ("random_net(15)", 1, 8, 2, 2, 4196346797398562490),
+    ("random_net(16)", 1, 997, 200, 199, 12290536822810716634),
+    ("random_net(17)", 1, 264, 66, 66, 7674589580014513937),
+    ("random_net(18)", 1, 655, 165, 163, 9595525256515861608),
+    ("random_net(19)", 1, 0, 0, 0, 3639357780802539238),
+    ("random_net(20)", 1, 0, 0, 0, 16846937560175613206),
+    ("random_net(21)", 1, 11, 2, 2, 8898699005963476585),
+    ("random_net(22)", 1, 4, 1, 1, 7197446386328382875),
+    ("random_net(23)", 1, 20, 4, 4, 11341161963644752109),
+    ("random_net(24)", 1, 5, 1, 1, 14876581488873216417),
+    ("random_net(25)", 1, 8, 2, 2, 14821285147776513388),
+    ("random_net(26)", 1, 0, 0, 0, 1291899934856185004),
+    ("random_net(27)", 1, 4, 1, 1, 8233427379019605586),
+    ("random_net(28)", 1, 694, 199, 198, 12708985947917195805),
+    ("random_net(29)", 1, 264, 66, 66, 8056613447312703604),
+    (
+        "random_net(30)",
+        1,
+        81427,
+        22286,
+        12285,
+        13608368645666292688,
+    ),
+    ("random_net(31)", 1, 793, 200, 197, 150208187542270510),
+    ("random_net(32)", 1, 1306, 396, 391, 17494576096321319320),
+    ("random_net(33)", 1, 0, 0, 0, 4011465630290009118),
+    ("random_net(34)", 1, 1672, 523, 515, 14341933182514344441),
+    ("random_net(35)", 1, 796, 266, 265, 6453960818238826139),
+    ("random_net(36)", 1, 0, 0, 0, 6648544715031858362),
+    ("random_net(37)", 1, 8, 2, 2, 5071625009170807624),
+    ("random_net(38)", 1, 199, 100, 99, 8888694553064310332),
+    ("random_net(39)", 1, 524, 131, 130, 10316759781586499173),
+];
