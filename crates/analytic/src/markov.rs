@@ -19,11 +19,37 @@
 //!
 //! The construction matches the simulator's semantics, so the two agree
 //! up to sampling noise (tested).
+//!
+//! # Solving the chain
+//!
+//! The jump chain is extracted into flat CSR arrays: row offsets, and
+//! per jump its target, probability and the transition it fires.
+//!
+//! * **Recurrent class.** One iterative Tarjan pass from the initial
+//!   state finds every strongly connected component it reaches. The
+//!   long run lives in the one *closed* component, the one no jump
+//!   leaves; transient start-up states get weight exactly 0. Two or more
+//!   closed components mean the long run depends on which one the chain
+//!   falls into, so there is no single steady state
+//!   ([`MarkovError::NoConvergence`]).
+//! * **Gauss–Seidel.** The stationary vector `π = πP` of that class is
+//!   found by Gauss–Seidel sweeps in state order over the transposed
+//!   chain: each state's new weight is its inflow divided by the mass
+//!   that leaves it (one minus its self-loop probability), and the
+//!   vector is normalised after every sweep.
+//! * **Stopping.** Once a sweep changes `π` by at most
+//!   [`MarkovOptions::tolerance`] in L1, the solver computes the
+//!   residual `‖πP − π‖₁` and stops when that is within the tolerance
+//!   too; it is reported as [`SteadyState::residual`]. The residual says
+//!   how nearly stationary `π` is. It is not a bound on the forward
+//!   error against the exact distribution, which can be larger by the
+//!   chain's condition number.
 
 use pnut_core::{Net, PlaceId, TransitionId};
 use pnut_obs as obs;
-use pnut_reach::graph::{build_timed, EdgeLabel, ReachOptions, ReachabilityGraph};
+use pnut_reach::graph::{build_timed, EdgeLabel, ReachOptions};
 use std::fmt;
+use std::ops::Range;
 
 /// Why steady-state analysis failed.
 #[derive(Debug, Clone, PartialEq)]
@@ -49,7 +75,10 @@ pub enum MarkovError {
         /// The configured cap.
         cap: usize,
     },
-    /// The iteration did not converge (pathological chain).
+    /// No single steady state was found: either two or more closed
+    /// classes are reachable from the initial state, or Gauss–Seidel
+    /// did not bring the residual within [`MarkovOptions::tolerance`]
+    /// in [`MarkovOptions::max_iterations`] sweeps.
     NoConvergence,
 }
 
@@ -89,9 +118,12 @@ impl From<pnut_reach::ReachError> for MarkovError {
 pub struct MarkovOptions {
     /// Maximum states for the dense chain.
     pub max_states: usize,
-    /// Power-iteration sweep cap.
+    /// Cap on Gauss–Seidel sweeps; a solve that needs more fails with
+    /// [`MarkovError::NoConvergence`].
     pub max_iterations: usize,
-    /// L1 convergence tolerance on the running average.
+    /// The solver stops once the residual `‖πP − π‖₁` of the jump
+    /// chain's stationary vector is at most this (see
+    /// [`SteadyState::residual`]).
     pub tolerance: f64,
     /// Worker threads for the underlying timed reachability build (see
     /// [`pnut_reach::ReachOptions::jobs`]); the chain extraction itself
@@ -102,8 +134,9 @@ pub struct MarkovOptions {
     /// chain extraction and the place-average pass honor it by
     /// scanning the *graph* segment-at-a-time instead of faulting it
     /// resident — but the budget governs the graph arenas only: the
-    /// extracted jump chain itself (one `(target, probability, label)`
-    /// entry per edge, plus the `O(states)` iteration vectors) is dense
+    /// extracted jump chain itself (CSR arrays with one target,
+    /// probability and fired transition per edge, their transpose over
+    /// the recurrent class, and the `O(states)` solver vectors) is dense
     /// and stays unconditionally in memory, outside the pager ledger.
     /// The dense-chain cap is [`Self::max_states`]; paging the chain is
     /// not attempted.
@@ -140,6 +173,11 @@ pub struct SteadyState {
     pub transition_throughput: Vec<f64>,
     /// Mean ticks per embedded jump (the normalization constant).
     pub mean_sojourn: f64,
+    /// The L1 residual `‖πP − π‖₁` of the jump chain's stationary
+    /// vector `π` when the solver stopped, at most
+    /// [`MarkovOptions::tolerance`]. It measures how nearly stationary
+    /// `π` is, not its distance from the exact distribution.
+    pub residual: f64,
 }
 
 impl SteadyState {
@@ -191,7 +229,6 @@ impl SteadyState {
 /// # Ok(())
 /// # }
 /// ```
-#[allow(clippy::needless_range_loop)] // matrix/state indexing reads clearest with indices
 pub fn steady_state(net: &Net, options: &MarkovOptions) -> Result<SteadyState, MarkovError> {
     let mut graph = build_timed(
         net,
@@ -214,125 +251,69 @@ pub fn steady_state(net: &Net, options: &MarkovOptions) -> Result<SteadyState, M
     // byte budget (verified below in debug builds).
     graph.reset_peak_resident_bytes();
 
-    // Embedded jump chain: per state, (successor, probability, label).
-    // Extracted segment-at-a-time — pin one segment's edge rows, scan
-    // them, evict back under the byte budget — so the extraction phase
-    // stays inside `mem_budget` instead of faulting the whole graph
-    // resident. Deadlocks surface here too (segment order is state
-    // order, so the first one found is the lowest-numbered, matching
-    // the pre-paging behaviour of `deadlocks().first()`).
+    // Embedded jump chain, extracted segment-at-a-time — pin one
+    // segment's edge rows, scan them, evict back under the byte budget —
+    // so the extraction phase stays inside `mem_budget` instead of
+    // faulting the whole graph resident. Deadlocks surface here too
+    // (segment order is state order, so the first one found is the
+    // lowest-numbered, matching the pre-paging behaviour of
+    // `deadlocks().first()`).
     let extract_span = obs::span("markov.extract");
-    let mut jumps: Vec<Vec<(usize, f64, EdgeLabel)>> = Vec::with_capacity(n);
+    let mut chain = JumpChain::with_capacity(n, graph.edge_count());
     let mut sojourn = vec![0.0f64; n];
+    let frequency = |label| match label {
+        EdgeLabel::Fire(t) => net.transition(t).frequency(),
+        EdgeLabel::Advance(_) => 0.0,
+    };
     for seg in 0..graph.segment_count() {
         {
             let guard = graph.pin_segment(seg);
             for s in guard.range() {
                 let edges = guard.successors(s)?;
-                if edges.is_empty() {
-                    return Err(MarkovError::Deadlock { state: s });
+                // Frequencies are positive, so a zero total means no Fire
+                // edge: maximal progress leaves exactly one Advance edge.
+                let total: f64 = edges.iter().map(|&(label, _)| frequency(label)).sum();
+                match edges.first() {
+                    None => return Err(MarkovError::Deadlock { state: s }),
+                    Some(&(EdgeLabel::Advance(dt), to)) if total == 0.0 => {
+                        sojourn[s] = dt as f64;
+                        chain.push(to, 1.0, None);
+                    }
+                    Some(_) => {
+                        for &(label, to) in edges {
+                            if let EdgeLabel::Fire(t) = label {
+                                let p = net.transition(t).frequency() / total;
+                                chain.push(to, p, Some(t));
+                            }
+                        }
+                    }
                 }
-                let fires: Vec<_> = edges
-                    .iter()
-                    .filter(|(l, _)| matches!(l, EdgeLabel::Fire(_)))
-                    .collect();
-                if !fires.is_empty() {
-                    let total: f64 = fires
-                        .iter()
-                        .map(|&&(l, _)| match l {
-                            EdgeLabel::Fire(t) => net.transition(t).frequency(),
-                            EdgeLabel::Advance(_) => 0.0,
-                        })
-                        .sum();
-                    jumps.push(
-                        fires
-                            .iter()
-                            .map(|&&(l, to)| {
-                                let f = match l {
-                                    EdgeLabel::Fire(t) => net.transition(t).frequency(),
-                                    EdgeLabel::Advance(_) => 0.0,
-                                };
-                                (to as usize, f / total, l)
-                            })
-                            .collect(),
-                    );
-                } else {
-                    // Exactly one Advance edge (maximal-progress
-                    // construction).
-                    let &(label, to) = edges.first().expect("non-deadlock state has an edge");
-                    let EdgeLabel::Advance(dt) = label else {
-                        unreachable!("non-fire edge is an advance");
-                    };
-                    sojourn[s] = dt as f64;
-                    jumps.push(vec![(to as usize, 1.0, label)]);
-                }
+                chain.end_row();
             }
         }
         graph.maintain()?;
     }
-    obs::metrics::MARKOV_EXTRACTED_EDGES.add(jumps.iter().map(|out| out.len() as u64).sum());
+    obs::metrics::MARKOV_EXTRACTED_EDGES.add(chain.to.len() as u64);
     drop(extract_span);
     if sojourn.iter().all(|&t| t == 0.0) {
         return Err(MarkovError::Zeno);
     }
 
-    // The long-run behaviour lives in the bottom strongly connected
-    // component reachable from the initial state (transient start-up
-    // states have zero long-run weight). Physical models have exactly
-    // one; several would mean the long run depends on random absorption
-    // and no single steady state exists.
-    let recurrent = bottom_scc(&jumps, n)?;
-
-    // Stationary distribution of the jump chain on the recurrent class,
-    // by power iteration on the *lazy* chain (P + I) / 2 — aperiodic by
-    // construction with the same stationary vector, so convergence is
-    // geometric even for periodic nets.
-    let mut average = vec![0.0f64; n];
-    {
-        let members: Vec<usize> = (0..n).filter(|&s| recurrent[s]).collect();
-        for &s in &members {
-            average[s] = 1.0 / members.len() as f64;
-        }
-    }
-    let solve_span = obs::span("markov.solve");
-    let mut converged = false;
-    for iter in 0..options.max_iterations {
-        obs::metrics::MARKOV_SOLVER_ITERATIONS.inc();
-        obs::heartbeat(iter as u64 + 1, || {
-            format!(
-                "markov solve: iteration {} of at most {}",
-                iter + 1,
-                options.max_iterations
-            )
-        });
-        let mut next = vec![0.0f64; n];
-        for (s, out) in jumps.iter().enumerate() {
-            if average[s] == 0.0 {
-                continue;
-            }
-            next[s] += 0.5 * average[s];
-            for &(to, p, _) in out {
-                next[to] += 0.5 * average[s] * p;
-            }
-        }
-        let delta: f64 = next.iter().zip(&average).map(|(a, b)| (a - b).abs()).sum();
-        average = next;
-        if delta < options.tolerance {
-            converged = true;
-            break;
-        }
-    }
-    drop(solve_span);
-    if !converged {
-        return Err(MarkovError::NoConvergence);
-    }
+    let class = {
+        let _scc = obs::span("markov.scc");
+        chain.recurrent_class()?
+    };
+    let (pi, residual) = {
+        let _solve = obs::span("markov.solve");
+        chain.gauss_seidel(&class, options)?
+    };
 
     // Time-weight by sojourns.
-    let mean_sojourn: f64 = average.iter().zip(&sojourn).map(|(&p, &t)| p * t).sum();
+    let mean_sojourn: f64 = pi.iter().zip(&sojourn).map(|(&p, &t)| p * t).sum();
     if mean_sojourn <= 0.0 {
         return Err(MarkovError::Zeno);
     }
-    let state_fraction: Vec<f64> = average
+    let state_fraction: Vec<f64> = pi
         .iter()
         .zip(&sojourn)
         .map(|(&p, &t)| p * t / mean_sojourn)
@@ -383,10 +364,10 @@ pub fn steady_state(net: &Net, options: &MarkovOptions) -> Result<SteadyState, M
     // Throughput of t: expected Fire(t) jumps per tick
     //   = Σ_s π(s) · P(s fires t) / mean_sojourn.
     let mut transition_throughput = vec![0.0f64; net.transition_count()];
-    for (s, out) in jumps.iter().enumerate() {
-        for &(_, p, label) in out {
-            if let EdgeLabel::Fire(t) = label {
-                transition_throughput[t.index()] += average[s] * p;
+    for (s, &weight) in pi.iter().enumerate() {
+        for k in chain.jumps(s) {
+            if let Some(t) = chain.fires[k] {
+                transition_throughput[t.index()] += weight * chain.prob[k];
             }
         }
     }
@@ -399,95 +380,257 @@ pub fn steady_state(net: &Net, options: &MarkovOptions) -> Result<SteadyState, M
         place_average_tokens,
         transition_throughput,
         mean_sojourn,
+        residual,
     })
 }
 
-/// The set of states in the unique bottom SCC reachable from state 0.
-///
-/// # Errors
-///
-/// [`MarkovError::NoConvergence`] is *not* used here; multiple bottom
-/// SCCs are reported as deadlock-like absence of a single steady state.
-fn bottom_scc(jumps: &[Vec<(usize, f64, EdgeLabel)>], n: usize) -> Result<Vec<bool>, MarkovError> {
-    // Tarjan-free approach: repeatedly test, for each state s reachable
-    // from 0, whether s is in a bottom class: every state reachable from
-    // s can reach s. Model graphs are small; O(n * edges) is fine.
-    let reachable_from = |start: usize| -> Vec<bool> {
-        let mut seen = vec![false; n];
-        let mut stack = vec![start];
-        seen[start] = true;
-        while let Some(v) = stack.pop() {
-            for &(w, _, _) in &jumps[v] {
-                if !seen[w] {
-                    seen[w] = true;
-                    stack.push(w);
-                }
-            }
-        }
-        seen
-    };
-    // Reverse adjacency for co-reachability.
-    let mut reverse: Vec<Vec<usize>> = vec![Vec::new(); n];
-    for (v, out) in jumps.iter().enumerate() {
-        for &(w, _, _) in out {
-            reverse[w].push(v);
-        }
-    }
-    let coreachable_of = |start: usize| -> Vec<bool> {
-        let mut seen = vec![false; n];
-        let mut stack = vec![start];
-        seen[start] = true;
-        while let Some(v) = stack.pop() {
-            for &w in &reverse[v] {
-                if !seen[w] {
-                    seen[w] = true;
-                    stack.push(w);
-                }
-            }
-        }
-        seen
-    };
-    let from_initial = reachable_from(0);
-    let mut recurrent = vec![false; n];
-    let mut found_class_rep: Option<usize> = None;
-    for s in 0..n {
-        if !from_initial[s] || recurrent[s] {
-            continue;
-        }
-        let reach_s = reachable_from(s);
-        let coreach_s = coreachable_of(s);
-        // s is recurrent iff everything reachable from s reaches s back.
-        let is_recurrent = (0..n).filter(|&v| reach_s[v]).all(|v| coreach_s[v]);
-        if is_recurrent {
-            match found_class_rep {
-                None => {
-                    found_class_rep = Some(s);
-                    for (v, r) in recurrent.iter_mut().enumerate() {
-                        *r = reach_s[v];
-                    }
-                }
-                Some(rep) => {
-                    // Same class if s reaches rep.
-                    if !reach_s[rep] {
-                        return Err(MarkovError::NoConvergence);
-                    }
-                }
-            }
-        }
-    }
-    if found_class_rep.is_none() {
-        return Err(MarkovError::NoConvergence);
-    }
-    Ok(recurrent)
+/// The embedded jump chain in CSR form: the jumps out of state `s` are
+/// the entries `row[s]..row[s + 1]` of `to`, `prob` and `fires` (the
+/// transition the jump starts, `None` for a time advance).
+struct JumpChain {
+    row: Vec<usize>,
+    to: Vec<u32>,
+    prob: Vec<f64>,
+    fires: Vec<Option<TransitionId>>,
 }
 
-/// Sanity shim so the module is reachable from the crate root docs.
-pub(crate) fn _module_marker(_: &ReachabilityGraph) {}
+impl JumpChain {
+    fn with_capacity(states: usize, jumps: usize) -> Self {
+        let mut row = Vec::with_capacity(states + 1);
+        row.push(0);
+        JumpChain {
+            row,
+            to: Vec::with_capacity(jumps),
+            prob: Vec::with_capacity(jumps),
+            fires: Vec::with_capacity(jumps),
+        }
+    }
+
+    /// Append one jump to the row being built.
+    fn push(&mut self, to: u32, prob: f64, fires: Option<TransitionId>) {
+        self.to.push(to);
+        self.prob.push(prob);
+        self.fires.push(fires);
+    }
+
+    /// Close the row being built; the next jump belongs to the next
+    /// state.
+    fn end_row(&mut self) {
+        self.row.push(self.to.len());
+    }
+
+    fn states(&self) -> usize {
+        self.row.len() - 1
+    }
+
+    fn jumps(&self, s: usize) -> Range<usize> {
+        self.row[s]..self.row[s + 1]
+    }
+
+    /// The recurrent class: the states, ascending, of the one closed
+    /// strongly connected component reachable from state 0, found by
+    /// one iterative Tarjan pass (Tarjan, 1972).
+    ///
+    /// # Errors
+    ///
+    /// [`MarkovError::NoConvergence`] if two or more closed components
+    /// are reachable.
+    fn recurrent_class(&self) -> Result<Vec<u32>, MarkovError> {
+        const UNSEEN: u32 = u32::MAX;
+        let n = self.states();
+        // Discovery order, lowlink, and the component of each state once
+        // it is finished (named by its root's discovery order); a state
+        // is on the Tarjan stack iff it is seen but not yet in a
+        // component.
+        let mut order = vec![UNSEEN; n];
+        let mut low = vec![UNSEEN; n];
+        let mut component = vec![UNSEEN; n];
+        order[0] = 0;
+        low[0] = 0;
+        let mut seen = 1u32;
+        let mut stack = vec![0u32];
+        // DFS frames: a state and its next jump to follow.
+        let mut frames = vec![(0usize, self.row[0])];
+        let mut closed: Option<u32> = None;
+        while let Some(frame) = frames.last_mut() {
+            let (v, next) = *frame;
+            if next < self.row[v + 1] {
+                frame.1 += 1;
+                let w = self.to[next] as usize;
+                if order[w] == UNSEEN {
+                    order[w] = seen;
+                    low[w] = seen;
+                    seen += 1;
+                    stack.push(w as u32);
+                    frames.push((w, self.row[w]));
+                } else if component[w] == UNSEEN {
+                    low[v] = low[v].min(order[w]);
+                }
+                continue;
+            }
+            frames.pop();
+            if let Some(&(parent, _)) = frames.last() {
+                low[parent] = low[parent].min(low[v]);
+            }
+            if low[v] != order[v] {
+                continue;
+            }
+            // `v` roots a component: everything above it on the stack.
+            let root = stack.iter().rposition(|&s| s as usize == v).unwrap_or(0);
+            let members = &stack[root..];
+            for &s in members {
+                component[s as usize] = order[v];
+            }
+            // Every jump out of a member ends in this component or in
+            // one finished earlier, so a closed one keeps them all.
+            let is_closed = members.iter().all(|&s| {
+                self.jumps(s as usize)
+                    .all(|k| component[self.to[k] as usize] == order[v])
+            });
+            if is_closed {
+                if closed.is_some() {
+                    return Err(MarkovError::NoConvergence);
+                }
+                closed = Some(order[v]);
+            }
+            stack.truncate(root);
+        }
+        let closed = closed.ok_or(MarkovError::NoConvergence)?;
+        Ok((0..n as u32)
+            .filter(|&s| component[s as usize] == closed)
+            .collect())
+    }
+
+    /// The stationary vector of the jump chain, zero outside `class`,
+    /// and its residual `‖πP − π‖₁`: Gauss–Seidel sweeps in state order
+    /// (Stewart, *Introduction to the Numerical Solution of Markov
+    /// Chains*, 1994), normalised after each, from the uniform vector on
+    /// `class`.
+    ///
+    /// # Errors
+    ///
+    /// [`MarkovError::NoConvergence`] if the residual is still above
+    /// `options.tolerance` after `options.max_iterations` sweeps.
+    fn gauss_seidel(
+        &self,
+        class: &[u32],
+        options: &MarkovOptions,
+    ) -> Result<(Vec<f64>, f64), MarkovError> {
+        let n = self.states();
+        // The transposed chain over the class, which is closed, so every
+        // jump out of a member lands on a member. Per state: `leave`, the
+        // mass of its jumps to other states, and its in-jumps from other
+        // states (source-ordered), each divided by the target's `leave`
+        // so that a state's new weight is its plain inflow.
+        let mut leave = vec![0.0f64; n];
+        let mut in_row = vec![0usize; n + 1];
+        for &s in class {
+            let s = s as usize;
+            for k in self.jumps(s) {
+                let to = self.to[k] as usize;
+                if to != s {
+                    leave[s] += self.prob[k];
+                    in_row[to + 1] += 1;
+                }
+            }
+        }
+        for s in 0..n {
+            in_row[s + 1] += in_row[s];
+        }
+        let mut fill = in_row.clone();
+        let mut in_from = vec![0u32; in_row[n]];
+        let mut in_prob = vec![0.0f64; in_row[n]];
+        for &s in class {
+            for k in self.jumps(s as usize) {
+                let to = self.to[k] as usize;
+                if to != s as usize {
+                    in_from[fill[to]] = s;
+                    in_prob[fill[to]] = self.prob[k] / leave[to];
+                    fill[to] += 1;
+                }
+            }
+        }
+        let inflow = |pi: &[f64], s: usize| -> f64 {
+            let jumps = in_row[s]..in_row[s + 1];
+            in_from[jumps.clone()]
+                .iter()
+                .zip(&in_prob[jumps])
+                .map(|(&from, &p)| pi[from as usize] * p)
+                .sum()
+        };
+
+        let mut pi = vec![0.0f64; n];
+        for &s in class {
+            pi[s as usize] = 1.0 / class.len() as f64;
+        }
+        for sweep in 0..options.max_iterations {
+            obs::metrics::MARKOV_SOLVER_ITERATIONS.inc();
+            obs::heartbeat(sweep as u64 + 1, || {
+                format!(
+                    "markov solve: sweep {} of at most {}",
+                    sweep + 1,
+                    options.max_iterations
+                )
+            });
+            let mut change = 0.0f64;
+            let mut total = 0.0f64;
+            for &s in class {
+                let s = s as usize;
+                // A state whose every jump is a self-loop is a class of
+                // its own and keeps its weight.
+                let next = if leave[s] > 0.0 {
+                    inflow(&pi, s)
+                } else {
+                    pi[s]
+                };
+                change += (next - pi[s]).abs();
+                total += next;
+                pi[s] = next;
+            }
+            let scale = 1.0 / total;
+            for &s in class {
+                pi[s as usize] *= scale;
+            }
+            if change > options.tolerance {
+                continue;
+            }
+            // (πP − π)(s) = Σᵢ π(i)·P(i, s) − π(s)·leave(s)
+            //            = leave(s)·(inflow(s) − π(s)),
+            // since `inflow` divides by `leave`.
+            let residual: f64 = class
+                .iter()
+                .map(|&s| {
+                    let s = s as usize;
+                    leave[s] * (inflow(&pi, s) - pi[s]).abs()
+                })
+                .sum();
+            if residual <= options.tolerance {
+                return Ok((pi, residual));
+            }
+        }
+        Err(MarkovError::NoConvergence)
+    }
+}
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use pnut_core::{NetBuilder, Time};
+
+    /// [`steady_state`], holding every `Ok` result to the solver's
+    /// stopping rule: its residual is within the tolerance.
+    fn solve(net: &Net, options: &MarkovOptions) -> Result<SteadyState, MarkovError> {
+        let result = steady_state(net, options);
+        if let Ok(ss) = &result {
+            assert!(
+                ss.residual <= options.tolerance,
+                "residual {} above tolerance {}",
+                ss.residual,
+                options.tolerance
+            );
+        }
+        result
+    }
 
     fn ring(d1: u64, d2: u64) -> pnut_core::Net {
         let mut b = NetBuilder::new("ring");
@@ -501,7 +644,7 @@ mod tests {
     #[test]
     fn deterministic_ring_exact() {
         let net = ring(3, 1);
-        let ss = steady_state(&net, &MarkovOptions::default()).unwrap();
+        let ss = solve(&net, &MarkovOptions::default()).unwrap();
         let ab = net.transition_id("ab").unwrap();
         let ba = net.transition_id("ba").unwrap();
         assert!((ss.throughput(ab) - 0.25).abs() < 1e-9);
@@ -546,7 +689,7 @@ mod tests {
         let net = b.build().unwrap();
 
         assert!(crate::analyze(&net).is_err(), "not a marked graph");
-        let ss = steady_state(&net, &MarkovOptions::default()).unwrap();
+        let ss = solve(&net, &MarkovOptions::default()).unwrap();
 
         let trace = pnut_sim::simulate(&net, 7, Time::from_ticks(200_000)).unwrap();
         let report = pnut_stat::analyze(&trace);
@@ -594,7 +737,7 @@ mod tests {
             .add();
         b.transition("reset").input("spent").output("waiting").add();
         let net = b.build().unwrap();
-        let ss = steady_state(&net, &MarkovOptions::default()).unwrap();
+        let ss = solve(&net, &MarkovOptions::default()).unwrap();
         // Cycle: 4 ticks timing (waiting occupied) + 1 tick moving.
         let waiting = net.place_id("waiting").unwrap();
         assert!(
@@ -612,7 +755,7 @@ mod tests {
         b.transition("t").input("p").output("q").firing(1).add();
         let net = b.build().unwrap();
         assert!(matches!(
-            steady_state(&net, &MarkovOptions::default()),
+            solve(&net, &MarkovOptions::default()),
             Err(MarkovError::Deadlock { .. })
         ));
 
@@ -623,9 +766,106 @@ mod tests {
         // A zero-delay self-loop: the timed graph is 1 state with a Fire
         // self-edge and no Advance; no time ever passes.
         assert!(matches!(
-            steady_state(&net, &MarkovOptions::default()),
+            solve(&net, &MarkovOptions::default()),
             Err(MarkovError::Zeno)
         ));
+
+        // The same self-loop after one tick of start-up: time passes
+        // once, then never again. The loop state is a recurrent class
+        // of its own whose every jump is a self-loop.
+        let mut b = NetBuilder::new("late_zeno");
+        b.place("p", 1);
+        b.place("q", 0);
+        b.transition("t").input("p").output("q").firing(1).add();
+        b.transition("spin").input("q").output("q").add();
+        let net = b.build().unwrap();
+        assert!(matches!(
+            solve(&net, &MarkovOptions::default()),
+            Err(MarkovError::Zeno)
+        ));
+    }
+
+    #[test]
+    fn two_closed_classes_have_no_single_steady_state() {
+        // A zero-delay choice commits the token to one of two separate
+        // timed rings, so the long run depends on that first choice.
+        let mut b = NetBuilder::new("fork");
+        b.place("start", 1);
+        for side in ["l", "r"] {
+            let (here, there) = (format!("{side}_here"), format!("{side}_there"));
+            b.place(here.clone(), 0);
+            b.place(there.clone(), 0);
+            b.transition(format!("{side}_go"))
+                .input("start")
+                .output(here.clone())
+                .add();
+            b.transition(format!("{side}_out"))
+                .input(here.clone())
+                .output(there.clone())
+                .firing(2)
+                .add();
+            b.transition(format!("{side}_back"))
+                .input(there)
+                .output(here)
+                .firing(1)
+                .add();
+        }
+        let net = b.build().unwrap();
+        assert_eq!(
+            solve(&net, &MarkovOptions::default()),
+            Err(MarkovError::NoConvergence)
+        );
+    }
+
+    #[test]
+    fn transient_prefix_gets_no_weight() {
+        // A one-shot start-up transition feeds the 4-tick ring of
+        // `ring(3, 1)`.
+        let mut b = NetBuilder::new("boot");
+        b.place("boot", 1);
+        b.place("a", 0);
+        b.place("bp", 0);
+        b.transition("init")
+            .input("boot")
+            .output("a")
+            .firing(2)
+            .add();
+        b.transition("ab").input("a").output("bp").firing(3).add();
+        b.transition("ba").input("bp").output("a").firing(1).add();
+        let net = b.build().unwrap();
+        let ss = solve(&net, &MarkovOptions::default()).unwrap();
+
+        // The prefix: every state before the first `ab` firing.
+        let graph = build_timed(&net, &ReachOptions::default()).unwrap();
+        let ab = net.transition_id("ab").unwrap();
+        let mut prefix = Vec::new();
+        let mut s = 0;
+        loop {
+            let edges = graph.successors(s).unwrap();
+            if edges.iter().any(|&(label, _)| label == EdgeLabel::Fire(ab)) {
+                break;
+            }
+            prefix.push(s);
+            s = edges[0].1 as usize;
+        }
+        assert_eq!(prefix.len(), 2, "`init` starts, then its 2 ticks pass");
+        for s in prefix {
+            assert_eq!(ss.state_fraction[s], 0.0, "prefix state {s}");
+        }
+        assert_eq!(ss.throughput(net.transition_id("init").unwrap()), 0.0);
+        assert_eq!(ss.throughput(ab), 0.25);
+        assert_eq!(ss.throughput(net.transition_id("ba").unwrap()), 0.25);
+    }
+
+    #[test]
+    fn one_sweep_does_not_solve_three_stage() {
+        let net =
+            pnut_pipeline::three_stage::build(&pnut_pipeline::ThreeStageConfig::default()).unwrap();
+        let options = MarkovOptions {
+            max_iterations: 1,
+            ..MarkovOptions::default()
+        };
+        assert_eq!(solve(&net, &options), Err(MarkovError::NoConvergence));
     }
 
     #[test]
@@ -639,7 +879,7 @@ mod tests {
         b.transition("t").input("p").output("q").enabling(3).add();
         b.transition("r").input("q").output("p").add();
         let net = b.build().unwrap();
-        let ss = steady_state(&net, &MarkovOptions::default()).unwrap();
+        let ss = solve(&net, &MarkovOptions::default()).unwrap();
         let t = net.transition_id("t").unwrap();
         assert!(
             (ss.throughput(t) - 1.0 / 3.0).abs() < 1e-9,
@@ -679,8 +919,8 @@ mod tests {
             b.build().unwrap()
         };
         let net = build(true);
-        let ss = steady_state(&net, &MarkovOptions::default()).unwrap();
-        let constant = steady_state(&build(false), &MarkovOptions::default()).unwrap();
+        let ss = solve(&net, &MarkovOptions::default()).unwrap();
+        let constant = solve(&build(false), &MarkovOptions::default()).unwrap();
         let t = net.transition_id("t").unwrap();
         assert!(
             (ss.throughput(t) - 1.0 / 3.0).abs() < 1e-9,

@@ -61,8 +61,9 @@ pub fn timed_fragment(tokens: u32) -> Net {
     b.build().expect("fragment builds")
 }
 
-/// A tiny deterministic PRNG (splitmix64) so [`random_net`] needs no
-/// external crate and the same seed always yields the same net.
+/// A tiny deterministic PRNG (splitmix64) so [`random_net`] and
+/// [`random_marked_graph`] need no external crate and the same seed
+/// always yields the same net.
 struct Split64(u64);
 
 impl Split64 {
@@ -178,6 +179,48 @@ pub fn random_net(seed: u64) -> Net {
     b.build().expect("generated nets are well-formed")
 }
 
+/// A seeded, strongly connected timed marked graph: a ring of 2–6
+/// transitions with one place per ring arc holding 1–2 tokens, plus 0–2
+/// chord places between random transitions holding 0–2 tokens. Firing
+/// delays are 1–5 ticks; there are no enabling delays.
+///
+/// Every place has one producer and one consumer and the ring connects
+/// every transition, so `pnut_analytic::analyze` gives the exact cycle
+/// time of each net, unless token-free chords alone close a circuit (a
+/// chord from a transition to itself, or two chords forming a cycle)
+/// and the net deadlocks.
+pub fn random_marked_graph(seed: u64) -> Net {
+    let mut r = Split64(seed);
+    let mut b = NetBuilder::new(format!("marked_{seed}"));
+    let ring = r.range(2, 6);
+    for i in 0..ring {
+        b.place(format!("ring{i}"), r.range(1, 2) as u32);
+    }
+    let chords: Vec<(u64, u64)> = (0..r.range(0, 2))
+        .map(|c| {
+            b.place(format!("chord{c}"), r.range(0, 2) as u32);
+            (r.range(0, ring - 1), r.range(0, ring - 1))
+        })
+        .collect();
+    for i in 0..ring {
+        // Ring arc `i` runs from `t<i>` to `t<i + 1>`.
+        let mut t = b
+            .transition(format!("t{i}"))
+            .input(format!("ring{}", (i + ring - 1) % ring))
+            .output(format!("ring{i}"));
+        for (c, &(from, to)) in chords.iter().enumerate() {
+            if from == i {
+                t = t.output(format!("chord{c}"));
+            }
+            if to == i {
+                t = t.input(format!("chord{c}"));
+            }
+        }
+        t.firing(r.range(1, 5)).add();
+    }
+    b.build().expect("generated marked graphs are well-formed")
+}
+
 /// `cells` independent one-shot toggles: cell `i` moves its single token
 /// from `u<i>` to `d<i>` once. The untimed state space is the Boolean
 /// lattice `2^cells` and BFS level `L` holds `C(cells, L)` states, so —
@@ -209,6 +252,7 @@ mod tests {
     fn random_net_is_deterministic() {
         for seed in 0..20 {
             assert_eq!(random_net(seed), random_net(seed));
+            assert_eq!(random_marked_graph(seed), random_marked_graph(seed));
         }
     }
 

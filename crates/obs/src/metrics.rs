@@ -223,7 +223,7 @@ pub static CTL_EG_ITERATIONS: Counter = Counter::new();
 
 /// Jump-chain edges extracted from the timed graph.
 pub static MARKOV_EXTRACTED_EDGES: Counter = Counter::new();
-/// Power-iteration steps of the steady-state solver.
+/// Gauss–Seidel sweeps of the steady-state solver.
 pub static MARKOV_SOLVER_ITERATIONS: Counter = Counter::new();
 
 // --- sim / cover ------------------------------------------------------

@@ -12,6 +12,9 @@
 //! * **Exact explorer work**: the store, pager and level counters of
 //!   every build of the checked-in models are pinned, so a change to the
 //!   explorer's work (not just its result) fails here.
+//! * **Exact solver work**: the Markov chain's edge count and the
+//!   solver's sweep count on the checked-in models are pinned the same
+//!   way.
 //!
 //! The recorder is process-global, so this lives in its own test
 //! binary and every test serializes on one mutex.
@@ -34,6 +37,13 @@ impl Drop for Installed<'_> {
     fn drop(&mut self) {
         obs::uninstall();
     }
+}
+
+fn checked_in(model: &str) -> pnut::core::Net {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+    let src = std::fs::read_to_string(root.join("models").join(format!("{model}.pn")))
+        .expect("checked-in model");
+    pnut::lang::parse(&src).expect("parses")
 }
 
 fn options(jobs: usize, mem_budget: usize) -> ReachOptions {
@@ -213,7 +223,6 @@ fn explorer_work_is_pinned_on_the_checked_in_models() {
         "pager.spill_write_bytes",
         "reach.levels",
     ];
-    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
     let mut got = Vec::new();
     for model in [
         "three_stage",
@@ -221,9 +230,7 @@ fn explorer_work_is_pinned_on_the_checked_in_models() {
         "sequential",
         "pager_protocol",
     ] {
-        let src = std::fs::read_to_string(root.join("models").join(format!("{model}.pn")))
-            .expect("checked-in model");
-        let net = pnut::lang::parse(&src).expect("parses");
+        let net = checked_in(model);
         for timed in [false, true] {
             for jobs in [1, 4] {
                 for budget_kib in [0, 64] {
@@ -256,6 +263,47 @@ fn explorer_work_is_pinned_on_the_checked_in_models() {
         got.as_slice(),
         EXPLORER_WORK,
         "explorer work changed; the measured table is:\n{rendered}"
+    );
+}
+
+/// The Markov solver's exact work on the checked-in models, one row per
+/// model: `markov.extracted_edges` and `markov.solver_iterations`
+/// (Gauss–Seidel sweeps) of one default `steady_state`.
+#[rustfmt::skip]
+const MARKOV_WORK: &[(&str, [u64; 2])] = &[
+    ("three_stage", [4876, 87]),
+    ("interpreted_analysis", [984, 447]),
+    ("sequential", [39, 21]),
+];
+
+#[test]
+fn markov_solver_work_is_pinned_on_the_checked_in_models() {
+    use pnut::analytic::markov::{steady_state, MarkovOptions};
+
+    let _g = serial();
+    let mut got = Vec::new();
+    for &(model, _) in MARKOV_WORK {
+        let net = checked_in(model);
+        obs::install();
+        steady_state(&net, &MarkovOptions::default()).expect("analyzable");
+        obs::uninstall();
+        let snap = obs::snapshot();
+        got.push((
+            model,
+            [
+                snap.counter("markov.extracted_edges"),
+                snap.counter("markov.solver_iterations"),
+            ],
+        ));
+    }
+    let rendered: String = got
+        .iter()
+        .map(|(m, w)| format!("    ({m:?}, {w:?}),\n"))
+        .collect();
+    assert_eq!(
+        got.as_slice(),
+        MARKOV_WORK,
+        "markov solver work changed; the measured table is:\n{rendered}"
     );
 }
 

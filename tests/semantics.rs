@@ -7,7 +7,7 @@ use pnut::reach::graph::{EdgeLabel, ReachabilityGraph};
 use pnut::sim::{SimOptions, Simulator};
 use pnut::stat::StatCollector;
 use pnut::trace::{DeltaKind, Filter, FilterSpec, RecordedTrace, Recorder, Tee, TraceState};
-use pnut_bench::workloads::random_net;
+use pnut_bench::workloads::{random_marked_graph, random_net};
 
 /// A checked-in model from `models/`.
 fn model(name: &str) -> Net {
@@ -724,3 +724,44 @@ const SIM_OUTPUT: &[SimRun<'static>] = &[
     ("random_net(38)", 1, 199, 100, 99, 8888694553064310332),
     ("random_net(39)", 1, 524, 131, 130, 10316759781586499173),
 ];
+
+/// Exact oracle for the Markov solver: on a strongly connected timed
+/// marked graph every transition fires once per cycle time, so each
+/// steady-state throughput must equal `1 / CT` from the cycle-time
+/// analysis, and the solve must meet its own residual bound.
+#[test]
+fn markov_throughput_is_the_inverse_cycle_time_on_marked_graphs() {
+    use pnut::analytic::markov::{steady_state, MarkovOptions};
+
+    let options = MarkovOptions::default();
+    let mut in_class = 0;
+    for seed in 0..200 {
+        let net = random_marked_graph(seed);
+        let Ok(exact) = pnut::analytic::analyze(&net) else {
+            continue;
+        };
+        in_class += 1;
+        let ss = steady_state(&net, &options)
+            .unwrap_or_else(|e| panic!("random_marked_graph({seed}): {e}"));
+        assert!(
+            ss.residual <= options.tolerance,
+            "random_marked_graph({seed}): residual {}",
+            ss.residual
+        );
+        let want = exact.throughput();
+        for (tid, t) in net.transitions() {
+            let got = ss.throughput(tid);
+            let error = (got - want).abs() / want;
+            assert!(
+                error <= 1e-12,
+                "random_marked_graph({seed}) `{}`: throughput {got}, 1/CT {want} \
+                 (relative error {error:e})",
+                t.name()
+            );
+        }
+    }
+    assert!(
+        in_class >= 150,
+        "only {in_class} of 200 seeds are analyzable marked graphs"
+    );
+}
