@@ -36,14 +36,22 @@
 //!   found by Gauss–Seidel sweeps in state order over the transposed
 //!   chain: each state's new weight is its inflow divided by the mass
 //!   that leaves it (one minus its self-loop probability), and the
-//!   vector is normalised after every sweep.
-//! * **Stopping.** Once a sweep changes `π` by at most
-//!   [`MarkovOptions::tolerance`] in L1, the solver computes the
-//!   residual `‖πP − π‖₁` and stops when that is within the tolerance
-//!   too; it is reported as [`SteadyState::residual`]. The residual says
-//!   how nearly stationary `π` is. It is not a bound on the forward
-//!   error against the exact distribution, which can be larger by the
-//!   chain's condition number.
+//!   result `Tπ` is normalised.
+//! * **Damping.** On a periodic class a plain sweep can cycle for ever.
+//!   On a closed class the sweep operator `T` has 1 as a simple
+//!   eigenvalue and none outside the unit circle, but it may have others
+//!   on it. So the next sweep starts not from `Tπ` but from
+//!   `½(π + Tπ)`, normalised. That maps every eigenvalue `λ ≠ 1` to
+//!   `(1 + λ)/2`, strictly inside the circle, so the sweeps converge on
+//!   every closed class.
+//! * **Stopping.** Once a sweep's normalised `Tπ` differs from `π` by
+//!   at most [`MarkovOptions::tolerance`] in L1, the solver computes the
+//!   residual `‖πP − π‖₁` of that `Tπ` and returns it when the residual
+//!   is within the tolerance too; it is reported as
+//!   [`SteadyState::residual`]. The residual says how nearly stationary
+//!   the vector is. It is not a bound on the forward error against the
+//!   exact distribution, which can be larger by the chain's condition
+//!   number.
 
 use pnut_core::{Net, PlaceId, TransitionId};
 use pnut_obs as obs;
@@ -282,8 +290,7 @@ pub fn steady_state(net: &Net, options: &MarkovOptions) -> Result<SteadyState, M
                     Some(_) => {
                         for &(label, to) in edges {
                             if let EdgeLabel::Fire(t) = label {
-                                let p = net.transition(t).frequency() / total;
-                                chain.push(to, p, Some(t));
+                                chain.push(to, frequency(label) / total, Some(t));
                             }
                         }
                     }
@@ -504,8 +511,8 @@ impl JumpChain {
     /// The stationary vector of the jump chain, zero outside `class`,
     /// and its residual `‖πP − π‖₁`: Gauss–Seidel sweeps in state order
     /// (Stewart, *Introduction to the Numerical Solution of Markov
-    /// Chains*, 1994), normalised after each, from the uniform vector on
-    /// `class`.
+    /// Chains*, 1994) from the uniform vector on `class`, each damped by
+    /// averaging with the vector it started from (see the module docs).
     ///
     /// # Errors
     ///
@@ -516,42 +523,48 @@ impl JumpChain {
         class: &[u32],
         options: &MarkovOptions,
     ) -> Result<(Vec<f64>, f64), MarkovError> {
+        // The solver works on the class alone, member `i` being
+        // `class[i]`. The class is closed, so every jump out of a member
+        // lands on a member.
         let n = self.states();
-        // The transposed chain over the class, which is closed, so every
-        // jump out of a member lands on a member. Per state: `leave`, the
-        // mass of its jumps to other states, and its in-jumps from other
-        // states (source-ordered), each divided by the target's `leave`
-        // so that a state's new weight is its plain inflow.
-        let mut leave = vec![0.0f64; n];
-        let mut in_row = vec![0usize; n + 1];
-        for &s in class {
-            let s = s as usize;
-            for k in self.jumps(s) {
-                let to = self.to[k] as usize;
-                if to != s {
-                    leave[s] += self.prob[k];
+        let m = class.len();
+        let mut member = vec![0u32; n];
+        for (i, &s) in class.iter().enumerate() {
+            member[s as usize] = i as u32;
+        }
+        // The transposed chain. Per member: `leave`, the mass of its
+        // jumps to other members, and its in-jumps from other members
+        // (source-ordered), each divided by the target's `leave` so that
+        // a member's new weight is its plain inflow.
+        let mut leave = vec![0.0f64; m];
+        let mut in_row = vec![0usize; m + 1];
+        for (i, &s) in class.iter().enumerate() {
+            for k in self.jumps(s as usize) {
+                let to = member[self.to[k] as usize] as usize;
+                if to != i {
+                    leave[i] += self.prob[k];
                     in_row[to + 1] += 1;
                 }
             }
         }
-        for s in 0..n {
-            in_row[s + 1] += in_row[s];
+        for i in 0..m {
+            in_row[i + 1] += in_row[i];
         }
         let mut fill = in_row.clone();
-        let mut in_from = vec![0u32; in_row[n]];
-        let mut in_prob = vec![0.0f64; in_row[n]];
-        for &s in class {
+        let mut in_from = vec![0u32; in_row[m]];
+        let mut in_prob = vec![0.0f64; in_row[m]];
+        for (i, &s) in class.iter().enumerate() {
             for k in self.jumps(s as usize) {
-                let to = self.to[k] as usize;
-                if to != s as usize {
-                    in_from[fill[to]] = s;
+                let to = member[self.to[k] as usize] as usize;
+                if to != i {
+                    in_from[fill[to]] = i as u32;
                     in_prob[fill[to]] = self.prob[k] / leave[to];
                     fill[to] += 1;
                 }
             }
         }
-        let inflow = |pi: &[f64], s: usize| -> f64 {
-            let jumps = in_row[s]..in_row[s + 1];
+        let inflow = |pi: &[f64], i: usize| -> f64 {
+            let jumps = in_row[i]..in_row[i + 1];
             in_from[jumps.clone()]
                 .iter()
                 .zip(&in_prob[jumps])
@@ -559,10 +572,8 @@ impl JumpChain {
                 .sum()
         };
 
-        let mut pi = vec![0.0f64; n];
-        for &s in class {
-            pi[s as usize] = 1.0 / class.len() as f64;
-        }
+        let mut pi = vec![1.0 / m as f64; m];
+        let mut prev = vec![0.0f64; m];
         for sweep in 0..options.max_iterations {
             obs::metrics::MARKOV_SOLVER_ITERATIONS.inc();
             obs::heartbeat(sweep as u64 + 1, || {
@@ -572,40 +583,43 @@ impl JumpChain {
                     options.max_iterations
                 )
             });
-            let mut change = 0.0f64;
+            prev.copy_from_slice(&pi);
             let mut total = 0.0f64;
-            for &s in class {
-                let s = s as usize;
-                // A state whose every jump is a self-loop is a class of
+            for i in 0..m {
+                // A member whose every jump is a self-loop is a class of
                 // its own and keeps its weight.
-                let next = if leave[s] > 0.0 {
-                    inflow(&pi, s)
-                } else {
-                    pi[s]
-                };
-                change += (next - pi[s]).abs();
-                total += next;
-                pi[s] = next;
+                if leave[i] > 0.0 {
+                    pi[i] = inflow(&pi, i);
+                }
+                total += pi[i];
             }
             let scale = 1.0 / total;
-            for &s in class {
-                pi[s as usize] *= scale;
+            let mut change = 0.0f64;
+            for (p, &q) in pi.iter_mut().zip(&prev) {
+                *p *= scale;
+                change += (*p - q).abs();
             }
-            if change > options.tolerance {
-                continue;
+            if change <= options.tolerance {
+                // (πP − π)(i) = Σⱼ π(j)·P(j, i) − π(i)·leave(i)
+                //            = leave(i)·(inflow(i) − π(i)),
+                // since `inflow` divides by `leave`.
+                let residual: f64 = (0..m)
+                    .map(|i| leave[i] * (inflow(&pi, i) - pi[i]).abs())
+                    .sum();
+                if residual <= options.tolerance {
+                    let mut full = vec![0.0f64; n];
+                    for (&s, &p) in class.iter().zip(&pi) {
+                        full[s as usize] = p;
+                    }
+                    return Ok((full, residual));
+                }
             }
-            // (πP − π)(s) = Σᵢ π(i)·P(i, s) − π(s)·leave(s)
-            //            = leave(s)·(inflow(s) − π(s)),
-            // since `inflow` divides by `leave`.
-            let residual: f64 = class
-                .iter()
-                .map(|&s| {
-                    let s = s as usize;
-                    leave[s] * (inflow(&pi, s) - pi[s]).abs()
-                })
-                .sum();
-            if residual <= options.tolerance {
-                return Ok((pi, residual));
+            // Damp: the next sweep starts from ½(π + Tπ), normalised.
+            // `π` sums to 1, and `Tπ` summed to `total` before the
+            // scaling above.
+            let blend = total / (1.0 + total);
+            for (p, &q) in pi.iter_mut().zip(&prev) {
+                *p = q * (1.0 - blend) + *p * blend;
             }
         }
         Err(MarkovError::NoConvergence)
@@ -855,6 +869,42 @@ mod tests {
         assert_eq!(ss.throughput(net.transition_id("init").unwrap()), 0.0);
         assert_eq!(ss.throughput(ab), 0.25);
         assert_eq!(ss.throughput(net.transition_id("ba").unwrap()), 0.25);
+    }
+
+    #[test]
+    fn periodic_recurrent_class_is_solved() {
+        // The class {choose, done, x in flight, y in flight} has period
+        // 3: choose → x or y → (one tick) → done → z → choose. Undamped
+        // Gauss–Seidel in state order swaps the weight of `done` with
+        // that of the in-flight pair on every sweep and never settles.
+        let mut b = NetBuilder::new("periodic");
+        b.place("start", 1);
+        b.place("choose", 0);
+        b.place("done", 0);
+        b.transition("u").input("start").output("choose").add();
+        b.transition("v").input("start").output("done").add();
+        b.transition("z").input("done").output("choose").add();
+        b.transition("x")
+            .input("choose")
+            .output("done")
+            .firing(1)
+            .add();
+        b.transition("y")
+            .input("choose")
+            .output("done")
+            .firing(1)
+            .add();
+        let net = b.build().unwrap();
+        let ss = solve(&net, &MarkovOptions::default()).unwrap();
+        assert_eq!(ss.state_fraction.len(), 5);
+        for name in ["x", "y"] {
+            let t = net.transition_id(name).unwrap();
+            assert!(
+                (ss.throughput(t) - 0.5).abs() < 1e-12,
+                "{name}: {}",
+                ss.throughput(t)
+            );
+        }
     }
 
     #[test]
