@@ -12,7 +12,7 @@
 use criterion::{criterion_group, Criterion};
 use pnut_bench::{legacy_reach, workloads};
 use pnut_core::expr::compile::{CompiledNet, EnvSlots, Scratch, Ticks};
-use pnut_core::{Delay, Net};
+use pnut_core::{Delay, Env, Net};
 use pnut_reach::ctl;
 use pnut_reach::graph::{build_timed, build_untimed, ReachOptions, ReachabilityGraph};
 use std::io::Write as _;
@@ -161,14 +161,21 @@ fn bench_paged_analysis(c: &mut Criterion) {
     g.finish();
 }
 
+/// Every state's environment, as [`Env`] maps (built once, outside the
+/// timed sweeps).
+fn state_envs(g: &ReachabilityGraph) -> Vec<Env> {
+    (0..g.state_count())
+        .map(|i| g.env(i).expect("resident bench graph"))
+        .collect()
+}
+
 /// The per-state expression workload the explorer pays on every visit:
 /// evaluate the predicate, apply the action to a fresh successor
 /// environment, and resolve any expression delays — here run over every
-/// reachable state of a built graph, on the tree interpreter.
-fn ast_sweep(net: &Net, g: &ReachabilityGraph) -> u64 {
+/// reachable state's environment, on the tree interpreter.
+fn ast_sweep(net: &Net, envs: &[Env]) -> u64 {
     let mut acc = 0u64;
-    for i in 0..g.state_count() {
-        let env = g.state(i).expect("resident bench graph").env;
+    for env in envs {
         for (_, t) in net.transitions() {
             if let Some(p) = t.predicate() {
                 acc += u64::from(matches!(
@@ -195,13 +202,13 @@ fn ast_sweep(net: &Net, g: &ReachabilityGraph) -> u64 {
 /// The same workload as [`ast_sweep`], on the bytecode evaluator: slot
 /// loads instead of name lookups, a slot-file copy instead of an `Env`
 /// clone, flat register programs instead of tree walks.
-fn bytecode_sweep(g: &ReachabilityGraph, programs: &CompiledNet) -> u64 {
+fn bytecode_sweep(envs: &[Env], programs: &CompiledNet) -> u64 {
     let mut acc = 0u64;
     let mut cur = EnvSlots::new();
     let mut next = EnvSlots::new();
     let mut vm = Scratch::new();
-    for i in 0..g.state_count() {
-        cur.load(&programs.map, g.state(i).expect("resident bench graph").env);
+    for env in envs {
+        cur.load(&programs.map, env);
         for ct in &programs.transitions {
             if let Some(p) = &ct.predicate {
                 acc += u64::from(matches!(
@@ -237,11 +244,11 @@ fn bytecode_sweep(g: &ReachabilityGraph, programs: &CompiledNet) -> u64 {
 /// nothing for the compilation layer.
 fn bench_compiled(c: &mut Criterion) {
     for (name, net) in untimed_workloads() {
-        let g = build_untimed(&net, &OPTIONS).expect("bounded");
+        let envs = state_envs(&build_untimed(&net, &OPTIONS).expect("bounded"));
         let programs = CompiledNet::compile(&net).expect("paper models compile");
         let mut group = c.benchmark_group(format!("reach/compiled/{name}"));
-        group.bench_function("ast", |b| b.iter(|| ast_sweep(&net, &g)));
-        group.bench_function("bytecode", |b| b.iter(|| bytecode_sweep(&g, &programs)));
+        group.bench_function("ast", |b| b.iter(|| ast_sweep(&net, &envs)));
+        group.bench_function("bytecode", |b| b.iter(|| bytecode_sweep(&envs, &programs)));
         group.finish();
     }
 }
@@ -371,14 +378,14 @@ fn summary() {
     // its ratio would gate nothing but loop noise.
     println!("\n-- compiled expression sweep vs AST interpreter (min of 10 sweeps) --");
     for (name, net) in untimed_workloads() {
-        let g = build_untimed(&net, &OPTIONS).expect("bounded");
+        let envs = state_envs(&build_untimed(&net, &OPTIONS).expect("bounded"));
         let programs = CompiledNet::compile(&net).expect("paper models compile");
-        let ast = min_ns(10, || ast_sweep(&net, &g));
-        let bytecode = min_ns(10, || bytecode_sweep(&g, &programs));
+        let ast = min_ns(10, || ast_sweep(&net, &envs));
+        let bytecode = min_ns(10, || bytecode_sweep(&envs, &programs));
         let ratio = ast / bytecode;
         println!(
             "compiled/{name:<15} {:>7} states  speedup {ratio:>5.2}x over the tree interpreter",
-            g.state_count(),
+            envs.len(),
         );
         if name == "interpreted" {
             export("reach/speedup/compiled/interpreted", "ratio", ratio);

@@ -156,18 +156,23 @@ fn parse_opt<T: std::str::FromStr>(
         .transpose()
 }
 
-/// Parse and validate the shared `--max-states N` / `--jobs N`
-/// exploration options, returning `(max_states, jobs)` where present.
-/// `--max-states` must be positive; `--jobs 0` means "use all available
-/// cores".
-fn parse_limit_flags(
-    args: &mut Args<'_>,
-    cmd: &str,
-) -> Result<(Option<usize>, Option<usize>), CliError> {
+/// Parse `--max-states N` where present; it must be positive.
+fn parse_max_states(args: &mut Args<'_>, cmd: &str) -> Result<Option<usize>, CliError> {
     let max = parse_opt::<usize>(args, "--max-states", cmd)?;
     if max == Some(0) {
         return Err(err(format!("{cmd}: --max-states must be positive")));
     }
+    Ok(max)
+}
+
+/// Parse and validate the shared `--max-states N` / `--jobs N`
+/// exploration options, returning `(max_states, jobs)` where present.
+/// `--jobs 0` means "use all available cores".
+fn parse_limit_flags(
+    args: &mut Args<'_>,
+    cmd: &str,
+) -> Result<(Option<usize>, Option<usize>), CliError> {
+    let max = parse_max_states(args, cmd)?;
     let jobs = parse_opt::<usize>(args, "--jobs", cmd)?;
     Ok((max, jobs))
 }
@@ -183,7 +188,9 @@ fn parse_byte_size(value: &str) -> Option<usize> {
 /// Parse the shared paging options `--mem-budget BYTES` /
 /// `--spill-dir DIR`, returning `(mem_budget, spill_dir)` where
 /// present. The budget must be positive (use `unlimited`, or omit the
-/// flag, to disable paging).
+/// flag, to disable paging). Warns when `--spill-dir` is set but the
+/// budget stays unlimited: nothing would ever spill, which is almost
+/// certainly not what the user meant.
 fn parse_pager_flags(
     args: &mut Args<'_>,
     cmd: &str,
@@ -199,20 +206,13 @@ fn parse_pager_flags(
         })
         .transpose()?;
     let dir = args.value("--spill-dir").map(std::path::PathBuf::from);
-    Ok((budget, dir))
-}
-
-/// Warn when `--spill-dir` is set but the budget stays unlimited —
-/// nothing would ever spill, which is almost certainly not what the
-/// user meant. (Not folded into [`parse_pager_flags`]: `cover` emits
-/// its own, more accurate "ignored entirely" warning.)
-fn warn_inert_spill_dir(cmd: &str, budget: Option<usize>, dir: &Option<std::path::PathBuf>) {
     if dir.is_some() && budget.is_none_or(|b| b == usize::MAX) {
         eprintln!(
             "{cmd}: warning: --spill-dir has no effect without a finite --mem-budget \
              (the default budget is unlimited, so nothing ever spills)"
         );
     }
+    Ok((budget, dir))
 }
 
 /// [`parse_limit_flags`] + [`parse_pager_flags`] applied to
@@ -224,7 +224,6 @@ fn parse_reach_options(
 ) -> Result<pnut_reach::ReachOptions, CliError> {
     let (max, jobs) = parse_limit_flags(args, cmd)?;
     let (budget, spill_dir) = parse_pager_flags(args, cmd)?;
-    warn_inert_spill_dir(cmd, budget, &spill_dir);
     let mut options = defaults;
     if let Some(max) = max {
         options.max_states = max;
@@ -423,7 +422,7 @@ usage: pnut <command> [args]
   reach <model.pn> [--timed] [--ctl FORMULA] [--max-states N] [--jobs N]
                    [--mem-budget BYTES] [--spill-dir DIR]
                    [--check-invariants] [observability]
-  cover <model.pn> [--max-states N] [--jobs N]   Karp–Miller boundedness
+  cover <model.pn> [--max-states N]   Karp–Miller boundedness
   cycle <model.pn>                     analytic cycle time (marked graphs)
   markov <model.pn> [--max-states N] [--jobs N]  analytic steady state
                     [--mem-budget BYTES] [--spill-dir DIR] [observability]
@@ -449,10 +448,6 @@ the graph segment-at-a-time, evicting between segments, instead of
 faulting the whole store back into memory. (markov's *extracted*
 dense chain — one entry per edge — still lives outside the budget;
 its size is capped by --max-states, not --mem-budget.)
-cover ignores --jobs (with a warning): the Karp–Miller tree
-accelerates against ancestor chains, which is inherently sequential.
-cover likewise ignores --mem-budget/--spill-dir: the tree stays
-memory-resident (both are documented unsupported, not planned).
 
 reach --check-invariants re-sweeps the finished graph segment-at-a-time
 and asserts every quiescent state satisfies every semi-positive
@@ -940,25 +935,8 @@ fn cmd_cover(argv: &[String], out: &mut String) -> Result<i32, CliError> {
         .positional()
         .ok_or_else(|| err("cover: need a model file"))?;
     let mut options = pnut_reach::coverability::CoverOptions::default();
-    let (max, jobs) = parse_limit_flags(&mut args, "cover")?;
-    let (budget, spill_dir) = parse_pager_flags(&mut args, "cover")?;
-    if let Some(max) = max {
+    if let Some(max) = parse_max_states(&mut args, "cover")? {
         options.max_nodes = max;
-    }
-    if let Some(jobs) = jobs {
-        options.jobs = jobs;
-        if jobs != 1 {
-            eprintln!(
-                "cover: warning: --jobs is ignored — the Karp–Miller tree accelerates \
-                 against ancestor chains (sequential); building single-threaded"
-            );
-        }
-    }
-    if budget.is_some() || spill_dir.is_some() {
-        eprintln!(
-            "cover: warning: --mem-budget/--spill-dir are ignored — the Karp–Miller \
-             tree is memory-resident (only reach/markov page their state arenas)"
-        );
     }
     let mut session = ObsSession::from_args(&mut args, "cover")?;
     args.finish()?;
@@ -1098,7 +1076,6 @@ fn cmd_markov(argv: &[String], out: &mut String) -> Result<i32, CliError> {
     let mut options = pnut_analytic::markov::MarkovOptions::default();
     let (max, jobs) = parse_limit_flags(&mut args, "markov")?;
     let (budget, spill_dir) = parse_pager_flags(&mut args, "markov")?;
-    warn_inert_spill_dir("markov", budget, &spill_dir);
     if let Some(max) = max {
         options.max_states = max;
     }
@@ -1405,7 +1382,7 @@ mod tests {
         let _g = obs_serial();
         let dir = tmpdir("limits2");
         let model = write_model(&dir);
-        let (code, out) = run_args(&["cover", &model, "--max-states", "10", "--jobs", "2"]);
+        let (code, out) = run_args(&["cover", &model, "--max-states", "10"]);
         assert_eq!(code, 0, "{out}");
         assert!(out.contains("bounded"));
 
@@ -1649,18 +1626,31 @@ mod tests {
     }
 
     #[test]
-    fn cover_warns_about_ignored_flags_but_still_runs() {
+    fn cover_rejects_jobs_and_pager_flags() {
         let _g = obs_serial();
-        // The warnings go to stderr; the report itself must be
-        // unaffected by the ignored flags.
-        let dir = tmpdir("coverwarn");
+        // The Karp–Miller tree is sequential and memory-resident, so
+        // `cover` has no use for these and refuses them.
+        let dir = tmpdir("coverflags");
         let model = write_model(&dir);
-        let (code, plain) = run_args(&["cover", &model]);
-        assert_eq!(code, 0);
-        let (code, with_flags) =
-            run_args(&["cover", &model, "--jobs", "4", "--mem-budget", "64KiB"]);
-        assert_eq!(code, 0);
-        assert_eq!(plain, with_flags);
+        let spill = dir.to_string_lossy().into_owned();
+        for (flag, value) in [
+            ("--jobs", "4"),
+            ("--mem-budget", "64KiB"),
+            ("--spill-dir", &spill),
+        ] {
+            let argv: Vec<String> = ["cover", &model, flag, value]
+                .iter()
+                .map(|s| s.to_string())
+                .collect();
+            let mut out = String::new();
+            let e = run(&argv, &mut out).unwrap_err();
+            assert!(
+                e.to_string()
+                    .contains(&format!("unexpected argument `{flag}`")),
+                "{flag}: {e}"
+            );
+            assert!(out.is_empty(), "{flag}: no partial report");
+        }
     }
 
     #[test]

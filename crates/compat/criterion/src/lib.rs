@@ -2,7 +2,9 @@
 
 //! A std-only stand-in for the [criterion](https://docs.rs/criterion)
 //! statistics-driven benchmark harness, exposing the API subset the
-//! workspace benches use.
+//! workspace's one bench (`pnut-bench`'s `reach`, which has its own
+//! `main`) uses: [`criterion_group!`], [`Criterion::benchmark_group`],
+//! the group's `bench_function`/`finish`, and [`Bencher::iter`].
 //!
 //! The build environment for this repository has no access to a crate
 //! registry, so the real criterion cannot be vendored. This shim keeps
@@ -22,10 +24,9 @@
 //!   benchmark: `{"name": ..., "median_ns": ..., "mean_ns": ..., "min_ns": ...}`.
 
 use std::fmt;
+use std::hint::black_box;
 use std::io::Write as _;
 use std::time::{Duration, Instant};
-
-pub use std::hint::black_box;
 
 fn measure_target() -> Duration {
     let ms = std::env::var("PNUT_BENCH_MEASURE_MS")
@@ -43,47 +44,8 @@ fn sample_count() -> usize {
         .max(3)
 }
 
-/// How much setup output to amortize per batch in `iter_batched`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BatchSize {
-    /// Small routine input: big batches.
-    SmallInput,
-    /// Large routine input: modest batches.
-    LargeInput,
-    /// Call setup before every routine invocation.
-    PerIteration,
-}
-
-/// A benchmark identifier: a function name plus an optional parameter.
-#[derive(Debug, Clone)]
-pub struct BenchmarkId {
-    name: String,
-}
-
-impl BenchmarkId {
-    /// An id made of a name and a parameter value.
-    pub fn new(name: impl Into<String>, parameter: impl fmt::Display) -> Self {
-        BenchmarkId {
-            name: format!("{}/{}", name.into(), parameter),
-        }
-    }
-
-    /// An id carrying only a parameter value (the group supplies the name).
-    pub fn from_parameter(parameter: impl fmt::Display) -> Self {
-        BenchmarkId {
-            name: parameter.to_string(),
-        }
-    }
-}
-
-impl fmt::Display for BenchmarkId {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.name)
-    }
-}
-
 /// Per-benchmark measurement driver handed to the closure of
-/// [`Criterion::bench_function`].
+/// [`BenchmarkGroup::bench_function`].
 pub struct Bencher {
     /// Collected samples, in ns per iteration.
     samples: Vec<f64>,
@@ -126,22 +88,6 @@ impl Bencher {
             }
             let took = start.elapsed();
             self.samples.push(took.as_nanos() as f64 / batch as f64);
-        }
-    }
-
-    /// Measure a routine whose input is rebuilt by `setup` outside the
-    /// timed region.
-    pub fn iter_batched<I, R, S, F>(&mut self, mut setup: S, mut routine: F, _size: BatchSize)
-    where
-        S: FnMut() -> I,
-        F: FnMut(I) -> R,
-    {
-        for _ in 0..sample_count() {
-            let input = setup();
-            let start = Instant::now();
-            black_box(routine(input));
-            let took = start.elapsed();
-            self.samples.push(took.as_nanos() as f64);
         }
     }
 }
@@ -216,17 +162,6 @@ pub struct Criterion {
 }
 
 impl Criterion {
-    /// Run one named benchmark.
-    pub fn bench_function<F>(&mut self, name: &str, mut f: F) -> &mut Self
-    where
-        F: FnMut(&mut Bencher),
-    {
-        let mut b = Bencher::new();
-        f(&mut b);
-        report(name, &b.samples);
-        self
-    }
-
     /// Open a named group of related benchmarks.
     pub fn benchmark_group(&mut self, name: impl Into<String>) -> BenchmarkGroup<'_> {
         BenchmarkGroup {
@@ -234,9 +169,6 @@ impl Criterion {
             name: name.into(),
         }
     }
-
-    /// Upstream-compatible no-op (the shim has no config to finalize).
-    pub fn final_summary(&mut self) {}
 }
 
 /// A group of benchmarks sharing a name prefix.
@@ -257,22 +189,6 @@ impl BenchmarkGroup<'_> {
         self
     }
 
-    /// Run one parameterized benchmark inside the group.
-    pub fn bench_with_input<I: ?Sized, F>(
-        &mut self,
-        id: BenchmarkId,
-        input: &I,
-        mut f: F,
-    ) -> &mut Self
-    where
-        F: FnMut(&mut Bencher, &I),
-    {
-        let mut b = Bencher::new();
-        f(&mut b, input);
-        report(&format!("{}/{}", self.name, id), &b.samples);
-        self
-    }
-
     /// Close the group.
     pub fn finish(self) {}
 }
@@ -284,16 +200,6 @@ macro_rules! criterion_group {
         pub fn $name() {
             let mut c = $crate::Criterion::default();
             $( $target(&mut c); )+
-        }
-    };
-}
-
-/// Declare `main` running each listed group.
-#[macro_export]
-macro_rules! criterion_main {
-    ($($group:path),+ $(,)?) => {
-        fn main() {
-            $( $group(); )+
         }
     };
 }

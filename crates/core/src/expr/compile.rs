@@ -41,7 +41,11 @@
 //! that set, so [`EnvSlots::load`] is a linear merge over the sorted
 //! names and [`EnvSlots::to_env`] reconstructs an [`Env`] that is
 //! bit-identical (`==`, same hash) to what the tree interpreter's
-//! clone-and-`apply_pure` would have produced.
+//! clone-and-`apply_pure` would have produced. Two slot files over one
+//! map are therefore equal exactly when their `to_env` maps are, so the
+//! reachability store interns [`EnvSlots`] rows directly: `load` runs
+//! once per build for the initial environment, and `to_env` only where
+//! a caller asks a graph for a state's [`Env`].
 //!
 //! # Error-parity guarantee
 //!
@@ -212,7 +216,7 @@ impl SlotMap {
 /// `None` slots are names the map knows but the environment does not
 /// currently bind (reads of them reproduce the interpreter's
 /// `UnknownVariable` / `UnknownTable` errors).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Hash)]
 pub struct EnvSlots {
     vars: Vec<Option<Value>>,
     tables: Vec<Option<Vec<i64>>>,
@@ -337,6 +341,15 @@ impl EnvSlots {
     /// Borrow a table slot's contents.
     pub fn table(&self, slot: u32) -> Option<&[i64]> {
         self.tables[slot as usize].as_deref()
+    }
+
+    /// Heap bytes owned by this slot file: both slot vectors and every
+    /// table's cells.
+    pub fn heap_bytes(&self) -> usize {
+        let cells: usize = self.tables.iter().flatten().map(Vec::capacity).sum();
+        self.vars.capacity() * std::mem::size_of::<Option<Value>>()
+            + self.tables.capacity() * std::mem::size_of::<Option<Vec<i64>>>()
+            + cells * std::mem::size_of::<i64>()
     }
 }
 

@@ -18,8 +18,9 @@
 //! with inhibitors is undecidable in general), and actions make the
 //! state infinite-dimensional — such nets are rejected with a precise
 //! error rather than analyzed unsoundly. The tree is also neither
-//! parallelized nor paged to disk (see [`CoverOptions::jobs`] for why
-//! both are documented unsupported rather than pending).
+//! parallelized nor paged to disk: acceleration walks each node's
+//! ancestor chain, a sequential dependency with no segment-ordered
+//! access pattern, so `cover` takes no `--jobs` or `--mem-budget`.
 
 use crate::graph::ReachError;
 use pnut_core::{Marking, Net, TransitionId};
@@ -209,29 +210,11 @@ pub struct CoverOptions {
     /// Abort beyond this many tree nodes (the tree is finite in theory,
     /// but can be enormous).
     pub max_nodes: usize,
-    /// Accepted for interface symmetry with
-    /// [`crate::graph::ReachOptions::jobs`] and **unsupported**: the
-    /// Karp–Miller construction accelerates against each node's
-    /// *ancestor chain*, a sequential dependency the level-barrier
-    /// scheme of [`crate::store`] does not cover, so there is no
-    /// parallel tree construction and none is planned. The CLI warns
-    /// when it is set to anything but 1 rather than pretending to
-    /// parallelize. The tree is likewise not paged to disk: unlike the
-    /// reachability graph — whose state *and* CSR edge arenas both
-    /// honor [`crate::graph::ReachOptions::mem_budget`] through
-    /// [`crate::pager`], for construction and analyses alike — the
-    /// whole coverability tree stays memory-resident, because the
-    /// acceleration step walks arbitrary ancestor chains and has no
-    /// segment-ordered access pattern to exploit.
-    pub jobs: usize,
 }
 
 impl Default for CoverOptions {
     fn default() -> Self {
-        CoverOptions {
-            max_nodes: 100_000,
-            jobs: 1,
-        }
+        CoverOptions { max_nodes: 100_000 }
     }
 }
 

@@ -48,8 +48,8 @@
 //! the same rule with every firing atomic and no clocks, so they never
 //! advance.
 //!
-//! The kernel hands each successor's environment and state to an intern
-//! sink, and `jobs` alone picks which:
+//! The kernel hands each successor's state and environment slot row to
+//! an intern sink, and `jobs` alone picks which:
 //!
 //! * **Direct** (`jobs = 1`) interns straight into the [`StateStore`]
 //!   and appends each row to the paged edge arena as soon as it is
@@ -259,6 +259,8 @@ pub struct ReachabilityGraph {
     /// The paged CSR edge arena: the successor row of state `i` lives
     /// in edge segment `i / seg_states`.
     edges: PagedEdges,
+    /// The build's slot map: [`Self::env`] rebuilds [`Env`]s with it.
+    map: bc::SlotMap,
 }
 
 /// Two graphs are equal iff they hold the same states in the same
@@ -266,7 +268,7 @@ pub struct ReachabilityGraph {
 /// layout are ignored (comparing faults spilled segments back in).
 impl PartialEq for ReachabilityGraph {
     fn eq(&self, other: &Self) -> bool {
-        self.store == other.store && self.edges == other.edges
+        self.map == other.map && self.store == other.store && self.edges == other.edges
     }
 }
 
@@ -298,6 +300,20 @@ impl ReachabilityGraph {
     /// Panics if `i` is out of range.
     pub fn state(&self, i: usize) -> Result<StateRef<'_>, ReachError> {
         self.store.state(i)
+    }
+
+    /// The variable environment of state `i`, rebuilt as an [`Env`] from
+    /// the store's slot row (faulting like [`Self::state`]).
+    ///
+    /// # Errors
+    ///
+    /// [`ReachError::Spill`] if the state segment fails to reload.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is out of range.
+    pub fn env(&self, i: usize) -> Result<Env, ReachError> {
+        Ok(self.store.env(self.store.try_env_id(i)?).to_env(&self.map))
     }
 
     /// Outgoing edges of state `i` as `(label, target)` pairs, faulting
@@ -625,7 +641,6 @@ impl<'g> SegmentGuard<'g> {
         let rows = self.state_rows()?;
         Ok(StateRef {
             marking: MarkingView::new(rows.marking(local, self.graph.store.places())),
-            env: self.graph.store.env(rows.env_id(local)),
             in_flight: rows.in_flight(local),
             enabling: rows.enabling(local),
         })
@@ -701,19 +716,19 @@ impl StateBuf {
 }
 
 /// Reusable per-worker scratch: the state under expansion, the
-/// successor under construction, their slot-form environments and the
-/// bytecode registers, so successor generation is allocation-free on
-/// the steady state.
+/// successor under construction, their environments in the slot form
+/// the store interns, and the bytecode registers, so successor
+/// generation is allocation-free on the steady state.
 #[derive(Default)]
 struct Scratch {
     cur: StateBuf,
     next: StateBuf,
-    /// Slot-form environment of the state under expansion.
+    /// Environment of the state under expansion.
     cur_slots: bc::EnvSlots,
     /// Which interned env id `cur_slots` holds: consecutive states
     /// usually share an environment, so reloads are skipped.
     loaded_env: Option<u32>,
-    /// Slot-form successor environment (after an action).
+    /// Successor environment (after an action).
     next_slots: bc::EnvSlots,
     /// Bytecode register file, shared by every program.
     vm: bc::Scratch,
@@ -721,13 +736,8 @@ struct Scratch {
 
 impl Scratch {
     /// Load state `src` into `cur` (faulting its segment in if evicted)
-    /// and its environment into `cur_slots`; returns its env id.
-    fn load(
-        &mut self,
-        map: &bc::SlotMap,
-        store: &StateStore,
-        src: usize,
-    ) -> Result<u32, ReachError> {
+    /// and its environment row into `cur_slots`; returns its env id.
+    fn load(&mut self, store: &StateStore, src: usize) -> Result<u32, ReachError> {
         let cur = &mut self.cur;
         cur.marking.clear();
         cur.marking.extend_from_slice(store.try_marking_slice(src)?);
@@ -740,7 +750,7 @@ impl Scratch {
             .extend_from_slice(store.try_enabling_slice(src)?);
         let env = store.try_env_id(src)?;
         if self.loaded_env != Some(env) {
-            self.cur_slots.load(map, store.env(env));
+            self.cur_slots.copy_from(store.env(env));
             self.loaded_env = Some(env);
         }
         Ok(env)
@@ -837,15 +847,7 @@ impl<'n> Rule<'n> {
     /// Arm the initial state's enabling clocks into `sc.next.enabling`:
     /// the simulator refreshes its clocks before the first step, so
     /// every initially ready transition starts with a full countdown.
-    fn arm_initial(
-        &self,
-        sc: &mut Scratch,
-        store: &StateStore,
-        initial_env: u32,
-    ) -> Result<(), ReachError> {
-        sc.cur_slots
-            .load(&self.programs.map, store.env(initial_env));
-        sc.loaded_env = Some(initial_env);
+    fn arm_initial(&self, sc: &mut Scratch) -> Result<(), ReachError> {
         sc.next.marking = self.net.initial_marking().as_slice().to_vec();
         self.refresh_clocks(sc, false, None, 0)
     }
@@ -863,7 +865,7 @@ impl<'n> Rule<'n> {
     ) -> Result<(), ReachError> {
         row.clear();
         let map = &self.programs.map;
-        let env_id = sc.load(map, sink.store(), src)?;
+        let env_id = sc.load(sink.store(), src)?;
         sink.loaded()?;
         let mut can_start = false;
         for (i, ct) in self.programs.transitions.iter().enumerate() {
@@ -892,7 +894,7 @@ impl<'n> Rule<'n> {
                     action
                         .apply_pure(&mut sc.next_slots, map, &mut sc.vm)
                         .map_err(|e| self.eval_err(id, e))?;
-                    sink.intern_env(&sc.next_slots.to_env(map), key)?
+                    sink.intern_env(&sc.next_slots, key)?
                 }
             };
             let acted = ct.action.is_some();
@@ -964,9 +966,9 @@ trait Sink {
     fn store(&self) -> &StateStore;
     /// Called after each source state is loaded.
     fn loaded(&mut self) -> Result<(), ReachError>;
-    /// Intern a post-action environment found by the edge with
-    /// discovery `key`.
-    fn intern_env(&mut self, env: &Env, key: u64) -> Result<Self::EnvId, ReachError>;
+    /// Intern a post-action environment slot row found by the edge
+    /// with discovery `key`.
+    fn intern_env(&mut self, env: &bc::EnvSlots, key: u64) -> Result<Self::EnvId, ReachError>;
     /// Intern the successor `next` found by the edge with discovery
     /// `key`.
     fn intern_state(
@@ -1000,7 +1002,7 @@ impl Sink for Direct<'_> {
         self.store.maintain()
     }
 
-    fn intern_env(&mut self, env: &Env, _key: u64) -> Result<u32, ReachError> {
+    fn intern_env(&mut self, env: &bc::EnvSlots, _key: u64) -> Result<u32, ReachError> {
         self.store.intern_env(env)
     }
 
@@ -1064,7 +1066,7 @@ impl Sink for Pending<'_> {
         Ok(())
     }
 
-    fn intern_env(&mut self, env: &Env, key: u64) -> Result<EnvRef, ReachError> {
+    fn intern_env(&mut self, env: &bc::EnvSlots, key: u64) -> Result<EnvRef, ReachError> {
         let hash = store::fx_hash_of(env);
         if let Some(id) = self.store.find_env_hashed(env, hash) {
             return Ok(EnvRef::Committed(id));
@@ -1285,10 +1287,12 @@ fn explore(
     let _span = obs::span("build");
     let places = net.place_count();
     let mut store = StateStore::with_config(places, &options.pager_config());
-    let initial_env = store.intern_env(net.initial_env())?;
     let rule = Rule::new(net, timed)?;
     let mut sc = Scratch::default();
-    rule.arm_initial(&mut sc, &store, initial_env)?;
+    // The build's one `EnvSlots::load`: every other env derives from it.
+    sc.cur_slots.load(&rule.programs.map, net.initial_env());
+    let initial_env = store.intern_env(&sc.cur_slots)?;
+    rule.arm_initial(&mut sc)?;
     store.intern(
         net.initial_marking().as_slice(),
         initial_env,
@@ -1300,7 +1304,8 @@ fn explore(
         store.pager_shared(),
         options.spill_dir.clone(),
     );
-    let mut g = ReachabilityGraph { store, edges };
+    let map = rule.programs.map.clone();
+    let mut g = ReachabilityGraph { store, edges, map };
     let jobs = options.effective_jobs();
     let mut shards = (jobs > 1).then(|| Shards::new(jobs, places));
     let mut row = Vec::new();

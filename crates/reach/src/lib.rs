@@ -39,6 +39,8 @@
 //!   arrays instead of chasing one heap `Vec` per state.
 //! * **Views, not copies.** [`ReachabilityGraph::state`] returns a
 //!   borrowed [`StateRef`] into the arenas; nothing is materialized.
+//!   Environments are interned as the slot rows expressions run on;
+//!   [`ReachabilityGraph::env`] rebuilds a state's `Env` on demand.
 //!   Every post-build accessor that may touch the pager is fallible
 //!   (`Result<_, ReachError>`): a spill reload that fails degrades the
 //!   one analysis that hit it, never the process.

@@ -25,7 +25,7 @@
 //! env_ids:   [ s0 | s1 | ... ]                    u32 into `envs`
 //! inflight:  [ ...(transition, remaining)... ]    CSR via inflight_offsets
 //! enabling:  [ ...(transition, countdown)... ]    CSR via enabling_offsets
-//! envs:      [ distinct environments only ]       interned separately
+//! envs:      [ distinct EnvSlots rows only ]      interned separately
 //! ```
 //!
 //! The `enabling` arena carries the timed state's enabling clocks: for
@@ -38,10 +38,10 @@
 //! Duplicate detection is a hand-rolled open-addressing table of
 //! `(precomputed FxHash, state index)` pairs — the raw-entry pattern:
 //! no owned keys, no re-hashing on probe, equality checked directly
-//! against the arena slices. Because environments are interned first,
-//! state equality degrades to two slice compares plus one `u32` compare;
-//! the expensive `BTreeMap` walk happens at most once per *distinct*
-//! environment, not once per visit.
+//! against the arena slices. Environments are interned first, as the
+//! dense [`EnvSlots`] rows expressions run on, so state equality
+//! degrades to slice compares plus one `u32` compare, and exploring
+//! builds, hashes and compares no name-keyed maps.
 //!
 //! # Complexity
 //!
@@ -101,7 +101,7 @@
 //! points: at `jobs = 1` after every state load, intern and edge row,
 //! so the resident set tracks the budget with at most one faulted
 //! segment of slack; at `jobs > 1` only at the level barrier.
-//! Environments are deduplicated and stay resident.
+//! Environment slot rows are deduplicated and stay resident.
 //!
 //! The paged store is **bit-identical** to the unbounded in-memory
 //! build at any budget: paging changes where rows live, never what they
@@ -110,7 +110,7 @@
 
 use crate::graph::ReachError;
 use crate::pager::{PagedStates, PagerConfig, PagerShared, SegmentData};
-use pnut_core::expr::Env;
+use pnut_core::expr::compile::EnvSlots;
 use pnut_core::{Marking, PlaceId, TransitionId};
 use pnut_obs as obs;
 use std::fmt;
@@ -132,7 +132,7 @@ fn fx_mix(hash: u64, word: u64) -> u64 {
 }
 
 /// The FxHash algorithm behind a [`std::hash::Hasher`] face, so derived
-/// `Hash` impls (e.g. [`Env`]'s) can feed it.
+/// `Hash` impls (e.g. [`EnvSlots`]'s) can feed it.
 #[derive(Debug, Clone, Default)]
 pub struct FxHasher {
     hash: u64,
@@ -352,14 +352,12 @@ impl fmt::Display for MarkingView<'_> {
     }
 }
 
-/// A borrowed view of one interned state: marking, environment, and
-/// in-flight firings, all pointing into the store's arenas.
+/// A borrowed view of one interned state's marking, in-flight firings
+/// and enabling clocks, all pointing into the store's arenas.
 #[derive(Debug, Clone, Copy)]
 pub struct StateRef<'a> {
     /// Token counts.
     pub marking: MarkingView<'a>,
-    /// Variable environment (interned; shared between states).
-    pub env: &'a Env,
     /// In-flight firings as `(transition, remaining ticks)`, sorted —
     /// empty for untimed graphs.
     pub in_flight: &'a [(TransitionId, u64)],
@@ -381,7 +379,7 @@ pub struct StateRef<'a> {
 pub struct StateStore {
     /// The paged marking/env-id/in-flight arenas.
     states: PagedStates,
-    envs: Vec<Env>,
+    envs: Vec<EnvSlots>,
     state_table: InternTable,
     env_table: InternTable,
 }
@@ -479,12 +477,12 @@ impl StateStore {
         self.states.env_id(i)
     }
 
-    /// The interned environment `id`.
+    /// The interned environment `id`, in slot form.
     ///
     /// # Panics
     ///
     /// Panics if `id` is out of range.
-    pub fn env(&self, id: u32) -> &Env {
+    pub fn env(&self, id: u32) -> &EnvSlots {
         &self.envs[id as usize]
     }
 
@@ -500,7 +498,6 @@ impl StateStore {
     pub fn state(&self, i: usize) -> Result<StateRef<'_>, ReachError> {
         Ok(StateRef {
             marking: MarkingView(self.try_marking_slice(i)?),
-            env: self.env(self.try_env_id(i)?),
             in_flight: self.try_in_flight_slice(i)?,
             enabling: self.try_enabling_slice(i)?,
         })
@@ -766,13 +763,14 @@ impl StateStore {
         self.probe_state(hash, marking, env_id, in_flight, enabling)
     }
 
-    /// Intern an environment; clones it only the first time it is seen.
+    /// Intern an environment slot row (all rows of a store share one
+    /// `SlotMap`); clones it only the first time it is seen.
     ///
     /// # Errors
     ///
     /// [`ReachError::CapacityExceeded`] on more than `u32::MAX` distinct
     /// environments.
-    pub fn intern_env(&mut self, env: &Env) -> Result<u32, ReachError> {
+    pub fn intern_env(&mut self, env: &EnvSlots) -> Result<u32, ReachError> {
         let hash = fx_hash_of(env);
         if let Some(id) = self
             .env_table
@@ -791,27 +789,18 @@ impl StateStore {
     /// Look up an interned environment by content without interning it
     /// (read-only companion of [`Self::intern_env`], with the content
     /// hash precomputed).
-    pub(crate) fn find_env_hashed(&self, env: &Env, hash: u64) -> Option<u32> {
+    pub(crate) fn find_env_hashed(&self, env: &EnvSlots, hash: u64) -> Option<u32> {
         self.env_table
             .find(hash, |idx| &self.envs[idx as usize] == env)
     }
 
     /// Approximate heap footprint of the store in bytes (resident
-    /// arenas and tables; environments counted structurally; spilled
-    /// segments excluded — see [`Self::spilled_bytes`]).
+    /// arenas, tables and environment slot rows; spilled segments
+    /// excluded — see [`Self::spilled_bytes`]).
     pub fn approx_bytes(&self) -> usize {
-        let env_guess: usize = self
-            .envs
-            .iter()
-            .map(|e| {
-                std::mem::size_of::<Env>()
-                    + e.vars().map(|(n, _)| n.len() + 48).sum::<usize>()
-                    + e.tables()
-                        .map(|(n, t)| n.len() + 8 * t.len() + 48)
-                        .sum::<usize>()
-            })
-            .sum();
-        self.states.resident_bytes() + self.state_table.bytes() + self.env_table.bytes() + env_guess
+        let envs = self.envs.capacity() * std::mem::size_of::<EnvSlots>()
+            + self.envs.iter().map(EnvSlots::heap_bytes).sum::<usize>();
+        self.states.resident_bytes() + self.state_table.bytes() + self.env_table.bytes() + envs
     }
 }
 
@@ -929,7 +918,7 @@ pub(crate) struct PendingShard {
     env_table: InternTable,
     /// Min discovery key per pending environment.
     env_keys: Vec<u64>,
-    envs: Vec<Env>,
+    envs: Vec<EnvSlots>,
 }
 
 impl PendingShard {
@@ -989,7 +978,12 @@ impl PendingShard {
 
     /// Intern a pending environment under its content hash, min-reducing
     /// the discovery key on a hit. Returns the packed pending id.
-    pub(crate) fn intern_env(&mut self, env: &Env, hash: u64, key: u64) -> Result<u32, ReachError> {
+    pub(crate) fn intern_env(
+        &mut self,
+        env: &EnvSlots,
+        hash: u64,
+        key: u64,
+    ) -> Result<u32, ReachError> {
         if let Some(local) = self.env_table.find(hash, |i| &self.envs[i as usize] == env) {
             let k = &mut self.env_keys[local as usize];
             *k = (*k).min(key);
@@ -1146,12 +1140,22 @@ impl PartialEq for StateStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pnut_core::expr::Value;
+    use pnut_core::expr::compile::SlotMap;
+    use pnut_core::expr::{Env, Value};
+
+    /// The slot row of a one-variable environment `x = v`.
+    fn x_is(v: i64) -> EnvSlots {
+        let mut env = Env::new();
+        env.set_var("x", Value::Int(v));
+        let mut slots = EnvSlots::new();
+        slots.load(&SlotMap::from_names(["x".to_string()], []), &env);
+        slots
+    }
 
     #[test]
     fn intern_is_idempotent_and_zero_copy_on_hit() {
         let mut s = StateStore::new(3);
-        let e = s.intern_env(&Env::new()).unwrap();
+        let e = s.intern_env(&EnvSlots::new()).unwrap();
         let (a, new_a) = s.intern(&[1, 0, 2], e, &[], &[]).unwrap();
         let (b, new_b) = s.intern(&[1, 0, 2], e, &[], &[]).unwrap();
         let (c, new_c) = s.intern(&[1, 0, 3], e, &[], &[]).unwrap();
@@ -1165,7 +1169,7 @@ mod tests {
     #[test]
     fn in_flight_distinguishes_states() {
         let mut s = StateStore::new(1);
-        let e = s.intern_env(&Env::new()).unwrap();
+        let e = s.intern_env(&EnvSlots::new()).unwrap();
         let t0 = TransitionId::new(0);
         let (a, _) = s.intern(&[0], e, &[(t0, 3)], &[]).unwrap();
         let (b, _) = s.intern(&[0], e, &[(t0, 2)], &[]).unwrap();
@@ -1180,21 +1184,18 @@ mod tests {
     #[test]
     fn environments_are_shared() {
         let mut s = StateStore::new(1);
-        let mut env = Env::new();
-        env.set_var("x", Value::Int(1));
-        let e1 = s.intern_env(&env).unwrap();
-        let e2 = s.intern_env(&env.clone()).unwrap();
+        let e1 = s.intern_env(&x_is(1)).unwrap();
+        let e2 = s.intern_env(&x_is(1)).unwrap();
         assert_eq!(e1, e2);
         assert_eq!(s.env_count(), 1);
-        env.set_var("x", Value::Int(2));
-        assert_ne!(s.intern_env(&env).unwrap(), e1);
+        assert_ne!(s.intern_env(&x_is(2)).unwrap(), e1);
         assert_eq!(s.env_count(), 2);
     }
 
     #[test]
     fn table_survives_growth() {
         let mut s = StateStore::new(2);
-        let e = s.intern_env(&Env::new()).unwrap();
+        let e = s.intern_env(&EnvSlots::new()).unwrap();
         for i in 0..10_000u32 {
             let (idx, new) = s.intern(&[i, i / 3], e, &[], &[]).unwrap();
             assert_eq!(idx, i as usize);
@@ -1212,7 +1213,7 @@ mod tests {
     #[test]
     fn views_mirror_marking_api() {
         let mut s = StateStore::new(3);
-        let e = s.intern_env(&Env::new()).unwrap();
+        let e = s.intern_env(&EnvSlots::new()).unwrap();
         s.intern(&[1, 0, 6], e, &[], &[]).unwrap();
         let v = s.state(0).unwrap().marking;
         assert_eq!(v.tokens(PlaceId::new(2)), 6);
@@ -1239,7 +1240,7 @@ mod tests {
     #[test]
     fn memory_estimate_is_monotonic() {
         let mut s = StateStore::new(4);
-        let e = s.intern_env(&Env::new()).unwrap();
+        let e = s.intern_env(&EnvSlots::new()).unwrap();
         let before = s.approx_bytes();
         for i in 0..1000u32 {
             s.intern(&[i, 0, 0, 0], e, &[], &[]).unwrap();
@@ -1253,7 +1254,7 @@ mod tests {
         // state cap must leave the store untouched (the seed interned
         // first and checked after, leaving max + 1 states behind).
         let mut s = StateStore::new(1);
-        let e = s.intern_env(&Env::new()).unwrap();
+        let e = s.intern_env(&EnvSlots::new()).unwrap();
         let (a, _) = s
             .intern_bounded(&[0], StateStore::marking_hash(&[0]), e, &[], &[], 1)
             .unwrap();
@@ -1281,7 +1282,6 @@ mod tests {
         // byte-for-byte, probes against evicted segments must still
         // hit, and a re-intern of an evicted state must be a hit (not a
         // duplicate append).
-        use pnut_core::expr::Value;
         let config = PagerConfig {
             mem_budget: 8 * 1024,
             spill_dir: None,
@@ -1289,9 +1289,7 @@ mod tests {
         let mut s = StateStore::with_config(4, &config);
         let mut envs = Vec::new();
         for v in 0..4 {
-            let mut env = Env::new();
-            env.set_var("x", Value::Int(v));
-            envs.push(s.intern_env(&env).unwrap());
+            envs.push(s.intern_env(&x_is(v)).unwrap());
         }
         let t0 = TransitionId::new(0);
         let n = 3000u32;
@@ -1365,9 +1363,7 @@ mod tests {
         // A paged store equals a fully resident build of the same data.
         let mut resident = StateStore::new(4);
         for v in 0..4 {
-            let mut env = Env::new();
-            env.set_var("x", Value::Int(v));
-            resident.intern_env(&env).unwrap();
+            resident.intern_env(&x_is(v)).unwrap();
         }
         for i in 0..n {
             let inflight: &[(TransitionId, u64)] = if i % 2 == 0 {
@@ -1406,13 +1402,12 @@ mod tests {
         // min-reduced keys; the splice must commit them in key order and
         // resolve pending environments first.
         let mut store = StateStore::new(1);
-        let e0 = store.intern_env(&Env::new()).unwrap();
+        let e0 = store.intern_env(&EnvSlots::new()).unwrap();
         store.intern(&[0], e0, &[], &[]).unwrap(); // committed state 0
         let mut sh0 = PendingShard::new(0, 1);
         let mut sh1 = PendingShard::new(1, 1);
 
-        let mut env = Env::new();
-        env.set_var("x", Value::Int(9));
+        let env = x_is(9);
         let eh = fx_hash_of(&env);
         let pe = sh1.intern_env(&env, eh, 7).unwrap();
         // The same env re-discovered earlier in sequential order.
@@ -1473,7 +1468,8 @@ mod tests {
         assert_eq!(map[pending_shard(p_late)][pending_local(p_late)], 2);
         // The pending env was committed and the state references it.
         assert_eq!(store.env_count(), 2);
-        assert_eq!(store.state(2).unwrap().env.var("x"), Some(Value::Int(9)));
+        let env = store.env(store.try_env_id(2).unwrap());
+        assert_eq!(env.var(0), Some(Value::Int(9)));
         // Shards are reset for the next level.
         assert!(collect_novel_states(&shards).is_empty());
     }
@@ -1504,7 +1500,7 @@ mod race_tests {
     fn level_splice_is_deterministic_under_every_schedule() {
         race::check(&Options::default(), || {
             let mut store = StateStore::new(2);
-            let env = store.intern_env(&Env::new()).expect("env");
+            let env = store.intern_env(&EnvSlots::new()).expect("env");
             let (root, _) = store.intern(&[1, 0], env, &[], &[]).expect("root");
             assert_eq!(root, 0);
             let shards: Vec<Mutex<PendingShard>> = (0..2)

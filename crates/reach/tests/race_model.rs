@@ -9,7 +9,7 @@
 //! fault path itself — not a model of it.
 #![cfg(feature = "race-model")]
 
-use pnut_core::expr::Env;
+use pnut_core::expr::compile::EnvSlots;
 use pnut_reach::race::{self, FailureKind, Options};
 use pnut_reach::sync::mutation;
 use pnut_reach::{PagerConfig, StateStore};
@@ -31,7 +31,7 @@ fn spilled_store() -> StateStore {
         spill_dir: None,
     };
     let mut s = StateStore::with_config(2, &cfg);
-    let env = s.intern_env(&Env::new()).expect("env");
+    let env = s.intern_env(&EnvSlots::new()).expect("env");
     for i in 0..STATES {
         s.intern(&[i, 0], env, &[], &[]).expect("intern");
     }

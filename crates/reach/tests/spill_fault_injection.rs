@@ -8,7 +8,7 @@
 
 use std::sync::Mutex;
 
-use pnut_core::expr::Env;
+use pnut_core::expr::compile::EnvSlots;
 use pnut_core::NetBuilder;
 use pnut_reach::graph::{build_untimed, ReachOptions};
 use pnut_reach::pager::fail::{fail_nth_spill_read, fail_nth_spill_write, reset_spill_failures};
@@ -38,7 +38,7 @@ fn spilled_store() -> StateStore {
         spill_dir: None,
     };
     let mut s = StateStore::with_config(2, &cfg);
-    let env = s.intern_env(&Env::new()).expect("env");
+    let env = s.intern_env(&EnvSlots::new()).expect("env");
     for i in 0..140u32 {
         s.intern(&[i, 0], env, &[], &[]).expect("intern");
     }
@@ -114,7 +114,7 @@ fn spill_write_failure_surfaces_during_eviction_and_is_retryable() {
         spill_dir: None,
     };
     let mut s = StateStore::with_config(2, &cfg);
-    let env = s.intern_env(&Env::new()).expect("env");
+    let env = s.intern_env(&EnvSlots::new()).expect("env");
 
     // Spilling is eager: `append` seals a full tail and evicts back
     // under budget inline, so the first spill write happens mid-intern,

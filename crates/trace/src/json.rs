@@ -37,6 +37,10 @@
 //!   included (at most 128 levels);
 //! * integers are checked for type and range, and delta place and
 //!   transition indices against the header once the pass is done;
+//! * place counts are replayed from `initial_marking`, one add per
+//!   place delta, and must stay within `0..=u32::MAX` (a `finish` with
+//!   no `start` is fine: a continued run's header does not list the
+//!   firings already in flight);
 //! * a `\u` escape takes exactly four hex digits;
 //! * nothing but whitespace may follow the trace.
 //!
@@ -712,13 +716,15 @@ pub(crate) fn read_trace(mut reader: impl Read) -> Result<RecordedTrace, JsonErr
             "initial_marking length differs from place_names".into(),
         ));
     }
-    // Indices and times are checked once the header is in hand (keys
-    // come in any order), so a malformed trace fails here instead of
-    // panicking downstream in `StateIter` or the statistics.
+    // Indices, times and place counts are checked once the header is in
+    // hand (keys come in any order), so a malformed trace fails here
+    // instead of panicking, or being clamped into wrong answers,
+    // downstream in `StateIter` or the statistics.
     let deltas = c.required(deltas, "deltas")?;
     let start_time = Time::from_ticks(c.required(start_time, "start_time")?);
     let end_time = Time::from_ticks(c.required(end_time, "end_time")?);
     let mut clock = start_time;
+    let mut tokens: Vec<i64> = initial_marking.iter().map(|&m| i64::from(m)).collect();
     for d in &deltas {
         if d.time < clock {
             return Err(JsonError::Schema(format!(
@@ -738,6 +744,16 @@ pub(crate) fn read_trace(mut reader: impl Read) -> Result<RecordedTrace, JsonErr
             return Err(JsonError::Schema(format!(
                 "{what} index {index} out of range ({count} {what}s)"
             )));
+        }
+        if let DeltaKind::PlaceDelta { delta, .. } = d.kind {
+            let held = tokens[index].saturating_add(delta);
+            if !(0..=i64::from(u32::MAX)).contains(&held) {
+                return Err(JsonError::Schema(format!(
+                    "place `{}` would hold {held} tokens at time {}",
+                    place_names[index], d.time
+                )));
+            }
+            tokens[index] = held;
         }
     }
     if end_time < clock {
@@ -982,6 +998,34 @@ mod tests {
             let e = read_trace(bad.as_bytes()).unwrap_err();
             assert!(matches!(e, JsonError::Schema(_)), "{why}: {e}");
             assert!(e.to_string().contains("precedes"), "{why}: {e}");
+        }
+    }
+
+    #[test]
+    fn place_counts_outside_u32_are_schema_errors() {
+        let trace = |initial: u64, delta: i64| {
+            format!(
+                r#"{{"net_name":"n","place_names":["p"],"transition_names":["t"],
+                "initial_marking":[{initial}],"initial_env":{{"vars":{{}},"tables":{{}}}},
+                "start_time":0,"end_time":9,"deltas":[
+                {{"time":3,"step":1,"kind":{{"type":"place","place":0,"delta":{delta}}}}}]}}"#
+            )
+        };
+        let max = u64::from(u32::MAX);
+        assert!(read_trace(trace(2, -2).as_bytes()).is_ok());
+        assert!(read_trace(trace(max - 1, 1).as_bytes()).is_ok());
+        for (bad, why) in [
+            (trace(2, -3), "a negative count"),
+            (trace(max, 1), "a count above u32::MAX"),
+            (trace(0, i64::MIN), "a delta that would overflow the replay"),
+        ] {
+            let e = read_trace(bad.as_bytes()).unwrap_err();
+            assert!(matches!(e, JsonError::Schema(_)), "{why}: {e}");
+            let msg = e.to_string();
+            assert!(
+                msg.contains("place `p`") && msg.contains("time 3"),
+                "{why}: {e}"
+            );
         }
     }
 

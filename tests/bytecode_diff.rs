@@ -292,7 +292,11 @@ fn assert_matches_legacy(g: &ReachabilityGraph, l: &LegacyGraph, what: &str) {
             b.marking.as_slice(),
             "{what}: state {i}"
         );
-        assert_eq!(a.env, &b.env, "{what}: env of state {i}");
+        assert_eq!(
+            g.env(i).expect("resident graph"),
+            b.env,
+            "{what}: env of state {i}"
+        );
         assert_eq!(a.in_flight, &b.in_flight[..], "{what}: in-flight of {i}");
         let got: Vec<(EdgeLabel, usize)> = g
             .successors(i)

@@ -315,7 +315,7 @@ fn markov_solver_work_is_pinned_on_the_checked_in_models() {
 /// reloads` holds after every step.
 #[test]
 fn fault_failures_tick_on_every_reload_error_path() {
-    use pnut::core::expr::Env;
+    use pnut::core::expr::compile::EnvSlots;
     use pnut::reach::pager::fail;
     use pnut::reach::{PagerConfig, StateStore};
 
@@ -337,7 +337,7 @@ fn fault_failures_tick_on_every_reload_error_path() {
         spill_dir: None,
     };
     let mut s = StateStore::with_config(2, &cfg);
-    let env = s.intern_env(&Env::new()).expect("env");
+    let env = s.intern_env(&EnvSlots::new()).expect("env");
     for i in 0..140u32 {
         s.intern(&[i, 0], env, &[], &[]).expect("intern");
     }

@@ -45,7 +45,11 @@ fn assert_equivalent(g: &ReachabilityGraph, l: &LegacyGraph) {
             b.marking.as_slice(),
             "marking of state {i} differs"
         );
-        assert_eq!(a.env, &b.env, "environment of state {i} differs");
+        assert_eq!(
+            g.env(i).expect("resident graph"),
+            b.env,
+            "environment of state {i} differs"
+        );
         assert_eq!(
             a.in_flight,
             &b.in_flight[..],

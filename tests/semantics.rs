@@ -432,6 +432,28 @@ fn trace_json_roundtrip_full_model() {
     let back = roundtrip(&trace);
     assert_eq!(pnut::stat::analyze(&trace), pnut::stat::analyze(&back));
 
+    // A continued run's header lists the marking but not the firings in
+    // flight, so its trace finishes firings it never started. The
+    // reader's count replay must still accept it.
+    let mut b = NetBuilder::new("loop");
+    b.place("a", 1);
+    b.transition("t").input("a").output("a").firing(3).add();
+    let looped = b.build().expect("builds");
+    let mut sim = Simulator::new(&looped, 1).expect("constructs");
+    sim.run(Time::from_ticks(1), &mut Recorder::new())
+        .expect("runs");
+    let mut rec = Recorder::new();
+    sim.run(Time::from_ticks(10), &mut rec).expect("continues");
+    let continued = rec.into_trace().expect("complete");
+    assert!(
+        matches!(
+            continued.deltas()[0].kind,
+            DeltaKind::Finish { firing: 0, .. }
+        ),
+        "the continued run must open with the inherited firing's finish"
+    );
+    roundtrip(&continued);
+
     let interpreted = model("interpreted");
     for seed in 0..5 {
         let trace = pnut::sim::simulate(&interpreted, seed, Time::from_ticks(250)).expect("runs");
@@ -523,7 +545,7 @@ fn replay_on_graph(g: &ReachabilityGraph, trace: &RecordedTrace) -> Result<usize
         }
         if marking != st.marking.as_slice()
             || in_flight != st.firing_counts
-            || vars(gs.env) != vars(&st.env)
+            || vars(&g.env(s).map_err(|e| e.to_string())?) != vars(&st.env)
         {
             return Err(format!(
                 "graph state {s} differs from trace state #{} at t={}",
@@ -652,6 +674,9 @@ fn simulator_output_is_pinned() {
         }
         let mut bytes = Vec::new();
         trace.write_json(&mut bytes).expect("serializes");
+        let back = RecordedTrace::read_json(bytes.as_slice())
+            .unwrap_or_else(|e| panic!("{name}: the written trace does not read back: {e}"));
+        assert_eq!(back, trace, "{name}");
         got.push((
             name.as_str(),
             *seed,
