@@ -161,21 +161,33 @@ fn bench_paged_analysis(c: &mut Criterion) {
     g.finish();
 }
 
-/// Every state's environment, as [`Env`] maps (built once, outside the
-/// timed sweeps).
-fn state_envs(g: &ReachabilityGraph) -> Vec<Env> {
-    (0..g.state_count())
-        .map(|i| g.env(i).expect("resident bench graph"))
-        .collect()
+/// Every state's environment as an [`Env`], built once outside the
+/// timed sweeps: one map per interned environment, and each state's
+/// index into them. States share maps exactly as the store shares
+/// environments, so a sweep reads the same few maps a build does rather
+/// than one copy per state.
+fn state_envs(g: &ReachabilityGraph) -> (Vec<Env>, Vec<usize>) {
+    let mut distinct: Vec<Option<Env>> = vec![None; g.store().env_count()];
+    let ids = (0..g.state_count())
+        .map(|i| {
+            let id = g.store().try_env_id(i).expect("resident bench graph") as usize;
+            if distinct[id].is_none() {
+                distinct[id] = Some(g.env(i).expect("resident bench graph"));
+            }
+            id
+        })
+        .collect();
+    let distinct = distinct.into_iter().map(|e| e.expect("env has a state"));
+    (distinct.collect(), ids)
 }
 
 /// The per-state expression workload the explorer pays on every visit:
 /// evaluate the predicate, apply the action to a fresh successor
 /// environment, and resolve any expression delays — here run over every
 /// reachable state's environment, on the tree interpreter.
-fn ast_sweep(net: &Net, envs: &[Env]) -> u64 {
+fn ast_sweep(net: &Net, envs: &[&Env]) -> u64 {
     let mut acc = 0u64;
-    for env in envs {
+    for &env in envs {
         for (_, t) in net.transitions() {
             if let Some(p) = t.predicate() {
                 acc += u64::from(matches!(
@@ -202,12 +214,12 @@ fn ast_sweep(net: &Net, envs: &[Env]) -> u64 {
 /// The same workload as [`ast_sweep`], on the bytecode evaluator: slot
 /// loads instead of name lookups, a slot-file copy instead of an `Env`
 /// clone, flat register programs instead of tree walks.
-fn bytecode_sweep(envs: &[Env], programs: &CompiledNet) -> u64 {
+fn bytecode_sweep(envs: &[&Env], programs: &CompiledNet) -> u64 {
     let mut acc = 0u64;
     let mut cur = EnvSlots::new();
     let mut next = EnvSlots::new();
     let mut vm = Scratch::new();
-    for env in envs {
+    for &env in envs {
         cur.load(&programs.map, env);
         for ct in &programs.transitions {
             if let Some(p) = &ct.predicate {
@@ -244,7 +256,8 @@ fn bytecode_sweep(envs: &[Env], programs: &CompiledNet) -> u64 {
 /// nothing for the compilation layer.
 fn bench_compiled(c: &mut Criterion) {
     for (name, net) in untimed_workloads() {
-        let envs = state_envs(&build_untimed(&net, &OPTIONS).expect("bounded"));
+        let (distinct, ids) = state_envs(&build_untimed(&net, &OPTIONS).expect("bounded"));
+        let envs: Vec<&Env> = ids.iter().map(|&id| &distinct[id]).collect();
         let programs = CompiledNet::compile(&net).expect("paper models compile");
         let mut group = c.benchmark_group(format!("reach/compiled/{name}"));
         group.bench_function("ast", |b| b.iter(|| ast_sweep(&net, &envs)));
@@ -378,7 +391,8 @@ fn summary() {
     // its ratio would gate nothing but loop noise.
     println!("\n-- compiled expression sweep vs AST interpreter (min of 10 sweeps) --");
     for (name, net) in untimed_workloads() {
-        let envs = state_envs(&build_untimed(&net, &OPTIONS).expect("bounded"));
+        let (distinct, ids) = state_envs(&build_untimed(&net, &OPTIONS).expect("bounded"));
+        let envs: Vec<&Env> = ids.iter().map(|&id| &distinct[id]).collect();
         let programs = CompiledNet::compile(&net).expect("paper models compile");
         let ast = min_ns(10, || ast_sweep(&net, &envs));
         let bytecode = min_ns(10, || bytecode_sweep(&envs, &programs));
