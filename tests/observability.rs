@@ -15,6 +15,8 @@
 //! * **Exact solver work**: the Markov chain's edge count and the
 //!   solver's sweep count on the checked-in models are pinned the same
 //!   way.
+//! * **Exact analysis work**: the pager, CTL and invariant counters of
+//!   the post-build analysis sweeps are pinned the same way.
 //!
 //! The recorder is process-global, so this lives in its own test
 //! binary and every test serializes on one mutex.
@@ -304,6 +306,108 @@ fn markov_solver_work_is_pinned_on_the_checked_in_models() {
         got.as_slice(),
         MARKOV_WORK,
         "markov solver work changed; the measured table is:\n{rendered}"
+    );
+}
+
+/// The analysis sweeps' exact work on the checked-in models, one row per
+/// `(model, timed, budget)` cell at jobs = 1: `pager.faults`,
+/// `pager.evictions`, `pager.spill_read_bytes`, `pager.spill_write_bytes`,
+/// `ctl.sweeps`, `ctl.eu_iterations`, `ctl.eg_iterations` and
+/// `analysis.invariant_states`. The graph is built with the recorder
+/// off, so the row counts only the analyses: `deadlocks`,
+/// `place_bounds`, `ever_fires` for every transition, `check_invariants`
+/// and three CTL formulas on the model's first place. A budget of 0
+/// means unlimited.
+#[rustfmt::skip]
+const ANALYSIS_WORK: &[(&str, bool, usize, [u64; 8])] = &[
+    ("three_stage", false, 0, [0, 0, 0, 0, 33, 3, 26, 614]),
+    ("three_stage", false, 64, [130, 130, 974476, 21916, 33, 3, 26, 614]),
+    ("three_stage", true, 0, [0, 0, 0, 0, 42, 10, 28, 865]),
+    ("three_stage", true, 64, [926, 931, 5079944, 33992, 42, 10, 28, 865]),
+    ("interpreted_analysis", false, 0, [0, 0, 0, 0, 27, 3, 20, 3383]),
+    ("interpreted_analysis", false, 64, [564, 564, 3934528, 27428, 27, 3, 20, 3383]),
+    ("interpreted_analysis", true, 0, [0, 0, 0, 0, 45, 21, 20, 355]),
+    ("interpreted_analysis", true, 64, [166, 167, 811392, 23772, 45, 21, 20, 355]),
+    ("sequential", false, 0, [0, 0, 0, 0, 27, 10, 13, 19]),
+    ("sequential", false, 64, [0, 0, 0, 0, 27, 10, 13, 19]),
+    ("sequential", true, 0, [0, 0, 0, 0, 38, 14, 20, 24]),
+    ("sequential", true, 64, [0, 0, 0, 0, 38, 14, 20, 24]),
+    ("pager_protocol", false, 0, [0, 0, 0, 0, 17, 6, 7, 21]),
+    ("pager_protocol", false, 64, [0, 0, 0, 0, 17, 6, 7, 21]),
+    ("pager_protocol", true, 0, [0, 0, 0, 0, 17, 6, 7, 21]),
+    ("pager_protocol", true, 64, [0, 0, 0, 0, 17, 6, 7, 21]),
+];
+
+#[test]
+fn analysis_work_is_pinned_on_the_checked_in_models() {
+    use pnut::reach::ctl;
+    use pnut::reach::graph::build_timed;
+
+    let _g = serial();
+    let names = [
+        "pager.faults",
+        "pager.evictions",
+        "pager.spill_read_bytes",
+        "pager.spill_write_bytes",
+        "ctl.sweeps",
+        "ctl.eu_iterations",
+        "ctl.eg_iterations",
+        "analysis.invariant_states",
+    ];
+    let mut got = Vec::new();
+    for model in [
+        "three_stage",
+        "interpreted_analysis",
+        "sequential",
+        "pager_protocol",
+    ] {
+        let net = checked_in(model);
+        let (_, first) = net.places().next().expect("a place");
+        let p = first.name();
+        let formulas = [
+            format!("AG ({p} >= 0)"),
+            format!("E [ {p} = 0 U {p} > 0 ]"),
+            format!("AF ({p} > 0)"),
+        ];
+        for timed in [false, true] {
+            for budget_kib in [0, 64] {
+                let budget = if budget_kib == 0 {
+                    usize::MAX
+                } else {
+                    budget_kib * 1024
+                };
+                let build = if timed { build_timed } else { build_untimed };
+                let mut g = build(&net, &options(1, budget)).expect("builds");
+                obs::install();
+                g.deadlocks().expect("deadlocks");
+                g.place_bounds().expect("place bounds");
+                for (tid, _) in net.transitions() {
+                    g.ever_fires(tid).expect("liveness");
+                }
+                pnut::analysis::check_invariants(&net, &mut g).expect("invariants hold");
+                for f in &formulas {
+                    let formula = ctl::Formula::parse(f).expect("parses");
+                    ctl::check(&mut g, &net, &formula).expect("checks");
+                }
+                obs::uninstall();
+                drop(g);
+                let snap = obs::snapshot();
+                let mut work = [0u64; 8];
+                for (w, name) in work.iter_mut().zip(names) {
+                    *w = snap.counter(name);
+                }
+                got.push((model, timed, budget_kib, work));
+            }
+        }
+    }
+    let rendered: String = got
+        .iter()
+        .map(|(m, t, b, w)| format!("    ({m:?}, {t}, {b}, {w:?}),\n"))
+        .collect();
+    assert_eq!(
+        got.as_slice(),
+        ANALYSIS_WORK,
+        "analysis work changed; the measured table is:\n{rendered}"
     );
 }
 
