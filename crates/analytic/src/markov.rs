@@ -124,8 +124,17 @@ impl From<pnut_reach::ReachError> for MarkovError {
 /// Limits for the analysis.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MarkovOptions {
-    /// Maximum states for the dense chain.
-    pub max_states: usize,
+    /// The underlying timed reachability build. Its `max_states` also
+    /// caps the dense chain, and defaults to 20 000 here. Its byte
+    /// budget governs the graph arenas only: the chain extraction and
+    /// the place-average pass honor it by sweeping the *graph*
+    /// segment-at-a-time, but the extracted jump chain (CSR arrays with
+    /// one target, probability and fired transition per edge, their
+    /// transpose over the recurrent class, and the `O(states)` solver
+    /// vectors) is dense and stays in memory, outside the pager ledger.
+    /// Paging the chain is not attempted, and `jobs` parallelizes the
+    /// build only.
+    pub reach: ReachOptions,
     /// Cap on Gauss–Seidel sweeps; a solve that needs more fails with
     /// [`MarkovError::NoConvergence`].
     pub max_iterations: usize,
@@ -133,36 +142,17 @@ pub struct MarkovOptions {
     /// chain's stationary vector is at most this (see
     /// [`SteadyState::residual`]).
     pub tolerance: f64,
-    /// Worker threads for the underlying timed reachability build (see
-    /// [`pnut_reach::ReachOptions::jobs`]); the chain extraction itself
-    /// is dense linear algebra and stays single-threaded.
-    pub jobs: usize,
-    /// Resident byte budget for the reachability build's state and
-    /// edge arenas (see [`pnut_reach::ReachOptions::mem_budget`]). The
-    /// chain extraction and the place-average pass honor it by
-    /// scanning the *graph* segment-at-a-time instead of faulting it
-    /// resident — but the budget governs the graph arenas only: the
-    /// extracted jump chain itself (CSR arrays with one target,
-    /// probability and fired transition per edge, their transpose over
-    /// the recurrent class, and the `O(states)` solver vectors) is dense
-    /// and stays unconditionally in memory, outside the pager ledger.
-    /// The dense-chain cap is [`Self::max_states`]; paging the chain is
-    /// not attempted.
-    pub mem_budget: usize,
-    /// Spill directory for the reachability build (see
-    /// [`pnut_reach::ReachOptions::spill_dir`]).
-    pub spill_dir: Option<std::path::PathBuf>,
 }
 
 impl Default for MarkovOptions {
     fn default() -> Self {
         MarkovOptions {
-            max_states: 20_000,
+            reach: ReachOptions {
+                max_states: 20_000,
+                ..ReachOptions::default()
+            },
             max_iterations: 200_000,
             tolerance: 1e-12,
-            jobs: 1,
-            mem_budget: usize::MAX,
-            spill_dir: None,
         }
     }
 }
@@ -238,20 +228,12 @@ impl SteadyState {
 /// # }
 /// ```
 pub fn steady_state(net: &Net, options: &MarkovOptions) -> Result<SteadyState, MarkovError> {
-    let mut graph = build_timed(
-        net,
-        &ReachOptions {
-            max_states: options.max_states,
-            jobs: options.jobs,
-            mem_budget: options.mem_budget,
-            spill_dir: options.spill_dir.clone(),
-        },
-    )?;
+    let mut graph = build_timed(net, &options.reach)?;
     let n = graph.state_count();
-    if n > options.max_states {
+    if n > options.reach.max_states {
         return Err(MarkovError::TooLarge {
             states: n,
-            cap: options.max_states,
+            cap: options.reach.max_states,
         });
     }
     // Phase-scope the resident high-water mark: from here on the peak
@@ -259,13 +241,11 @@ pub fn steady_state(net: &Net, options: &MarkovOptions) -> Result<SteadyState, M
     // byte budget (verified below in debug builds).
     graph.reset_peak_resident_bytes();
 
-    // Embedded jump chain, extracted segment-at-a-time — pin one
-    // segment's edge rows, scan them, evict back under the byte budget —
-    // so the extraction phase stays inside `mem_budget` instead of
+    // Embedded jump chain, extracted by one sweep over the edge rows,
+    // so the extraction phase stays inside the byte budget instead of
     // faulting the whole graph resident. Deadlocks surface here too
-    // (segment order is state order, so the first one found is the
-    // lowest-numbered, matching the pre-paging behaviour of
-    // `deadlocks().first()`).
+    // (the sweep runs in state order, so the first one found is the
+    // lowest-numbered, matching `deadlocks().first()`).
     let extract_span = obs::span("markov.extract");
     let mut chain = JumpChain::with_capacity(n, graph.edge_count());
     let mut sojourn = vec![0.0f64; n];
@@ -273,33 +253,28 @@ pub fn steady_state(net: &Net, options: &MarkovOptions) -> Result<SteadyState, M
         EdgeLabel::Fire(t) => net.transition(t).frequency(),
         EdgeLabel::Advance(_) => 0.0,
     };
-    for seg in 0..graph.segment_count() {
-        {
-            let guard = graph.pin_segment(seg);
-            for s in guard.range() {
-                let edges = guard.successors(s)?;
-                // Frequencies are positive, so a zero total means no Fire
-                // edge: maximal progress leaves exactly one Advance edge.
-                let total: f64 = edges.iter().map(|&(label, _)| frequency(label)).sum();
-                match edges.first() {
-                    None => return Err(MarkovError::Deadlock { state: s }),
-                    Some(&(EdgeLabel::Advance(dt), to)) if total == 0.0 => {
-                        sojourn[s] = dt as f64;
-                        chain.push(to, 1.0, None);
-                    }
-                    Some(_) => {
-                        for &(label, to) in edges {
-                            if let EdgeLabel::Fire(t) = label {
-                                chain.push(to, frequency(label) / total, Some(t));
-                            }
-                        }
+    graph.sweep(|s, guard| -> Result<(), MarkovError> {
+        let edges = guard.successors(s)?;
+        // Frequencies are positive, so a zero total means no Fire edge:
+        // maximal progress leaves exactly one Advance edge.
+        let total: f64 = edges.iter().map(|&(label, _)| frequency(label)).sum();
+        match edges.first() {
+            None => return Err(MarkovError::Deadlock { state: s }),
+            Some(&(EdgeLabel::Advance(dt), to)) if total == 0.0 => {
+                sojourn[s] = dt as f64;
+                chain.push(to, 1.0, None);
+            }
+            Some(_) => {
+                for &(label, to) in edges {
+                    if let EdgeLabel::Fire(t) = label {
+                        chain.push(to, frequency(label) / total, Some(t));
                     }
                 }
-                chain.end_row();
             }
         }
-        graph.maintain()?;
-    }
+        chain.end_row();
+        Ok(())
+    })?;
     obs::metrics::MARKOV_EXTRACTED_EDGES.add(chain.to.len() as u64);
     drop(extract_span);
     if sojourn.iter().all(|&t| t == 0.0) {
@@ -326,44 +301,37 @@ pub fn steady_state(net: &Net, options: &MarkovOptions) -> Result<SteadyState, M
         .map(|(&p, &t)| p * t / mean_sojourn)
         .collect();
 
-    // Place averages: Σ fraction(s) · tokens_s(p) — a second
-    // segment-ordered sweep, this time over the marking rows.
-    let places = net.place_count();
-    let mut place_average_tokens = vec![0.0f64; places];
-    for seg in 0..graph.segment_count() {
-        {
-            let guard = graph.pin_segment(seg);
-            for s in guard.range() {
-                let frac = state_fraction[s];
-                if frac == 0.0 {
-                    continue;
-                }
-                for (p, &tokens) in guard.marking(s)?.iter().enumerate() {
-                    place_average_tokens[p] += frac * f64::from(tokens);
-                }
+    // Place averages: Σ fraction(s) · tokens_s(p) — a second sweep,
+    // this time over the marking rows.
+    let mut place_average_tokens = vec![0.0f64; net.place_count()];
+    graph.sweep(|s, guard| -> Result<(), MarkovError> {
+        let frac = state_fraction[s];
+        if frac != 0.0 {
+            for (p, &tokens) in guard.marking(s)?.iter().enumerate() {
+                place_average_tokens[p] += frac * f64::from(tokens);
             }
         }
-        graph.maintain()?;
-    }
+        Ok(())
+    })?;
 
-    // The segment-ordered sweeps above promise the analysis-phase
-    // resident envelope: budget + one pinned guard (state + edge
-    // segment) + one segment of slack. Verify the promise whenever a
-    // finite budget is set (debug builds only; the paged-analysis test
-    // harness exercises this at a 64 KiB budget).
+    // The two sweeps above promise the analysis-phase resident
+    // envelope: budget + one pinned guard (state + edge segment) + one
+    // segment of slack. Verify the promise whenever a finite budget is
+    // set (debug builds only; the paged-analysis test harness exercises
+    // this at a 64 KiB budget).
     #[cfg(debug_assertions)]
-    if options.mem_budget != usize::MAX {
+    if options.reach.mem_budget != usize::MAX {
         let guard = graph.max_state_segment_bytes() + graph.max_edge_segment_bytes();
         let slack = guard
             + graph
                 .max_state_segment_bytes()
                 .max(graph.max_edge_segment_bytes());
         debug_assert!(
-            graph.peak_resident_bytes() <= options.mem_budget + slack,
+            graph.peak_resident_bytes() <= options.reach.mem_budget + slack,
             "markov analysis phase peaked at {} resident bytes \
              (budget {} + guard/segment slack {})",
             graph.peak_resident_bytes(),
-            options.mem_budget,
+            options.reach.mem_budget,
             slack
         );
     }

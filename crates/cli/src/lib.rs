@@ -165,18 +165,6 @@ fn parse_max_states(args: &mut Args<'_>, cmd: &str) -> Result<Option<usize>, Cli
     Ok(max)
 }
 
-/// Parse and validate the shared `--max-states N` / `--jobs N`
-/// exploration options, returning `(max_states, jobs)` where present.
-/// `--jobs 0` means "use all available cores".
-fn parse_limit_flags(
-    args: &mut Args<'_>,
-    cmd: &str,
-) -> Result<(Option<usize>, Option<usize>), CliError> {
-    let max = parse_max_states(args, cmd)?;
-    let jobs = parse_opt::<usize>(args, "--jobs", cmd)?;
-    Ok((max, jobs))
-}
-
 /// Parse a byte-size value like `65536`, `64KiB`, `512MB`, or `2GiB`
 /// (binary multipliers throughout; `unlimited` disables the budget).
 /// One shared implementation with the `--stats` output formatter, so
@@ -215,14 +203,16 @@ fn parse_pager_flags(
     Ok((budget, dir))
 }
 
-/// [`parse_limit_flags`] + [`parse_pager_flags`] applied to
-/// [`pnut_reach::ReachOptions`].
+/// The shared exploration options `--max-states N` / `--jobs N` (`0`
+/// means "use all available cores") and [`parse_pager_flags`], applied
+/// to [`pnut_reach::ReachOptions`].
 fn parse_reach_options(
     args: &mut Args<'_>,
     cmd: &str,
     defaults: pnut_reach::ReachOptions,
 ) -> Result<pnut_reach::ReachOptions, CliError> {
-    let (max, jobs) = parse_limit_flags(args, cmd)?;
+    let max = parse_max_states(args, cmd)?;
+    let jobs = parse_opt::<usize>(args, "--jobs", cmd)?;
     let (budget, spill_dir) = parse_pager_flags(args, cmd)?;
     let mut options = defaults;
     if let Some(max) = max {
@@ -769,7 +759,7 @@ fn cmd_timeline(argv: &[String], out: &mut String) -> Result<i32, CliError> {
                 .map_err(|_| err("timeline: --to must be an integer"))
         })
         .transpose()?
-        .unwrap_or(from + 100);
+        .unwrap_or(from.saturating_add(100));
     let mut signals: Vec<pnut_tracer::Signal> = args
         .values("--probe")
         .into_iter()
@@ -1074,20 +1064,7 @@ fn cmd_markov(argv: &[String], out: &mut String) -> Result<i32, CliError> {
         .positional()
         .ok_or_else(|| err("markov: need a model file"))?;
     let mut options = pnut_analytic::markov::MarkovOptions::default();
-    let (max, jobs) = parse_limit_flags(&mut args, "markov")?;
-    let (budget, spill_dir) = parse_pager_flags(&mut args, "markov")?;
-    if let Some(max) = max {
-        options.max_states = max;
-    }
-    if let Some(jobs) = jobs {
-        options.jobs = jobs;
-    }
-    if let Some(budget) = budget {
-        options.mem_budget = budget;
-    }
-    if spill_dir.is_some() {
-        options.spill_dir = spill_dir;
-    }
+    options.reach = parse_reach_options(&mut args, "markov", options.reach)?;
     let mut session = ObsSession::from_args(&mut args, "markov")?;
     args.finish()?;
     let net = {
@@ -1239,6 +1216,23 @@ mod tests {
         assert_eq!(code, 0);
         assert!(out.contains("Bus_busy"));
         assert!(out.contains("sum"));
+
+        // The default `--to` (`--from` + 100) saturates instead of
+        // overflowing, which leaves an empty window at the end of time.
+        let from = u64::MAX.to_string();
+        let argv: Vec<String> = [
+            "timeline",
+            &trace_path,
+            "--from",
+            &from,
+            "--probe",
+            "Bus_busy",
+        ]
+        .iter()
+        .map(|s| s.to_string())
+        .collect();
+        let e = run(&argv, &mut String::new()).unwrap_err();
+        assert!(e.to_string().contains("empty timeline window"), "{e}");
     }
 
     #[test]

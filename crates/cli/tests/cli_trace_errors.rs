@@ -1,7 +1,12 @@
-//! A trace whose place counts leave `0..=u32::MAX` is not a trace:
-//! `stat` and `query` must refuse it through the real binary (exit
-//! nonzero, "not a trace" on stderr) instead of clamping or wrapping
-//! the count into a report that exits 0.
+//! Trace verbs must refuse bad input through the real binary with a
+//! clean error exit, never a panic or an abort:
+//!
+//! * a trace whose place counts leave `0..=u32::MAX` is not a trace:
+//!   `stat` and `query` exit nonzero with "not a trace" on stderr
+//!   instead of clamping or wrapping the count into a report that exits
+//!   0;
+//! * a `timeline` window too wide to sample exits 1 with a `timeline:`
+//!   error.
 
 use std::process::Command;
 
@@ -46,5 +51,35 @@ fn stat_and_query_reject_negative_place_counts() {
             "{args:?}: {stderr}"
         );
     }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A window of 10^11 ticks needs 800 GB of samples per probe: `timeline`
+/// must refuse it with a typed error and exit 1, not abort on the failed
+/// allocation.
+#[test]
+fn timeline_rejects_a_window_too_wide_to_sample() {
+    let dir = std::env::temp_dir().join(format!("pnut-timeline-cli-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let model = concat!(env!("CARGO_MANIFEST_DIR"), "/../../models/three_stage.pn");
+    let path = dir.join("t.json");
+    let trace = path.to_str().unwrap();
+    let (code, stderr) = pnut(&["sim", model, "--until", "50", "--seed", "1", "-o", trace]);
+    assert_eq!(code, 0, "{stderr}");
+    let (code, stderr) = pnut(&[
+        "timeline",
+        trace,
+        "--from",
+        "0",
+        "--to",
+        "100000000000",
+        "--probe",
+        "Bus_busy",
+    ]);
+    assert_eq!(code, 1, "{stderr}");
+    assert!(
+        stderr.contains("timeline:") && stderr.contains("too wide"),
+        "{stderr}"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -23,17 +23,16 @@
 //! # Memory: fixpoints sweep the graph segment-at-a-time
 //!
 //! Every sweep — atom evaluation, `EX`/`AX`, and the `EU`/`EG`
-//! fixpoint iterations — walks the graph in segment order through
-//! [`crate::graph::SegmentGuard`]s, calling
-//! [`ReachabilityGraph::maintain`] between segments (which is why
-//! [`check`] takes `&mut`: eviction needs exclusive access). On a
+//! fixpoint iterations — is one [`ReachabilityGraph::sweep`], which
+//! walks the graph in segment order and evicts between segments (which
+//! is why [`check`] takes `&mut`: eviction needs exclusive access). On a
 //! budgeted graph ([`crate::graph::ReachOptions::mem_budget`]) the
 //! checker therefore runs in `budget + one pinned guard` resident
 //! bytes plus the `O(states)` satisfaction bit-vectors, instead of
 //! faulting the whole store resident — model checking, not just graph
 //! construction, scales past RAM.
 
-use crate::graph::{ReachError, ReachabilityGraph};
+use crate::graph::{ReachError, ReachabilityGraph, SegmentGuard};
 use crate::store::StateRef;
 use pnut_core::Net;
 use pnut_obs as obs;
@@ -178,7 +177,7 @@ impl CheckOutcome {
 /// `net`, used for name resolution).
 ///
 /// Takes `&mut` because every sweep evicts cold segments between
-/// pinned ones ([`ReachabilityGraph::maintain`]), which keeps the
+/// pinned ones ([`ReachabilityGraph::sweep`]), which keeps the
 /// checker inside the graph's byte budget; the graph itself is never
 /// modified, and the result is identical at any budget.
 ///
@@ -219,36 +218,18 @@ fn eval_term(term: &Term, state: StateRef<'_>, net: &Net) -> Result<i64, CtlErro
     }
 }
 
-/// One segment-ordered pass over the graph: pin each segment, hand
-/// `f(state index, guard)` every state, evict between segments. The
-/// memory discipline of every sweep below lives here. A mid-sweep
-/// paging failure — a row accessor inside `f` or the eviction between
-/// segments — propagates as `E` (every sweep error type absorbs
-/// [`ReachError`]); it never aborts the process.
+/// One [`ReachabilityGraph::sweep`], counted in `ctl.sweeps`.
 fn sweep<E: From<ReachError>>(
     graph: &mut ReachabilityGraph,
-    mut f: impl FnMut(usize, &crate::graph::SegmentGuard<'_>) -> Result<(), E>,
+    f: impl FnMut(usize, &SegmentGuard<'_>) -> Result<(), E>,
 ) -> Result<(), E> {
     obs::metrics::CTL_SWEEPS.inc();
-    for seg in 0..graph.segment_count() {
-        {
-            let guard = graph.pin_segment(seg);
-            for i in guard.range() {
-                f(i, &guard)?;
-            }
-        }
-        graph.maintain().map_err(E::from)?;
-    }
-    Ok(())
+    graph.sweep(f)
 }
 
 /// Whether some successor of `i` (deadlock self-loop convention) is in
 /// `set`.
-fn any_succ(
-    guard: &crate::graph::SegmentGuard<'_>,
-    i: usize,
-    set: &[bool],
-) -> Result<bool, ReachError> {
+fn any_succ(guard: &SegmentGuard<'_>, i: usize, set: &[bool]) -> Result<bool, ReachError> {
     let succs = guard.successors(i)?;
     Ok(if succs.is_empty() {
         set[i]
@@ -259,11 +240,7 @@ fn any_succ(
 
 /// Whether all successors of `i` (deadlock self-loop convention) are
 /// in `set`.
-fn all_succ(
-    guard: &crate::graph::SegmentGuard<'_>,
-    i: usize,
-    set: &[bool],
-) -> Result<bool, ReachError> {
+fn all_succ(guard: &SegmentGuard<'_>, i: usize, set: &[bool]) -> Result<bool, ReachError> {
     let succs = guard.successors(i)?;
     Ok(if succs.is_empty() {
         set[i]

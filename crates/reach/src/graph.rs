@@ -15,13 +15,15 @@
 //! Random access ([`ReachabilityGraph::state`],
 //! [`ReachabilityGraph::successors`]) faults evicted segments back in
 //! under `&self` but can never evict, so a full sweep through them
-//! silently grows the resident set to the whole store. Analyses that
-//! sweep — CTL fixpoints, [`ReachabilityGraph::deadlocks`],
-//! [`ReachabilityGraph::place_bounds`], Markov extraction — instead
-//! walk the graph **segment-at-a-time**: pin one segment with a
-//! [`SegmentGuard`], scan its rows, drop the guard, and call
-//! [`ReachabilityGraph::maintain`] (an `&mut` point, so eviction is
-//! legal) before the next segment. That holds the resident envelope to
+//! silently grows the resident set to the whole store. Every analysis
+//! that reads the whole graph — CTL fixpoints,
+//! [`ReachabilityGraph::deadlocks`], [`ReachabilityGraph::place_bounds`],
+//! [`ReachabilityGraph::ever_fires`], Markov extraction, the P-invariant
+//! check — instead goes through [`ReachabilityGraph::sweep`], the one
+//! bulk read path. It walks the graph **segment-at-a-time**: pin one
+//! segment with a [`SegmentGuard`], hand its states to the analysis,
+//! drop the guard, and evict (an `&mut` point, so eviction is legal)
+//! before the next segment. That holds the resident envelope to
 //! `budget + one pinned guard (state segment + edge segment) + one
 //! segment of slack` for the *analysis* phase too, not just the build —
 //! asserted by `tests/paged_analysis.rs`.
@@ -332,98 +334,54 @@ impl ReachabilityGraph {
 
     // -- segment-order read path ------------------------------------------
 
-    /// Number of segments the graph is partitioned into (states and
-    /// edges share the grain, so this counts both).
-    pub fn segment_count(&self) -> usize {
-        self.store.segment_count()
-    }
-
-    /// The global state range covered by segment `seg`.
-    pub fn segment_range(&self, seg: usize) -> Range<usize> {
-        self.store.segment_range(seg)
-    }
-
-    /// Pin segment `seg` for scanning: the returned [`SegmentGuard`]
-    /// gives row access to the segment's states and successor lists
-    /// without re-touching the pager's LRU per row, and — because it is
-    /// a shared borrow of the graph — *provably* blocks eviction for
-    /// its lifetime (eviction needs `&mut`; see [`crate::pager`] for
-    /// the aliasing argument). Pinning is lazy and free of I/O: the
-    /// state and edge segments fault in on the first row access of each
-    /// family, so a sweep that only reads edges never loads the
-    /// markings.
+    /// One segment-ordered pass over the whole graph: pin a segment,
+    /// call `f(state index, guard)` on each of its states in index
+    /// order, drop the guard, evict back under the byte budget, and
+    /// move to the next segment. This is the only bulk read path: every
+    /// analysis that reads the whole graph goes through it, so it keeps
+    /// the [`SegmentGuard`] resident envelope instead of faulting the
+    /// whole store resident.
     ///
-    /// The intended loop is: pin, scan the rows, drop the guard, call
-    /// [`Self::maintain`], move to the next segment — which is what
-    /// [`Self::for_each_state_in_segments`] packages.
-    pub fn pin_segment(&self, seg: usize) -> SegmentGuard<'_> {
-        SegmentGuard {
-            graph: self,
-            seg,
-            range: self.segment_range(seg),
-            states: OnceCell::new(),
-            edges: OnceCell::new(),
-        }
-    }
-
-    /// Eager form of [`Self::pin_segment`]: faults both the state and
-    /// the edge segment in up front, so a sweep that wants its I/O
-    /// failure before touching any row gets it here instead of from
-    /// the first row accessor.
+    /// Pinning is lazy and free of I/O: a segment's states and its
+    /// successor rows fault in on the first row `f` reads from each, so
+    /// a sweep that reads only edges never loads the markings, and one
+    /// that stops reading rows faults no further segment. Rows read
+    /// through the guard do not re-touch the pager's LRU stamps.
     ///
     /// # Errors
     ///
-    /// [`ReachError::Spill`] if either family's segment fails to
-    /// reload.
-    pub fn try_pin_segment(&self, seg: usize) -> Result<SegmentGuard<'_>, ReachError> {
-        let guard = self.pin_segment(seg);
-        guard.state_rows()?;
-        guard.edge_rows()?;
-        Ok(guard)
-    }
-
-    /// Evict cold segments (edges first — analysis sweeps re-read them
-    /// in order anyway — then states) until the shared resident total
-    /// fits the budget again. A no-op while under budget; the legal
-    /// eviction point between two pinned segments of an analysis sweep.
-    ///
-    /// # Errors
-    ///
-    /// [`ReachError::Spill`] if writing an evicted segment fails.
-    pub fn maintain(&mut self) -> Result<(), ReachError> {
-        self.edges.maintain()?;
-        self.store.maintain()
-    }
-
-    /// Scan every state in segment order — pin a segment, visit its
-    /// states (`f(index, state, successors)`), unpin, evict back under
-    /// budget, repeat — so a full sweep stays inside the analysis
-    /// budget envelope instead of faulting the whole store resident.
-    ///
-    /// # Errors
-    ///
-    /// [`ReachError::Spill`] if a segment reload or eviction fails.
-    pub fn for_each_state_in_segments<F>(&mut self, mut f: F) -> Result<(), ReachError>
-    where
-        F: FnMut(usize, StateRef<'_>, &[Edge]),
-    {
-        for seg in 0..self.segment_count() {
+    /// The first error `f` returns ends the sweep at once (no eviction
+    /// follows it); [`ReachError::Spill`], converted into `E`, if an
+    /// eviction between segments fails. The graph stays usable either
+    /// way, and a retry re-faults from scratch.
+    pub fn sweep<E: From<ReachError>>(
+        &mut self,
+        mut f: impl FnMut(usize, &SegmentGuard<'_>) -> Result<(), E>,
+    ) -> Result<(), E> {
+        for seg in 0..self.store.segment_count() {
             {
-                let guard = self.pin_segment(seg);
+                let guard = SegmentGuard {
+                    graph: self,
+                    seg,
+                    range: self.store.segment_range(seg),
+                    states: OnceCell::new(),
+                    edges: OnceCell::new(),
+                };
                 for i in guard.range() {
-                    f(i, guard.state(i)?, guard.successors(i)?);
+                    f(i, &guard)?;
                 }
             }
-            self.maintain()?;
+            // Edges first: every sweep re-reads them in order anyway.
+            self.edges.maintain()?;
+            self.store.maintain()?;
         }
         Ok(())
     }
 
     // -- analyses (all segment-ordered, so they honor the byte budget) ----
 
-    /// Indices of deadlock states (no outgoing edges). Scans the edge
-    /// segments in order, evicting between segments, so the resident
-    /// envelope holds even on graphs larger than the budget.
+    /// Indices of deadlock states (no outgoing edges), found by one
+    /// [`Self::sweep`] over the edge rows.
     ///
     /// # Errors
     ///
@@ -431,77 +389,53 @@ impl ReachabilityGraph {
     /// the graph stays usable and a retry re-faults from scratch.
     pub fn deadlocks(&mut self) -> Result<Vec<usize>, ReachError> {
         let mut out = Vec::new();
-        for seg in 0..self.segment_count() {
-            {
-                let guard = self.pin_segment(seg);
-                for i in guard.range() {
-                    if guard.successors(i)?.is_empty() {
-                        out.push(i);
-                    }
-                }
+        self.sweep(|i, guard| -> Result<(), ReachError> {
+            if guard.successors(i)?.is_empty() {
+                out.push(i);
             }
-            self.maintain()?;
-        }
+            Ok(())
+        })?;
         Ok(out)
     }
 
     /// The bound of each place: the maximum token count over all
-    /// reachable states (a net is k-bounded iff every entry ≤ k).
-    /// Segment-ordered like [`Self::deadlocks`].
+    /// reachable states (a net is k-bounded iff every entry ≤ k), found
+    /// by one [`Self::sweep`] over the marking rows.
     ///
     /// # Errors
     ///
     /// As [`Self::deadlocks`].
     pub fn place_bounds(&mut self) -> Result<Vec<u32>, ReachError> {
-        let places = self.store.places();
-        let mut bounds = vec![0u32; places];
-        for seg in 0..self.segment_count() {
-            {
-                let guard = self.pin_segment(seg);
-                for i in guard.range() {
-                    for (b, &t) in bounds.iter_mut().zip(guard.marking(i)?) {
-                        *b = (*b).max(t);
-                    }
-                }
+        let mut bounds = vec![0u32; self.store.places()];
+        self.sweep(|i, guard| -> Result<(), ReachError> {
+            for (b, &t) in bounds.iter_mut().zip(guard.marking(i)?) {
+                *b = (*b).max(t);
             }
-            self.maintain()?;
-        }
+            Ok(())
+        })?;
         Ok(bounds)
     }
 
-    /// Whether `transition` fires on some edge (L1-liveness witness).
-    /// Segment-ordered like [`Self::deadlocks`]; returns at the first
-    /// witness.
+    /// Whether `transition` fires on some edge (L1-liveness witness),
+    /// found by one [`Self::sweep`] over the edge rows. No row is read
+    /// after the first witness, so no later segment faults in; the
+    /// sweep still evicts after the witness segment, so a following
+    /// sweep starts from an under-budget resident set.
     ///
     /// # Errors
     ///
     /// As [`Self::deadlocks`].
     pub fn ever_fires(&mut self, transition: TransitionId) -> Result<bool, ReachError> {
-        for seg in 0..self.segment_count() {
-            let found = {
-                let guard = self.pin_segment(seg);
-                let mut found = false;
-                for i in guard.range() {
-                    if guard
-                        .successors(i)?
-                        .iter()
-                        .any(|&(l, _)| l == EdgeLabel::Fire(transition))
-                    {
-                        found = true;
-                        break;
-                    }
-                }
-                found
-            };
-            // Evict even on the witness path, so a following sweep
-            // starts from an under-budget resident set and the
-            // envelope never stacks two pinned guards.
-            self.maintain()?;
-            if found {
-                return Ok(true);
-            }
-        }
-        Ok(false)
+        let mut found = false;
+        self.sweep(|i, guard| -> Result<(), ReachError> {
+            found = found
+                || guard
+                    .successors(i)?
+                    .iter()
+                    .any(|&(l, _)| l == EdgeLabel::Fire(transition));
+            Ok(())
+        })?;
+        Ok(found)
     }
 
     // -- budget diagnostics -----------------------------------------------
@@ -551,13 +485,15 @@ impl ReachabilityGraph {
 }
 
 /// A pinned segment of a [`ReachabilityGraph`]: row access to
-/// `seg_states` consecutive states and their successor lists.
+/// `seg_states` consecutive states and their successor lists. Only
+/// [`ReachabilityGraph::sweep`] pins one, and hands it to the sweep's
+/// closure with each state of the segment.
 ///
 /// # What pinning means, and why it is sound
 ///
 /// The guard holds `&ReachabilityGraph`. Eviction — the only operation
-/// that frees segment memory — requires `&mut ReachabilityGraph`
-/// ([`ReachabilityGraph::maintain`]), so while any guard is alive the
+/// that frees segment memory — requires `&mut ReachabilityGraph` (the
+/// sweep evicts between segments), so while any guard is alive the
 /// borrow checker statically rules out eviction: every `&[u32]` /
 /// `&[Edge]` the guard hands out stays valid for the guard's lifetime
 /// with no reference counting at run time. Faulting a segment *in*
@@ -567,16 +503,16 @@ impl ReachabilityGraph {
 /// The flip side: eviction can only run once the guard is dropped, so a
 /// sweep holding one guard at a time keeps the resident envelope at
 /// `budget + one state segment + one edge segment` (+ one segment of
-/// transient slack while the next pin faults before `maintain` evicts).
+/// transient slack while the next segment faults before the sweep
+/// evicts).
 ///
 /// # Errors and panics
 ///
 /// Row accessors return [`ReachError::Spill`] if a spilled segment
-/// fails to reload (disk error, short read, bad image header), and
-/// panic only on indices outside [`Self::range`] — a caller bug, not
-/// an environment failure. [`ReachabilityGraph::try_pin_segment`]
-/// front-loads both families' faults for sweeps that want the I/O
-/// error before touching any row.
+/// fails to reload (disk error, short read, bad image header); a
+/// closure that passes it on with `?` ends the sweep there. They panic
+/// only on indices outside [`Self::range`] — a caller bug, not an
+/// environment failure.
 pub struct SegmentGuard<'g> {
     graph: &'g ReachabilityGraph,
     seg: usize,

@@ -508,8 +508,8 @@ impl StateStore {
     /// at every `&mut` point; long read-only scans (which fault
     /// segments in without being able to evict) can call it between
     /// passes. A [`crate::graph::ReachabilityGraph`] pairs this with
-    /// its edge arena's maintenance — use
-    /// [`crate::graph::ReachabilityGraph::maintain`] there.
+    /// its edge arena's maintenance between the segments of every
+    /// [`crate::graph::ReachabilityGraph::sweep`].
     ///
     /// # Errors
     ///

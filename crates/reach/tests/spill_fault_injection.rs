@@ -175,12 +175,24 @@ fn wide_chain_net() -> pnut_core::Net {
     b.build().expect("builds")
 }
 
+/// One sweep that reads every state and its successors, returning how
+/// many states it read before it ended, and how it ended.
+fn read_all(g: &mut pnut_reach::ReachabilityGraph) -> (usize, Result<(), ReachError>) {
+    let mut read = 0;
+    let end = g.sweep(|i, guard| -> Result<(), ReachError> {
+        guard.state(i)?;
+        guard.successors(i)?;
+        read += 1;
+        Ok(())
+    });
+    (read, end)
+}
+
 /// Sweep every segment once so the pager's residency (and therefore
 /// the fault sequence of whatever runs next) depends only on the sweep
 /// order, not on build history or worker timing.
 fn normalize(g: &mut pnut_reach::ReachabilityGraph) {
-    g.for_each_state_in_segments(|_, _, _| {})
-        .expect("normalization sweep");
+    read_all(g).1.expect("normalization sweep");
 }
 
 fn faults() -> u64 {
@@ -330,11 +342,8 @@ fn mid_sweep_reload_failure_in_a_parallel_paged_graph() {
     // Fail a reload somewhere mid-sweep: the analysis returns the error
     // (no panic, no deadlock, no partial visit presented as complete).
     fail_nth_spill_read(2);
-    let mut visited = 0usize;
-    let err = g
-        .for_each_state_in_segments(|_, _, _| visited += 1)
-        .expect_err("injected mid-sweep read fails");
-    expect_spill(err, "read");
+    let (visited, end) = read_all(&mut g);
+    expect_spill(end.expect_err("injected mid-sweep read fails"), "read");
     assert!(
         visited < total,
         "sweep must stop at the failed segment, visited {visited}/{total}"
@@ -342,8 +351,7 @@ fn mid_sweep_reload_failure_in_a_parallel_paged_graph() {
 
     // Once the fault clears the same graph sweeps to completion.
     reset_spill_failures();
-    let mut revisited = 0usize;
-    g.for_each_state_in_segments(|_, _, _| revisited += 1)
-        .expect("clean sweep");
+    let (revisited, end) = read_all(&mut g);
+    end.expect("clean sweep");
     assert_eq!(revisited, total);
 }

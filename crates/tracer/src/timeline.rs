@@ -79,6 +79,13 @@ pub enum TimelineError {
         /// Window end.
         to: Time,
     },
+    /// A window too wide to hold one sample per tick in memory.
+    WindowTooWide {
+        /// Window start.
+        from: Time,
+        /// Window end.
+        to: Time,
+    },
 }
 
 impl fmt::Display for TimelineError {
@@ -90,6 +97,10 @@ impl fmt::Display for TimelineError {
             TimelineError::EmptyWindow { from, to } => {
                 write!(f, "empty timeline window [{from}, {to})")
             }
+            TimelineError::WindowTooWide { from, to } => write!(
+                f,
+                "window [{from}, {to}) is too wide to hold one sample per tick in memory"
+            ),
         }
     }
 }
@@ -113,9 +124,10 @@ impl Timeline {
     ///
     /// # Errors
     ///
-    /// Returns [`TimelineError::EmptyWindow`] for an empty window or
-    /// [`TimelineError::UnknownName`] if a signal references an unknown
-    /// name.
+    /// Returns [`TimelineError::EmptyWindow`] for an empty window,
+    /// [`TimelineError::WindowTooWide`] if the samples do not fit in
+    /// memory, or [`TimelineError::UnknownName`] if a signal references
+    /// an unknown name.
     pub fn sample(
         trace: &RecordedTrace,
         signals: &[Signal],
@@ -126,8 +138,14 @@ impl Timeline {
             return Err(TimelineError::EmptyWindow { from, to });
         }
         let header = trace.header();
-        let ticks = (to.ticks() - from.ticks()) as usize;
-        let mut samples = vec![Vec::with_capacity(ticks); signals.len()];
+        let ticks = usize::try_from(to.ticks() - from.ticks()).unwrap_or(usize::MAX);
+        let mut samples = Vec::with_capacity(signals.len());
+        for _ in signals {
+            let mut row = Vec::new();
+            row.try_reserve_exact(ticks)
+                .map_err(|_| TimelineError::WindowTooWide { from, to })?;
+            samples.push(row);
+        }
 
         // Walk states and ticks in lockstep; for each tick take the value
         // from the last state entered at or before that tick.
@@ -388,6 +406,19 @@ mod tests {
         )
         .unwrap_err();
         assert!(matches!(e, TimelineError::EmptyWindow { .. }));
+    }
+
+    #[test]
+    fn window_too_wide_to_sample_is_an_error() {
+        let trace = bus_trace();
+        let e = Timeline::sample(
+            &trace,
+            &[Signal::place("Bus_busy")],
+            Time::ZERO,
+            Time::from_ticks(u64::MAX),
+        )
+        .unwrap_err();
+        assert!(matches!(e, TimelineError::WindowTooWide { .. }), "{e}");
     }
 
     #[test]

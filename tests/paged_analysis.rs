@@ -2,8 +2,9 @@
 //! just graph construction — must run inside `--mem-budget`.
 //!
 //! Two properties are locked in for every analysis (CTL model
-//! checking, deadlock detection, place bounds, L1-liveness, Markov
-//! steady state) on the paper pipelines and the wide toggle lattice.
+//! checking, deadlock detection, place bounds, L1-liveness, the
+//! P-invariant check, Markov steady state) on the paper pipelines and
+//! the wide toggle lattice.
 //!
 //! **Bit-identical results** across `budget ∈ {unlimited, 64 KiB}` ×
 //! `jobs ∈ {1, 4}`: paging and parallelism change where rows live and
@@ -16,9 +17,11 @@
 //! would fault the whole store resident; this harness is what keeps
 //! that regression from coming back.
 
+use pnut::analysis::{check_invariants, InvariantCheck};
 use pnut::core::Net;
 use pnut::reach::ctl;
 use pnut::reach::graph::{build_timed, build_untimed, ReachOptions, ReachabilityGraph};
+use pnut::reach::ReachError;
 use pnut_bench::workloads::wide_toggle;
 use pnut_pipeline::{interpreted, three_stage, ThreeStageConfig};
 
@@ -44,6 +47,7 @@ struct AnalysisResults {
     deadlocks: Vec<usize>,
     /// Per-transition L1-liveness.
     fires: Vec<bool>,
+    invariants: InvariantCheck,
     /// Full per-state satisfaction sets, one per formula (stronger
     /// than comparing `holds_initially`).
     ctl: Vec<Vec<bool>>,
@@ -72,6 +76,7 @@ fn run_battery(
         .transitions()
         .map(|(tid, _)| g.ever_fires(tid).expect("paged sweep"))
         .collect();
+    let invariants = check_invariants(net, &mut g).expect("invariants hold");
     let ctl: Vec<Vec<bool>> = formulas
         .iter()
         .map(|f| {
@@ -100,6 +105,7 @@ fn run_battery(
         bounds,
         deadlocks,
         fires,
+        invariants,
         ctl,
     }
 }
@@ -187,14 +193,12 @@ fn wide_toggle_analyses_are_budget_invariant() {
     assert_battery_invariant(&net, false, &formulas, true);
 }
 
-/// The packaged one-call sweep, `for_each_state_in_segments`, is the
-/// convenience entry point for analyses that need states *and* edges
-/// together (external consumers get the pin → scan → maintain
-/// discipline without hand-rolling the loop): it must visit every
-/// state exactly once in index order, agree with the specialized
-/// analyses, and stay inside the same envelope.
+/// `ReachabilityGraph::sweep` is the one bulk read path every analysis
+/// above goes through: it must visit every state exactly once in index
+/// order, agree with the specialized analyses, and stay inside the same
+/// envelope.
 #[test]
-fn for_each_state_in_segments_agrees_with_the_analyses() {
+fn sweep_agrees_with_the_analyses() {
     let net = wide_toggle(13);
     let mut g = build_untimed(&net, &options(1, TINY_BUDGET)).expect("bounded build");
     g.reset_peak_resident_bytes();
@@ -203,15 +207,17 @@ fn for_each_state_in_segments_agrees_with_the_analyses() {
     let mut bounds = vec![0u32; net.place_count()];
     let mut deadlocks = Vec::new();
     let mut edge_total = 0usize;
-    g.for_each_state_in_segments(|i, state, succs| {
+    g.sweep(|i, guard| -> Result<(), ReachError> {
         visited.push(i);
-        for (b, &t) in bounds.iter_mut().zip(state.marking.as_slice()) {
+        for (b, &t) in bounds.iter_mut().zip(guard.state(i)?.marking.as_slice()) {
             *b = (*b).max(t);
         }
+        let succs = guard.successors(i)?;
         if succs.is_empty() {
             deadlocks.push(i);
         }
         edge_total += succs.len();
+        Ok(())
     })
     .expect("sweep completes");
 
@@ -219,7 +225,7 @@ fn for_each_state_in_segments_agrees_with_the_analyses() {
     let slack = guard + g.max_state_segment_bytes().max(g.max_edge_segment_bytes());
     assert!(
         g.peak_resident_bytes() <= TINY_BUDGET + slack,
-        "for_each sweep peaked at {} resident bytes (budget {TINY_BUDGET} + slack {slack})",
+        "sweep peaked at {} resident bytes (budget {TINY_BUDGET} + slack {slack})",
         g.peak_resident_bytes()
     );
     assert_eq!(visited, (0..g.state_count()).collect::<Vec<_>>());
@@ -334,11 +340,9 @@ fn markov_steady_state_is_budget_invariant() {
                 if (jobs, budget) == (1, usize::MAX) {
                     continue;
                 }
-                let opts = MarkovOptions {
-                    jobs,
-                    mem_budget: budget,
-                    ..MarkovOptions::default()
-                };
+                let mut opts = MarkovOptions::default();
+                opts.reach.jobs = jobs;
+                opts.reach.mem_budget = budget;
                 let got = steady_state(&net, &opts).expect("analyzable");
                 assert_eq!(
                     got,
