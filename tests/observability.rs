@@ -173,7 +173,10 @@ fn parallel_counters_obey_the_catalogue_invariants() {
 ///
 /// jobs = 4 is deterministic here: no level of these models reaches the
 /// `max(jobs, 2) × 48` states at which worker threads spawn, so every
-/// level is expanded inline in one chunk.
+/// level is expanded inline in one chunk. `wide_toggle(13)`, whose
+/// levels are wide enough to spawn workers, is pinned untimed at
+/// jobs = 1 only: its 8192 states dwarf a 64 KiB budget, so its paged
+/// row is where the sequential build's victim choice shows.
 #[rustfmt::skip]
 const EXPLORER_WORK: &[(&str, bool, usize, usize, [u64; 9])] = &[
     ("three_stage", false, 1, 0, [1989, 1375, 614, 0, 0, 0, 0, 27, 51]),
@@ -208,12 +211,42 @@ const EXPLORER_WORK: &[(&str, bool, usize, usize, [u64; 9])] = &[
     ("pager_protocol", true, 1, 64, [37, 16, 21, 0, 0, 0, 0, 10, 3]),
     ("pager_protocol", true, 4, 0, [57, 9, 21, 0, 0, 0, 0, 10, 3]),
     ("pager_protocol", true, 4, 64, [57, 9, 21, 0, 0, 0, 0, 10, 3]),
+    ("wide_toggle(13)", false, 1, 0, [53249, 45057, 8192, 0, 0, 0, 0, 14, 1716]),
+    ("wide_toggle(13)", false, 1, 64, [53249, 45057, 8192, 15985, 16108, 229672480, 1779560, 14, 1716]),
 ];
+
+/// One build's [`EXPLORER_WORK`] row: the `names` counters, then the
+/// peak frontier. A `budget_kib` of 0 means unlimited.
+fn explorer_work(
+    net: &pnut::core::Net,
+    timed: bool,
+    jobs: usize,
+    budget_kib: usize,
+    names: [&str; 8],
+) -> [u64; 9] {
+    use pnut::reach::graph::build_timed;
+
+    let budget = if budget_kib == 0 {
+        usize::MAX
+    } else {
+        budget_kib * 1024
+    };
+    obs::install();
+    let build = if timed { build_timed } else { build_untimed };
+    let g = build(net, &options(jobs, budget)).expect("builds");
+    obs::uninstall();
+    drop(g);
+    let snap = obs::snapshot();
+    let mut work = [0u64; 9];
+    for (w, name) in work.iter_mut().zip(names) {
+        *w = snap.counter(name);
+    }
+    work[8] = snap.gauge("reach.peak_frontier");
+    work
+}
 
 #[test]
 fn explorer_work_is_pinned_on_the_checked_in_models() {
-    use pnut::reach::graph::build_timed;
-
     let _g = serial();
     let names = [
         "store.probes",
@@ -236,26 +269,16 @@ fn explorer_work_is_pinned_on_the_checked_in_models() {
         for timed in [false, true] {
             for jobs in [1, 4] {
                 for budget_kib in [0, 64] {
-                    let budget = if budget_kib == 0 {
-                        usize::MAX
-                    } else {
-                        budget_kib * 1024
-                    };
-                    obs::install();
-                    let build = if timed { build_timed } else { build_untimed };
-                    let g = build(&net, &options(jobs, budget)).expect("builds");
-                    obs::uninstall();
-                    drop(g);
-                    let snap = obs::snapshot();
-                    let mut work = [0u64; 9];
-                    for (w, name) in work.iter_mut().zip(names) {
-                        *w = snap.counter(name);
-                    }
-                    work[8] = snap.gauge("reach.peak_frontier");
+                    let work = explorer_work(&net, timed, jobs, budget_kib, names);
                     got.push((model, timed, jobs, budget_kib, work));
                 }
             }
         }
+    }
+    let lattice = wide_toggle(13);
+    for budget_kib in [0, 64] {
+        let work = explorer_work(&lattice, false, 1, budget_kib, names);
+        got.push(("wide_toggle(13)", false, 1, budget_kib, work));
     }
     let rendered: String = got
         .iter()

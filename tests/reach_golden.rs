@@ -308,31 +308,52 @@ fn paged_build_stays_inside_the_budget_envelope() {
     // probe hits fault at most one state segment in, and the edge
     // arena — which shares the byte ledger since the CSR rows page —
     // grows by at most one segment's rows before its own `&mut` point
-    // evicts back down).
-    let net = wide_toggle(13); // 8192 states × 26 places ≫ 64 KiB
-    let g = build_untimed(&net, &with_budget(1, TINY_BUDGET)).expect("paged build");
-    assert!(g.spilled_bytes() > 0, "the budget must force spilling");
-    let slack = g.max_state_segment_bytes() + g.max_edge_segment_bytes();
-    assert!(
-        g.resident_bytes() <= TINY_BUDGET + slack,
-        "resident {} exceeds budget {} + segments {}",
-        g.resident_bytes(),
-        TINY_BUDGET,
-        slack
-    );
-    assert!(
-        g.peak_resident_bytes() <= TINY_BUDGET + slack,
-        "peak {} exceeds budget {} + segments {}",
-        g.peak_resident_bytes(),
-        TINY_BUDGET,
-        slack
-    );
-    // The edge arena really is paged: the 8192-row CSR (~190 KiB of
-    // edges) cannot have stayed resident under a 64 KiB budget.
-    assert!(
-        g.max_edge_segment_bytes() > 0,
-        "edge segments must have sealed"
-    );
+    // evicts back down). The pipelines are the builds whose probes
+    // reach back into old levels, so the segment the explorer keeps
+    // while expanding competes with faulted ones for the budget.
+    let analysis = interpreted::build(&interpreted::InterpretedConfig {
+        for_analysis: true,
+        ..interpreted::InterpretedConfig::default()
+    })
+    .expect("builds");
+    let three = three_stage::build(&ThreeStageConfig::default()).expect("builds");
+    let lattice = wide_toggle(13); // 8192 states × 26 places ≫ 64 KiB
+    let cases: [(&str, &Net, bool); 4] = [
+        ("wide_toggle(13)", &lattice, false),
+        ("three_stage --timed", &three, true),
+        ("interpreted_analysis", &analysis, false),
+        ("interpreted_analysis --timed", &analysis, true),
+    ];
+    for (name, net, timed) in cases {
+        let build = if timed { build_timed } else { build_untimed };
+        let g = build(net, &with_budget(1, TINY_BUDGET)).expect("paged build");
+        assert!(
+            g.spilled_bytes() > 0,
+            "{name}: the budget must force spilling"
+        );
+        let slack = g.max_state_segment_bytes() + g.max_edge_segment_bytes();
+        assert!(
+            g.resident_bytes() <= TINY_BUDGET + slack,
+            "{name}: resident {} exceeds budget {} + segments {}",
+            g.resident_bytes(),
+            TINY_BUDGET,
+            slack
+        );
+        assert!(
+            g.peak_resident_bytes() <= TINY_BUDGET + slack,
+            "{name}: peak {} exceeds budget {} + segments {}",
+            g.peak_resident_bytes(),
+            TINY_BUDGET,
+            slack
+        );
+        // The edge arena really is paged: the CSR rows (~190 KiB of
+        // edges on the lattice) cannot have stayed resident under a
+        // 64 KiB budget.
+        assert!(
+            g.max_edge_segment_bytes() > 0,
+            "{name}: edge segments must have sealed"
+        );
+    }
 }
 
 #[test]
