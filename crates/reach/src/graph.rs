@@ -56,7 +56,10 @@
 //! * **Direct** (`jobs = 1`) interns straight into the [`StateStore`]
 //!   and appends each row to the paged edge arena as soon as it is
 //!   finished. It evicts at every `&mut` point: after each state load,
-//!   inside each intern, and after each row.
+//!   inside each intern, and after each row, but never the segment of
+//!   the state it is expanding. Sources load in index order, so the
+//!   next one most likely lives in that segment too, yet every probe
+//!   since the load has made it the least recently touched.
 //! * **Pending shards** (`jobs > 1`) probe the frozen store read-only and
 //!   park misses in lock-striped pending shards under the *discovery
 //!   key* `(source, edge seq)` of the edge that found them. Levels of at
@@ -802,7 +805,7 @@ impl<'n> Rule<'n> {
         row.clear();
         let map = &self.programs.map;
         let env_id = sc.load(sink.store(), src)?;
-        sink.loaded()?;
+        sink.loaded(src)?;
         let mut can_start = false;
         for (i, ct) in self.programs.transitions.iter().enumerate() {
             let id = TransitionId::new(i);
@@ -900,8 +903,8 @@ trait Sink {
     type Target;
     /// The committed store source states are loaded from.
     fn store(&self) -> &StateStore;
-    /// Called after each source state is loaded.
-    fn loaded(&mut self) -> Result<(), ReachError>;
+    /// Called after source state `src` is loaded.
+    fn loaded(&mut self, src: usize) -> Result<(), ReachError>;
     /// Intern a post-action environment slot row found by the edge
     /// with discovery `key`.
     fn intern_env(&mut self, env: &bc::EnvSlots, key: u64) -> Result<Self::EnvId, ReachError>;
@@ -933,8 +936,11 @@ impl Sink for Direct<'_> {
 
     /// Loading may fault the source's segment back in; evict right
     /// away, so the resident envelope stays at most one segment above
-    /// the budget between interns.
-    fn loaded(&mut self) -> Result<(), ReachError> {
+    /// the budget between interns. The source's segment is kept
+    /// resident through this and every later eviction until the next
+    /// load: the next source is most likely in it.
+    fn loaded(&mut self, src: usize) -> Result<(), ReachError> {
+        self.store.keep_resident(Some(src));
         self.store.maintain()
     }
 
@@ -998,7 +1004,7 @@ impl Sink for Pending<'_> {
         self.store
     }
 
-    fn loaded(&mut self) -> Result<(), ReachError> {
+    fn loaded(&mut self, _src: usize) -> Result<(), ReachError> {
         Ok(())
     }
 
@@ -1271,8 +1277,10 @@ fn explore(
     debug_assert_eq!(g.edges.row_count(), g.store.len(), "one edge row per state");
     // Final squeeze back under budget (a no-op unless the last appends
     // left the arenas over); also the "seal" phase boundary for the
-    // span hierarchy.
+    // span hierarchy. The direct sink's kept segment is released first,
+    // so the analyses evict freely.
     let _seal = obs::span("seal");
+    g.store.keep_resident(None);
     g.store.maintain()?;
     Ok(g)
 }

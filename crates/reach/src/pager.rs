@@ -93,7 +93,11 @@
 //! the budget by the segments the level faults in. Sequentially the
 //! envelope is tight: at most one faulted segment pair (states + edges)
 //! above budget at any instant (asserted by the golden tests and the
-//! `tests/paged_analysis.rs` harness).
+//! `tests/paged_analysis.rs` harness). It holds while the sequential
+//! build keeps the segment it expands from ([`Paged::keep`]): the kept
+//! segment is charged to the budget like any other and is only never
+//! the victim, and the eighth-budget grain ([`seg_states_for`]) leaves
+//! room for it beside the two tails.
 //!
 //! All spill-file I/O reports [`ReachError::Spill`]; the only panicking
 //! paths are the infallible *view* accessors of [`crate::store`] and
@@ -964,9 +968,17 @@ const MAX_SEG_STATES: usize = 4096;
 const MIN_SEG_STATES: usize = 64;
 
 /// States per segment for `places`-wide markings under `budget` bytes:
-/// the largest power of two that fits roughly a quarter of the budget,
+/// the largest power of two that fits roughly an eighth of the budget,
 /// clamped to `[64, 4096]`. (Power of two ⇒ index → segment is a
 /// shift, and the choice never affects results — only paging grain.)
+///
+/// An eighth, because the budget must hold several segments at once:
+/// the state and edge tails, the segment the sequential build keeps
+/// while expanding from it, and a window of the segments its probes
+/// fault in, which one BFS level spreads over many segments. The
+/// estimate below counts marking rows only, so a quarter let one state
+/// and one edge segment of a wide model take most of a small budget,
+/// and the build thrashed.
 fn seg_states_for(places: usize, budget: usize) -> usize {
     if budget == usize::MAX {
         return MAX_SEG_STATES;
@@ -977,7 +989,7 @@ fn seg_states_for(places: usize, budget: usize) -> usize {
     // model-dependent — the budget envelope tolerates the approximation
     // either way.
     let per_state = places * 4 + 8;
-    let target = (budget / 4) / per_state.max(1);
+    let target = (budget / 8) / per_state.max(1);
     let rounded = match target.checked_next_power_of_two() {
         Some(p) if p == target => p,
         Some(p) => p / 2,
@@ -1008,6 +1020,9 @@ pub(crate) struct Paged<S> {
     shared: Arc<PagerShared>,
     /// Largest sealed segment seen, for budget-envelope assertions.
     max_seg_bytes: usize,
+    /// The segment [`Self::maintain`] must not evict: the one the
+    /// sequential explorer is expanding from (see [`Self::keep`]).
+    kept: Option<usize>,
 }
 
 /// The paged state arenas (markings, env ids, in-flight and enabling
@@ -1035,6 +1050,7 @@ impl<S: SegmentContent> Paged<S> {
             fault_lock: Mutex::new(()),
             shared,
             max_seg_bytes: 0,
+            kept: None,
         }
     }
 
@@ -1235,10 +1251,11 @@ impl<S: SegmentContent> Paged<S> {
 
     /// Advance the LRU clock and evict least-recently-touched sealed
     /// segments of *this arena* until the shared resident total fits
-    /// the budget (the tail is never evicted; segments of sibling
-    /// arenas are their own `maintain`'s job). Call sites are the
-    /// `&mut` points: after every append, at every parallel level
-    /// barrier, and between segments of an analysis sweep.
+    /// the budget (the tail and the kept segment, see [`Self::keep`],
+    /// are never evicted; segments of sibling arenas are their own
+    /// `maintain`'s job). Call sites are the `&mut` points: after
+    /// every append, at every parallel level barrier, and between
+    /// segments of an analysis sweep.
     pub(crate) fn maintain(&mut self) -> Result<(), ReachError> {
         self.shared.clock.fetch_add(1, Ordering::Relaxed);
         while self.shared.resident() > self.shared.budget {
@@ -1250,14 +1267,26 @@ impl<S: SegmentContent> Paged<S> {
         Ok(())
     }
 
-    /// The sealed resident segment with the oldest touch, if any.
+    /// Keep the segment holding row `row` resident through every
+    /// [`Self::maintain`] until the next call (`None` releases it). The
+    /// sequential explorer keeps the segment it is expanding from: BFS
+    /// loads sources in index order, so the next source needs the same
+    /// segment, yet every probe since the load has touched a segment
+    /// more recently, which makes it the LRU's first victim.
+    pub(crate) fn keep(&mut self, row: Option<usize>) {
+        self.kept = row.map(|i| self.seg_of(i).0);
+    }
+
+    /// The sealed resident segment with the oldest touch, if any, other
+    /// than the kept one.
     fn coldest_resident_sealed(&mut self) -> Option<usize> {
         let tail = self.segments.len() - 1;
+        let kept = self.kept;
         self.segments[..tail]
             .iter_mut()
             .enumerate()
             .filter_map(|(i, s)| {
-                if s.data.get_mut().is_null() {
+                if s.data.get_mut().is_null() || kept == Some(i) {
                     None
                 } else {
                     Some((i, *s.last_touch.get_mut()))
@@ -1894,10 +1923,51 @@ mod tests {
     }
 
     #[test]
+    fn kept_segment_survives_maintain_until_released() {
+        let budget = 8 * 1024;
+        let mut ps = PagedStates::new(4, &tiny_config(budget));
+        let n = 8 * ps.seg_states();
+        fill(&mut ps, n);
+        assert!(!ps.is_resident(0), "the build evicted segment 0");
+        // Keep segment 0 (through any of its rows) and fault it in;
+        // then touch every later sealed segment after it, which makes
+        // segment 0 the coldest and overfills the budget.
+        ps.keep(Some(5));
+        expect_row(&ps, 5);
+        ps.maintain().unwrap();
+        let overfill = |ps: &PagedStates| {
+            for i in ps.seg_states()..n {
+                expect_row(ps, i);
+            }
+            assert!(
+                ps.resident_bytes() > budget,
+                "the reads overfill the budget"
+            );
+        };
+        overfill(&ps);
+        ps.maintain().unwrap();
+        assert!(
+            ps.resident_bytes() <= budget,
+            "the other segments are evicted back under budget"
+        );
+        assert!(ps.is_resident(0), "the kept segment stays resident");
+        // Released, the coldest segment is the first victim again.
+        ps.keep(None);
+        overfill(&ps);
+        ps.maintain().unwrap();
+        assert!(!ps.is_resident(0), "a released segment is evictable");
+        assert!(ps.resident_bytes() <= budget);
+    }
+
+    #[test]
     fn seg_states_scales_with_budget_and_width() {
         assert_eq!(seg_states_for(10, usize::MAX), MAX_SEG_STATES);
-        // 64 KiB budget, 26 places: a quarter-budget segment of 128.
-        assert_eq!(seg_states_for(26, 64 * 1024), 128);
+        // 64 KiB budget, 26 places: an eighth-budget segment of 64. An
+        // eighth because the estimate counts marking rows only, while
+        // the edge rows share the budget: it must hold both tails, the
+        // segment the sequential build keeps and a window of segments
+        // its probes fault in.
+        assert_eq!(seg_states_for(26, 64 * 1024), 64);
         // Degenerate budgets clamp to the minimum grain.
         assert_eq!(seg_states_for(1000, 1), MIN_SEG_STATES);
         assert!(seg_states_for(0, 1024).is_power_of_two());

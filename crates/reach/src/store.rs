@@ -100,7 +100,9 @@
 //! load-only-under-`&self` safety argument). Eviction happens at `&mut`
 //! points: at `jobs = 1` after every state load, intern and edge row,
 //! so the resident set tracks the budget with at most one faulted
-//! segment of slack; at `jobs > 1` only at the level barrier.
+//! segment of slack, and the segment of the state being expanded is
+//! kept resident throughout ([`StateStore::keep_resident`]); at
+//! `jobs > 1` only at the level barrier.
 //! Environment slot rows are deduplicated and stay resident.
 //!
 //! The paged store is **bit-identical** to the unbounded in-memory
@@ -516,6 +518,13 @@ impl StateStore {
     /// [`ReachError::Spill`] if writing an evicted segment fails.
     pub fn maintain(&mut self) -> Result<(), ReachError> {
         self.states.maintain()
+    }
+
+    /// Exempt the segment of state `state` from eviction until the next
+    /// call; `None` makes every sealed segment evictable again. The
+    /// sequential explorer keeps the segment of the state it expands.
+    pub(crate) fn keep_resident(&mut self, state: Option<usize>) {
+        self.states.keep(state);
     }
 
     /// Resident paged-arena bytes right now. This reads the shared

@@ -180,21 +180,21 @@ fn parallel_counters_obey_the_catalogue_invariants() {
 #[rustfmt::skip]
 const EXPLORER_WORK: &[(&str, bool, usize, usize, [u64; 9])] = &[
     ("three_stage", false, 1, 0, [1989, 1375, 614, 0, 0, 0, 0, 27, 51]),
-    ("three_stage", false, 1, 64, [1989, 1375, 614, 57, 61, 643872, 52772, 27, 51]),
+    ("three_stage", false, 1, 64, [1989, 1375, 614, 19, 26, 107616, 56524, 27, 51]),
     ("three_stage", false, 4, 0, [2602, 239, 614, 0, 0, 0, 0, 27, 51]),
-    ("three_stage", false, 4, 64, [2602, 239, 614, 0, 4, 0, 29504, 27, 51]),
+    ("three_stage", false, 4, 64, [2602, 239, 614, 4, 12, 22656, 54380, 27, 51]),
     ("three_stage", true, 1, 0, [4877, 1486, 3391, 0, 0, 0, 0, 54, 166]),
-    ("three_stage", true, 1, 64, [4877, 1486, 3391, 1770, 1812, 27039648, 453504, 54, 166]),
+    ("three_stage", true, 1, 64, [4877, 1486, 3391, 556, 640, 4231584, 456084, 54, 166]),
     ("three_stage", true, 4, 0, [8267, 732, 3391, 0, 0, 0, 0, 54, 166]),
-    ("three_stage", true, 4, 64, [8267, 732, 3391, 187, 230, 2851216, 460376, 54, 166]),
+    ("three_stage", true, 4, 64, [8267, 732, 3391, 253, 336, 1928240, 454656, 54, 166]),
     ("interpreted_analysis", false, 1, 0, [8888, 5505, 3383, 0, 0, 0, 0, 130, 64]),
-    ("interpreted_analysis", false, 1, 64, [8888, 5505, 3383, 766, 812, 7476160, 380052, 130, 64]),
+    ("interpreted_analysis", false, 1, 64, [8888, 5505, 3383, 28, 119, 137088, 378548, 130, 64]),
     ("interpreted_analysis", false, 4, 0, [12251, 496, 3383, 0, 0, 0, 0, 130, 64]),
-    ("interpreted_analysis", false, 4, 64, [12251, 496, 3383, 27, 73, 263520, 391708, 130, 64]),
+    ("interpreted_analysis", false, 4, 64, [12251, 496, 3383, 30, 121, 146880, 375264, 130, 64]),
     ("interpreted_analysis", true, 1, 0, [985, 347, 638, 0, 0, 0, 0, 162, 12]),
-    ("interpreted_analysis", true, 1, 64, [985, 347, 638, 1, 4, 12560, 41636, 162, 12]),
+    ("interpreted_analysis", true, 1, 64, [985, 347, 638, 3, 7, 18704, 44368, 162, 12]),
     ("interpreted_analysis", true, 4, 0, [1603, 29, 638, 0, 0, 0, 0, 162, 12]),
-    ("interpreted_analysis", true, 4, 64, [1603, 29, 638, 1, 4, 12560, 41636, 162, 12]),
+    ("interpreted_analysis", true, 4, 64, [1603, 29, 638, 3, 8, 18704, 41688, 162, 12]),
     ("sequential", false, 1, 0, [27, 8, 19, 0, 0, 0, 0, 10, 4]),
     ("sequential", false, 1, 64, [27, 8, 19, 0, 0, 0, 0, 10, 4]),
     ("sequential", false, 4, 0, [45, 4, 19, 0, 0, 0, 0, 10, 4]),
@@ -212,7 +212,7 @@ const EXPLORER_WORK: &[(&str, bool, usize, usize, [u64; 9])] = &[
     ("pager_protocol", true, 4, 0, [57, 9, 21, 0, 0, 0, 0, 10, 3]),
     ("pager_protocol", true, 4, 64, [57, 9, 21, 0, 0, 0, 0, 10, 3]),
     ("wide_toggle(13)", false, 1, 0, [53249, 45057, 8192, 0, 0, 0, 0, 14, 1716]),
-    ("wide_toggle(13)", false, 1, 64, [53249, 45057, 8192, 15985, 16108, 229672480, 1779560, 14, 1716]),
+    ("wide_toggle(13)", false, 1, 64, [53249, 45057, 8192, 443, 689, 3189600, 1760712, 14, 1716]),
 ];
 
 /// One build's [`EXPLORER_WORK`] row: the `names` counters, then the
@@ -344,13 +344,13 @@ fn markov_solver_work_is_pinned_on_the_checked_in_models() {
 #[rustfmt::skip]
 const ANALYSIS_WORK: &[(&str, bool, usize, [u64; 8])] = &[
     ("three_stage", false, 0, [0, 0, 0, 0, 33, 3, 26, 614]),
-    ("three_stage", false, 64, [130, 130, 974476, 21916, 33, 3, 26, 614]),
+    ("three_stage", false, 64, [237, 238, 868708, 21496, 33, 3, 26, 614]),
     ("three_stage", true, 0, [0, 0, 0, 0, 42, 10, 28, 865]),
-    ("three_stage", true, 64, [926, 931, 5079944, 33992, 42, 10, 28, 865]),
+    ("three_stage", true, 64, [1688, 1700, 4825792, 32764, 42, 10, 28, 865]),
     ("interpreted_analysis", false, 0, [0, 0, 0, 0, 27, 3, 20, 3383]),
-    ("interpreted_analysis", false, 64, [564, 564, 3934528, 27428, 27, 3, 20, 3383]),
+    ("interpreted_analysis", false, 64, [1084, 1085, 3810352, 30284, 27, 3, 20, 3383]),
     ("interpreted_analysis", true, 0, [0, 0, 0, 0, 45, 21, 20, 355]),
-    ("interpreted_analysis", true, 64, [166, 167, 811392, 23772, 45, 21, 20, 355]),
+    ("interpreted_analysis", true, 64, [303, 307, 790304, 29492, 45, 21, 20, 355]),
     ("sequential", false, 0, [0, 0, 0, 0, 27, 10, 13, 19]),
     ("sequential", false, 64, [0, 0, 0, 0, 27, 10, 13, 19]),
     ("sequential", true, 0, [0, 0, 0, 0, 38, 14, 20, 24]),
