@@ -6,7 +6,9 @@
 //!
 //! Injection is armed through the binary's `PNUT_TEST_FAIL_SPILL_READ`
 //! test hook (see `src/main.rs`), so each run's countdown is private
-//! to its own child process — no cross-test serialization needed.
+//! to its own child process — no cross-test serialization needed. A
+//! spill file that cannot be created at all must name the directory it
+//! was to be created in.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -175,4 +177,34 @@ fn markov_reload_failure_is_a_clean_error() {
 
     let retry = run(&args, None);
     assert_eq!((retry.code, retry.stdout), (0, clean.stdout), "retry");
+}
+
+#[test]
+fn an_uncreatable_spill_file_names_its_directory() {
+    let dir = tmpdir("create");
+    let model = write_wide_chain(&dir);
+    let missing = dir.join("no-such-dir");
+    let missing_str = missing.to_string_lossy().into_owned();
+    let r = run(
+        &[
+            "reach",
+            model.as_str(),
+            "--mem-budget",
+            "64KiB",
+            "--spill-dir",
+            missing_str.as_str(),
+        ],
+        None,
+    );
+    assert_eq!(
+        r.code, 1,
+        "a spill create failure is an error: {}",
+        r.stderr
+    );
+    assert!(r.stdout.is_empty(), "no partial report, got:\n{}", r.stdout);
+    assert!(
+        r.stderr.contains("create") && r.stderr.contains(missing_str.as_str()),
+        "stderr must name the spill directory {missing_str}, got:\n{}",
+        r.stderr
+    );
 }

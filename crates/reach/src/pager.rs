@@ -130,13 +130,13 @@ pub struct SpillError {
     /// The file operation that failed (`"create"`, `"write"`, `"read"`).
     pub op: &'static str,
     /// The arena segment being paged when the operation failed, if
-    /// known (`None` only when the failure predates any segment, e.g.
-    /// creating the spill file itself).
+    /// known (`None` only when the failure predates any segment).
     pub segment: Option<usize>,
-    /// The path the spill file was created under. The file is unlinked
-    /// eagerly at creation (the open handle is its only tether), so
-    /// the path names *which* file failed, not a file an operator can
-    /// still inspect.
+    /// The path the spill file was created under, or for a failed
+    /// `"create"`, the path it was to be created under. The file is
+    /// unlinked eagerly at creation (the open handle is its only
+    /// tether), so the path names *which* file failed, not a file an
+    /// operator can still inspect.
     pub path: Option<Arc<std::path::PathBuf>>,
     /// The underlying I/O error.
     pub source: Arc<io::Error>,
@@ -312,8 +312,9 @@ pub(crate) struct SpillFile {
 
 impl SpillFile {
     /// Create the spill file in `dir` and immediately unlink it, so the
-    /// open handle is its only tether.
-    fn create(dir: Option<&Path>) -> io::Result<SpillFile> {
+    /// open handle is its only tether. On failure, the error carries the
+    /// path the file was to be created under.
+    fn create(dir: Option<&Path>) -> Result<SpillFile, (Arc<PathBuf>, io::Error)> {
         // Process-global name disambiguator — not part of the pager
         // protocol, so it deliberately stays on the std atomic rather
         // than the `crate::sync` facade (the race model has no business
@@ -327,20 +328,21 @@ impl SpillFile {
             std::process::id(),
             COUNTER.fetch_add(1, Ordering::Relaxed)
         );
-        let path = dir.join(name);
+        let path = Arc::new(dir.join(name));
         let file = File::options()
             .read(true)
             .write(true)
             .create_new(true)
-            .open(&path)?;
+            .open(path.as_ref())
+            .map_err(|e| (Arc::clone(&path), e))?;
         // Unlink eagerly: the fd keeps the data reachable, and nothing
         // is left behind if the process dies mid-build. If the
         // filesystem refuses (non-POSIX semantics), the file simply
         // lingers until process exit.
-        let _ = std::fs::remove_file(&path);
+        let _ = std::fs::remove_file(path.as_ref());
         Ok(SpillFile {
             file,
-            path: Arc::new(path),
+            path,
             len: 0,
             read_lock: Mutex::new(()),
         })
@@ -1307,7 +1309,7 @@ impl<S: SegmentContent> Paged<S> {
             if self.spill.is_none() {
                 self.spill = Some(
                     SpillFile::create(self.spill_dir.as_deref())
-                        .map_err(|e| spill_err("create", seg, None, e))?,
+                        .map_err(|(path, e)| spill_err("create", seg, Some(path), e))?,
                 );
             }
             // SAFETY: `p` is the live segment pointer read above;
@@ -1890,7 +1892,7 @@ mod tests {
         missing.push("nested");
         let config = PagerConfig {
             mem_budget: 2 * 1024,
-            spill_dir: Some(missing),
+            spill_dir: Some(missing.clone()),
         };
         let mut ps = PagedStates::new(16, &config);
         let mut failed = None;
@@ -1902,7 +1904,19 @@ mod tests {
             }
         }
         match failed {
-            Some(ReachError::Spill(e)) => assert_eq!(e.op, "create"),
+            Some(ReachError::Spill(e)) => {
+                assert_eq!(e.op, "create");
+                let path = e.path.as_deref().expect("a failed create names its path");
+                assert!(
+                    path.starts_with(&missing),
+                    "the path {} lies in the missing directory",
+                    path.display()
+                );
+                assert!(
+                    e.to_string().contains(&*missing.to_string_lossy()),
+                    "the message names the directory: {e}"
+                );
+            }
             other => panic!("expected a spill create error, got {other:?}"),
         }
     }
