@@ -978,9 +978,9 @@ const MIN_SEG_STATES: usize = 64;
 /// the state and edge tails, the segment the sequential build keeps
 /// while expanding from it, and a window of the segments its probes
 /// fault in, which one BFS level spreads over many segments. The
-/// estimate below counts marking rows only, so a quarter let one state
-/// and one edge segment of a wide model take most of a small budget,
-/// and the build thrashed.
+/// estimate below counts marking rows only, so at a quarter one state
+/// and one edge segment of a wide model would take most of a small
+/// budget, and the build would thrash.
 fn seg_states_for(places: usize, budget: usize) -> usize {
     if budget == usize::MAX {
         return MAX_SEG_STATES;
@@ -1270,11 +1270,9 @@ impl<S: SegmentContent> Paged<S> {
     }
 
     /// Keep the segment holding row `row` resident through every
-    /// [`Self::maintain`] until the next call (`None` releases it). The
-    /// sequential explorer keeps the segment it is expanding from: BFS
-    /// loads sources in index order, so the next source needs the same
-    /// segment, yet every probe since the load has touched a segment
-    /// more recently, which makes it the LRU's first victim.
+    /// [`Self::maintain`] until the next call; `None` releases it. The
+    /// sequential build keeps the segment it expands from (see the
+    /// direct sink in [`crate::graph`] for why).
     pub(crate) fn keep(&mut self, row: Option<usize>) {
         self.kept = row.map(|i| self.seg_of(i).0);
     }
