@@ -44,7 +44,10 @@ impl Heatmap {
         let mut prev_time = start;
         let mut prev_marking: Vec<u32> = header.initial_marking.clone();
         let mut prev_firing = vec![0u32; transitions];
-        for state in trace.states().skip(1) {
+        let mut cursor = trace.cursor();
+        // State #0 is the header's, which `prev_*` already hold.
+        cursor.next();
+        while let Some(state) = cursor.next() {
             let dt = state.time.ticks() - prev_time;
             if dt > 0 {
                 for (i, busy) in place_busy.iter_mut().enumerate() {
@@ -59,8 +62,8 @@ impl Heatmap {
                 }
             }
             prev_time = state.time.ticks();
-            prev_marking = state.marking.as_slice().to_vec();
-            prev_firing = state.firing_counts.clone();
+            prev_marking.copy_from_slice(state.marking.as_slice());
+            prev_firing.copy_from_slice(&state.firing_counts);
         }
         // Close the window with the final state.
         let dt = end.saturating_sub(prev_time);

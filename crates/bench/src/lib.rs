@@ -18,6 +18,7 @@
 //! (default 1) and prints to stdout; see EXPERIMENTS.md for the
 //! paper-vs-measured record.
 
+pub mod legacy_query;
 pub mod legacy_reach;
 pub mod ndjson;
 pub mod workloads;

@@ -407,6 +407,7 @@ usage: pnut <command> [args]
   stat <trace.json>                    statistics report (Figure 5)
   filter <trace.json> [--place P]... [--trans T]... [--vars] [-o out.json]
   query <trace.json> <query>           forall/exists/inev over trace states
+                     (names bind before the trace is read; see below)
   timeline <trace.json> [--from A] [--to B] [--probe NAME]... [--fn L=EXPR]...
   anim <trace.json> [--max-frames N]
   reach <model.pn> [--timed] [--ctl FORMULA] [--max-states N] [--jobs N]
@@ -469,6 +470,10 @@ error taxonomy — every failure names which of these it is:
                error).
   your flags   bad or conflicting command-line arguments, unwritable
                output paths (exit 1).
+  your query   malformed query text, a name that is neither a place
+               nor a transition, an unbound state variable, a #n
+               beyond the trace, or arithmetic overflow (exit 1, even
+               in a term that and/or would skip; FAILS is exit 2).
   your disk    spill I/O failures under --mem-budget: a cold segment
                could not be written or reloaded (message names the
                segment and spill file). The process never aborts —
@@ -717,8 +722,8 @@ fn cmd_query(argv: &[String], out: &mut String) -> Result<i32, CliError> {
         .ok_or_else(|| err("query: need a query string"))?;
     args.finish()?;
 
-    let trace = load_trace(&path)?;
     let query = pnut_tracer::query::Query::parse(&text).map_err(|e| err(format!("query: {e}")))?;
+    let trace = load_trace(&path)?;
     let outcome = query
         .check(&trace)
         .map_err(|e| err(format!("query: {e}")))?;

@@ -6,7 +6,11 @@
 //!   instead of clamping or wrapping the count into a report that exits
 //!   0;
 //! * a `timeline` window too wide to sample exits 1 with a `timeline:`
-//!   error.
+//!   error;
+//! * a `query` naming an unknown place or an unbound state variable, or
+//!   whose arithmetic overflows, exits 1 with a `query:` error and an
+//!   empty stdout, even where `and`/`or` or an empty set would skip the
+//!   name, and a malformed query fails before the trace is read.
 
 use std::process::Command;
 
@@ -79,6 +83,73 @@ fn timeline_rejects_a_window_too_wide_to_sample() {
     assert_eq!(code, 1, "{stderr}");
     assert!(
         stderr.contains("timeline:") && stderr.contains("too wide"),
+        "{stderr}"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Run `pnut query TRACE QUERY`, returning the exit code, stdout and
+/// stderr.
+fn query(trace: &str, text: &str) -> (i32, String, String) {
+    let out = Command::new(env!("CARGO_BIN_EXE_pnut"))
+        .args(["query", trace, text])
+        .output()
+        .expect("pnut binary runs");
+    (
+        out.status.code().expect("not killed by a signal"),
+        String::from_utf8_lossy(&out.stdout).into_owned(),
+        String::from_utf8_lossy(&out.stderr).into_owned(),
+    )
+}
+
+#[test]
+fn query_errors_exit_1_whatever_evaluation_would_skip() {
+    let dir = std::env::temp_dir().join(format!("pnut-query-cli-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let model = concat!(env!("CARGO_MANIFEST_DIR"), "/../../models/interpreted.pn");
+    let path = dir.join("t.json");
+    let trace = path.to_str().unwrap();
+    let (code, stderr) = pnut(&["sim", model, "--until", "250", "--seed", "13", "-o", trace]);
+    assert_eq!(code, 0, "{stderr}");
+    for (text, error) in [
+        (
+            "exists s in {x in S | Bus_busy(x) > 99} [ Nonsense(s) > 0 ]",
+            "`Nonsense` is neither a place nor a transition",
+        ),
+        (
+            "forall s in S [ Bus_free(s) >= 0 or Bus_fre(s) > 0 ]",
+            "`Bus_fre` is neither a place nor a transition",
+        ),
+        (
+            "forall s in S [ true or Bus_free(zz) >= 0 ]",
+            "unbound state variable `zz`",
+        ),
+        (
+            "forall s in S [ 9223372036854775807 + Bus_busy(s) >= 0 ]",
+            "arithmetic overflow at state #",
+        ),
+        (
+            "exists s in S [ 0 - 9223372036854775807 - 2 > 0 ]",
+            "arithmetic overflow at state #0",
+        ),
+    ] {
+        let (code, stdout, stderr) = query(trace, text);
+        assert_eq!(code, 1, "{text}: {stdout}{stderr}");
+        assert!(stdout.is_empty(), "{text}: partial stdout {stdout}");
+        assert!(
+            stderr.contains("query: ") && stderr.contains(error),
+            "{text}: {stderr}"
+        );
+    }
+    let (code, stdout, stderr) = query(trace, "forall s in S [ Bus_free(s) >= 0 ]");
+    assert_eq!((code, stdout.as_str()), (0, "HOLDS\n"), "{stderr}");
+
+    // The query is parsed before the trace file is opened.
+    let missing = dir.join("missing.json");
+    let (code, _, stderr) = query(missing.to_str().unwrap(), "forall s in [ true ]");
+    assert_eq!(code, 1);
+    assert!(
+        stderr.contains("query: ") && !stderr.contains("cannot open"),
         "{stderr}"
     );
     let _ = std::fs::remove_dir_all(&dir);

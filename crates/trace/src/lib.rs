@@ -18,8 +18,9 @@
 //! * plumbing sinks: [`Recorder`] (in-memory [`RecordedTrace`]),
 //!   [`Filter`] (the paper's trace-filtering tool), [`Tee`] (feed two
 //!   tools at once), [`CountingSink`];
-//! * state reconstruction ([`RecordedTrace::states`]) for tools that
-//!   need to walk system states rather than raw deltas;
+//! * state reconstruction ([`RecordedTrace::cursor`],
+//!   [`RecordedTrace::states`]) for tools that need to walk system
+//!   states rather than raw deltas;
 //! * JSON serialization for interchange (the modern stand-in for the
 //!   paper's textual trace format consumed by `tbl`/`troff` pipelines).
 //!
@@ -51,7 +52,7 @@ mod state;
 pub use filter::{Filter, FilterSpec};
 pub use json::JsonError;
 pub use sink::{CountingSink, NullSink, Recorder, Tee, TraceSink};
-pub use state::{StateIter, TraceState};
+pub use state::{StateCursor, StateIter, TraceState};
 
 use pnut_core::expr::{Env, Value};
 use pnut_core::{PlaceId, Time, TransitionId};
@@ -263,6 +264,12 @@ impl RecordedTrace {
     /// notation).
     pub fn states(&self) -> StateIter<'_> {
         StateIter::new(self)
+    }
+
+    /// A lending cursor over the same states as [`RecordedTrace::states`],
+    /// folding each step into one state it owns instead of cloning it.
+    pub fn cursor(&self) -> StateCursor<'_> {
+        StateCursor::new(self)
     }
 
     /// Serialize to JSON (see [`json`](self::JsonError) for the schema).

@@ -4,8 +4,13 @@
 //! *states* ("forall s in S [...]", paper §4.4), not raw deltas. A state
 //! exists at every atomic-step boundary; this module folds deltas into
 //! the running marking / firing-count / variable state.
+//!
+//! The fold exists once, in [`StateCursor`], which lends its one state
+//! to tools that only read each state in turn (queries, pulse
+//! measurements, heatmaps). [`StateIter`] is the same cursor cloning
+//! each state, for callers that keep states.
 
-use crate::{DeltaKind, RecordedTrace};
+use crate::{Delta, DeltaKind, RecordedTrace};
 use pnut_core::expr::Env;
 use pnut_core::{Marking, Time, TransitionId};
 
@@ -37,57 +42,74 @@ impl TraceState {
     }
 }
 
-/// Iterator over reconstructed states of a [`RecordedTrace`].
+/// A lending cursor over the reconstructed states of a
+/// [`RecordedTrace`].
 ///
-/// Yields the initial state first, then one state per atomic step.
+/// The cursor owns one [`TraceState`]. Each [`StateCursor::next`] folds
+/// the next atomic step's deltas into it in place and lends it out, so a
+/// walk over every state clones nothing per state. Like [`StateIter`],
+/// it yields the initial state first, then one state per atomic step.
+///
+/// The fold clamps at zero: a `Finish` with no matching `Start` (a
+/// continued run's trace finishes firings begun before it) leaves the
+/// firing count at 0, and a place delta that would go negative leaves
+/// the token count at 0. `VarSet` deltas update the environment in
+/// place.
+///
+/// ```
+/// use pnut_trace::{Delta, DeltaKind, RecordedTrace, TraceHeader};
+/// use pnut_core::{PlaceId, Time};
+///
+/// let header = TraceHeader::new("n", vec!["p".into()], vec![]).with_initial_marking(vec![1]);
+/// let kind = DeltaKind::PlaceDelta { place: PlaceId::new(0), delta: 1 };
+/// let deltas = vec![Delta::new(Time::from_ticks(2), 0, kind)];
+/// let trace = RecordedTrace::new(header, deltas, Time::from_ticks(5));
+/// let mut cursor = trace.cursor();
+/// let mut tokens = Vec::new();
+/// while let Some(state) = cursor.next() {
+///     tokens.push(state.marking.tokens(PlaceId::new(0)));
+/// }
+/// assert_eq!(tokens, [1, 2]);
+/// ```
 #[derive(Debug)]
-pub struct StateIter<'a> {
-    trace: &'a RecordedTrace,
+pub struct StateCursor<'a> {
+    deltas: &'a [Delta],
     pos: usize,
-    next_index: usize,
+    started: bool,
     current: TraceState,
-    emitted_initial: bool,
 }
 
-impl<'a> StateIter<'a> {
+impl<'a> StateCursor<'a> {
     pub(crate) fn new(trace: &'a RecordedTrace) -> Self {
         let h = trace.header();
-        let current = TraceState {
-            index: 0,
-            time: h.start_time,
-            marking: Marking::from_counts(h.initial_marking.clone()),
-            firing_counts: vec![0; h.transition_names.len()],
-            env: h.initial_env.clone(),
-        };
-        StateIter {
-            trace,
+        StateCursor {
+            deltas: trace.deltas(),
             pos: 0,
-            next_index: 1,
-            current,
-            emitted_initial: false,
+            started: false,
+            current: TraceState {
+                index: 0,
+                time: h.start_time,
+                marking: Marking::from_counts(h.initial_marking.clone()),
+                firing_counts: vec![0; h.transition_names.len()],
+                env: h.initial_env.clone(),
+            },
         }
     }
-}
 
-impl Iterator for StateIter<'_> {
-    type Item = TraceState;
-
-    fn next(&mut self) -> Option<TraceState> {
-        if !self.emitted_initial {
-            self.emitted_initial = true;
-            return Some(self.current.clone());
+    /// Fold the next atomic step into the cursor's state and lend it;
+    /// `None` once every step has been folded.
+    // A lending cursor cannot implement `Iterator`: each item borrows the
+    // cursor.
+    #[allow(clippy::should_implement_trait)]
+    pub fn next(&mut self) -> Option<&TraceState> {
+        if !self.started {
+            self.started = true;
+            return Some(&self.current);
         }
-        let mut pos = self.pos;
-        let deltas = self.trace.deltas();
-        if pos >= deltas.len() {
-            return None;
-        }
-        // Consume all deltas of the current step.
-        let step = deltas[pos].step;
-        let mut time = deltas[pos].time;
-        while pos < deltas.len() && deltas[pos].step == step {
-            let d = &deltas[pos];
-            time = d.time;
+        let deltas = self.deltas;
+        let step = deltas.get(self.pos)?.step;
+        while let Some(d) = deltas.get(self.pos).filter(|d| d.step == step) {
+            self.current.time = d.time;
             match &d.kind {
                 DeltaKind::Start { transition, .. } => {
                     self.current.firing_counts[transition.index()] += 1;
@@ -105,20 +127,42 @@ impl Iterator for StateIter<'_> {
                     self.current.env.set_var(name.clone(), *value);
                 }
             }
-            pos += 1;
+            self.pos += 1;
         }
-        self.pos = pos;
-        self.current.time = time;
-        self.current.index = self.next_index;
-        self.next_index += 1;
-        Some(self.current.clone())
+        self.current.index += 1;
+        Some(&self.current)
+    }
+}
+
+/// Iterator over reconstructed states of a [`RecordedTrace`]: a
+/// [`StateCursor`] that clones each state it lends.
+///
+/// Yields the initial state first, then one state per atomic step.
+#[derive(Debug)]
+pub struct StateIter<'a> {
+    cursor: StateCursor<'a>,
+}
+
+impl<'a> StateIter<'a> {
+    pub(crate) fn new(trace: &'a RecordedTrace) -> Self {
+        StateIter {
+            cursor: StateCursor::new(trace),
+        }
+    }
+}
+
+impl Iterator for StateIter<'_> {
+    type Item = TraceState;
+
+    fn next(&mut self) -> Option<TraceState> {
+        self.cursor.next().cloned()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Delta, TraceHeader};
+    use crate::TraceHeader;
     use pnut_core::expr::Value;
     use pnut_core::PlaceId;
 

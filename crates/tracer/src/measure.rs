@@ -87,7 +87,8 @@ pub fn place_pulses(trace: &RecordedTrace, place: &str) -> Option<PulseStats> {
     let mut pulses = Vec::new();
     let mut high_since: Option<Time> = None;
     let mut last_time = trace.header().start_time;
-    for state in trace.states() {
+    let mut cursor = trace.cursor();
+    while let Some(state) = cursor.next() {
         let v = state.marking.tokens(pid);
         match (high_since, v > 0) {
             (None, true) => high_since = Some(state.time),

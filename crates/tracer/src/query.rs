@@ -17,9 +17,44 @@
 //! (or the concurrent-firing count of transition `name`) in state `s`.
 //! A bare `P(s)` in formula position means `P(s) > 0`, matching the
 //! paper's set comprehension `{s' in S | Bus_busy(s')}`.
+//!
+//! # Binding
+//!
+//! [`Query::check`] binds the whole query against the trace header
+//! before it reads any state. Every `name(v)` resolves to a column:
+//! the place of that name, else the transition of that name. Every
+//! state variable resolves to the binder in scope:
+//!
+//! * a quantifier binds its variable in its body;
+//! * a comprehension `{v in X | P}` binds `v` in `P`, and `P` sees no
+//!   other variable: not the quantifier's, nor an enclosing
+//!   comprehension's;
+//! * `inev(v, T, G)` binds `C` in `T` and `G`, shadowing any outer `C`.
+//!
+//! An unknown name is [`QueryError::UnknownName`] and an unbound
+//! variable [`QueryError::UnboundStateVariable`], even where `and`,
+//! `or` or an empty set would never evaluate it. A `#n` beyond the
+//! trace is [`QueryError::StateOutOfRange`], found when the set is
+//! evaluated.
+//!
+//! # Evaluation
+//!
+//! One pass over the trace's states fills a table holding only the
+//! counts the query names; formulas then run over that table. Term
+//! arithmetic is checked: a sum, difference or product outside `i64`
+//! is [`QueryError::Overflow`], naming the state being visited (the
+//! innermost bound state: `C` inside `inev`).
+//!
+//! `inev(v, T, G)` holds at state `k` if `T` holds at `k`, fails if `G`
+//! fails there, and otherwise holds iff it holds at `k + 1`; it fails
+//! past the last state. When `T` and `G` read no state variable but
+//! their own `C`, the answer for every start state comes from one
+//! backward pass over the trace, so the query stays linear in the
+//! trace. Otherwise (`T` or `G` also reads, say, the quantified `s`)
+//! `inev` walks forward from each state it is asked about.
 
-use pnut_trace::{RecordedTrace, TraceState};
-use std::collections::BTreeMap;
+use pnut_core::{PlaceId, TransitionId};
+use pnut_trace::{RecordedTrace, TraceHeader};
 use std::fmt;
 
 /// Error from parsing or evaluating a query.
@@ -39,6 +74,8 @@ pub enum QueryError {
     UnboundStateVariable(String),
     /// `#n` referenced a state beyond the trace.
     StateOutOfRange(usize),
+    /// Term arithmetic overflowed `i64` while visiting state `#n`.
+    Overflow(usize),
 }
 
 impl fmt::Display for QueryError {
@@ -52,6 +89,7 @@ impl fmt::Display for QueryError {
             }
             QueryError::UnboundStateVariable(v) => write!(f, "unbound state variable `{v}`"),
             QueryError::StateOutOfRange(n) => write!(f, "state #{n} is beyond the trace"),
+            QueryError::Overflow(n) => write!(f, "arithmetic overflow at state #{n}"),
         }
     }
 }
@@ -144,35 +182,256 @@ impl Query {
     ///
     /// # Errors
     ///
-    /// Returns name-resolution or range errors discovered during
-    /// evaluation.
+    /// Returns [`QueryError::UnknownName`] or
+    /// [`QueryError::UnboundStateVariable`] before reading any state, and
+    /// [`QueryError::StateOutOfRange`] or [`QueryError::Overflow`] when
+    /// evaluation meets them.
     pub fn check(&self, trace: &RecordedTrace) -> Result<QueryOutcome, QueryError> {
-        let states: Vec<TraceState> = trace.states().collect();
-        let ctx = Ctx {
-            trace,
-            states: &states,
-        };
-        let set = ctx.eval_set(&self.set)?;
-        let mut bindings = BTreeMap::new();
-        for idx in set {
-            bindings.insert(self.var.clone(), idx);
-            let sat = ctx.eval_formula(&self.body, &bindings)?;
-            if self.forall && !sat {
+        let bound = Binder::new(trace.header()).query(self)?;
+        let eval = Eval::new(&bound, trace);
+        let mut slots = vec![0; bound.slots];
+        for idx in eval.set(&bound.set, &mut slots)? {
+            slots[0] = idx;
+            let sat = eval.formula(&bound.body, &mut slots, idx)?;
+            if sat != bound.forall {
                 return Ok(QueryOutcome {
-                    holds: false,
-                    witness: Some(idx),
-                });
-            }
-            if !self.forall && sat {
-                return Ok(QueryOutcome {
-                    holds: true,
+                    holds: sat,
                     witness: Some(idx),
                 });
             }
         }
         Ok(QueryOutcome {
-            holds: self.forall,
+            holds: bound.forall,
             witness: None,
+        })
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Binding
+// ---------------------------------------------------------------------------
+
+/// What one column of the count table counts.
+#[derive(Clone, Copy, PartialEq)]
+enum Source {
+    Place(PlaceId),
+    Transition(TransitionId),
+}
+
+enum ArithOp {
+    Add,
+    Sub,
+    Mul,
+}
+
+/// A [`Term`] with its name resolved to a column and its state variable
+/// to a slot.
+enum BoundTerm {
+    Int(i64),
+    Count { column: usize, slot: usize },
+    Arith(ArithOp, Box<BoundTerm>, Box<BoundTerm>),
+}
+
+enum BoundFormula {
+    Bool(bool),
+    Cmp(BoundTerm, CmpOp, BoundTerm),
+    NonZero(BoundTerm),
+    And(Box<BoundFormula>, Box<BoundFormula>),
+    Or(Box<BoundFormula>, Box<BoundFormula>),
+    Not(Box<BoundFormula>),
+    /// An `inev` from the state in slot `from`, answered by entry `pass`
+    /// of [`Bound::passes`].
+    InevPass {
+        from: usize,
+        pass: usize,
+    },
+    /// An `inev` from the state in slot `from` that walks forward,
+    /// binding `C` in slot `c`.
+    InevWalk {
+        from: usize,
+        c: usize,
+        target: Box<BoundFormula>,
+        guard: Box<BoundFormula>,
+    },
+}
+
+/// An `inev` whose target and guard read only its `C` (slot `c`), so
+/// one backward pass answers it for every start state.
+struct Pass {
+    c: usize,
+    target: BoundFormula,
+    guard: BoundFormula,
+}
+
+enum BoundSet {
+    All,
+    Minus(Box<BoundSet>, Vec<usize>),
+    /// The predicate's variable is slot 0.
+    Comprehension {
+        of: Box<BoundSet>,
+        pred: BoundFormula,
+    },
+}
+
+/// A query bound against one trace header.
+struct Bound {
+    forall: bool,
+    set: BoundSet,
+    /// The quantified variable is slot 0.
+    body: BoundFormula,
+    columns: Vec<Source>,
+    /// Most state variables in scope at once.
+    slots: usize,
+    /// Backward passes, each after every pass it reads.
+    passes: Vec<Pass>,
+}
+
+/// Resolves names against a trace header, in evaluation order, so the
+/// first error is the one a full evaluation would meet first.
+struct Binder<'a> {
+    header: &'a TraceHeader,
+    /// State variables in scope, innermost last; a variable's slot is its
+    /// position.
+    scope: Vec<&'a str>,
+    columns: Vec<Source>,
+    slots: usize,
+    passes: Vec<Pass>,
+    /// The shallowest slot read since the innermost enclosing `inev`
+    /// began binding its target and guard.
+    shallowest: usize,
+}
+
+impl<'a> Binder<'a> {
+    fn new(header: &'a TraceHeader) -> Self {
+        Binder {
+            header,
+            scope: Vec::new(),
+            columns: Vec::new(),
+            slots: 1,
+            passes: Vec::new(),
+            shallowest: usize::MAX,
+        }
+    }
+
+    fn query(mut self, q: &'a Query) -> Result<Bound, QueryError> {
+        let set = self.set(&q.set)?;
+        self.scope = vec![q.var.as_str()];
+        let body = self.formula(&q.body)?;
+        Ok(Bound {
+            forall: q.forall,
+            set,
+            body,
+            columns: self.columns,
+            slots: self.slots,
+            passes: self.passes,
+        })
+    }
+
+    fn set(&mut self, set: &'a SetExpr) -> Result<BoundSet, QueryError> {
+        Ok(match set {
+            SetExpr::All => BoundSet::All,
+            SetExpr::Minus(of, removed) => {
+                BoundSet::Minus(Box::new(self.set(of)?), removed.clone())
+            }
+            SetExpr::Comprehension { var, of, pred } => {
+                let of = Box::new(self.set(of)?);
+                let outer = std::mem::replace(&mut self.scope, vec![var.as_str()]);
+                let pred = self.formula(pred)?;
+                self.scope = outer;
+                BoundSet::Comprehension { of, pred }
+            }
+        })
+    }
+
+    fn slot(&mut self, var: &str) -> Result<usize, QueryError> {
+        let slot = self
+            .scope
+            .iter()
+            .rposition(|&v| v == var)
+            .ok_or_else(|| QueryError::UnboundStateVariable(var.to_string()))?;
+        self.shallowest = self.shallowest.min(slot);
+        Ok(slot)
+    }
+
+    /// The column of `name`: places win over transitions.
+    fn column(&mut self, name: &str) -> Result<usize, QueryError> {
+        let source = match self.header.place_id(name) {
+            Some(p) => Source::Place(p),
+            None => Source::Transition(
+                self.header
+                    .transition_id(name)
+                    .ok_or_else(|| QueryError::UnknownName(name.to_string()))?,
+            ),
+        };
+        Ok(match self.columns.iter().position(|&c| c == source) {
+            Some(column) => column,
+            None => {
+                self.columns.push(source);
+                self.columns.len() - 1
+            }
+        })
+    }
+
+    fn term(&mut self, term: &'a Term) -> Result<BoundTerm, QueryError> {
+        let mut arith = |op, a, b| -> Result<_, QueryError> {
+            let a = Box::new(self.term(a)?);
+            Ok(BoundTerm::Arith(op, a, Box::new(self.term(b)?)))
+        };
+        match term {
+            Term::Int(v) => Ok(BoundTerm::Int(*v)),
+            Term::Count { name, state_var } => {
+                let slot = self.slot(state_var)?;
+                let column = self.column(name)?;
+                Ok(BoundTerm::Count { column, slot })
+            }
+            Term::Add(a, b) => arith(ArithOp::Add, a, b),
+            Term::Sub(a, b) => arith(ArithOp::Sub, a, b),
+            Term::Mul(a, b) => arith(ArithOp::Mul, a, b),
+        }
+    }
+
+    fn boxed(&mut self, formula: &'a Formula) -> Result<Box<BoundFormula>, QueryError> {
+        Ok(Box::new(self.formula(formula)?))
+    }
+
+    fn formula(&mut self, formula: &'a Formula) -> Result<BoundFormula, QueryError> {
+        Ok(match formula {
+            Formula::Bool(b) => BoundFormula::Bool(*b),
+            Formula::Cmp(a, op, b) => BoundFormula::Cmp(self.term(a)?, *op, self.term(b)?),
+            Formula::NonZero(t) => BoundFormula::NonZero(self.term(t)?),
+            Formula::And(a, b) => BoundFormula::And(self.boxed(a)?, self.boxed(b)?),
+            Formula::Or(a, b) => BoundFormula::Or(self.boxed(a)?, self.boxed(b)?),
+            Formula::Not(a) => BoundFormula::Not(self.boxed(a)?),
+            Formula::Inev {
+                from,
+                target,
+                guard,
+            } => {
+                let from = self.slot(from)?;
+                let outer = std::mem::replace(&mut self.shallowest, usize::MAX);
+                let c = self.scope.len();
+                self.scope.push("C");
+                self.slots = self.slots.max(self.scope.len());
+                let target = self.formula(target)?;
+                let guard = self.formula(guard)?;
+                self.scope.pop();
+                let inner = self.shallowest;
+                self.shallowest = outer.min(inner);
+                if inner >= c {
+                    self.passes.push(Pass { c, target, guard });
+                    BoundFormula::InevPass {
+                        from,
+                        pass: self.passes.len() - 1,
+                    }
+                } else {
+                    BoundFormula::InevWalk {
+                        from,
+                        c,
+                        target: Box::new(target),
+                        guard: Box::new(guard),
+                    }
+                }
+            }
         })
     }
 }
@@ -181,34 +440,78 @@ impl Query {
 // Evaluation
 // ---------------------------------------------------------------------------
 
-struct Ctx<'a> {
-    trace: &'a RecordedTrace,
-    states: &'a [TraceState],
+/// A bound query's view of one trace.
+struct Eval {
+    /// `counts[k * width + column]`: the bound columns of state `k`.
+    counts: Vec<u32>,
+    width: usize,
+    states: usize,
+    /// `passes[i][k]`: pass `i`'s `inev` started at state `k`.
+    passes: Vec<Vec<Result<bool, QueryError>>>,
 }
 
-impl Ctx<'_> {
-    fn eval_set(&self, set: &SetExpr) -> Result<Vec<usize>, QueryError> {
+impl Eval {
+    /// Read the bound columns of every state in one cursor pass, then
+    /// run the backward passes.
+    fn new(bound: &Bound, trace: &RecordedTrace) -> Self {
+        let mut counts = Vec::new();
+        let mut states = 0;
+        let mut cursor = trace.cursor();
+        while let Some(state) = cursor.next() {
+            counts.extend(bound.columns.iter().map(|&c| match c {
+                Source::Place(p) => state.marking.tokens(p),
+                Source::Transition(t) => state.firings(t),
+            }));
+            states += 1;
+        }
+        let mut eval = Eval {
+            counts,
+            width: bound.columns.len(),
+            states,
+            passes: Vec::with_capacity(bound.passes.len()),
+        };
+        let mut slots = vec![0; bound.slots];
+        for pass in &bound.passes {
+            let answers = eval.backward(pass, &mut slots);
+            eval.passes.push(answers);
+        }
+        eval
+    }
+
+    /// `res[k]` is `T(k)` if that holds or errs, else `G(k)` if that
+    /// fails or errs, else `res[k + 1]`, with `res[n] = false`: for every
+    /// `k`, exactly what walking forward from `k` returns.
+    fn backward(&self, pass: &Pass, slots: &mut [usize]) -> Vec<Result<bool, QueryError>> {
+        let mut res = vec![Ok(false); self.states + 1];
+        for k in (0..self.states).rev() {
+            slots[pass.c] = k;
+            res[k] = match self.formula(&pass.target, slots, k) {
+                Ok(false) => match self.formula(&pass.guard, slots, k) {
+                    Ok(true) => res[k + 1].clone(),
+                    guard => guard,
+                },
+                target => target,
+            };
+        }
+        res
+    }
+
+    fn set(&self, set: &BoundSet, slots: &mut [usize]) -> Result<Vec<usize>, QueryError> {
         match set {
-            SetExpr::All => Ok((0..self.states.len()).collect()),
-            SetExpr::Minus(of, removed) => {
-                for &r in removed {
-                    if r >= self.states.len() {
-                        return Err(QueryError::StateOutOfRange(r));
-                    }
+            BoundSet::All => Ok((0..self.states).collect()),
+            BoundSet::Minus(of, removed) => {
+                if let Some(&r) = removed.iter().find(|&&r| r >= self.states) {
+                    return Err(QueryError::StateOutOfRange(r));
                 }
-                Ok(self
-                    .eval_set(of)?
-                    .into_iter()
-                    .filter(|i| !removed.contains(i))
-                    .collect())
+                let mut base = self.set(of, slots)?;
+                base.retain(|i| !removed.contains(i));
+                Ok(base)
             }
-            SetExpr::Comprehension { var, of, pred } => {
-                let base = self.eval_set(of)?;
+            BoundSet::Comprehension { of, pred } => {
                 let mut out = Vec::new();
-                let mut bindings = BTreeMap::new();
-                for idx in base {
-                    bindings.insert(var.clone(), idx);
-                    if self.eval_formula(pred, &bindings)? {
+                for idx in self.set(of, slots)? {
+                    slots[0] = idx;
+                    if self.formula(pred, slots, idx)? {
                         out.push(idx);
                     }
                 }
@@ -217,48 +520,39 @@ impl Ctx<'_> {
         }
     }
 
-    fn count(&self, name: &str, state: usize) -> Result<i64, QueryError> {
-        let header = self.trace.header();
-        let s = &self.states[state];
-        if let Some(p) = header.place_id(name) {
-            return Ok(i64::from(s.marking.tokens(p)));
-        }
-        if let Some(t) = header.transition_id(name) {
-            return Ok(i64::from(s.firing_counts[t.index()]));
-        }
-        Err(QueryError::UnknownName(name.to_string()))
-    }
-
-    fn eval_term(
-        &self,
-        term: &Term,
-        bindings: &BTreeMap<String, usize>,
-    ) -> Result<i64, QueryError> {
+    /// Evaluate `term` with state variables bound by `slots`; `at` is
+    /// the state an overflow is reported at.
+    fn term(&self, term: &BoundTerm, slots: &[usize], at: usize) -> Result<i64, QueryError> {
         match term {
-            Term::Int(v) => Ok(*v),
-            Term::Count { name, state_var } => {
-                let idx = *bindings
-                    .get(state_var)
-                    .ok_or_else(|| QueryError::UnboundStateVariable(state_var.clone()))?;
-                self.count(name, idx)
+            BoundTerm::Int(v) => Ok(*v),
+            BoundTerm::Count { column, slot } => {
+                Ok(i64::from(self.counts[slots[*slot] * self.width + column]))
             }
-            Term::Add(a, b) => Ok(self.eval_term(a, bindings)? + self.eval_term(b, bindings)?),
-            Term::Sub(a, b) => Ok(self.eval_term(a, bindings)? - self.eval_term(b, bindings)?),
-            Term::Mul(a, b) => Ok(self.eval_term(a, bindings)? * self.eval_term(b, bindings)?),
+            BoundTerm::Arith(op, a, b) => {
+                let x = self.term(a, slots, at)?;
+                let y = self.term(b, slots, at)?;
+                match op {
+                    ArithOp::Add => x.checked_add(y),
+                    ArithOp::Sub => x.checked_sub(y),
+                    ArithOp::Mul => x.checked_mul(y),
+                }
+                .ok_or(QueryError::Overflow(at))
+            }
         }
     }
 
-    fn eval_formula(
+    fn formula(
         &self,
-        formula: &Formula,
-        bindings: &BTreeMap<String, usize>,
+        formula: &BoundFormula,
+        slots: &mut [usize],
+        at: usize,
     ) -> Result<bool, QueryError> {
         match formula {
-            Formula::Bool(b) => Ok(*b),
-            Formula::NonZero(t) => Ok(self.eval_term(t, bindings)? > 0),
-            Formula::Cmp(a, op, b) => {
-                let x = self.eval_term(a, bindings)?;
-                let y = self.eval_term(b, bindings)?;
+            BoundFormula::Bool(b) => Ok(*b),
+            BoundFormula::NonZero(t) => Ok(self.term(t, slots, at)? > 0),
+            BoundFormula::Cmp(a, op, b) => {
+                let x = self.term(a, slots, at)?;
+                let y = self.term(b, slots, at)?;
                 Ok(match op {
                     CmpOp::Eq => x == y,
                     CmpOp::Ne => x != y,
@@ -268,28 +562,26 @@ impl Ctx<'_> {
                     CmpOp::Ge => x >= y,
                 })
             }
-            Formula::And(a, b) => {
-                Ok(self.eval_formula(a, bindings)? && self.eval_formula(b, bindings)?)
+            BoundFormula::And(a, b) => {
+                Ok(self.formula(a, slots, at)? && self.formula(b, slots, at)?)
             }
-            Formula::Or(a, b) => {
-                Ok(self.eval_formula(a, bindings)? || self.eval_formula(b, bindings)?)
+            BoundFormula::Or(a, b) => {
+                Ok(self.formula(a, slots, at)? || self.formula(b, slots, at)?)
             }
-            Formula::Not(a) => Ok(!self.eval_formula(a, bindings)?),
-            Formula::Inev {
+            BoundFormula::Not(a) => Ok(!self.formula(a, slots, at)?),
+            BoundFormula::InevPass { from, pass } => self.passes[*pass][slots[*from]].clone(),
+            BoundFormula::InevWalk {
                 from,
+                c,
                 target,
                 guard,
             } => {
-                let start = *bindings
-                    .get(from)
-                    .ok_or_else(|| QueryError::UnboundStateVariable(from.clone()))?;
-                let mut inner = bindings.clone();
-                for k in start..self.states.len() {
-                    inner.insert("C".to_string(), k);
-                    if self.eval_formula(target, &inner)? {
+                for k in slots[*from]..self.states {
+                    slots[*c] = k;
+                    if self.formula(target, slots, k)? {
                         return Ok(true);
                     }
-                    if !self.eval_formula(guard, &inner)? {
+                    if !self.formula(guard, slots, k)? {
                         return Ok(false);
                     }
                 }
@@ -907,6 +1199,94 @@ mod tests {
         assert_eq!(
             q.check(&t).unwrap_err(),
             QueryError::UnboundStateVariable("zz".into())
+        );
+    }
+
+    #[test]
+    fn names_bind_before_any_state_is_evaluated() {
+        let t = sample_trace();
+        for (q, want) in [
+            // The comprehension is empty, so no body is ever evaluated.
+            (
+                "exists s in {x in S | Bus_busy(x) > 99} [ Nonsense(s) > 0 ]",
+                QueryError::UnknownName("Nonsense".into()),
+            ),
+            // `or` never reaches its right side.
+            (
+                "forall s in S [ Bus_free(s) >= 0 or Bus_fre(s) > 0 ]",
+                QueryError::UnknownName("Bus_fre".into()),
+            ),
+            (
+                "forall s in S [ true or Bus_free(zz) >= 0 ]",
+                QueryError::UnboundStateVariable("zz".into()),
+            ),
+            // A comprehension's predicate sees only its own variable.
+            (
+                "forall s in {x in S | Bus_free(s) > 0} [ true ]",
+                QueryError::UnboundStateVariable("s".into()),
+            ),
+            // `C` is bound only inside `inev`.
+            (
+                "forall s in S [ inev(s, true, true) or Bus_free(C) > 0 ]",
+                QueryError::UnboundStateVariable("C".into()),
+            ),
+        ] {
+            assert_eq!(Query::parse(q).unwrap().check(&t), Err(want), "{q}");
+        }
+    }
+
+    #[test]
+    fn inev_rebinds_c() {
+        let t = sample_trace();
+        // Inside `inev`, `C` is the current state even when the
+        // quantified variable is also named `C`.
+        let shadowed = check("forall C in S [ inev(C, Bus_busy(C) > 0, true) ]", &t);
+        let plain = check("forall s in S [ inev(s, Bus_busy(C) > 0, true) ]", &t);
+        assert_eq!(shadowed, plain);
+        assert!(
+            !plain.holds,
+            "the last free stretch never sees the bus busy"
+        );
+        let o = check(
+            "forall C in S [ inev(C, Bus_busy(C) = Bus_busy(C), false) ]",
+            &t,
+        );
+        assert!(o.holds);
+    }
+
+    #[test]
+    fn arithmetic_overflow_is_an_error_at_the_visited_state() {
+        let t = sample_trace();
+        let busy = t.header().place_id("Bus_busy").unwrap();
+        let first_busy = t.states().position(|s| s.marking.tokens(busy) > 0).unwrap();
+        assert!(first_busy > 0);
+        for (q, at) in [
+            (
+                "forall s in S [ 9223372036854775807 + Bus_busy(s) >= 0 ]",
+                first_busy,
+            ),
+            ("exists s in S [ 0 - 9223372036854775807 - 2 > 0 ]", 0),
+            ("exists s in S [ 3037000500 * 3037000500 > 0 ]", 0),
+            // Inside `inev` the visited state is `C`, on the backward
+            // pass and on the forward walk alike.
+            (
+                "forall s in S [ inev(s, 9223372036854775807 + Bus_busy(C) < 0, true) ]",
+                first_busy,
+            ),
+            (
+                "forall s in S [ inev(s, 9223372036854775807 + Bus_busy(C) < Bus_free(s), true) ]",
+                first_busy,
+            ),
+        ] {
+            assert_eq!(
+                Query::parse(q).unwrap().check(&t),
+                Err(QueryError::Overflow(at)),
+                "{q}"
+            );
+        }
+        assert_eq!(
+            QueryError::Overflow(3).to_string(),
+            "arithmetic overflow at state #3"
         );
     }
 

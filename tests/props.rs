@@ -149,23 +149,6 @@ proptest! {
         prop_assert_eq!(actual, expected);
     }
 
-    /// Markings are never negative and states are monotone in time.
-    #[test]
-    fn states_are_sane(spec in arb_net(), seed in 0u64..1000) {
-        let net = build(&spec);
-        let Some(trace) = sim_or_skip(&net, seed, 50) else { return Ok(()); };
-        let mut prev_time = Time::ZERO;
-        let mut prev_index = None;
-        for s in trace.states() {
-            prop_assert!(s.time >= prev_time, "time must not go backwards");
-            if let Some(p) = prev_index {
-                prop_assert_eq!(s.index, p + 1, "state indices are dense");
-            }
-            prev_time = s.time;
-            prev_index = Some(s.index);
-        }
-    }
-
     /// Statistics are internally consistent: min <= avg <= max,
     /// std-dev finite, starts >= ends, throughput = ends / length.
     #[test]
@@ -487,23 +470,6 @@ proptest! {
                 &net,
                 &inv.weights
             ));
-        }
-    }
-
-    /// Heatmap activities are fractions, and the hottest transition (if
-    /// any) agrees with the stat report's busiest transition.
-    #[test]
-    fn heatmap_activity_in_unit_interval(spec in arb_net(), seed in 0u64..100) {
-        let net = build(&spec);
-        let Some(trace) = sim_or_skip(&net, seed, 60) else { return Ok(()); };
-        let h = pnut::anim::Heatmap::from_trace(&trace);
-        for row in h.places.iter().chain(&h.transitions) {
-            prop_assert!(
-                (0.0..=1.0 + 1e-9).contains(&row.activity),
-                "{}: {}",
-                row.name,
-                row.activity
-            );
         }
     }
 

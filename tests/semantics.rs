@@ -750,6 +750,71 @@ const SIM_OUTPUT: &[SimRun<'static>] = &[
     ("random_net(39)", 1, 524, 131, 130, 10316759781586499173),
 ];
 
+/// The state cursor lends exactly the states `states()` yields (index,
+/// time, marking, firing counts and environment), times never decrease
+/// and indices are dense; and the heatmap built on the cursor reports
+/// activities in `[0, 1]`. Runs: the `simulator_output_is_pinned` runs,
+/// plus the 40 `random_net` traces of the JSON round-trip sweep.
+#[test]
+fn state_cursor_lends_what_states_yields() {
+    let mut traces: Vec<(String, RecordedTrace)> = Vec::new();
+    for seed in 1..=4 {
+        let trace = pnut::sim::simulate(&model("interpreted"), seed, Time::from_ticks(250));
+        traces.push((format!("interpreted seed {seed}"), trace.expect("runs")));
+    }
+    for seed in 1..=2 {
+        let trace = pnut::sim::simulate(&model("three_stage"), seed, Time::from_ticks(2_000));
+        traces.push((format!("three_stage seed {seed}"), trace.expect("runs")));
+    }
+    let options = SimOptions {
+        max_firings_per_instant: 10_000,
+    };
+    for n in 0..40 {
+        let net = random_net(n);
+        for (seed, until, must_finish) in [(1, 200, false), (n, 100, true)] {
+            let mut sim = Simulator::with_options(&net, seed, options).expect("constructs");
+            let mut rec = Recorder::new();
+            if sim.run(Time::from_ticks(until), &mut rec).is_err() && must_finish {
+                continue;
+            }
+            let trace = rec.into_trace().expect("closed even on failure");
+            traces.push((format!("random_net({n}) seed {seed}"), trace));
+        }
+    }
+    for (name, trace) in &traces {
+        let mut cursor = trace.cursor();
+        let mut states = trace.states();
+        let mut seen = 0;
+        let mut prev_time = trace.header().start_time;
+        loop {
+            let (lent, owned) = match (cursor.next(), states.next()) {
+                (Some(lent), Some(owned)) => (lent, owned),
+                (None, None) => break,
+                (lent, owned) => panic!(
+                    "{name}: after {seen} states the cursor lent {:?} but states() yielded {:?}",
+                    lent.map(|s| s.index),
+                    owned.map(|s| s.index)
+                ),
+            };
+            assert_eq!(*lent, owned, "{name}: state {seen}");
+            assert_eq!(lent.index, seen, "{name}: state indices are dense");
+            assert!(lent.time >= prev_time, "{name}: time went back at #{seen}");
+            prev_time = lent.time;
+            seen += 1;
+        }
+        assert!(seen >= 1, "{name}: no initial state");
+        let heatmap = pnut::anim::Heatmap::from_trace(trace);
+        for row in heatmap.places.iter().chain(&heatmap.transitions) {
+            assert!(
+                (0.0..=1.0 + 1e-9).contains(&row.activity),
+                "{name}: `{}` activity {}",
+                row.name,
+                row.activity
+            );
+        }
+    }
+}
+
 /// Exact oracle for the Markov solver: on a strongly connected timed
 /// marked graph every transition fires once per cycle time, so each
 /// steady-state throughput must equal `1 / CT` from the cycle-time
