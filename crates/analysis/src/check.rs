@@ -89,7 +89,7 @@ pub fn check_invariants(
     graph: &mut ReachabilityGraph,
 ) -> Result<InvariantCheck, InvariantCheckError> {
     let _span = pnut_obs::span("analysis.check_invariants");
-    let invariants = invariant::semi_positive_p_invariants(net);
+    let invariants = invariant::semi_positive_p_invariants(&invariant::p_invariants(net));
     if invariants.is_empty() {
         return Ok(InvariantCheck {
             invariants: 0,

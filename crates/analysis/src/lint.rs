@@ -11,6 +11,8 @@ use crate::report::{Finding, LintReport, Severity};
 /// Structural place bounds derived from semi-positive P-invariants.
 #[derive(Debug, Clone)]
 pub struct StructuralBounds {
+    /// The P-invariant basis (see [`invariant::p_invariants`]).
+    pub basis: Vec<invariant::PInvariant>,
     /// The semi-positive invariants used (see
     /// [`invariant::semi_positive_p_invariants`]).
     pub invariants: Vec<invariant::PInvariant>,
@@ -26,7 +28,8 @@ pub struct StructuralBounds {
 /// Derive structural bounds for every place:
 /// `bound(p) = min over covering invariants of token_sum / weight[p]`.
 pub fn structural_bounds(net: &Net) -> StructuralBounds {
-    let invariants = invariant::semi_positive_p_invariants(net);
+    let basis = invariant::p_invariants(net);
+    let invariants = invariant::semi_positive_p_invariants(&basis);
     let m0 = net.initial_marking();
     let sums: Vec<i64> = invariants.iter().map(|inv| inv.token_sum(&m0)).collect();
     let mut bounds = vec![None; net.place_count()];
@@ -43,6 +46,7 @@ pub fn structural_bounds(net: &Net) -> StructuralBounds {
         }
     }
     StructuralBounds {
+        basis,
         invariants,
         sums,
         bounds,
@@ -292,6 +296,15 @@ pub fn lint(net: &Net) -> LintReport {
             .count() as u64,
     );
 
+    let m0 = net.initial_marking();
+    let p_invariants = bounds
+        .basis
+        .into_iter()
+        .map(|inv| {
+            let sum = inv.token_sum(&m0);
+            (inv, sum)
+        })
+        .collect();
     LintReport {
         net_name: net.name().to_string(),
         place_names: net.places().map(|(_, p)| p.name().to_string()).collect(),
@@ -299,6 +312,8 @@ pub fn lint(net: &Net) -> LintReport {
         bounds: bounds.bounds,
         dead_transitions: dead,
         findings,
+        p_invariants,
+        t_invariants: t_basis.len(),
     }
 }
 

@@ -2,6 +2,7 @@
 
 use std::fmt;
 
+use pnut_core::invariant::PInvariant;
 use pnut_core::TransitionId;
 
 /// How bad a finding is.
@@ -84,6 +85,11 @@ pub struct LintReport {
     pub dead_transitions: Vec<TransitionId>,
     /// All findings, errors first, stable order within a severity.
     pub findings: Vec<Finding>,
+    /// The P-invariant basis (see [`pnut_core::invariant::p_invariants`]),
+    /// each vector with its token sum at the initial marking.
+    pub p_invariants: Vec<(PInvariant, i64)>,
+    /// Size of the T-invariant basis.
+    pub t_invariants: usize,
 }
 
 impl LintReport {
@@ -126,6 +132,21 @@ impl LintReport {
                 None => out.push_str(&format!("  bound({name}) = unknown\n")),
             }
         }
+        out.push_str(&format!("P-invariants ({}):\n", self.p_invariants.len()));
+        for (inv, sum) in &self.p_invariants {
+            let terms: Vec<String> = inv
+                .weights
+                .iter()
+                .zip(&self.place_names)
+                .filter(|(&w, _)| w != 0)
+                .map(|(&w, name)| match w {
+                    1 => name.clone(),
+                    w => format!("{w}·{name}"),
+                })
+                .collect();
+            out.push_str(&format!("  {} = {sum}\n", terms.join(" + ")));
+        }
+        out.push_str(&format!("T-invariants ({})\n", self.t_invariants));
         out.push_str(&format!(
             "summary: {} error(s), {} warning(s), {} info(s)\n",
             self.errors(),

@@ -74,18 +74,13 @@ impl Ratio {
         }
     }
 
-    /// Numerator (reduced).
-    pub fn numerator(self) -> u64 {
-        self.num
-    }
-
     /// Denominator (reduced).
     pub fn denominator(self) -> u64 {
         self.den
     }
 
     /// The value as `f64`.
-    pub fn as_f64(self) -> f64 {
+    fn as_f64(self) -> f64 {
         self.num as f64 / self.den as f64
     }
 }

@@ -112,11 +112,6 @@ impl Heatmap {
             transitions: trans_rows,
         }
     }
-
-    /// The hottest transition (the likely bottleneck stage), if any.
-    pub fn hottest_transition(&self) -> Option<&HeatRow> {
-        self.transitions.first()
-    }
 }
 
 impl fmt::Display for Heatmap {
@@ -164,7 +159,7 @@ mod tests {
         let net = b.build().unwrap();
         let trace = pnut_sim::simulate(&net, 0, Time::from_ticks(100)).unwrap();
         let h = Heatmap::from_trace(&trace);
-        let hottest = h.hottest_transition().unwrap();
+        let hottest = &h.transitions[0];
         assert_eq!(hottest.name, "slow");
         assert!(
             hottest.activity > 0.8,

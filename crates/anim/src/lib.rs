@@ -194,15 +194,6 @@ impl<'t> Animator<'t> {
             marking_lines,
         })
     }
-
-    /// Animate the entire remaining trace into a single string.
-    pub fn animate_all(&mut self) -> String {
-        let mut out = self.initial_frame().to_string();
-        while let Some(frame) = self.step() {
-            out.push_str(&frame.to_string());
-        }
-        out
-    }
 }
 
 /// Render a token count as filled circles (capped, with a numeric tail).
@@ -261,24 +252,15 @@ mod tests {
         let mut captions = Vec::new();
         let mut movements = Vec::new();
         while let Some(f) = anim.step() {
+            assert!(f
+                .to_string()
+                .contains(&format!("frame {} @", captions.len() + 1)));
             captions.push(f.caption.clone());
             movements.extend(f.movements);
         }
+        assert_eq!(captions.len(), 4, "2 starts + 2 finishes");
         assert!(captions.iter().any(|c| c.contains("finishes firing")));
         assert!(movements.iter().any(|m| m == "[move] --(1)--> b"));
-    }
-
-    #[test]
-    fn animate_all_covers_every_step_and_ends() {
-        let t = mover_trace();
-        let mut anim = Animator::new(&t);
-        let s = anim.animate_all();
-        assert!(s.contains("frame 0"));
-        assert!(s.contains("frame 1"));
-        assert!(anim.step().is_none(), "exhausted after animate_all");
-        // 2 starts + 2 finishes.
-        assert!(s.contains("frame 4"));
-        assert!(!s.contains("frame 5"));
     }
 
     #[test]

@@ -23,7 +23,9 @@ pub mod legacy_reach;
 pub mod ndjson;
 pub mod workloads;
 
+use pnut_core::TransitionId;
 use pnut_pipeline::ThreeStageConfig;
+use pnut_reach::{EdgeLabel, ReachError, ReachabilityGraph};
 
 /// Parse `argv[1]` as the experiment seed (default 1).
 pub fn seed_from_args() -> u64 {
@@ -36,6 +38,26 @@ pub fn seed_from_args() -> u64 {
 /// The paper's §2 configuration.
 pub fn paper_config() -> ThreeStageConfig {
     ThreeStageConfig::default()
+}
+
+/// Whether `t` labels some edge of `g` (an L1-liveness witness): one
+/// [`ReachabilityGraph::sweep`] over the edge rows that reads no row
+/// after the first witness.
+///
+/// # Errors
+///
+/// [`ReachError::Spill`] if a segment reload or eviction fails.
+pub fn fires(g: &mut ReachabilityGraph, t: TransitionId) -> Result<bool, ReachError> {
+    let mut found = false;
+    g.sweep(|i, guard| -> Result<(), ReachError> {
+        found = found
+            || guard
+                .successors(i)?
+                .iter()
+                .any(|e| e.0 == EdgeLabel::Fire(t));
+        Ok(())
+    })?;
+    Ok(found)
 }
 
 #[cfg(test)]

@@ -85,10 +85,10 @@ impl Split64 {
     }
 }
 
-/// A seeded, deterministic random net: the library form of the
-/// generator behind `tests/props.rs`, extended with a bounded data
-/// layer (variables, a table, predicates, actions, and expression
-/// delays) so it exercises the whole expression language.
+/// A seeded, deterministic random net: a small place/transition net,
+/// about half the time extended with a bounded data layer (variables,
+/// a table, predicates, actions, and expression delays) so it
+/// exercises the whole expression language.
 ///
 /// Guarantees, independent of seed:
 ///
@@ -103,7 +103,7 @@ impl Split64 {
 /// The *marking* component can still be unbounded (token-minting
 /// loops); callers bound construction with
 /// [`ReachOptions::max_states`](pnut_reach::ReachOptions) and skip the
-/// overflow, as the property tests do.
+/// overflow, as the random-net sweeps do.
 pub fn random_net(seed: u64) -> Net {
     let mut r = Split64(seed);
     let mut b = NetBuilder::new(format!("random_{seed}"));
@@ -112,7 +112,7 @@ pub fn random_net(seed: u64) -> Net {
         b.place(format!("p{i}"), r.range(0, 3) as u32);
     }
     // About half the nets get the data layer; the rest stay plain
-    // place/transition nets like the original property generator.
+    // place/transition nets.
     let with_data = r.chance(50);
     if with_data {
         for v in 0..3 {

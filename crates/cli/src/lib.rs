@@ -7,7 +7,7 @@
 //! crate packages the reproduction the same way:
 //!
 //! ```text
-//! pnut check model.pn                 structural report + invariants
+//! pnut lint model.pn                  static analysis + invariant bases
 //! pnut print model.pn                 parse and pretty-print (canonicalize)
 //! pnut sim model.pn --until 10000 --seed 1 -o trace.json
 //! pnut stat trace.json                Figure 5 statistics report
@@ -290,8 +290,10 @@ impl ObsSession {
         if let Some(path) = self.metrics_json.take() {
             let file = fs::File::create(&path)
                 .map_err(|e| err(format!("{tool}: cannot write `{}`: {e}", path.display())))?;
+            // Flush here: `BufWriter`'s drop would discard the error.
             let mut w = std::io::BufWriter::new(file);
             snap.write_ndjson(&mut w, tool)
+                .and_then(|()| std::io::Write::flush(&mut w))
                 .map_err(|e| err(format!("{tool}: --metrics-json: {e}")))?;
         }
         Ok(())
@@ -318,7 +320,7 @@ fn load_net(path: &str) -> Result<Net, CliError> {
     pnut_lang::parse(&text).map_err(|e| err(format!("{path}: {e}")))
 }
 
-/// Shared model-load plumbing (`check`, `lint`, `reach`): read, parse,
+/// Shared model-load plumbing (`lint`, `reach`): read, parse,
 /// and build a model inside the `parse` span, with uniform
 /// [`CliError`] reporting. Call after [`ObsSession::from_args`] so the
 /// span lands in the session.
@@ -372,7 +374,6 @@ pub fn run(argv: &[String], out: &mut String) -> Result<i32, CliError> {
             out.push_str(USAGE);
             Ok(0)
         }
-        "check" => cmd_check(rest, out),
         "lint" => cmd_lint(rest, out),
         "print" => cmd_print(rest, out),
         "dot" => cmd_dot(rest, out),
@@ -397,9 +398,9 @@ pnut — Petri-Net Utility Tools (Razouk 1987/88 reproduction)
 
 usage: pnut <command> [args]
 
-  check <model.pn>                     structural report + P/T-invariants
   lint <model.pn>... [--json] [observability]  static analysis: invariant
-                     bounds, dead transitions, expression lint
+                     bounds, dead transitions, expression lint, the
+                     P-invariant basis and the T-invariant count
                      (docs/STATIC_ANALYSIS.md; exit 2 on error findings)
   print <model.pn>                     parse and pretty-print
   dot <model.pn>                       Graphviz rendering of the net
@@ -483,107 +484,6 @@ error taxonomy — every failure names which of these it is:
                a healthy --spill-dir or a larger --mem-budget.
 ";
 
-fn cmd_check(argv: &[String], out: &mut String) -> Result<i32, CliError> {
-    let mut args = Args::new(argv);
-    let path = args
-        .positional()
-        .ok_or_else(|| err("check: need a model file"))?;
-    args.finish()?;
-    let net = load_model(&path)?;
-    let report = pnut_core::analysis::structural_report(&net);
-    let _ = writeln!(
-        out,
-        "net `{}`: {} places, {} transitions",
-        net.name(),
-        net.place_count(),
-        net.transition_count()
-    );
-    let name_list = |ids: &[pnut_core::PlaceId]| -> String {
-        ids.iter()
-            .map(|&p| net.place(p).name().to_string())
-            .collect::<Vec<_>>()
-            .join(", ")
-    };
-    let tname_list = |ids: &[pnut_core::TransitionId]| -> String {
-        ids.iter()
-            .map(|&t| net.transition(t).name().to_string())
-            .collect::<Vec<_>>()
-            .join(", ")
-    };
-    let mut clean = true;
-    if !report.isolated_places.is_empty() {
-        clean = false;
-        let _ = writeln!(
-            out,
-            "isolated places: {}",
-            name_list(&report.isolated_places)
-        );
-    }
-    if !report.source_only_places.is_empty() {
-        clean = false;
-        let _ = writeln!(
-            out,
-            "drain-only places (no producer): {}",
-            name_list(&report.source_only_places)
-        );
-    }
-    if !report.sink_only_places.is_empty() {
-        clean = false;
-        let _ = writeln!(
-            out,
-            "accumulate-only places (no consumer): {}",
-            name_list(&report.sink_only_places)
-        );
-    }
-    if !report.sourceless_transitions.is_empty() {
-        clean = false;
-        let _ = writeln!(
-            out,
-            "input-free transitions: {}",
-            tname_list(&report.sourceless_transitions)
-        );
-    }
-    if !report.structurally_dead_transitions.is_empty() {
-        clean = false;
-        let _ = writeln!(
-            out,
-            "structurally dead transitions: {}",
-            tname_list(&report.structurally_dead_transitions)
-        );
-    }
-    if clean {
-        let _ = writeln!(out, "structure: clean");
-    }
-
-    let pinv = pnut_core::invariant::p_invariants(&net);
-    let _ = writeln!(out, "P-invariants ({}):", pinv.len());
-    for inv in &pinv {
-        let terms: Vec<String> = inv
-            .weights
-            .iter()
-            .enumerate()
-            .filter(|(_, &w)| w != 0)
-            .map(|(i, &w)| {
-                let n = net.place(pnut_core::PlaceId::new(i)).name();
-                if w == 1 {
-                    n.to_string()
-                } else {
-                    format!("{w}·{n}")
-                }
-            })
-            .collect();
-        let _ = writeln!(
-            out,
-            "  {} = {}",
-            terms.join(" + "),
-            inv.token_sum(&net.initial_marking())
-        );
-    }
-    let tinv = pnut_core::invariant::t_invariants(&net);
-    let _ = writeln!(out, "T-invariants ({})", tinv.len());
-    Ok(if clean { 0 } else { 2 })
-}
-
 fn cmd_lint(argv: &[String], out: &mut String) -> Result<i32, CliError> {
     let mut args = Args::new(argv);
     let json = args.flag("--json");
@@ -647,19 +547,8 @@ fn cmd_sim(argv: &[String], out: &mut String) -> Result<i32, CliError> {
     let path = args
         .positional()
         .ok_or_else(|| err("sim: need a model file"))?;
-    let until: u64 = args
-        .value("--until")
-        .map(|v| {
-            v.parse()
-                .map_err(|_| err("sim: --until must be an integer"))
-        })
-        .transpose()?
-        .unwrap_or(10_000);
-    let seed: u64 = args
-        .value("--seed")
-        .map(|v| v.parse().map_err(|_| err("sim: --seed must be an integer")))
-        .transpose()?
-        .unwrap_or(1);
+    let until = parse_opt::<u64>(&mut args, "--until", "sim")?.unwrap_or(10_000);
+    let seed = parse_opt::<u64>(&mut args, "--seed", "sim")?.unwrap_or(1);
     let output = args.value("-o");
     let mut session = ObsSession::from_args(&mut args, "sim")?;
     args.finish()?;
@@ -749,22 +638,8 @@ fn cmd_timeline(argv: &[String], out: &mut String) -> Result<i32, CliError> {
     let path = args
         .positional()
         .ok_or_else(|| err("timeline: need a trace file"))?;
-    let from: u64 = args
-        .value("--from")
-        .map(|v| {
-            v.parse()
-                .map_err(|_| err("timeline: --from must be an integer"))
-        })
-        .transpose()?
-        .unwrap_or(0);
-    let to: u64 = args
-        .value("--to")
-        .map(|v| {
-            v.parse()
-                .map_err(|_| err("timeline: --to must be an integer"))
-        })
-        .transpose()?
-        .unwrap_or(from.saturating_add(100));
+    let from = parse_opt::<u64>(&mut args, "--from", "timeline")?.unwrap_or(0);
+    let to = parse_opt::<u64>(&mut args, "--to", "timeline")?.unwrap_or(from.saturating_add(100));
     let mut signals: Vec<pnut_tracer::Signal> = args
         .values("--probe")
         .into_iter()
@@ -801,14 +676,7 @@ fn cmd_anim(argv: &[String], out: &mut String) -> Result<i32, CliError> {
     let path = args
         .positional()
         .ok_or_else(|| err("anim: need a trace file"))?;
-    let max_frames: usize = args
-        .value("--max-frames")
-        .map(|v| {
-            v.parse()
-                .map_err(|_| err("anim: --max-frames must be an integer"))
-        })
-        .transpose()?
-        .unwrap_or(usize::MAX);
+    let max_frames = parse_opt::<usize>(&mut args, "--max-frames", "anim")?.unwrap_or(usize::MAX);
     args.finish()?;
 
     let trace = load_trace(&path)?;
@@ -1137,17 +1005,27 @@ mod tests {
         let mut s = String::new();
         assert!(run(&["bogus".to_string()], &mut s).is_err());
         assert_eq!(run(&[], &mut s).unwrap(), 1);
+        // `lint` lists the invariants `check` used to print.
+        let e = run(&["check".to_string(), "m.pn".to_string()], &mut s).unwrap_err();
+        assert!(e.to_string().contains("unknown command `check`"), "{e}");
     }
 
     #[test]
-    fn check_reports_invariants() {
+    fn lint_lists_the_invariant_bases() {
         let _g = obs_serial();
-        let dir = tmpdir("check");
+        let dir = tmpdir("lintinv");
         let model = write_model(&dir);
-        let (code, out) = run_args(&["check", &model]);
+        let (code, out) = run_args(&["lint", &model]);
         assert_eq!(code, 0, "{out}");
-        assert!(out.contains("structure: clean"));
-        assert!(out.contains("Bus_free + Bus_busy = 1"));
+        assert!(
+            out.contains("P-invariants (1):\n  Bus_free + Bus_busy = 1\nT-invariants (1)\n"),
+            "{out}"
+        );
+        let (_, json) = run_args(&["lint", &model, "--json"]);
+        assert!(
+            !json.contains("P-invariants"),
+            "--json is unchanged: {json}"
+        );
     }
 
     #[test]
@@ -1657,20 +1535,29 @@ mod tests {
         let _g = obs_serial();
         let dir = tmpdir("badflags");
         let model = write_model(&dir);
-        for argv in [
-            vec!["reach", &model, "--max-states", "abc"],
-            vec!["reach", &model, "--jobs", "-3"],
-            vec!["reach", &model, "--max-states", "0"],
-            vec!["cover", &model, "--max-states", "many"],
-            vec!["markov", &model, "--jobs", "2.5"],
+        for (argv, flag) in [
+            (vec!["reach", &model, "--max-states", "abc"], "--max-states"),
+            (vec!["reach", &model, "--jobs", "-3"], "--jobs"),
+            (vec!["reach", &model, "--max-states", "0"], "--max-states"),
+            (
+                vec!["cover", &model, "--max-states", "many"],
+                "--max-states",
+            ),
+            (vec!["markov", &model, "--jobs", "2.5"], "--jobs"),
+            (vec!["sim", &model, "--until", "-1"], "--until"),
+            (vec!["sim", &model, "--seed", "-1"], "--seed"),
+            (vec!["timeline", "t.json", "--from", "-1"], "--from"),
+            (vec!["timeline", "t.json", "--to", "-1"], "--to"),
+            (vec!["anim", "t.json", "--max-frames", "-1"], "--max-frames"),
         ] {
             let argv: Vec<String> = argv.iter().map(|s| s.to_string()).collect();
             let mut out = String::new();
-            let e = run(&argv, &mut out).unwrap_err();
-            assert!(
-                e.to_string().contains("--max-states") || e.to_string().contains("--jobs"),
-                "unhelpful error: {e}"
-            );
+            let e = run(&argv, &mut out).unwrap_err().to_string();
+            assert!(e.contains(flag), "unhelpful error: {e}");
+            if argv[3] == "-1" {
+                let cmd = &argv[0];
+                assert_eq!(e, format!("{cmd}: {flag} must be a non-negative integer"));
+            }
         }
     }
 

@@ -2,6 +2,7 @@
 
 //! The `pnut` binary: thin wrapper over [`pnut_cli::run`].
 
+use std::io::Write;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
@@ -17,7 +18,15 @@ fn main() -> ExitCode {
     let mut out = String::new();
     match pnut_cli::run(&argv, &mut out) {
         Ok(code) => {
-            print!("{out}");
+            // `print!` would panic on a closed or full stdout.
+            let mut stdout = std::io::stdout().lock();
+            if let Err(e) = stdout
+                .write_all(out.as_bytes())
+                .and_then(|()| stdout.flush())
+            {
+                eprintln!("pnut: error: cannot write stdout: {e}");
+                return ExitCode::from(1);
+            }
             ExitCode::from(u8::try_from(code).unwrap_or(1))
         }
         // No partial report: a failed command contributes nothing to

@@ -36,7 +36,7 @@ pub enum BinOp {
 
 impl BinOp {
     /// Surface-syntax spelling of the operator.
-    pub fn symbol(self) -> &'static str {
+    fn symbol(self) -> &'static str {
         match self {
             BinOp::Or => "||",
             BinOp::And => "&&",
@@ -133,7 +133,7 @@ impl Expr {
     ///
     /// # fn main() -> Result<(), pnut_core::ParseExprError> {
     /// let e = Expr::parse("needed > 0 && mode != 3")?;
-    /// assert!(e.uses_var("needed"));
+    /// assert_eq!(e.variables(), ["mode", "needed"]);
     /// # Ok(())
     /// # }
     /// ```
@@ -160,19 +160,6 @@ impl Expr {
             Expr::Binary(_, a, b) => a.uses_random() || b.uses_random(),
             Expr::Call(f, args) => *f == Func::Irand || args.iter().any(Expr::uses_random),
             Expr::If(c, a, b) => c.uses_random() || a.uses_random() || b.uses_random(),
-        }
-    }
-
-    /// Whether the expression references variable `name`.
-    pub fn uses_var(&self, name: &str) -> bool {
-        match self {
-            Expr::Int(_) | Expr::Bool(_) => false,
-            Expr::Var(v) => v == name,
-            Expr::Index(_, i) => i.uses_var(name),
-            Expr::Unary(_, e) => e.uses_var(name),
-            Expr::Binary(_, a, b) => a.uses_var(name) || b.uses_var(name),
-            Expr::Call(_, args) => args.iter().any(|a| a.uses_var(name)),
-            Expr::If(c, a, b) => c.uses_var(name) || a.uses_var(name) || b.uses_var(name),
         }
     }
 

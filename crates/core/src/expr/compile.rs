@@ -35,7 +35,7 @@
 //! # Slot-map contract
 //!
 //! A [`SlotMap`] assigns each variable and table name a dense index.
-//! [`SlotMap::for_net`] collects every name the net can ever define:
+//! [`CompiledNet::compile`] maps every name the net can ever define:
 //! the initial environment plus every assignment target. Runtime
 //! environments reachable from the initial one can only bind names from
 //! that set, so [`EnvSlots::load`] is a linear merge over the sorted
@@ -57,9 +57,9 @@
 //! seeded simulations produce identical traces. Constant folding is
 //! only applied to subexpressions that provably evaluate without error
 //! and without consuming randomness. The differential battery in
-//! `tests/bytecode_diff.rs` (plus `tests/props.rs` under the
-//! `proptest-tests` feature) checks this over the full grammar,
-//! including the error cases.
+//! `tests/bytecode_diff.rs` checks this over the full grammar,
+//! including the error cases, on a hand-written corpus and on seeded
+//! random expressions.
 //!
 //! # Lowered transitions
 //!
@@ -122,7 +122,7 @@ impl SlotMap {
     /// Build the slot map for a net: every variable and table name in
     /// the initial environment, referenced by any transition
     /// expression, or assigned by any action.
-    pub fn for_net(net: &Net) -> Self {
+    fn for_net(net: &Net) -> Self {
         let mut vars = BTreeSet::new();
         let mut tables = BTreeSet::new();
         for (name, _) in net.initial_env().vars() {
@@ -175,7 +175,7 @@ impl SlotMap {
     }
 
     /// Slot index of a variable name, if mapped.
-    pub fn var_slot(&self, name: &str) -> Option<u32> {
+    fn var_slot(&self, name: &str) -> Option<u32> {
         self.vars
             .binary_search_by(|n| n.as_str().cmp(name))
             .ok()
@@ -183,7 +183,7 @@ impl SlotMap {
     }
 
     /// Slot index of a table name, if mapped.
-    pub fn table_slot(&self, name: &str) -> Option<u32> {
+    fn table_slot(&self, name: &str) -> Option<u32> {
         self.tables
             .binary_search_by(|n| n.as_str().cmp(name))
             .ok()
@@ -196,18 +196,13 @@ impl SlotMap {
     }
 
     /// Name of a table slot.
-    pub fn table_name(&self, slot: u32) -> &str {
+    fn table_name(&self, slot: u32) -> &str {
         &self.tables[slot as usize]
     }
 
     /// Number of variable slots.
     pub fn var_count(&self) -> usize {
         self.vars.len()
-    }
-
-    /// Number of table slots.
-    pub fn table_count(&self) -> usize {
-        self.tables.len()
     }
 }
 

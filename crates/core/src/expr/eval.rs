@@ -107,26 +107,6 @@ impl Expr {
     pub fn eval_pure(&self, env: &Env) -> Result<Value, EvalError> {
         eval_inner(self, env, &mut None)
     }
-
-    /// Evaluate and require an integer result.
-    ///
-    /// # Errors
-    ///
-    /// The [`Expr::eval`] errors plus [`EvalError::TypeMismatch`] for a
-    /// boolean result.
-    pub fn eval_int(&self, env: &Env, rng: &mut dyn Randomness) -> Result<i64, EvalError> {
-        self.eval(env, rng)?.as_int()
-    }
-
-    /// Evaluate and require a boolean result.
-    ///
-    /// # Errors
-    ///
-    /// The [`Expr::eval`] errors plus [`EvalError::TypeMismatch`] for an
-    /// integer result.
-    pub fn eval_bool(&self, env: &Env, rng: &mut dyn Randomness) -> Result<bool, EvalError> {
-        self.eval(env, rng)?.as_bool()
-    }
 }
 
 fn eval_inner(expr: &Expr, env: &Env, rng: &mut Rng<'_>) -> Result<Value, EvalError> {
@@ -376,26 +356,5 @@ mod tests {
             ev("operands[9]", &env),
             Err(EvalError::IndexOutOfBounds { .. })
         ));
-    }
-
-    #[test]
-    fn eval_int_and_eval_bool_helpers() {
-        let env = Env::new();
-        let mut rng = CyclingRandomness::new();
-        assert_eq!(
-            Expr::parse("1 + 1")
-                .unwrap()
-                .eval_int(&env, &mut rng)
-                .unwrap(),
-            2
-        );
-        assert!(Expr::parse("1 < 2")
-            .unwrap()
-            .eval_bool(&env, &mut rng)
-            .unwrap());
-        assert!(Expr::parse("1 + 1")
-            .unwrap()
-            .eval_bool(&env, &mut rng)
-            .is_err());
     }
 }

@@ -66,7 +66,7 @@ impl PInvariant {
 
     /// Whether every weight is non-negative (semi-positive invariants
     /// bound the token count of every place in their support).
-    pub fn is_semi_positive(&self) -> bool {
+    fn is_semi_positive(&self) -> bool {
         self.weights.iter().all(|&w| w >= 0)
     }
 
@@ -89,17 +89,9 @@ pub struct TInvariant {
     pub weights: Vec<i64>,
 }
 
-impl TInvariant {
-    /// Whether every weight is non-negative (realizable firing-count
-    /// vectors must be).
-    pub fn is_semi_positive(&self) -> bool {
-        self.weights.iter().all(|&w| w >= 0)
-    }
-}
-
 /// The incidence matrix `C[p][t] = W(t→p) − W(p→t)` (ordinary arcs only;
 /// inhibitor arcs do not move tokens).
-pub fn incidence_matrix(net: &Net) -> Vec<Vec<i64>> {
+fn incidence_matrix(net: &Net) -> Vec<Vec<i64>> {
     let mut c = vec![vec![0i64; net.transition_count()]; net.place_count()];
     for (tid, t) in net.transitions() {
         for &(p, w) in t.inputs() {
@@ -126,7 +118,7 @@ pub fn p_invariants(net: &Net) -> Vec<PInvariant> {
 }
 
 /// Semi-positive P-invariants (all weights `>= 0`, not all zero)
-/// derived from the basis returned by [`p_invariants`].
+/// derived from `basis`, the basis [`p_invariants`] returns.
 ///
 /// Basis vectors produced by Gaussian elimination may mix signs even
 /// when a semi-positive combination exists, so in addition to filtering
@@ -137,8 +129,7 @@ pub fn p_invariants(net: &Net) -> Vec<PInvariant> {
 /// covered by *some* semi-positive invariant may still be missed —
 /// callers deriving bounds must treat uncovered places as "unknown",
 /// never as "unbounded is proven".
-pub fn semi_positive_p_invariants(net: &Net) -> Vec<PInvariant> {
-    let basis = p_invariants(net);
+pub fn semi_positive_p_invariants(basis: &[PInvariant]) -> Vec<PInvariant> {
     let mut out: Vec<PInvariant> = Vec::new();
     let push = |weights: Vec<i64>, out: &mut Vec<PInvariant>| {
         if weights.iter().all(|&w| w == 0) || weights.iter().any(|&w| w < 0) {
@@ -155,7 +146,7 @@ pub fn semi_positive_p_invariants(net: &Net) -> Vec<PInvariant> {
             out.push(inv);
         }
     };
-    for v in &basis {
+    for v in basis {
         push(v.weights.clone(), &mut out);
     }
     for (i, a) in basis.iter().enumerate() {
@@ -395,7 +386,6 @@ mod tests {
         let inv = t_invariants(&net);
         assert_eq!(inv.len(), 1);
         assert_eq!(inv[0].weights, vec![1, 1], "seize+release restores marking");
-        assert!(inv[0].is_semi_positive());
         assert!(verify_t_invariant(&net, &inv[0].weights));
     }
 

@@ -177,11 +177,6 @@ pub fn set_progress_every(n: u64) {
     PROGRESS_EVERY.store(n, Ordering::Relaxed);
 }
 
-/// Current heartbeat interval (`0` = disabled).
-pub fn progress_every() -> u64 {
-    PROGRESS_EVERY.load(Ordering::Relaxed)
-}
-
 /// Emit one progress heartbeat to stderr if heartbeats are enabled and
 /// `tick` lands on the configured interval. The line closure only runs
 /// when a line is actually printed, so callers may format freely. Lines

@@ -14,12 +14,6 @@
 use crate::config::{CacheConfig, ModelError, ThreeStageConfig};
 use pnut_core::{Net, NetBuilder};
 
-/// Names of the execution transitions for a given class count, e.g.
-/// `exec_type_1` .. `exec_type_5` for the paper's five classes.
-pub fn exec_transition_names(classes: usize) -> Vec<String> {
-    (1..=classes).map(|i| format!("exec_type_{i}")).collect()
-}
-
 /// Add a memory-access completion for `activity` (e.g. `prefetch`):
 /// plain main-memory latency, or a probabilistic hit/miss pair when a
 /// cache is configured (§3).
@@ -297,6 +291,9 @@ mod tests {
             "Type_3",
             "Issue",
             "exec_type_1",
+            "exec_type_2",
+            "exec_type_3",
+            "exec_type_4",
             "exec_type_5",
             "no_store",
             "want_store",
@@ -384,16 +381,5 @@ mod tests {
         assert!(net.transition_id("start_fetch").is_none());
         assert!(net.transition_id("want_store").is_none());
         assert!(net.transition_id("no_store").is_some());
-    }
-
-    #[test]
-    fn exec_names_helper_matches_model() {
-        let names = exec_transition_names(5);
-        assert_eq!(names[0], "exec_type_1");
-        assert_eq!(names[4], "exec_type_5");
-        let net = build(&ThreeStageConfig::default()).unwrap();
-        for n in names {
-            assert!(net.transition_id(&n).is_some());
-        }
     }
 }

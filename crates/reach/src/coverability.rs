@@ -92,11 +92,6 @@ impl OmegaMarking<'_> {
     pub fn covers(&self, other: OmegaMarking<'_>) -> bool {
         covers(self.0, other.0)
     }
-
-    /// Whether any component is ω.
-    pub fn has_omega(&self) -> bool {
-        self.0.iter().any(|c| matches!(c, Count::Omega))
-    }
 }
 
 fn covers(a: &[Count], b: &[Count]) -> bool {

@@ -18,8 +18,7 @@
 //! silently grows the resident set to the whole store. Every analysis
 //! that reads the whole graph — CTL fixpoints,
 //! [`ReachabilityGraph::deadlocks`], [`ReachabilityGraph::place_bounds`],
-//! [`ReachabilityGraph::ever_fires`], Markov extraction, the P-invariant
-//! check — instead goes through [`ReachabilityGraph::sweep`], the one
+//! Markov extraction, the P-invariant check — instead goes through [`ReachabilityGraph::sweep`], the one
 //! bulk read path. It walks the graph **segment-at-a-time**: pin one
 //! segment with a [`SegmentGuard`], hand its states to the analysis,
 //! drop the guard, and evict (an `&mut` point, so eviction is legal)
@@ -112,7 +111,7 @@ pub struct ReachOptions {
 impl ReachOptions {
     /// The actual worker count: resolves `jobs == 0` to the machine's
     /// available parallelism (falling back to 1 when unknown).
-    pub fn effective_jobs(&self) -> usize {
+    fn effective_jobs(&self) -> usize {
         if self.jobs == 0 {
             std::thread::available_parallelism()
                 .map(std::num::NonZeroUsize::get)
@@ -417,28 +416,6 @@ impl ReachabilityGraph {
             Ok(())
         })?;
         Ok(bounds)
-    }
-
-    /// Whether `transition` fires on some edge (L1-liveness witness),
-    /// found by one [`Self::sweep`] over the edge rows. No row is read
-    /// after the first witness, so no later segment faults in; the
-    /// sweep still evicts after the witness segment, so a following
-    /// sweep starts from an under-budget resident set.
-    ///
-    /// # Errors
-    ///
-    /// As [`Self::deadlocks`].
-    pub fn ever_fires(&mut self, transition: TransitionId) -> Result<bool, ReachError> {
-        let mut found = false;
-        self.sweep(|i, guard| -> Result<(), ReachError> {
-            found = found
-                || guard
-                    .successors(i)?
-                    .iter()
-                    .any(|&(l, _)| l == EdgeLabel::Fire(transition));
-            Ok(())
-        })?;
-        Ok(found)
     }
 
     // -- budget diagnostics -----------------------------------------------
@@ -1331,6 +1308,21 @@ mod tests {
     use super::*;
     use pnut_core::NetBuilder;
 
+    /// Whether `t` labels some edge of `g`.
+    fn fires(g: &mut ReachabilityGraph, t: TransitionId) -> bool {
+        let mut found = false;
+        g.sweep(|i, guard| -> Result<(), ReachError> {
+            found = found
+                || guard
+                    .successors(i)?
+                    .iter()
+                    .any(|e| e.0 == EdgeLabel::Fire(t));
+            Ok(())
+        })
+        .unwrap();
+        found
+    }
+
     fn ring(tokens: u32) -> Net {
         let mut b = NetBuilder::new("ring");
         b.place("a", tokens);
@@ -1348,7 +1340,7 @@ mod tests {
         assert_eq!(g.edge_count(), 2);
         assert!(g.deadlocks().unwrap().is_empty());
         assert_eq!(g.place_bounds().unwrap(), vec![1, 1]);
-        assert!(g.ever_fires(net.transition_id("ab").unwrap()).unwrap());
+        assert!(fires(&mut g, net.transition_id("ab").unwrap()));
     }
 
     #[test]
@@ -1618,11 +1610,8 @@ mod tests {
             g.state(2).unwrap().enabling.is_empty(),
             "token stolen: no clocks"
         );
-        assert!(g.ever_fires(thief).unwrap());
-        assert!(
-            !g.ever_fires(slow).unwrap(),
-            "slow's clock must reset each round"
-        );
+        assert!(fires(&mut g, thief));
+        assert!(!fires(&mut g, slow), "slow's clock must reset each round");
     }
 
     #[test]

@@ -48,8 +48,11 @@
 //! Interning is amortized O(|marking| + |in-flight|) per successor with
 //! no allocation on the hit path (the overwhelmingly common case once
 //! the frontier saturates). Memory is one arena copy per distinct state
-//! plus 12 bytes of table entry — roughly half of what the doubled
-//! owned-key layout used, before counting its per-state heap headers.
+//! plus its share of the intern table: each bucket is a `(u64, u32)`,
+//! 16 bytes with padding, and the bucket count is a power of two kept
+//! at a load of at most 7/8, so a state costs 18–37 bytes of table. The
+//! owned-key layout this replaced stored every state twice, before
+//! counting its per-state heap headers.
 //!
 //! # Parallel levels: sharding and the barrier splice
 //!
@@ -113,7 +116,7 @@
 use crate::graph::ReachError;
 use crate::pager::{PagedStates, PagerConfig, PagerShared, SegmentData};
 use pnut_core::expr::compile::EnvSlots;
-use pnut_core::{Marking, PlaceId, TransitionId};
+use pnut_core::{PlaceId, TransitionId};
 use pnut_obs as obs;
 use std::fmt;
 use std::hash::{Hash, Hasher};
@@ -333,11 +336,6 @@ impl<'a> MarkingView<'a> {
     /// The raw token counts in place order.
     pub fn as_slice(&self) -> &'a [u32] {
         self.0
-    }
-
-    /// Materialize an owned [`Marking`] (allocates; prefer the view).
-    pub fn to_marking(&self) -> Marking {
-        Marking::from_counts(self.0.to_vec())
     }
 }
 
@@ -1231,7 +1229,7 @@ mod tests {
         assert_eq!(v.total_tokens(), 7);
         assert_eq!(v.len(), 3);
         assert_eq!(v.to_string(), "[1 0 6]");
-        assert_eq!(v.to_marking(), Marking::from_counts(vec![1, 0, 6]));
+        assert_eq!(v.as_slice(), [1, 0, 6]);
         assert_eq!(
             v.iter().map(|(p, t)| (p.index(), t)).collect::<Vec<_>>(),
             vec![(0, 1), (1, 0), (2, 6)]

@@ -90,13 +90,6 @@ impl StatCollector {
         }
     }
 
-    /// Set the run number shown in the report (the paper's reports are
-    /// numbered per experiment).
-    pub fn with_run_number(mut self, run_number: u32) -> Self {
-        self.run_number = run_number;
-        self
-    }
-
     /// Finish collection and produce the report; `None` if no trace was
     /// seen (no `begin`/`end`).
     pub fn into_report(self) -> Option<StatReport> {

@@ -72,20 +72,6 @@ impl StatReport {
     pub fn transition(&self, name: &str) -> Option<&TransitionStats> {
         self.transitions.iter().find(|t| t.name == name)
     }
-
-    /// Sum of the throughputs of the named transitions — the paper's
-    /// recipe for the instruction processing rate ("the sum of the
-    /// throughputs of all the execution transitions", §4.2).
-    pub fn throughput_sum<'a, I>(&self, names: I) -> f64
-    where
-        I: IntoIterator<Item = &'a str>,
-    {
-        names
-            .into_iter()
-            .filter_map(|n| self.transition(n))
-            .map(|t| t.throughput)
-            .sum()
-    }
 }
 
 impl fmt::Display for StatReport {
@@ -190,15 +176,6 @@ mod tests {
         assert!(r.place("Bus_busy").is_some());
         assert!(r.place("nope").is_none());
         assert_eq!(r.transition("exec_type_1").unwrap().starts, 618);
-    }
-
-    #[test]
-    fn throughput_sum_is_instruction_rate() {
-        let r = sample();
-        let rate = r.throughput_sum(["exec_type_1", "exec_type_2"]);
-        assert!((rate - 0.0994).abs() < 1e-12);
-        // Unknown names contribute zero rather than erroring.
-        assert_eq!(r.throughput_sum(["missing"]), 0.0);
     }
 
     #[test]

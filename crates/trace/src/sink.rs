@@ -81,11 +81,6 @@ impl Recorder {
             self.end_time?,
         ))
     }
-
-    /// Number of deltas recorded so far.
-    pub fn delta_count(&self) -> usize {
-        self.deltas.len()
-    }
 }
 
 impl TraceSink for Recorder {
@@ -207,7 +202,6 @@ mod tests {
         let mut rec = Recorder::new();
         rec.begin(&header());
         rec.delta(&a_delta());
-        assert_eq!(rec.delta_count(), 1);
         rec.end(Time::from_ticks(2));
         let t = rec.into_trace().unwrap();
         assert_eq!(t.deltas().len(), 1);

@@ -45,7 +45,7 @@ impl PulseStats {
     }
 
     /// Mean pulse width in ticks (0 if there are no pulses).
-    pub fn mean_width(&self) -> f64 {
+    fn mean_width(&self) -> f64 {
         if self.pulses.is_empty() {
             0.0
         } else {
@@ -54,12 +54,12 @@ impl PulseStats {
     }
 
     /// Minimum pulse width.
-    pub fn min_width(&self) -> Option<u64> {
+    fn min_width(&self) -> Option<u64> {
         self.pulses.iter().map(Pulse::width).min()
     }
 
     /// Maximum pulse width.
-    pub fn max_width(&self) -> Option<u64> {
+    fn max_width(&self) -> Option<u64> {
         self.pulses.iter().map(Pulse::width).max()
     }
 }
@@ -122,7 +122,7 @@ pub fn place_pulses(trace: &RecordedTrace, place: &str) -> Option<PulseStats> {
 }
 
 /// The start times of every firing of `transition`, in order.
-pub fn start_times(trace: &RecordedTrace, transition: &str) -> Option<Vec<Time>> {
+fn start_times(trace: &RecordedTrace, transition: &str) -> Option<Vec<Time>> {
     let tid: TransitionId = trace.header().transition_id(transition)?;
     Some(
         trace

@@ -7,14 +7,15 @@
 //! order. These tests pin that contract three ways:
 //!
 //! 1. per-expression and per-action parity over a corpus covering the
-//!    full grammar and every error variant;
+//!    full grammar and every error variant, and over seeded random
+//!    expressions, which must also print and parse back to a fixpoint;
 //! 2. graph-level equality on the paper models across the whole
 //!    `jobs × mem_budget` grid;
 //! 3. a 40-net seeded [`random_net`] sweep, untimed and timed, against
 //!    the frozen AST-walking seed construction where it applies.
 
 use pnut::core::expr::compile::{ActionProgram, EnvSlots, Program, Scratch, SlotMap};
-use pnut::core::expr::{Action, Env, EvalError, Expr, Value};
+use pnut::core::expr::{Action, BinOp, Env, EvalError, Expr, Func, UnaryOp, Value};
 use pnut::core::CyclingRandomness;
 use pnut::reach::graph::{
     build_timed, build_untimed, EdgeLabel, ReachError, ReachOptions, ReachabilityGraph,
@@ -213,6 +214,183 @@ fn every_eval_error_variant_is_exercised_by_the_corpus() {
             "corpus never produces {variant:?}"
         );
     }
+}
+
+// ---------------------------------------------------------------------------
+// Seeded random expressions
+// ---------------------------------------------------------------------------
+
+/// Expressions generated from a seed (SplitMix64): literals, variables,
+/// every operator, indexing, the four calls and conditionals, nested
+/// up to depth 4. Names are `[a-z][a-z0-9_]{0,6}`, usually one of
+/// `a`..`e` so they meet the environment's names. Every name drawn is
+/// recorded, so a slot map can cover all of them.
+struct ExprGen {
+    state: u64,
+    vars: std::collections::BTreeSet<String>,
+    tables: std::collections::BTreeSet<String>,
+}
+
+impl ExprGen {
+    fn new(seed: u64) -> Self {
+        ExprGen {
+            state: seed,
+            vars: Default::default(),
+            tables: Default::default(),
+        }
+    }
+
+    fn below(&mut self, n: u64) -> u64 {
+        self.state = self.state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = self.state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        (z ^ (z >> 31)) % n
+    }
+
+    fn int(&mut self, lo: i64, hi: i64) -> i64 {
+        lo + self.below((hi - lo) as u64) as i64
+    }
+
+    fn name(&mut self) -> String {
+        const TAIL: &[u8] = b"abcdefghijklmnopqrstuvwxyz0123456789_";
+        if self.below(4) > 0 {
+            return char::from(b'a' + self.below(5) as u8).to_string();
+        }
+        loop {
+            let mut name = char::from(b'a' + self.below(26) as u8).to_string();
+            for _ in 0..self.below(7) {
+                name.push(char::from(TAIL[self.below(TAIL.len() as u64) as usize]));
+            }
+            if name != "true" && name != "false" {
+                return name;
+            }
+        }
+    }
+
+    fn expr(&mut self, depth: u32) -> Expr {
+        const OPS: [BinOp; 13] = [
+            BinOp::Or,
+            BinOp::And,
+            BinOp::Eq,
+            BinOp::Ne,
+            BinOp::Lt,
+            BinOp::Le,
+            BinOp::Gt,
+            BinOp::Ge,
+            BinOp::Add,
+            BinOp::Sub,
+            BinOp::Mul,
+            BinOp::Div,
+            BinOp::Rem,
+        ];
+        if depth == 0 || self.below(3) == 0 {
+            return match self.below(3) {
+                0 => Expr::Int(self.int(-100, 100)),
+                1 => Expr::Bool(self.below(2) == 0),
+                _ => {
+                    let name = self.name();
+                    self.vars.insert(name.clone());
+                    Expr::Var(name)
+                }
+            };
+        }
+        let sub = |g: &mut Self| Box::new(g.expr(depth - 1));
+        match self.below(9) {
+            0 => Expr::Binary(OPS[self.below(13) as usize], sub(self), sub(self)),
+            1 => Expr::Unary(UnaryOp::Neg, sub(self)),
+            2 => Expr::Unary(UnaryOp::Not, sub(self)),
+            3 => {
+                let table = self.name();
+                self.tables.insert(table.clone());
+                Expr::Index(table, sub(self))
+            }
+            4 => Expr::Call(Func::Abs, vec![*sub(self)]),
+            5 => Expr::If(sub(self), sub(self), sub(self)),
+            k => {
+                let func = [Func::Min, Func::Max, Func::Irand][k as usize - 6];
+                Expr::Call(func, vec![*sub(self), *sub(self)])
+            }
+        }
+    }
+
+    /// An environment binding up to three of the variables `a`..`e` to
+    /// values in `-8..8`, and up to two of the tables `a`..`e` to up to
+    /// three such values.
+    fn env(&mut self) -> Env {
+        let mut env = Env::new();
+        for _ in 0..self.below(4) {
+            let name = char::from(b'a' + self.below(5) as u8).to_string();
+            let v = self.int(-8, 8);
+            self.vars.insert(name.clone());
+            env.set_var(name, Value::Int(v));
+        }
+        for _ in 0..self.below(3) {
+            let name = char::from(b'a' + self.below(5) as u8).to_string();
+            let values = (0..self.below(4)).map(|_| self.int(-8, 8)).collect();
+            self.tables.insert(name.clone());
+            env.define_table(name, values);
+        }
+        env
+    }
+}
+
+const RANDOM_EXPRESSIONS: u64 = 5_000;
+
+/// Printing a parsed expression reproduces the text, so print → parse
+/// → print is a fixpoint after one step (the first parse may differ
+/// harmlessly from the generated tree, e.g. `-(1)` against `-1`).
+#[test]
+fn random_expressions_print_and_parse_to_a_fixpoint() {
+    for seed in 0..RANDOM_EXPRESSIONS {
+        let e = ExprGen::new(seed).expr(4);
+        let once = e.to_string();
+        let parsed = Expr::parse(&once).unwrap_or_else(|err| panic!("`{once}`: {err}"));
+        let twice = parsed.to_string();
+        assert_eq!(once, twice, "seed {seed}");
+        assert_eq!(Expr::parse(&twice).as_ref(), Ok(&parsed), "seed {seed}");
+    }
+}
+
+/// The compiled program agrees with the interpreter on every random
+/// expression under a random environment: the same value or error,
+/// pure and with randomness, and the same randomness draws.
+#[test]
+fn random_expressions_match_interpreter() {
+    let mut vm = Scratch::new();
+    let (mut values, mut errors) = (0, 0);
+    for seed in 0..RANDOM_EXPRESSIONS {
+        let mut gen = ExprGen::new(seed);
+        let e = gen.expr(4);
+        let env = gen.env();
+        let map = SlotMap::from_names(gen.vars, gen.tables);
+        let p = Program::compile(&e, &map).expect("every name is mapped");
+        let mut slots = EnvSlots::new();
+        slots.load(&map, &env);
+        assert_eq!(
+            e.eval_pure(&env),
+            p.eval_pure(&slots, &map, &mut vm),
+            "seed {seed}: `{e}` on {env:?}"
+        );
+        let mut ri = CyclingRandomness::new();
+        let mut rc = CyclingRandomness::new();
+        let got = e.eval(&env, &mut ri);
+        assert_eq!(
+            got,
+            p.eval(&slots, &map, &mut vm, &mut rc),
+            "seed {seed}: `{e}` on {env:?}"
+        );
+        assert_eq!(ri, rc, "seed {seed}: rng draw count diverged on `{e}`");
+        if got.is_ok() {
+            values += 1;
+        } else {
+            errors += 1;
+        }
+    }
+    assert!(
+        values > 500 && errors > 500,
+        "{values} values, {errors} errors"
+    );
 }
 
 // ---------------------------------------------------------------------------

@@ -338,7 +338,7 @@ fn markov_solver_work_is_pinned_on_the_checked_in_models() {
 /// `ctl.sweeps`, `ctl.eu_iterations`, `ctl.eg_iterations` and
 /// `analysis.invariant_states`. The graph is built with the recorder
 /// off, so the row counts only the analyses: `deadlocks`,
-/// `place_bounds`, `ever_fires` for every transition, `check_invariants`
+/// `place_bounds`, `pnut_bench::fires` for every transition, `check_invariants`
 /// and three CTL formulas on the model's first place. A budget of 0
 /// means unlimited.
 #[rustfmt::skip]
@@ -405,7 +405,7 @@ fn analysis_work_is_pinned_on_the_checked_in_models() {
                 g.deadlocks().expect("deadlocks");
                 g.place_bounds().expect("place bounds");
                 for (tid, _) in net.transitions() {
-                    g.ever_fires(tid).expect("liveness");
+                    pnut_bench::fires(&mut g, tid).expect("liveness");
                 }
                 pnut::analysis::check_invariants(&net, &mut g).expect("invariants hold");
                 for f in &formulas {

@@ -22,7 +22,7 @@ use pnut::core::Net;
 use pnut::reach::ctl;
 use pnut::reach::graph::{build_timed, build_untimed, ReachOptions, ReachabilityGraph};
 use pnut::reach::ReachError;
-use pnut_bench::workloads::wide_toggle;
+use pnut_bench::workloads::{random_net, wide_toggle};
 use pnut_pipeline::{interpreted, three_stage, ThreeStageConfig};
 
 /// Far below every workload's combined state + edge arenas, so sweeps
@@ -74,7 +74,7 @@ fn run_battery(
     let deadlocks = g.deadlocks().expect("paged sweep");
     let fires: Vec<bool> = net
         .transitions()
-        .map(|(tid, _)| g.ever_fires(tid).expect("paged sweep"))
+        .map(|(tid, _)| pnut_bench::fires(&mut g, tid).expect("paged sweep"))
         .collect();
     let invariants = check_invariants(net, &mut g).expect("invariants hold");
     let ctl: Vec<Vec<bool>> = formulas
@@ -234,50 +234,14 @@ fn sweep_agrees_with_the_analyses() {
     assert_eq!(deadlocks, g.deadlocks().expect("paged sweep"));
 }
 
-/// Deterministic random-net agreement sweep — the always-on analogue
-/// of the `paged_analyses_agree_with_unpaged` property in
-/// `tests/props.rs` (which needs the `proptest` crate and is gated
-/// behind the `proptest-tests` feature the offline build cannot
-/// enable): a 1-byte budget forces maximum eviction churn, and every
-/// analysis must agree with the fully resident run on dozens of
-/// generated nets.
+/// Random-net agreement sweep over `random_net(0..40)`, untimed and
+/// timed: a 1-byte budget forces maximum eviction churn, and every
+/// analysis must agree with the fully resident run.
 #[test]
 fn random_nets_paged_analyses_agree_with_unpaged() {
-    use pnut::core::NetBuilder;
-
-    // xorshift64*: tiny, deterministic, good enough to vary structure.
-    let mut seed = 0x9e37_79b9_7f4a_7c15u64;
-    let mut rng = move || {
-        seed ^= seed << 13;
-        seed ^= seed >> 7;
-        seed ^= seed << 17;
-        seed
-    };
     let mut checked = 0;
-    for case in 0..40u32 {
-        let places = 1 + (rng() % 4) as usize;
-        let transitions = 1 + (rng() % 4) as usize;
-        let mut b = NetBuilder::new(format!("rand{case}"));
-        for p in 0..places {
-            b.place(format!("p{p}"), (rng() % 3) as u32);
-        }
-        for t in 0..transitions {
-            let mut tb = b.transition(format!("t{t}"));
-            for _ in 0..rng() % 3 {
-                tb = tb.input_weighted(
-                    format!("p{}", rng() as usize % places),
-                    1 + (rng() % 2) as u32,
-                );
-            }
-            for _ in 0..rng() % 3 {
-                tb = tb.output_weighted(
-                    format!("p{}", rng() as usize % places),
-                    1 + (rng() % 2) as u32,
-                );
-            }
-            tb.firing(rng() % 3).enabling(rng() % 3).add();
-        }
-        let net = b.build().expect("generated nets are well-formed");
+    for seed in 0..40 {
+        let net = random_net(seed);
         for timed in [false, true] {
             let build = if timed { build_timed } else { build_untimed };
             let capped = ReachOptions {
@@ -295,14 +259,15 @@ fn random_nets_paged_analyses_agree_with_unpaged() {
                 },
             )
             .expect("the budget never changes whether a net fits the cap");
-            assert_eq!(paged, resident, "case {case} (timed={timed}) diverged");
-            assert_eq!(paged.deadlocks(), resident.deadlocks(), "case {case}");
-            assert_eq!(paged.place_bounds(), resident.place_bounds(), "case {case}");
+            let case = format!("random_net({seed}) timed={timed}");
+            assert_eq!(paged, resident, "{case} diverged");
+            assert_eq!(paged.deadlocks(), resident.deadlocks(), "{case}");
+            assert_eq!(paged.place_bounds(), resident.place_bounds(), "{case}");
             for (tid, _) in net.transitions() {
                 assert_eq!(
-                    paged.ever_fires(tid),
-                    resident.ever_fires(tid),
-                    "case {case} liveness of t{}",
+                    pnut_bench::fires(&mut paged, tid),
+                    pnut_bench::fires(&mut resident, tid),
+                    "{case} liveness of t{}",
                     tid.index()
                 );
             }
@@ -310,7 +275,7 @@ fn random_nets_paged_analyses_agree_with_unpaged() {
             assert_eq!(
                 ctl::check(&mut paged, &net, &f).expect("checks"),
                 ctl::check(&mut resident, &net, &f).expect("checks"),
-                "case {case} CTL diverged"
+                "{case} CTL diverged"
             );
             checked += 1;
         }

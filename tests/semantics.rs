@@ -486,9 +486,15 @@ fn trace_json_roundtrip_full_model() {
 }
 
 /// The textual language round-trips the full paper model and the
-/// parsed net simulates identically.
+/// `random_net(0..40)` sweep, and the parsed paper model simulates
+/// identically.
 #[test]
 fn lang_roundtrip_preserves_behaviour() {
+    for seed in 0..40 {
+        let net = random_net(seed);
+        let reparsed = pnut::lang::parse(&pnut::lang::print(&net)).expect("parses own output");
+        assert_eq!(net, reparsed, "random_net({seed})");
+    }
     let net = pnut::pipeline::three_stage::build(&pnut::pipeline::ThreeStageConfig::default())
         .expect("builds");
     let text = pnut::lang::print(&net);
@@ -854,4 +860,161 @@ fn markov_throughput_is_the_inverse_cycle_time_on_marked_graphs() {
         in_class >= 150,
         "only {in_class} of 200 seeds are analyzable marked graphs"
     );
+}
+
+/// The `random_net(0..40)` runs to `until`, each seeded with its net's
+/// seed. A run that fails is left out: the low livelock cap rejects the
+/// zero-delay cycles (`random_net(30)`) quickly.
+fn random_net_runs(until: u64) -> Vec<(Net, RecordedTrace)> {
+    let options = SimOptions {
+        max_firings_per_instant: 10_000,
+    };
+    (0..40)
+        .filter_map(|seed| {
+            let net = random_net(seed);
+            let trace = {
+                let mut sim = Simulator::with_options(&net, seed, options).expect("constructs");
+                let mut rec = Recorder::new();
+                sim.run(Time::from_ticks(until), &mut rec).ok()?;
+                rec.into_trace().expect("complete")
+            };
+            Some((net, trace))
+        })
+        .collect()
+}
+
+/// The firing rule conserves tokens: the last marking of a run is the
+/// initial one, less every started firing's inputs, plus every finished
+/// firing's outputs. Every P-invariant of the computed basis verifies,
+/// and its token sum holds at every state with nothing in flight
+/// (inhibitors and predicates only restrict runs); every T-invariant
+/// verifies.
+#[test]
+fn random_nets_conserve_tokens_and_invariant_sums() {
+    use pnut::core::invariant::{
+        p_invariants, t_invariants, verify_p_invariant, verify_t_invariant,
+    };
+
+    let mut t_invariants_seen = 0;
+    for seed in 0..40 {
+        let net = random_net(seed);
+        for inv in t_invariants(&net) {
+            assert!(verify_t_invariant(&net, &inv.weights), "random_net({seed})");
+            t_invariants_seen += 1;
+        }
+    }
+    assert!(t_invariants_seen > 0, "no random net has a T-invariant");
+
+    let runs = random_net_runs(100);
+    assert!(runs.len() >= 30, "only {} random nets ran", runs.len());
+    let mut sums_checked = 0;
+    for (net, trace) in &runs {
+        let name = net.name();
+        let report = pnut::stat::analyze(trace);
+        let mut expected: Vec<i64> = net
+            .initial_marking()
+            .as_slice()
+            .iter()
+            .map(|&t| i64::from(t))
+            .collect();
+        for (_, t) in net.transitions() {
+            let stats = report.transition(t.name()).expect("in report");
+            for &(p, w) in t.inputs() {
+                expected[p.index()] -= i64::from(w) * stats.starts as i64;
+            }
+            for &(p, w) in t.outputs() {
+                expected[p.index()] += i64::from(w) * stats.ends as i64;
+            }
+        }
+        let last = trace.states().last().expect("at least the initial state");
+        let actual: Vec<i64> = last
+            .marking
+            .as_slice()
+            .iter()
+            .map(|&t| i64::from(t))
+            .collect();
+        assert_eq!(actual, expected, "{name}: tokens not conserved");
+
+        let invariants = p_invariants(net);
+        let m0 = net.initial_marking();
+        for inv in &invariants {
+            assert!(verify_p_invariant(net, &inv.weights), "{name}");
+        }
+        for s in trace.states() {
+            if s.firing_counts.iter().any(|&c| c > 0) {
+                continue;
+            }
+            for inv in &invariants {
+                assert_eq!(
+                    inv.token_sum(&s.marking),
+                    inv.token_sum(&m0),
+                    "{name}: P-invariant {:?} at state #{}",
+                    inv.weights,
+                    s.index
+                );
+                sums_checked += 1;
+            }
+        }
+    }
+    assert!(sums_checked > 0, "no P-invariant sum was checked");
+}
+
+/// The statistics of a run agree with each other: token and
+/// concurrency averages lie between their minimum and maximum, standard
+/// deviations are finite and non-negative, no transition finishes more
+/// firings than it starts, throughput is finishes over run length, and
+/// every batch mean of the first place lies between its extremes.
+#[test]
+fn random_net_statistics_are_consistent() {
+    let mut batches = 0;
+    for (net, trace) in &random_net_runs(100) {
+        let name = net.name();
+        let report = pnut::stat::analyze(trace);
+        let length = report.length.ticks() as f64;
+        for p in &report.places {
+            assert!(
+                f64::from(p.min_tokens) <= p.avg_tokens + 1e-9,
+                "{name} {p:?}"
+            );
+            assert!(
+                p.avg_tokens <= f64::from(p.max_tokens) + 1e-9,
+                "{name} {p:?}"
+            );
+            assert!(p.std_dev.is_finite() && p.std_dev >= 0.0, "{name} {p:?}");
+        }
+        for t in &report.transitions {
+            assert!(t.starts >= t.ends, "{name} {t:?}");
+            assert!(
+                f64::from(t.min_concurrent) <= t.avg_concurrent + 1e-9,
+                "{name} {t:?}"
+            );
+            assert!(
+                t.avg_concurrent <= f64::from(t.max_concurrent) + 1e-9,
+                "{name} {t:?}"
+            );
+            assert!(t.std_dev.is_finite() && t.std_dev >= 0.0, "{name} {t:?}");
+            if length > 0.0 {
+                assert!(
+                    (t.throughput - t.ends as f64 / length).abs() < 1e-9,
+                    "{name} {t:?}"
+                );
+            }
+        }
+
+        let place = &report.places[0];
+        let mut bm = pnut::stat::BatchMeans::new(&place.name, 20);
+        trace.replay(&mut bm);
+        for &b in bm.batches() {
+            assert!(
+                f64::from(place.min_tokens) - 1e-9 <= b,
+                "{name}: batch mean {b}"
+            );
+            assert!(
+                b <= f64::from(place.max_tokens) + 1e-9,
+                "{name}: batch mean {b}"
+            );
+            batches += 1;
+        }
+    }
+    assert!(batches > 0, "no batch mean was checked");
 }
