@@ -76,6 +76,187 @@ fn ctl_invariants_of_the_pipeline() {
     }
 }
 
+/// A checked-in model from `models/`.
+fn model(name: &str) -> pnut::core::Net {
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("models")
+        .join(format!("{name}.pn"));
+    let text = std::fs::read_to_string(path).expect("model file exists");
+    pnut::lang::parse(&text).expect("parses")
+}
+
+/// Formula text, whether it holds initially, and how many states satisfy
+/// it.
+type Row = (&'static str, bool, usize);
+
+/// Formula text → (holds initially, satisfying states) on the checked-in
+/// models, untimed (`false`) or timed (`true`). The rows cover every
+/// operator, the precedence of `*` over `+`/`-`, of `not` over `and`
+/// over `or` over `->`, left-associative `-` and right-associative
+/// `->`, parenthesized terms against parenthesized formulas, bare names
+/// (`P` means `P > 0`), and transition names (in-flight firings on the
+/// timed graph, always 0 on the untimed one). Pairs that group the same
+/// text differently have different answers.
+const CTL_TABLE: &[(&str, bool, &[Row])] = &[
+    (
+        "sequential",
+        false,
+        &[
+            ("true", true, 19),
+            ("false", false, 0),
+            ("CPU = 1", true, 1),
+            ("CPU == 1", true, 1),
+            ("CPU != 1", false, 18),
+            ("CPU < 1", false, 18),
+            ("CPU <= 0", false, 18),
+            ("CPU > 0", true, 1),
+            ("CPU >= 1", true, 1),
+            ("0 < CPU", true, 1),
+            ("CPU", true, 1),
+            ("not CPU", false, 18),
+            ("not not CPU", true, 1),
+            ("CPU + ifetching <= 1", true, 19),
+            ("AG (CPU + ifetching <= 1)", true, 19),
+            ("AG (CPU = 7)", false, 0),
+            ("AG(CPU+ifetching<=1)", true, 19),
+            ("1 + 2 * CPU = 1", false, 18),
+            ("(1 + 2) * CPU = 1", false, 0),
+            ("2 * CPU + 3 * Bus_free - Bus_busy = 5", true, 1),
+            ("Bus_free - Bus_busy - CPU = 0 - 1", false, 5),
+            ("Bus_free - (Bus_busy - CPU) = 1", false, 13),
+            ("Bus_free - Bus_busy - CPU = 0", true, 1),
+            ("Bus_free - (Bus_busy - CPU) = 0", false, 0),
+            ("CPU * CPU * 3 = 3", true, 1),
+            ("(CPU) = 1", true, 1),
+            ("(CPU) + 1 > 1", true, 1),
+            ("(CPU + ifetching) * 2 = 2", true, 2),
+            ("((CPU + Bus_free)) > 1", true, 1),
+            ("(CPU = 1)", true, 1),
+            ("((CPU))", true, 1),
+            ("(CPU) and (Bus_free)", true, 1),
+            ("(CPU = 1) and (Bus_free = 1)", true, 1),
+            ("((CPU = 1) or (Bus_busy = 1)) and not (ifetching)", true, 5),
+            ("CPU = 1 and Bus_free = 1 or Bus_busy = 1", true, 6),
+            ("CPU = 1 or Bus_free = 1 and Bus_busy = 1", true, 1),
+            ("(CPU = 1 or Bus_free = 1) and Bus_busy = 1", false, 0),
+            ("not CPU = 1 and Bus_free = 1", false, 13),
+            ("not (CPU = 1 and Bus_free = 1)", false, 18),
+            ("false or CPU = 1 -> Bus_busy = 1", false, 18),
+            ("CPU = 1 -> Bus_free = 0 -> false", true, 19),
+            ("(CPU = 1 -> Bus_free = 0) -> false", true, 1),
+            ("CPU -> Bus_free -> Retired", false, 18),
+            ("(CPU -> Bus_free) -> Retired", false, 1),
+            ("EX (ifetching = 1)", true, 1),
+            ("AX (ifetching = 1)", true, 1),
+            ("EF (Retired = 1)", true, 19),
+            ("AF (Retired = 1)", true, 19),
+            ("EG (Retired = 0)", false, 0),
+            ("EG CPU", false, 0),
+            ("AG (Bus_free + Bus_busy = 1)", true, 19),
+            ("E [ CPU = 1 U ifetching = 1 ]", true, 2),
+            ("E[CPU=1 U ifetching=1]", true, 2),
+            ("A [ true U Retired = 1 ]", true, 19),
+            ("A [ Retired = 0 U CPU = 0 ]", true, 19),
+            ("A [ CPU = 1 -> true U CPU = 0 ]", true, 19),
+            ("E [ not Retired U Retired and CPU ]", false, 0),
+            ("AG EF (CPU = 1)", true, 19),
+            ("EF EG (CPU = 0)", false, 0),
+            ("AG (ifetching = 1 -> AF (Fetched = 1))", true, 19),
+            ("not EX not CPU", false, 1),
+            ("EX EX EX CPU", false, 2),
+            ("AX AX ifetching", false, 1),
+            ("AG AX (Bus_free + Bus_busy = 1)", true, 19),
+            (
+                "EF (S2_calc + S3_calc > 0) and AG (S2_calc * S3_calc = 0)",
+                true,
+                19,
+            ),
+            ("AG (retire = 0)", true, 19),
+            ("EF retire", false, 0),
+        ],
+    ),
+    (
+        "sequential",
+        true,
+        &[
+            ("EF (decode = 1)", true, 32),
+            ("decode", false, 1),
+            ("AG (decode + Fetched + DecodedS <= 1)", true, 32),
+            (
+                "EF (exec_s_1 + exec_s_2 + exec_s_3 + exec_s_4 + exec_s_5 = 1)",
+                true,
+                32,
+            ),
+            ("AG (decode -> not CPU)", true, 32),
+            ("AG (calc_eaddr_s2 -> AF S3_wait)", true, 32),
+            ("E [ not decode U exec_s_5 ]", false, 18),
+            ("A [ CPU U ifetching ]", true, 3),
+        ],
+    ),
+    (
+        "pager_protocol",
+        false,
+        &[
+            ("AG (lock_free + lock_held = 1)", true, 21),
+            ("EF (W_crit = 2)", false, 0),
+            ("AG (W_crit <= 1)", true, 21),
+            (
+                "AG (W_idle + W_probe + W_wait + W_crit + W_read = 2)",
+                true,
+                21,
+            ),
+            ("E [ W_idle = 2 U W_crit = 1 ]", false, 6),
+            ("AG (W_wait -> AF W_crit)", false, 0),
+            ("AG EF seg_resident", true, 21),
+        ],
+    ),
+    (
+        "three_stage",
+        false,
+        &[
+            ("AG (Bus_free + Bus_busy = 1)", true, 614),
+            ("EF (Full_I_buffers = 6)", true, 614),
+            ("AG EF (Decoded_instruction = 1)", true, 614),
+            (
+                "Empty_I_buffers + Full_I_buffers + 2 * pre_fetching = 6",
+                true,
+                614,
+            ),
+            (
+                "AG (Empty_I_buffers + Full_I_buffers + 2 * pre_fetching <= 6)",
+                true,
+                614,
+            ),
+            ("EG (Full_I_buffers >= 2)", false, 418),
+            ("AF (Issued_instruction = 1)", true, 614),
+            ("A [ Executed = 0 U Issued_instruction = 1 ]", true, 478),
+        ],
+    ),
+];
+
+#[test]
+fn ctl_formula_table_on_the_checked_in_models() {
+    for &(name, timed, rows) in CTL_TABLE {
+        let net = model(name);
+        let options = graph::ReachOptions::default();
+        let mut g = if timed {
+            graph::build_timed(&net, &options)
+        } else {
+            graph::build_untimed(&net, &options)
+        }
+        .expect("bounded");
+        for &(text, holds, count) in rows {
+            let f = ctl::Formula::parse(text).unwrap_or_else(|e| panic!("`{text}`: {e}"));
+            let outcome = ctl::check(&mut g, &net, &f).expect("checks");
+            assert_eq!(
+                (outcome.holds_initially, outcome.count()),
+                (holds, count),
+                "{name} (timed: {timed}): `{text}`"
+            );
+        }
+    }
+}
+
 #[test]
 fn timed_reachability_of_a_pipeline_fragment() {
     // The decode/issue fragment with constant firing times admits a
