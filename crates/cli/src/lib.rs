@@ -26,7 +26,7 @@
 
 use pnut_core::{Net, Time};
 use pnut_obs as obs;
-use pnut_trace::{RecordedTrace, TraceSink};
+use pnut_trace::RecordedTrace;
 use std::fmt::Write as _;
 use std::fs;
 
@@ -85,8 +85,14 @@ impl<'a> Args<'a> {
         out
     }
 
-    fn value(&mut self, name: &str) -> Option<String> {
-        self.values(name).into_iter().next()
+    /// The value of a single-value `--name value` option; `cmd` names
+    /// the command in the error when the option is given twice.
+    fn value(&mut self, name: &str, cmd: &str) -> Result<Option<String>, CliError> {
+        let mut values = self.values(name);
+        if values.len() > 1 {
+            return Err(err(format!("{cmd}: {name} may be given only once")));
+        }
+        Ok(values.pop())
     }
 
     fn flag(&mut self, name: &str) -> bool {
@@ -148,7 +154,7 @@ fn parse_opt<T: std::str::FromStr>(
     name: &str,
     cmd: &str,
 ) -> Result<Option<T>, CliError> {
-    args.value(name)
+    args.value(name, cmd)?
         .map(|v| {
             v.parse()
                 .map_err(|_| err(format!("{cmd}: {name} must be a non-negative integer")))
@@ -184,7 +190,7 @@ fn parse_pager_flags(
     cmd: &str,
 ) -> Result<(Option<usize>, Option<std::path::PathBuf>), CliError> {
     let budget = args
-        .value("--mem-budget")
+        .value("--mem-budget", cmd)?
         .map(|v| {
             parse_byte_size(&v).filter(|&b| b > 0).ok_or_else(|| {
                 err(format!(
@@ -193,7 +199,9 @@ fn parse_pager_flags(
             })
         })
         .transpose()?;
-    let dir = args.value("--spill-dir").map(std::path::PathBuf::from);
+    let dir = args
+        .value("--spill-dir", cmd)?
+        .map(std::path::PathBuf::from);
     if dir.is_some() && budget.is_none_or(|b| b == usize::MAX) {
         eprintln!(
             "{cmd}: warning: --spill-dir has no effect without a finite --mem-budget \
@@ -247,7 +255,9 @@ impl ObsSession {
     /// is given. `--progress` without a value heartbeats at every tick.
     fn from_args(args: &mut Args<'_>, cmd: &str) -> Result<Self, CliError> {
         let stats = args.flag("--stats");
-        let metrics_json = args.value("--metrics-json").map(std::path::PathBuf::from);
+        let metrics_json = args
+            .value("--metrics-json", cmd)?
+            .map(std::path::PathBuf::from);
         let progress =
             args.flag_opt_value("--progress")
                 .map(|v| match v {
@@ -441,6 +451,17 @@ faulting the whole store back into memory. (markov's *extracted*
 dense chain — one entry per edge — still lives outside the budget;
 its size is capped by --max-states, not --mem-budget.)
 
+reach --ctl formulas and query bodies share one term syntax: a term
+is an integer, a name, a parenthesized term, or terms joined by + - *
+(* binds tighter); an atom compares two terms with = (or ==) != < <=
+> >=, and a bare term T means T > 0. A name counts the tokens on the
+place of that name, else the firings in progress of the transition of
+that name; in a query it also names its state, as in Bus_busy(s).
+Arithmetic is checked: a value outside 64 bits is an error, not a
+verdict. --ctl adds not, and, or, -> (right associative), EX AX EF AF
+EG AG and E [ f U g ] / A [ f U g ]; a query adds forall/exists over
+S, S - {#n, ...} and {v in S | f}, and inev(v, target, guard).
+
 reach --check-invariants re-sweeps the finished graph segment-at-a-time
 and asserts every quiescent state satisfies every semi-positive
 P-invariant token sum — a static-vs-dynamic cross-check that doubles
@@ -466,11 +487,15 @@ exit codes: 0 ok · 1 error · 2 checked property is false
 
 error taxonomy — every failure names which of these it is:
   your model   parse errors, unknown names, non-constant delays,
-               capacity/state-cap overflows: fix the .pn file or the
-               formula (exit 1; property-is-false is exit 2, not an
-               error).
-  your flags   bad or conflicting command-line arguments, unwritable
-               output paths (exit 1).
+               capacity/state-cap overflows: fix the .pn file (exit 1;
+               property-is-false is exit 2, not an error).
+  your formula malformed --ctl text (reported before the model is
+               read), a name that is neither a place nor a transition
+               of the net, or arithmetic overflow at a state (exit 1;
+               FAILS is exit 2).
+  your flags   bad or conflicting command-line arguments, a
+               single-value flag given twice, unwritable output paths
+               (exit 1).
   your query   malformed query text, a name that is neither a place
                nor a transition, an unbound state variable, a #n
                beyond the trace, or arithmetic overflow (exit 1, even
@@ -549,7 +574,7 @@ fn cmd_sim(argv: &[String], out: &mut String) -> Result<i32, CliError> {
         .ok_or_else(|| err("sim: need a model file"))?;
     let until = parse_opt::<u64>(&mut args, "--until", "sim")?.unwrap_or(10_000);
     let seed = parse_opt::<u64>(&mut args, "--seed", "sim")?.unwrap_or(1);
-    let output = args.value("-o");
+    let output = args.value("-o", "sim")?;
     let mut session = ObsSession::from_args(&mut args, "sim")?;
     args.finish()?;
 
@@ -586,7 +611,7 @@ fn cmd_filter(argv: &[String], out: &mut String) -> Result<i32, CliError> {
     if args.flag("--vars") {
         spec = spec.keep_variables();
     }
-    let output = args.value("-o");
+    let output = args.value("-o", "filter")?;
     args.finish()?;
 
     let trace = load_trace(&path)?;
@@ -701,11 +726,17 @@ fn cmd_reach(argv: &[String], out: &mut String) -> Result<i32, CliError> {
         .positional()
         .ok_or_else(|| err("reach: need a model file"))?;
     let timed = args.flag("--timed");
-    let ctl = args.value("--ctl");
+    let ctl = args.value("--ctl", "reach")?;
     let check_invariants = args.flag("--check-invariants");
     let options = parse_reach_options(&mut args, "reach", pnut_reach::ReachOptions::default())?;
     let mut session = ObsSession::from_args(&mut args, "reach")?;
     args.finish()?;
+    // A malformed formula fails before the build.
+    let formula = ctl
+        .as_deref()
+        .map(pnut_reach::ctl::Formula::parse)
+        .transpose()
+        .map_err(|e| err(format!("ctl: {e}")))?;
 
     let net = load_model(&path)?;
     let mut graph = if timed {
@@ -768,9 +799,7 @@ fn cmd_reach(argv: &[String], out: &mut String) -> Result<i32, CliError> {
     }
 
     let mut code = 0;
-    if let Some(formula_text) = ctl {
-        let formula =
-            pnut_reach::ctl::Formula::parse(&formula_text).map_err(|e| err(format!("ctl: {e}")))?;
+    if let (Some(formula_text), Some(formula)) = (ctl, formula) {
         let outcome = pnut_reach::ctl::check(&mut graph, &net, &formula)
             .map_err(|e| err(format!("ctl: {e}")))?;
         let _ = writeln!(
@@ -959,13 +988,6 @@ fn cmd_markov(argv: &[String], out: &mut String) -> Result<i32, CliError> {
     session.finish()?;
     Ok(0)
 }
-
-// `TraceSink` is used through `Filter`'s replay path; re-assert the
-// import is intentional for readers.
-const _: fn() = || {
-    fn assert_sink<S: TraceSink>() {}
-    assert_sink::<pnut_trace::Recorder>();
-};
 
 #[cfg(test)]
 mod tests {

@@ -50,6 +50,7 @@ pub mod analysis;
 mod builder;
 mod error;
 pub mod expr;
+pub mod formula;
 pub mod invariant;
 mod marking;
 mod net;

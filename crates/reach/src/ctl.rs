@@ -6,8 +6,8 @@
 //! The analyzer then determines if all possible behaviors of the system
 //! meet the high level specification." (paper §4.4)
 //!
-//! Formulas are CTL with atomic propositions comparing linear
-//! combinations of place token counts (and, for timed graphs, in-flight
+//! Formulas are CTL with atomic propositions comparing integer terms
+//! over place token counts (and, for timed graphs, in-flight
 //! transition counts):
 //!
 //! ```text
@@ -16,6 +16,16 @@
 //! AG (req = 1 -> AF (ack = 1))       -- response property
 //! E [ idle = 1 U busy = 1 ]          -- until
 //! ```
+//!
+//! The lexer, the terms and the atoms are shared with the trace query
+//! language, in [`pnut_core::formula`]: a name in a term is the place of
+//! that name, else the transition, and a bare term `P` means `P > 0`.
+//! This module adds the connectives: `not` and the prefix operators `EX`
+//! `AX` `EF` `AF` `EG` `AG` bind tightest, then `and`, then `or`, then
+//! `->`, which associates to the right; `E [ f U g ]` and `A [ f U g ]`
+//! are until. An atom resolves its names once, before its sweep, and its
+//! arithmetic is checked: a value outside `i64` is
+//! [`CtlError::Overflow`] at the state being evaluated.
 //!
 //! Deadlock states are treated as having an implicit self-loop, the
 //! usual convention for CTL over finite graphs with terminal states.
@@ -33,7 +43,7 @@
 //! construction, scales past RAM.
 
 use crate::graph::{ReachError, ReachabilityGraph, SegmentGuard};
-use crate::store::StateRef;
+use pnut_core::formula::{Atom, Cursor, ParseError, Source, Tok};
 use pnut_core::Net;
 use pnut_obs as obs;
 use std::fmt;
@@ -50,6 +60,8 @@ pub enum CtlError {
     },
     /// An atomic proposition referenced an unknown place/transition.
     UnknownName(String),
+    /// Term arithmetic overflowed `i64` at state `#n`.
+    Overflow(usize),
     /// A sweep failed to page a graph segment ([`ReachError::Spill`]:
     /// the spill file vanished, the disk errored, or a reloaded image
     /// was rejected as corrupt). The graph stays usable; a retry
@@ -64,6 +76,7 @@ impl fmt::Display for CtlError {
             CtlError::UnknownName(n) => {
                 write!(f, "`{n}` is neither a place nor a transition of the net")
             }
+            CtlError::Overflow(n) => write!(f, "arithmetic overflow at state #{n}"),
             CtlError::Reach(e) => write!(f, "{e}"),
         }
     }
@@ -78,31 +91,19 @@ impl std::error::Error for CtlError {
     }
 }
 
+impl From<ParseError> for CtlError {
+    fn from(e: ParseError) -> Self {
+        CtlError::Parse {
+            message: e.message,
+            position: e.position,
+        }
+    }
+}
+
 impl From<ReachError> for CtlError {
     fn from(e: ReachError) -> Self {
         CtlError::Reach(e)
     }
-}
-
-/// Comparison operators in atoms.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CmpOp {
-    Eq,
-    Ne,
-    Lt,
-    Le,
-    Gt,
-    Ge,
-}
-
-/// Arithmetic terms in atoms.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Term {
-    Int(i64),
-    Name(String),
-    Add(Box<Term>, Box<Term>),
-    Sub(Box<Term>, Box<Term>),
-    Mul(Box<Term>, Box<Term>),
 }
 
 /// A CTL formula.
@@ -112,9 +113,10 @@ pub enum Formula {
     True,
     /// Constant falsehood.
     False,
-    /// Comparison of two terms in the current state.
-    #[doc(hidden)]
-    Atom(Term, CmpOp, Term),
+    /// Comparison of two terms in the current state; a name counts the
+    /// tokens on the place of that name, else the firings in progress of
+    /// the transition of that name.
+    Atom(Atom<String>),
     /// Negation.
     Not(Box<Formula>),
     /// Conjunction.
@@ -148,11 +150,9 @@ impl Formula {
     ///
     /// Returns [`CtlError::Parse`] on malformed input.
     pub fn parse(src: &str) -> Result<Self, CtlError> {
-        let mut p = Parser::new(src)?;
-        let f = p.implies()?;
-        if p.pos != p.toks.len() {
-            return Err(p.err("unexpected trailing input"));
-        }
+        let mut c = Cursor::new(src)?;
+        let f = implies(&mut c)?;
+        c.finish()?;
         Ok(f)
     }
 }
@@ -183,7 +183,8 @@ impl CheckOutcome {
 ///
 /// # Errors
 ///
-/// Returns [`CtlError::UnknownName`] for unresolved atom names, and
+/// Returns [`CtlError::UnknownName`] for unresolved atom names,
+/// [`CtlError::Overflow`] for term arithmetic outside `i64`, and
 /// [`CtlError::Reach`] if any sweep fails to page a graph segment
 /// (wrapping the [`ReachError::Spill`] from the pager) — the process
 /// never aborts on a bad spill reload, the one check does.
@@ -198,24 +199,6 @@ pub fn check(
         holds_initially: sat.first().copied().unwrap_or(false),
         satisfying: sat,
     })
-}
-
-fn eval_term(term: &Term, state: StateRef<'_>, net: &Net) -> Result<i64, CtlError> {
-    match term {
-        Term::Int(v) => Ok(*v),
-        Term::Name(n) => {
-            if let Some(p) = net.place_id(n) {
-                return Ok(i64::from(state.marking.tokens(p)));
-            }
-            if let Some(t) = net.transition_id(n) {
-                return Ok(state.in_flight.iter().filter(|&&(x, _)| x == t).count() as i64);
-            }
-            Err(CtlError::UnknownName(n.clone()))
-        }
-        Term::Add(a, b) => Ok(eval_term(a, state, net)? + eval_term(b, state, net)?),
-        Term::Sub(a, b) => Ok(eval_term(a, state, net)? - eval_term(b, state, net)?),
-        Term::Mul(a, b) => Ok(eval_term(a, state, net)? * eval_term(b, state, net)?),
-    }
 }
 
 /// One [`ReachabilityGraph::sweep`], counted in `ctl.sweeps`.
@@ -259,20 +242,21 @@ fn sat_set(
     Ok(match formula {
         Formula::True => all(true),
         Formula::False => all(false),
-        Formula::Atom(a, op, b) => {
+        Formula::Atom(atom) => {
+            let atom = atom.bind(&mut |name: &String| {
+                Source::resolve(net.place_id(name), || net.transition_id(name))
+                    .ok_or_else(|| CtlError::UnknownName(name.clone()))
+            })?;
             let mut sat = all(false);
             sweep(graph, |i, guard| -> Result<(), CtlError> {
                 let state = guard.state(i)?;
-                let x = eval_term(a, state, net)?;
-                let y = eval_term(b, state, net)?;
-                sat[i] = match op {
-                    CmpOp::Eq => x == y,
-                    CmpOp::Ne => x != y,
-                    CmpOp::Lt => x < y,
-                    CmpOp::Le => x <= y,
-                    CmpOp::Gt => x > y,
-                    CmpOp::Ge => x >= y,
+                let count = |source: &Source| match *source {
+                    Source::Place(p) => i64::from(state.marking.tokens(p)),
+                    Source::Transition(t) => {
+                        state.in_flight.iter().filter(|&&(x, _)| x == t).count() as i64
+                    }
                 };
+                sat[i] = atom.eval(&count).ok_or(CtlError::Overflow(i))?;
                 Ok(())
             })?;
             sat
@@ -415,341 +399,77 @@ fn eg(graph: &mut ReachabilityGraph, sa: &[bool]) -> Result<Vec<bool>, ReachErro
 }
 
 // ---------------------------------------------------------------------------
-// Parser
+// Parser: the connectives; terms and atoms are `pnut_core::formula`'s.
 // ---------------------------------------------------------------------------
 
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum Tok {
-    Ident(String),
-    Int(i64),
-    LParen,
-    RParen,
-    LBracket,
-    RBracket,
-    Plus,
-    Minus,
-    Star,
-    Eq,
-    Ne,
-    Lt,
-    Le,
-    Gt,
-    Ge,
-    Arrow,
+/// `a -> b`, right associative, below `or`.
+fn implies(c: &mut Cursor) -> Result<Formula, ParseError> {
+    let lhs = disj(c)?;
+    if c.eat(&Tok::Arrow) {
+        Ok(Formula::Implies(Box::new(lhs), Box::new(implies(c)?)))
+    } else {
+        Ok(lhs)
+    }
 }
 
-struct Parser {
-    toks: Vec<(Tok, usize)>,
-    pos: usize,
+fn disj(c: &mut Cursor) -> Result<Formula, ParseError> {
+    let mut lhs = conj(c)?;
+    while c.eat_keyword("or") {
+        lhs = Formula::Or(Box::new(lhs), Box::new(conj(c)?));
+    }
+    Ok(lhs)
 }
 
-impl Parser {
-    fn new(src: &str) -> Result<Self, CtlError> {
-        let bytes = src.as_bytes();
-        let mut toks = Vec::new();
-        let mut i = 0;
-        while i < bytes.len() {
-            let pos = i;
-            match bytes[i] as char {
-                ' ' | '\t' | '\n' | '\r' => i += 1,
-                '(' => {
-                    toks.push((Tok::LParen, pos));
-                    i += 1;
-                }
-                ')' => {
-                    toks.push((Tok::RParen, pos));
-                    i += 1;
-                }
-                '[' => {
-                    toks.push((Tok::LBracket, pos));
-                    i += 1;
-                }
-                ']' => {
-                    toks.push((Tok::RBracket, pos));
-                    i += 1;
-                }
-                '+' => {
-                    toks.push((Tok::Plus, pos));
-                    i += 1;
-                }
-                '*' => {
-                    toks.push((Tok::Star, pos));
-                    i += 1;
-                }
-                '-' => {
-                    if bytes.get(i + 1) == Some(&b'>') {
-                        toks.push((Tok::Arrow, pos));
-                        i += 2;
-                    } else {
-                        toks.push((Tok::Minus, pos));
-                        i += 1;
-                    }
-                }
-                '=' => {
-                    i += if bytes.get(i + 1) == Some(&b'=') {
-                        2
-                    } else {
-                        1
-                    };
-                    toks.push((Tok::Eq, pos));
-                }
-                '!' => {
-                    if bytes.get(i + 1) == Some(&b'=') {
-                        toks.push((Tok::Ne, pos));
-                        i += 2;
-                    } else {
-                        return Err(CtlError::Parse {
-                            message: "expected `!=` (use `not` for negation)".into(),
-                            position: pos,
-                        });
-                    }
-                }
-                '<' => {
-                    if bytes.get(i + 1) == Some(&b'=') {
-                        toks.push((Tok::Le, pos));
-                        i += 2;
-                    } else {
-                        toks.push((Tok::Lt, pos));
-                        i += 1;
-                    }
-                }
-                '>' => {
-                    if bytes.get(i + 1) == Some(&b'=') {
-                        toks.push((Tok::Ge, pos));
-                        i += 2;
-                    } else {
-                        toks.push((Tok::Gt, pos));
-                        i += 1;
-                    }
-                }
-                '0'..='9' => {
-                    let start = i;
-                    while i < bytes.len() && bytes[i].is_ascii_digit() {
-                        i += 1;
-                    }
-                    let v = src[start..i].parse().map_err(|_| CtlError::Parse {
-                        message: "integer out of range".into(),
-                        position: start,
-                    })?;
-                    toks.push((Tok::Int(v), pos));
-                }
-                c if c.is_ascii_alphabetic() || c == '_' => {
-                    let start = i;
-                    while i < bytes.len()
-                        && ((bytes[i] as char).is_ascii_alphanumeric() || bytes[i] == b'_')
-                    {
-                        i += 1;
-                    }
-                    toks.push((Tok::Ident(src[start..i].to_string()), pos));
-                }
-                other => {
-                    return Err(CtlError::Parse {
-                        message: format!("unexpected character `{other}`"),
-                        position: pos,
-                    });
-                }
-            }
-        }
-        Ok(Parser { toks, pos: 0 })
+fn conj(c: &mut Cursor) -> Result<Formula, ParseError> {
+    let mut lhs = unary(c)?;
+    while c.eat_keyword("and") {
+        lhs = Formula::And(Box::new(lhs), Box::new(unary(c)?));
     }
+    Ok(lhs)
+}
 
-    fn err(&self, message: &str) -> CtlError {
-        CtlError::Parse {
-            message: message.to_string(),
-            position: self
-                .toks
-                .get(self.pos)
-                .map(|&(_, p)| p)
-                .unwrap_or_else(|| self.toks.last().map(|&(_, p)| p + 1).unwrap_or(0)),
+type Unary = fn(Box<Formula>) -> Formula;
+type Binary = fn(Box<Formula>, Box<Formula>) -> Formula;
+
+/// The prefix operators, which bind tighter than `and`.
+const PREFIXES: [(&str, Unary); 7] = [
+    ("not", Formula::Not),
+    ("EX", Formula::Ex),
+    ("AX", Formula::Ax),
+    ("EF", Formula::Ef),
+    ("AF", Formula::Af),
+    ("EG", Formula::Eg),
+    ("AG", Formula::Ag),
+];
+
+/// `E [ f U g ]` and `A [ f U g ]`.
+const UNTILS: [(&str, Binary); 2] = [("E", Formula::Eu), ("A", Formula::Au)];
+
+fn unary(c: &mut Cursor) -> Result<Formula, ParseError> {
+    for (word, prefix) in PREFIXES {
+        if c.eat_keyword(word) {
+            return Ok(prefix(Box::new(unary(c)?)));
         }
     }
-
-    fn peek(&self) -> Option<&Tok> {
-        self.toks.get(self.pos).map(|(t, _)| t)
+    if c.eat_keyword("true") {
+        return Ok(Formula::True);
     }
-
-    fn eat(&mut self, t: &Tok) -> bool {
-        if self.peek() == Some(t) {
-            self.pos += 1;
-            true
-        } else {
-            false
+    if c.eat_keyword("false") {
+        return Ok(Formula::False);
+    }
+    for (word, until) in UNTILS {
+        if c.eat_keyword(word) {
+            c.expect(&Tok::LBracket, "`[`")?;
+            let a = implies(c)?;
+            c.keyword("U")?;
+            let b = implies(c)?;
+            c.expect(&Tok::RBracket, "`]`")?;
+            return Ok(until(Box::new(a), Box::new(b)));
         }
     }
-
-    fn expect(&mut self, t: &Tok, what: &str) -> Result<(), CtlError> {
-        if self.eat(t) {
-            Ok(())
-        } else {
-            Err(self.err(&format!("expected {what}")))
-        }
-    }
-
-    fn implies(&mut self) -> Result<Formula, CtlError> {
-        let lhs = self.disj()?;
-        if self.eat(&Tok::Arrow) {
-            let rhs = self.implies()?; // right associative
-            Ok(Formula::Implies(Box::new(lhs), Box::new(rhs)))
-        } else {
-            Ok(lhs)
-        }
-    }
-
-    fn disj(&mut self) -> Result<Formula, CtlError> {
-        let mut lhs = self.conj()?;
-        while matches!(self.peek(), Some(Tok::Ident(s)) if s == "or") {
-            self.pos += 1;
-            let rhs = self.conj()?;
-            lhs = Formula::Or(Box::new(lhs), Box::new(rhs));
-        }
-        Ok(lhs)
-    }
-
-    fn conj(&mut self) -> Result<Formula, CtlError> {
-        let mut lhs = self.unary()?;
-        while matches!(self.peek(), Some(Tok::Ident(s)) if s == "and") {
-            self.pos += 1;
-            let rhs = self.unary()?;
-            lhs = Formula::And(Box::new(lhs), Box::new(rhs));
-        }
-        Ok(lhs)
-    }
-
-    fn unary(&mut self) -> Result<Formula, CtlError> {
-        if let Some(Tok::Ident(s)) = self.peek().cloned() {
-            match s.as_str() {
-                "not" => {
-                    self.pos += 1;
-                    return Ok(Formula::Not(Box::new(self.unary()?)));
-                }
-                "true" => {
-                    self.pos += 1;
-                    return Ok(Formula::True);
-                }
-                "false" => {
-                    self.pos += 1;
-                    return Ok(Formula::False);
-                }
-                "EX" | "AX" | "EF" | "AF" | "EG" | "AG" => {
-                    self.pos += 1;
-                    let f = Box::new(self.unary()?);
-                    return Ok(match s.as_str() {
-                        "EX" => Formula::Ex(f),
-                        "AX" => Formula::Ax(f),
-                        "EF" => Formula::Ef(f),
-                        "AF" => Formula::Af(f),
-                        "EG" => Formula::Eg(f),
-                        _ => Formula::Ag(f),
-                    });
-                }
-                "E" | "A" => {
-                    let exist = s == "E";
-                    self.pos += 1;
-                    self.expect(&Tok::LBracket, "`[`")?;
-                    let a = self.implies()?;
-                    match self.peek() {
-                        Some(Tok::Ident(u)) if u == "U" => self.pos += 1,
-                        _ => return Err(self.err("expected `U`")),
-                    }
-                    let b = self.implies()?;
-                    self.expect(&Tok::RBracket, "`]`")?;
-                    return Ok(if exist {
-                        Formula::Eu(Box::new(a), Box::new(b))
-                    } else {
-                        Formula::Au(Box::new(a), Box::new(b))
-                    });
-                }
-                _ => {}
-            }
-        }
-        if self.peek() == Some(&Tok::LParen) {
-            // Parenthesized formula or parenthesized term in an atom.
-            let save = self.pos;
-            self.pos += 1;
-            if let Ok(f) = self.implies() {
-                if self.eat(&Tok::RParen) && !self.peek_is_arith_or_relop() {
-                    return Ok(f);
-                }
-            }
-            self.pos = save;
-        }
-        self.atom()
-    }
-
-    fn peek_is_arith_or_relop(&self) -> bool {
-        matches!(
-            self.peek(),
-            Some(
-                Tok::Plus
-                    | Tok::Minus
-                    | Tok::Star
-                    | Tok::Eq
-                    | Tok::Ne
-                    | Tok::Lt
-                    | Tok::Le
-                    | Tok::Gt
-                    | Tok::Ge
-            )
-        )
-    }
-
-    fn atom(&mut self) -> Result<Formula, CtlError> {
-        let lhs = self.term()?;
-        let op = match self.peek() {
-            Some(Tok::Eq) => CmpOp::Eq,
-            Some(Tok::Ne) => CmpOp::Ne,
-            Some(Tok::Lt) => CmpOp::Lt,
-            Some(Tok::Le) => CmpOp::Le,
-            Some(Tok::Gt) => CmpOp::Gt,
-            Some(Tok::Ge) => CmpOp::Ge,
-            // Bare `P` means `P > 0`.
-            _ => return Ok(Formula::Atom(lhs, CmpOp::Gt, Term::Int(0))),
-        };
-        self.pos += 1;
-        let rhs = self.term()?;
-        Ok(Formula::Atom(lhs, op, rhs))
-    }
-
-    fn term(&mut self) -> Result<Term, CtlError> {
-        let mut lhs = self.factor()?;
-        loop {
-            if self.eat(&Tok::Plus) {
-                lhs = Term::Add(Box::new(lhs), Box::new(self.factor()?));
-            } else if self.eat(&Tok::Minus) {
-                lhs = Term::Sub(Box::new(lhs), Box::new(self.factor()?));
-            } else {
-                break;
-            }
-        }
-        Ok(lhs)
-    }
-
-    fn factor(&mut self) -> Result<Term, CtlError> {
-        let mut lhs = self.primary()?;
-        while self.eat(&Tok::Star) {
-            lhs = Term::Mul(Box::new(lhs), Box::new(self.primary()?));
-        }
-        Ok(lhs)
-    }
-
-    fn primary(&mut self) -> Result<Term, CtlError> {
-        match self.peek().cloned() {
-            Some(Tok::Int(v)) => {
-                self.pos += 1;
-                Ok(Term::Int(v))
-            }
-            Some(Tok::Ident(n)) => {
-                self.pos += 1;
-                Ok(Term::Name(n))
-            }
-            Some(Tok::LParen) => {
-                self.pos += 1;
-                let t = self.term()?;
-                self.expect(&Tok::RParen, "`)`")?;
-                Ok(t)
-            }
-            _ => Err(self.err("expected a term")),
-        }
+    match c.parenthesized(implies) {
+        Some(f) => Ok(f),
+        None => Ok(Formula::Atom(c.atom(|_, name| Ok(name))?)),
     }
 }
 
@@ -855,8 +575,59 @@ mod tests {
     }
 
     #[test]
+    fn arithmetic_overflow_is_an_error_at_the_state() {
+        let net = mutex_net();
+        let mut g = build_untimed(&net, &ReachOptions::default()).unwrap();
+        let a_cs = Formula::parse("a_cs = 1").unwrap();
+        let first_a_cs = check(&mut g, &net, &a_cs)
+            .unwrap()
+            .satisfying
+            .iter()
+            .position(|&b| b)
+            .unwrap();
+        assert!(first_a_cs > 0);
+        for (text, at) in [
+            ("AG (9223372036854775807 + 1 > 0)", 0),
+            ("EF (0 - 9223372036854775807 - 2 > 0)", 0),
+            ("EF (3037000500 * 3037000500 > 0)", 0),
+            ("EF (9223372036854775807 + a_cs > 0)", first_a_cs),
+        ] {
+            let f = Formula::parse(text).unwrap();
+            assert_eq!(
+                check(&mut g, &net, &f),
+                Err(CtlError::Overflow(at)),
+                "{text}"
+            );
+        }
+        assert_eq!(
+            CtlError::Overflow(3).to_string(),
+            "arithmetic overflow at state #3"
+        );
+    }
+
+    #[test]
+    fn primed_names_parse_and_resolve() {
+        let net = mutex_net();
+        let mut g = build_untimed(&net, &ReachOptions::default()).unwrap();
+        let f = Formula::parse("AG (a_cs' = 0)").unwrap();
+        assert_eq!(
+            check(&mut g, &net, &f).unwrap_err(),
+            CtlError::UnknownName("a_cs'".into())
+        );
+    }
+
+    #[test]
     fn parse_errors() {
-        for bad in ["AG", "E [ a = 1 ]", "a = ", "AG (a = 1))", "! a"] {
+        for bad in [
+            "AG",
+            "E [ a = 1 ]",
+            "a = ",
+            "AG (a = 1))",
+            "! a",
+            "AG (#0 = 1)",
+            "a = 1 | b = 1",
+            "{a}",
+        ] {
             assert!(Formula::parse(bad).is_err(), "should fail: {bad}");
         }
     }

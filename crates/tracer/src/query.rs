@@ -18,6 +18,11 @@
 //! A bare `P(s)` in formula position means `P(s) > 0`, matching the
 //! paper's set comprehension `{s' in S | Bus_busy(s')}`.
 //!
+//! The lexer, the terms and the atoms are shared with the CTL formulas
+//! of the reachability-graph analyzer, in [`pnut_core::formula`]; this
+//! module adds the quantifiers, the state sets, the connectives (`not`
+//! binds tightest, then `and`, then `or`) and `inev`.
+//!
 //! # Binding
 //!
 //! [`Query::check`] binds the whole query against the trace header
@@ -53,7 +58,7 @@
 //! trace. Otherwise (`T` or `G` also reads, say, the quantified `s`)
 //! `inev` walks forward from each state it is asked about.
 
-use pnut_core::{PlaceId, TransitionId};
+use pnut_core::formula::{Atom, Cursor, ParseError, Source, Tok};
 use pnut_trace::{RecordedTrace, TraceHeader};
 use std::fmt;
 
@@ -96,6 +101,15 @@ impl fmt::Display for QueryError {
 
 impl std::error::Error for QueryError {}
 
+impl From<ParseError> for QueryError {
+    fn from(e: ParseError) -> Self {
+        QueryError::Parse {
+            message: e.message,
+            position: e.position,
+        }
+    }
+}
+
 /// Result of checking a query against a trace.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct QueryOutcome {
@@ -121,31 +135,17 @@ enum SetExpr {
     },
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum CmpOp {
-    Eq,
-    Ne,
-    Lt,
-    Le,
-    Gt,
-    Ge,
-}
-
+/// `name(state_var)`: a term's name.
 #[derive(Debug, Clone, PartialEq)]
-enum Term {
-    Int(i64),
-    Count { name: String, state_var: String },
-    Add(Box<Term>, Box<Term>),
-    Sub(Box<Term>, Box<Term>),
-    Mul(Box<Term>, Box<Term>),
+struct Count {
+    name: String,
+    state_var: String,
 }
 
 #[derive(Debug, Clone, PartialEq)]
 enum Formula {
     Bool(bool),
-    Cmp(Term, CmpOp, Term),
-    /// Bare `P(s)` meaning `P(s) > 0`.
-    NonZero(Term),
+    Cmp(Atom<Count>),
     And(Box<Formula>, Box<Formula>),
     Or(Box<Formula>, Box<Formula>),
     Not(Box<Formula>),
@@ -175,7 +175,7 @@ impl Query {
     ///
     /// Returns [`QueryError::Parse`] on malformed input.
     pub fn parse(src: &str) -> Result<Self, QueryError> {
-        Parser::new(src)?.query()
+        Ok(query(&mut Cursor::new(src)?)?)
     }
 
     /// Check the query against a trace.
@@ -211,31 +211,16 @@ impl Query {
 // Binding
 // ---------------------------------------------------------------------------
 
-/// What one column of the count table counts.
-#[derive(Clone, Copy, PartialEq)]
-enum Source {
-    Place(PlaceId),
-    Transition(TransitionId),
-}
-
-enum ArithOp {
-    Add,
-    Sub,
-    Mul,
-}
-
-/// A [`Term`] with its name resolved to a column and its state variable
-/// to a slot.
-enum BoundTerm {
-    Int(i64),
-    Count { column: usize, slot: usize },
-    Arith(ArithOp, Box<BoundTerm>, Box<BoundTerm>),
+/// A [`Count`] with its name resolved to a column of the count table
+/// and its state variable to a slot.
+struct Cell {
+    column: usize,
+    slot: usize,
 }
 
 enum BoundFormula {
     Bool(bool),
-    Cmp(BoundTerm, CmpOp, BoundTerm),
-    NonZero(BoundTerm),
+    Cmp(Atom<Cell>),
     And(Box<BoundFormula>, Box<BoundFormula>),
     Or(Box<BoundFormula>, Box<BoundFormula>),
     Not(Box<BoundFormula>),
@@ -355,14 +340,9 @@ impl<'a> Binder<'a> {
 
     /// The column of `name`: places win over transitions.
     fn column(&mut self, name: &str) -> Result<usize, QueryError> {
-        let source = match self.header.place_id(name) {
-            Some(p) => Source::Place(p),
-            None => Source::Transition(
-                self.header
-                    .transition_id(name)
-                    .ok_or_else(|| QueryError::UnknownName(name.to_string()))?,
-            ),
-        };
+        let header = self.header;
+        let source = Source::resolve(header.place_id(name), || header.transition_id(name))
+            .ok_or_else(|| QueryError::UnknownName(name.to_string()))?;
         Ok(match self.columns.iter().position(|&c| c == source) {
             Some(column) => column,
             None => {
@@ -372,22 +352,12 @@ impl<'a> Binder<'a> {
         })
     }
 
-    fn term(&mut self, term: &'a Term) -> Result<BoundTerm, QueryError> {
-        let mut arith = |op, a, b| -> Result<_, QueryError> {
-            let a = Box::new(self.term(a)?);
-            Ok(BoundTerm::Arith(op, a, Box::new(self.term(b)?)))
-        };
-        match term {
-            Term::Int(v) => Ok(BoundTerm::Int(*v)),
-            Term::Count { name, state_var } => {
-                let slot = self.slot(state_var)?;
-                let column = self.column(name)?;
-                Ok(BoundTerm::Count { column, slot })
-            }
-            Term::Add(a, b) => arith(ArithOp::Add, a, b),
-            Term::Sub(a, b) => arith(ArithOp::Sub, a, b),
-            Term::Mul(a, b) => arith(ArithOp::Mul, a, b),
-        }
+    fn atom(&mut self, atom: &Atom<Count>) -> Result<Atom<Cell>, QueryError> {
+        atom.bind(&mut |count: &Count| {
+            let slot = self.slot(&count.state_var)?;
+            let column = self.column(&count.name)?;
+            Ok(Cell { column, slot })
+        })
     }
 
     fn boxed(&mut self, formula: &'a Formula) -> Result<Box<BoundFormula>, QueryError> {
@@ -397,8 +367,7 @@ impl<'a> Binder<'a> {
     fn formula(&mut self, formula: &'a Formula) -> Result<BoundFormula, QueryError> {
         Ok(match formula {
             Formula::Bool(b) => BoundFormula::Bool(*b),
-            Formula::Cmp(a, op, b) => BoundFormula::Cmp(self.term(a)?, *op, self.term(b)?),
-            Formula::NonZero(t) => BoundFormula::NonZero(self.term(t)?),
+            Formula::Cmp(atom) => BoundFormula::Cmp(self.atom(atom)?),
             Formula::And(a, b) => BoundFormula::And(self.boxed(a)?, self.boxed(b)?),
             Formula::Or(a, b) => BoundFormula::Or(self.boxed(a)?, self.boxed(b)?),
             Formula::Not(a) => BoundFormula::Not(self.boxed(a)?),
@@ -520,27 +489,8 @@ impl Eval {
         }
     }
 
-    /// Evaluate `term` with state variables bound by `slots`; `at` is
+    /// Evaluate `formula` with state variables bound by `slots`; `at` is
     /// the state an overflow is reported at.
-    fn term(&self, term: &BoundTerm, slots: &[usize], at: usize) -> Result<i64, QueryError> {
-        match term {
-            BoundTerm::Int(v) => Ok(*v),
-            BoundTerm::Count { column, slot } => {
-                Ok(i64::from(self.counts[slots[*slot] * self.width + column]))
-            }
-            BoundTerm::Arith(op, a, b) => {
-                let x = self.term(a, slots, at)?;
-                let y = self.term(b, slots, at)?;
-                match op {
-                    ArithOp::Add => x.checked_add(y),
-                    ArithOp::Sub => x.checked_sub(y),
-                    ArithOp::Mul => x.checked_mul(y),
-                }
-                .ok_or(QueryError::Overflow(at))
-            }
-        }
-    }
-
     fn formula(
         &self,
         formula: &BoundFormula,
@@ -549,19 +499,11 @@ impl Eval {
     ) -> Result<bool, QueryError> {
         match formula {
             BoundFormula::Bool(b) => Ok(*b),
-            BoundFormula::NonZero(t) => Ok(self.term(t, slots, at)? > 0),
-            BoundFormula::Cmp(a, op, b) => {
-                let x = self.term(a, slots, at)?;
-                let y = self.term(b, slots, at)?;
-                Ok(match op {
-                    CmpOp::Eq => x == y,
-                    CmpOp::Ne => x != y,
-                    CmpOp::Lt => x < y,
-                    CmpOp::Le => x <= y,
-                    CmpOp::Gt => x > y,
-                    CmpOp::Ge => x >= y,
+            BoundFormula::Cmp(atom) => atom
+                .eval(&|cell: &Cell| {
+                    i64::from(self.counts[slots[cell.slot] * self.width + cell.column])
                 })
-            }
+                .ok_or(QueryError::Overflow(at)),
             BoundFormula::And(a, b) => {
                 Ok(self.formula(a, slots, at)? && self.formula(b, slots, at)?)
             }
@@ -592,454 +534,132 @@ impl Eval {
 }
 
 // ---------------------------------------------------------------------------
-// Parser
+// Parser: quantifiers, sets and connectives; terms and atoms are
+// `pnut_core::formula`'s.
 // ---------------------------------------------------------------------------
 
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum Tok {
-    Ident(String),
-    Int(i64),
-    Hash,
-    LParen,
-    RParen,
-    LBracket,
-    RBracket,
-    LBrace,
-    RBrace,
-    Comma,
-    Pipe,
-    Plus,
-    Minus,
-    Star,
-    Eq,
-    Ne,
-    Lt,
-    Le,
-    Gt,
-    Ge,
+fn query(c: &mut Cursor) -> Result<Query, ParseError> {
+    let forall = match c.peek() {
+        Some(Tok::Ident(s)) if s.eq_ignore_ascii_case("forall") => true,
+        Some(Tok::Ident(s)) if s.eq_ignore_ascii_case("exists") => false,
+        _ => return Err(c.err("expected `forall` or `exists`")),
+    };
+    c.advance();
+    let var = c.ident()?;
+    c.keyword("in")?;
+    let set = set_expr(c)?;
+    c.expect(&Tok::LBracket, "`[`")?;
+    let body = formula(c)?;
+    c.expect(&Tok::RBracket, "`]`")?;
+    c.finish()?;
+    Ok(Query {
+        forall,
+        var,
+        set,
+        body,
+    })
 }
 
-struct Parser {
-    toks: Vec<(Tok, usize)>,
-    pos: usize,
-}
-
-impl Parser {
-    fn new(src: &str) -> Result<Self, QueryError> {
-        let mut toks = Vec::new();
-        let bytes = src.as_bytes();
-        let mut i = 0;
-        while i < bytes.len() {
-            let pos = i;
-            let c = bytes[i] as char;
-            match c {
-                ' ' | '\t' | '\n' | '\r' => i += 1,
-                '#' => {
-                    toks.push((Tok::Hash, pos));
-                    i += 1;
-                }
-                '(' => {
-                    toks.push((Tok::LParen, pos));
-                    i += 1;
-                }
-                ')' => {
-                    toks.push((Tok::RParen, pos));
-                    i += 1;
-                }
-                '[' => {
-                    toks.push((Tok::LBracket, pos));
-                    i += 1;
-                }
-                ']' => {
-                    toks.push((Tok::RBracket, pos));
-                    i += 1;
-                }
-                '{' => {
-                    toks.push((Tok::LBrace, pos));
-                    i += 1;
-                }
-                '}' => {
-                    toks.push((Tok::RBrace, pos));
-                    i += 1;
-                }
-                ',' => {
-                    toks.push((Tok::Comma, pos));
-                    i += 1;
-                }
-                '|' => {
-                    toks.push((Tok::Pipe, pos));
-                    i += 1;
-                }
-                '+' => {
-                    toks.push((Tok::Plus, pos));
-                    i += 1;
-                }
-                '-' => {
-                    toks.push((Tok::Minus, pos));
-                    i += 1;
-                }
-                '*' => {
-                    toks.push((Tok::Star, pos));
-                    i += 1;
-                }
-                '=' => {
-                    // Paper writes single `=`; accept `==` too.
-                    i += if bytes.get(i + 1) == Some(&b'=') {
-                        2
-                    } else {
-                        1
-                    };
-                    toks.push((Tok::Eq, pos));
-                }
-                '!' => {
-                    if bytes.get(i + 1) == Some(&b'=') {
-                        toks.push((Tok::Ne, pos));
-                        i += 2;
-                    } else {
-                        return Err(QueryError::Parse {
-                            message: "expected `!=`".into(),
-                            position: pos,
-                        });
-                    }
-                }
-                '<' => {
-                    if bytes.get(i + 1) == Some(&b'=') {
-                        toks.push((Tok::Le, pos));
-                        i += 2;
-                    } else {
-                        toks.push((Tok::Lt, pos));
-                        i += 1;
-                    }
-                }
-                '>' => {
-                    if bytes.get(i + 1) == Some(&b'=') {
-                        toks.push((Tok::Ge, pos));
-                        i += 2;
-                    } else {
-                        toks.push((Tok::Gt, pos));
-                        i += 1;
-                    }
-                }
-                '0'..='9' => {
-                    let start = i;
-                    while i < bytes.len() && bytes[i].is_ascii_digit() {
-                        i += 1;
-                    }
-                    let v = src[start..i].parse().map_err(|_| QueryError::Parse {
-                        message: "integer out of range".into(),
-                        position: start,
-                    })?;
-                    toks.push((Tok::Int(v), pos));
-                }
-                c if c.is_ascii_alphabetic() || c == '_' => {
-                    let start = i;
-                    while i < bytes.len()
-                        && ((bytes[i] as char).is_ascii_alphanumeric()
-                            || bytes[i] == b'_'
-                            || bytes[i] == b'\'')
-                    {
-                        i += 1;
-                    }
-                    toks.push((Tok::Ident(src[start..i].to_string()), pos));
-                }
-                other => {
-                    return Err(QueryError::Parse {
-                        message: format!("unexpected character `{other}`"),
-                        position: pos,
-                    });
-                }
-            }
-        }
-        Ok(Parser { toks, pos: 0 })
-    }
-
-    fn err(&self, message: &str) -> QueryError {
-        QueryError::Parse {
-            message: message.to_string(),
-            position: self
-                .toks
-                .get(self.pos)
-                .map(|&(_, p)| p)
-                .unwrap_or_else(|| self.toks.last().map(|&(_, p)| p + 1).unwrap_or(0)),
-        }
-    }
-
-    fn peek(&self) -> Option<&Tok> {
-        self.toks.get(self.pos).map(|(t, _)| t)
-    }
-
-    fn eat(&mut self, t: &Tok) -> bool {
-        if self.peek() == Some(t) {
-            self.pos += 1;
-            true
-        } else {
-            false
-        }
-    }
-
-    fn expect(&mut self, t: &Tok, what: &str) -> Result<(), QueryError> {
-        if self.eat(t) {
-            Ok(())
-        } else {
-            Err(self.err(&format!("expected {what}")))
-        }
-    }
-
-    fn ident(&mut self) -> Result<String, QueryError> {
-        match self.peek().cloned() {
-            Some(Tok::Ident(s)) => {
-                self.pos += 1;
-                Ok(s)
-            }
-            _ => Err(self.err("expected identifier")),
-        }
-    }
-
-    fn keyword(&mut self, kw: &str) -> Result<(), QueryError> {
-        match self.peek() {
-            Some(Tok::Ident(s)) if s == kw => {
-                self.pos += 1;
-                Ok(())
-            }
-            _ => Err(self.err(&format!("expected `{kw}`"))),
-        }
-    }
-
-    fn query(&mut self) -> Result<Query, QueryError> {
-        let forall = match self.peek() {
-            Some(Tok::Ident(s)) if s.eq_ignore_ascii_case("forall") => true,
-            Some(Tok::Ident(s)) if s.eq_ignore_ascii_case("exists") => false,
-            _ => return Err(self.err("expected `forall` or `exists`")),
-        };
-        self.pos += 1;
-        let var = self.ident()?;
-        self.keyword("in")?;
-        let set = self.set_expr()?;
-        self.expect(&Tok::LBracket, "`[`")?;
-        let body = self.formula()?;
-        self.expect(&Tok::RBracket, "`]`")?;
-        if self.pos != self.toks.len() {
-            return Err(self.err("unexpected trailing input"));
-        }
-        Ok(Query {
-            forall,
-            var,
-            set,
-            body,
-        })
-    }
-
-    fn set_expr(&mut self) -> Result<SetExpr, QueryError> {
-        let mut base = self.primary_set()?;
-        while self.eat(&Tok::Minus) {
-            self.expect(&Tok::LBrace, "`{`")?;
-            let mut removed = Vec::new();
-            loop {
-                self.expect(&Tok::Hash, "`#`")?;
-                match self.peek().cloned() {
-                    Some(Tok::Int(v)) if v >= 0 => {
-                        self.pos += 1;
-                        removed.push(v as usize);
-                    }
-                    _ => return Err(self.err("expected state number after `#`")),
-                }
-                if !self.eat(&Tok::Comma) {
-                    break;
-                }
-            }
-            self.expect(&Tok::RBrace, "`}`")?;
-            base = SetExpr::Minus(Box::new(base), removed);
-        }
-        Ok(base)
-    }
-
-    fn primary_set(&mut self) -> Result<SetExpr, QueryError> {
-        match self.peek().cloned() {
-            Some(Tok::Ident(s)) if s == "S" => {
-                self.pos += 1;
-                Ok(SetExpr::All)
-            }
-            Some(Tok::LParen) => {
-                self.pos += 1;
-                let inner = self.set_expr()?;
-                self.expect(&Tok::RParen, "`)`")?;
-                Ok(inner)
-            }
-            Some(Tok::LBrace) => {
-                self.pos += 1;
-                let var = self.ident()?;
-                self.keyword("in")?;
-                let of = self.set_expr()?;
-                self.expect(&Tok::Pipe, "`|`")?;
-                let pred = self.formula()?;
-                self.expect(&Tok::RBrace, "`}`")?;
-                Ok(SetExpr::Comprehension {
-                    var,
-                    of: Box::new(of),
-                    pred: Box::new(pred),
-                })
-            }
-            _ => Err(self.err("expected a state set (`S`, `(...)`, or `{v in S | ...}`)")),
-        }
-    }
-
-    fn formula(&mut self) -> Result<Formula, QueryError> {
-        let mut lhs = self.conjunct()?;
+fn set_expr(c: &mut Cursor) -> Result<SetExpr, ParseError> {
+    let mut base = primary_set(c)?;
+    while c.eat(&Tok::Minus) {
+        c.expect(&Tok::LBrace, "`{`")?;
+        let mut removed = Vec::new();
         loop {
-            match self.peek() {
-                Some(Tok::Ident(s)) if s == "or" => {
-                    self.pos += 1;
-                    let rhs = self.conjunct()?;
-                    lhs = Formula::Or(Box::new(lhs), Box::new(rhs));
+            c.expect(&Tok::Hash, "`#`")?;
+            match c.peek() {
+                Some(&Tok::Int(v)) => {
+                    c.advance();
+                    removed.push(v as usize);
                 }
-                _ => break,
+                _ => return Err(c.err("expected state number after `#`")),
             }
-        }
-        Ok(lhs)
-    }
-
-    fn conjunct(&mut self) -> Result<Formula, QueryError> {
-        let mut lhs = self.atom()?;
-        loop {
-            match self.peek() {
-                Some(Tok::Ident(s)) if s == "and" => {
-                    self.pos += 1;
-                    let rhs = self.atom()?;
-                    lhs = Formula::And(Box::new(lhs), Box::new(rhs));
-                }
-                _ => break,
-            }
-        }
-        Ok(lhs)
-    }
-
-    fn atom(&mut self) -> Result<Formula, QueryError> {
-        match self.peek().cloned() {
-            Some(Tok::Ident(s)) if s == "not" => {
-                self.pos += 1;
-                Ok(Formula::Not(Box::new(self.atom()?)))
-            }
-            Some(Tok::Ident(s)) if s == "true" => {
-                self.pos += 1;
-                Ok(Formula::Bool(true))
-            }
-            Some(Tok::Ident(s)) if s == "false" => {
-                self.pos += 1;
-                Ok(Formula::Bool(false))
-            }
-            Some(Tok::Ident(s)) if s == "inev" => {
-                self.pos += 1;
-                self.expect(&Tok::LParen, "`(`")?;
-                let from = self.ident()?;
-                self.expect(&Tok::Comma, "`,`")?;
-                let target = self.formula()?;
-                self.expect(&Tok::Comma, "`,`")?;
-                let guard = self.formula()?;
-                self.expect(&Tok::RParen, "`)`")?;
-                Ok(Formula::Inev {
-                    from,
-                    target: Box::new(target),
-                    guard: Box::new(guard),
-                })
-            }
-            Some(Tok::LParen) => {
-                // Could be a parenthesized formula or a parenthesized
-                // term beginning a comparison; backtrack on failure.
-                let save = self.pos;
-                self.pos += 1;
-                if let Ok(inner) = self.formula() {
-                    if self.eat(&Tok::RParen) && !self.peek_is_relop_or_arith() {
-                        return Ok(inner);
-                    }
-                }
-                self.pos = save;
-                self.comparison()
-            }
-            _ => self.comparison(),
-        }
-    }
-
-    fn peek_is_relop_or_arith(&self) -> bool {
-        matches!(
-            self.peek(),
-            Some(
-                Tok::Eq
-                    | Tok::Ne
-                    | Tok::Lt
-                    | Tok::Le
-                    | Tok::Gt
-                    | Tok::Ge
-                    | Tok::Plus
-                    | Tok::Minus
-                    | Tok::Star
-            )
-        )
-    }
-
-    fn comparison(&mut self) -> Result<Formula, QueryError> {
-        let lhs = self.term()?;
-        let op = match self.peek() {
-            Some(Tok::Eq) => CmpOp::Eq,
-            Some(Tok::Ne) => CmpOp::Ne,
-            Some(Tok::Lt) => CmpOp::Lt,
-            Some(Tok::Le) => CmpOp::Le,
-            Some(Tok::Gt) => CmpOp::Gt,
-            Some(Tok::Ge) => CmpOp::Ge,
-            // Bare `P(s)` means `P(s) > 0` (paper's comprehension form).
-            _ => return Ok(Formula::NonZero(lhs)),
-        };
-        self.pos += 1;
-        let rhs = self.term()?;
-        Ok(Formula::Cmp(lhs, op, rhs))
-    }
-
-    fn term(&mut self) -> Result<Term, QueryError> {
-        let mut lhs = self.factor()?;
-        loop {
-            if self.eat(&Tok::Plus) {
-                let rhs = self.factor()?;
-                lhs = Term::Add(Box::new(lhs), Box::new(rhs));
-            } else if self.eat(&Tok::Minus) {
-                let rhs = self.factor()?;
-                lhs = Term::Sub(Box::new(lhs), Box::new(rhs));
-            } else {
+            if !c.eat(&Tok::Comma) {
                 break;
             }
         }
-        Ok(lhs)
+        c.expect(&Tok::RBrace, "`}`")?;
+        base = SetExpr::Minus(Box::new(base), removed);
     }
+    Ok(base)
+}
 
-    fn factor(&mut self) -> Result<Term, QueryError> {
-        let mut lhs = self.term_primary()?;
-        while self.eat(&Tok::Star) {
-            let rhs = self.term_primary()?;
-            lhs = Term::Mul(Box::new(lhs), Box::new(rhs));
-        }
-        Ok(lhs)
+fn primary_set(c: &mut Cursor) -> Result<SetExpr, ParseError> {
+    if c.eat_keyword("S") {
+        Ok(SetExpr::All)
+    } else if c.eat(&Tok::LParen) {
+        let inner = set_expr(c)?;
+        c.expect(&Tok::RParen, "`)`")?;
+        Ok(inner)
+    } else if c.eat(&Tok::LBrace) {
+        let var = c.ident()?;
+        c.keyword("in")?;
+        let of = set_expr(c)?;
+        c.expect(&Tok::Pipe, "`|`")?;
+        let pred = formula(c)?;
+        c.expect(&Tok::RBrace, "`}`")?;
+        Ok(SetExpr::Comprehension {
+            var,
+            of: Box::new(of),
+            pred: Box::new(pred),
+        })
+    } else {
+        Err(c.err("expected a state set (`S`, `(...)`, or `{v in S | ...}`)"))
     }
+}
 
-    fn term_primary(&mut self) -> Result<Term, QueryError> {
-        match self.peek().cloned() {
-            Some(Tok::Int(v)) => {
-                self.pos += 1;
-                Ok(Term::Int(v))
-            }
-            Some(Tok::LParen) => {
-                self.pos += 1;
-                let t = self.term()?;
-                self.expect(&Tok::RParen, "`)`")?;
-                Ok(t)
-            }
-            Some(Tok::Ident(name)) => {
-                self.pos += 1;
-                self.expect(&Tok::LParen, "`(` after place/transition name")?;
-                let state_var = self.ident()?;
-                self.expect(&Tok::RParen, "`)`")?;
-                Ok(Term::Count { name, state_var })
-            }
-            _ => Err(self.err("expected a term")),
-        }
+fn formula(c: &mut Cursor) -> Result<Formula, ParseError> {
+    let mut lhs = conjunct(c)?;
+    while c.eat_keyword("or") {
+        lhs = Formula::Or(Box::new(lhs), Box::new(conjunct(c)?));
     }
+    Ok(lhs)
+}
+
+fn conjunct(c: &mut Cursor) -> Result<Formula, ParseError> {
+    let mut lhs = unary(c)?;
+    while c.eat_keyword("and") {
+        lhs = Formula::And(Box::new(lhs), Box::new(unary(c)?));
+    }
+    Ok(lhs)
+}
+
+fn unary(c: &mut Cursor) -> Result<Formula, ParseError> {
+    if c.eat_keyword("not") {
+        return Ok(Formula::Not(Box::new(unary(c)?)));
+    }
+    if c.eat_keyword("true") {
+        return Ok(Formula::Bool(true));
+    }
+    if c.eat_keyword("false") {
+        return Ok(Formula::Bool(false));
+    }
+    if c.eat_keyword("inev") {
+        c.expect(&Tok::LParen, "`(`")?;
+        let from = c.ident()?;
+        c.expect(&Tok::Comma, "`,`")?;
+        let target = formula(c)?;
+        c.expect(&Tok::Comma, "`,`")?;
+        let guard = formula(c)?;
+        c.expect(&Tok::RParen, "`)`")?;
+        return Ok(Formula::Inev {
+            from,
+            target: Box::new(target),
+            guard: Box::new(guard),
+        });
+    }
+    match c.parenthesized(formula) {
+        Some(f) => Ok(f),
+        None => Ok(Formula::Cmp(c.atom(count)?)),
+    }
+}
+
+/// The rest of `name(v)`.
+fn count(c: &mut Cursor, name: String) -> Result<Count, ParseError> {
+    c.expect(&Tok::LParen, "`(` after place/transition name")?;
+    let state_var = c.ident()?;
+    c.expect(&Tok::RParen, "`)`")?;
+    Ok(Count { name, state_var })
 }
 
 #[cfg(test)]

@@ -65,9 +65,10 @@ fn paged_read_path_has_no_panics() {
             for needle in [".expect(", ".unwrap("] {
                 let mut rest = code;
                 while let Some(pos) = rest.find(needle) {
-                    // The CTL parser's own `self.expect(&Tok…)` helper
-                    // is not `Option::expect`.
-                    let is_parser_helper = needle == ".expect(" && rest[..pos].ends_with("self");
+                    // The formula cursor's `expect(&Tok…)` is not
+                    // `Option::expect`, which takes a message.
+                    let is_parser_helper =
+                        needle == ".expect(" && rest[pos + needle.len()..].starts_with("&Tok::");
                     let allowed = ALLOWED_EXPECTS
                         .iter()
                         .any(|(msg, _)| code.contains(&format!("\"{msg}\"")));
@@ -110,10 +111,10 @@ fn expect_count_is_pinned() {
         let src = non_test_source(path);
         total += src.matches(".expect(").count() + src.matches(".unwrap(").count();
     }
-    // 3 build-path expects in graph.rs, 3 parser `self.expect` calls
-    // in ctl.rs, 1 doc example in markov.rs, none in check.rs.
+    // 3 build-path expects in graph.rs, 2 formula-cursor `expect`
+    // calls in ctl.rs, 1 doc example in markov.rs, none in check.rs.
     assert_eq!(
-        total, 7,
+        total, 6,
         "the gated files' `.expect(`/`.unwrap(` count changed (now {total}); \
          a new one must stay off the paged read path — thread a Result or \
          justify it in tests/no_panic_gate.rs — and a removed one lowers \

@@ -497,3 +497,219 @@ fn random_queries_match_the_frozen_evaluator() {
         tally.skipped_overflow
     );
 }
+
+// ---------------------------------------------------------------------------
+// Parser differential
+// ---------------------------------------------------------------------------
+
+/// Every piece of text either the query or the CTL language lexes:
+/// keywords and names of both, state numbers, integers (one past
+/// `i64`), every operator and bracket, `->`, `'`, a lone `!`, and bytes
+/// neither language lexes.
+#[rustfmt::skip]
+const PIECES: &[&str] = &[
+    "forall", "exists", "FORALL", "Exists", "in", "S", "inev", "and", "or", "not", "true",
+    "false", "C", "s", "x", "s'", "x''", "Bus_busy", "Bus_free", "_t1", "E", "A", "U", "AG",
+    "#0", "#3", "#", "0", "7", "42", "9223372036854775807", "9223372036854775808",
+    "(", ")", "[", "]", "{", "}", ",", "|", "+", "-", "*", "=", "==", "!=", "!", "<", "<=",
+    ">", ">=", "->", "'", " ", "\t", "\n", "$", ".", "é",
+];
+
+const NAMES: &[&str] = &["Bus_busy", "Bus_free", "Executed", "S", "in", "or", "C"];
+
+fn push(out: &mut Vec<String>, pieces: &[&str]) {
+    out.extend(pieces.iter().map(|p| p.to_string()));
+}
+
+/// The pieces of a query the grammar accepts.
+fn valid_query(rng: &mut Rng) -> Vec<String> {
+    let mut out = Vec::new();
+    let quantifier = *rng.pick(&["forall", "exists", "FORALL", "Exists"]);
+    push(&mut out, &[quantifier, *rng.pick(VARS), "in"]);
+    valid_set(rng, 2, &mut out);
+    push(&mut out, &["["]);
+    valid_formula(rng, 3, &mut out);
+    push(&mut out, &["]"]);
+    out
+}
+
+fn valid_set(rng: &mut Rng, depth: usize, out: &mut Vec<String>) {
+    match if depth == 0 { 0 } else { rng.below(3) } {
+        0 => push(out, &["S"]),
+        1 => {
+            push(out, &["("]);
+            valid_set(rng, depth - 1, out);
+            push(out, &["-", "{"]);
+            for i in 0..=rng.below(2) {
+                if i > 0 {
+                    push(out, &[","]);
+                }
+                out.push(format!("#{}", rng.below(20)));
+            }
+            push(out, &["}", ")"]);
+        }
+        _ => {
+            push(out, &["{", *rng.pick(VARS), "in"]);
+            valid_set(rng, depth - 1, out);
+            push(out, &["|"]);
+            valid_formula(rng, depth - 1, out);
+            push(out, &["}"]);
+        }
+    }
+}
+
+fn valid_formula(rng: &mut Rng, depth: usize, out: &mut Vec<String>) {
+    match if depth == 0 {
+        5 + rng.below(4)
+    } else {
+        rng.below(9)
+    } {
+        0 | 1 => {
+            valid_formula(rng, depth - 1, out);
+            push(out, &[if rng.chance(50) { "and" } else { "or" }]);
+            valid_formula(rng, depth - 1, out);
+        }
+        2 => {
+            push(out, &["not"]);
+            if rng.chance(50) {
+                valid_term(rng, 0, out);
+            } else {
+                push(out, &["("]);
+                valid_formula(rng, depth - 1, out);
+                push(out, &[")"]);
+            }
+        }
+        3 => {
+            push(out, &["("]);
+            valid_formula(rng, depth - 1, out);
+            push(out, &[")"]);
+        }
+        4 => {
+            push(out, &["inev", "(", *rng.pick(VARS), ","]);
+            valid_formula(rng, depth - 1, out);
+            push(out, &[","]);
+            valid_formula(rng, depth - 1, out);
+            push(out, &[")"]);
+        }
+        5 => push(out, &[if rng.chance(50) { "true" } else { "false" }]),
+        6 | 7 => {
+            valid_term(rng, 2, out);
+            push(out, &[*rng.pick(&["=", "==", "!=", "<", "<=", ">", ">="])]);
+            valid_term(rng, 2, out);
+        }
+        _ => valid_term(rng, 1, out),
+    }
+}
+
+fn valid_term(rng: &mut Rng, depth: usize, out: &mut Vec<String>) {
+    match if depth == 0 {
+        rng.below(2)
+    } else {
+        rng.below(4)
+    } {
+        0 => out.push(rng.below(100).to_string()),
+        1 => push(out, &[*rng.pick(NAMES), "(", *rng.pick(VARS), ")"]),
+        2 => {
+            push(out, &["("]);
+            valid_term(rng, depth - 1, out);
+            push(out, &[")"]);
+        }
+        _ => {
+            valid_term(rng, depth - 1, out);
+            push(out, &[*rng.pick(&["+", "-", "*"])]);
+            valid_term(rng, depth - 1, out);
+        }
+    }
+}
+
+/// Joins pieces with random whitespace, always separating two pieces
+/// that would otherwise lex as one word.
+fn join(rng: &mut Rng, pieces: &[String]) -> String {
+    let word = |c: Option<char>| c.is_some_and(|c| c.is_ascii_alphanumeric() || "_'#".contains(c));
+    let mut text = String::new();
+    for piece in pieces {
+        let glued = word(text.chars().last()) && word(piece.chars().next());
+        if !text.is_empty() && (glued || rng.chance(50)) {
+            let gap = *rng.pick(&[" ", " ", "\t", "\n"]);
+            text.push_str(gap);
+        }
+        text.push_str(piece);
+    }
+    text
+}
+
+/// Inserts, deletes or replaces a few pieces at random character
+/// boundaries.
+fn mutate(rng: &mut Rng, mut text: String) -> String {
+    for _ in 0..=rng.below(3) {
+        let bounds: Vec<usize> = text
+            .char_indices()
+            .map(|(i, _)| i)
+            .chain([text.len()])
+            .collect();
+        let k = rng.below(bounds.len());
+        let end = bounds[(k + rng.below(4)).min(bounds.len() - 1)];
+        let piece = if rng.chance(30) {
+            ""
+        } else {
+            *rng.pick(PIECES)
+        };
+        let keep = if rng.chance(50) { bounds[k] } else { end };
+        text.replace_range(bounds[k]..keep, piece);
+    }
+    text
+}
+
+fn parse_position(e: QueryError) -> (usize, String) {
+    match e {
+        QueryError::Parse { message, position } => (position, message),
+        other => panic!("parsing returned {other:?}"),
+    }
+}
+
+#[test]
+fn random_strings_parse_as_the_frozen_parser_does() {
+    let mut rng = Rng(23);
+    let (mut accepted, mut rejected, mut arrows, mut lexed_out) = (0, 0, 0, 0);
+    for i in 0..12_000 {
+        let text = match i % 4 {
+            0 => {
+                let pieces = valid_query(&mut rng);
+                join(&mut rng, &pieces)
+            }
+            1 | 2 => {
+                let pieces = valid_query(&mut rng);
+                let text = join(&mut rng, &pieces);
+                mutate(&mut rng, text)
+            }
+            _ => {
+                let pieces: Vec<String> = (0..=rng.below(14))
+                    .map(|_| rng.pick(PIECES).to_string())
+                    .collect();
+                join(&mut rng, &pieces)
+            }
+        };
+        match (Query::parse(&text), legacy_query::Query::parse(&text)) {
+            (Ok(_), Ok(_)) => accepted += 1,
+            (Err(got), Err(want)) => {
+                rejected += 1;
+                let (got, _) = parse_position(got);
+                let (want, message) = parse_position(want);
+                if text.contains("->") {
+                    arrows += 1;
+                } else {
+                    assert_eq!(got, want, "`{text}` fails at another byte");
+                }
+                if message.starts_with("unexpected character") {
+                    lexed_out += 1;
+                }
+            }
+            (got, want) => panic!("`{text}`: {got:?} against the frozen {want:?}"),
+        }
+    }
+    assert!(
+        accepted >= 3_000 && rejected >= 4_000 && arrows >= 100 && lexed_out >= 100,
+        "{accepted} accepted, {rejected} rejected ({arrows} with `->`, \
+         {lexed_out} at a byte no language lexes)"
+    );
+}
