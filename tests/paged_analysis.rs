@@ -195,43 +195,86 @@ fn wide_toggle_analyses_are_budget_invariant() {
 
 /// `ReachabilityGraph::sweep` is the one bulk read path every analysis
 /// above goes through: it must visit every state exactly once in index
-/// order, agree with the specialized analyses, and stay inside the same
-/// envelope.
+/// order, agree with `deadlocks` and `place_bounds`, and stay inside the
+/// same envelope. Checked at both sinks (jobs 1 and 4), resident and at
+/// 64 KiB, untimed and timed, on the lattice, both pipelines and every
+/// `random_net(0..40)` that builds under a 2 000-state cap; enough of
+/// those graphs deadlock that an empty successor row is seen at both
+/// sinks.
 #[test]
 fn sweep_agrees_with_the_analyses() {
-    let net = wide_toggle(13);
-    let mut g = build_untimed(&net, &options(1, TINY_BUDGET)).expect("bounded build");
-    g.reset_peak_resident_bytes();
+    let mut nets = vec![
+        (wide_toggle(13), usize::MAX),
+        (
+            three_stage::build(&ThreeStageConfig::default()).expect("builds"),
+            usize::MAX,
+        ),
+        (interpreted_analysis_net(), usize::MAX),
+    ];
+    nets.extend((0..40).map(|seed| (random_net(seed), 2000)));
+    for jobs in [1, 4] {
+        for budget in [usize::MAX, TINY_BUDGET] {
+            let mut deadlocked = 0;
+            for (net, max_states) in &nets {
+                for timed in [false, true] {
+                    let build = if timed { build_timed } else { build_untimed };
+                    let opts = ReachOptions {
+                        max_states: *max_states,
+                        ..options(jobs, budget)
+                    };
+                    let mut g = match build(net, &opts) {
+                        Ok(g) => g,
+                        Err(ReachError::StateLimit { .. }) => continue,
+                        Err(e) => panic!("`{}` (timed={timed}): {e}", net.name()),
+                    };
+                    let case = format!(
+                        "`{}` (timed={timed}, jobs={jobs}, budget={budget:#x})",
+                        net.name()
+                    );
+                    g.reset_peak_resident_bytes();
 
-    let mut visited = Vec::new();
-    let mut bounds = vec![0u32; net.place_count()];
-    let mut deadlocks = Vec::new();
-    let mut edge_total = 0usize;
-    g.sweep(|i, guard| -> Result<(), ReachError> {
-        visited.push(i);
-        for (b, &t) in bounds.iter_mut().zip(guard.state(i)?.marking.as_slice()) {
-            *b = (*b).max(t);
-        }
-        let succs = guard.successors(i)?;
-        if succs.is_empty() {
-            deadlocks.push(i);
-        }
-        edge_total += succs.len();
-        Ok(())
-    })
-    .expect("sweep completes");
+                    let mut visited = Vec::new();
+                    let mut bounds = vec![0u32; net.place_count()];
+                    let mut deadlocks = Vec::new();
+                    let mut edge_total = 0usize;
+                    g.sweep(|i, guard| -> Result<(), ReachError> {
+                        visited.push(i);
+                        for (b, &t) in bounds.iter_mut().zip(guard.state(i)?.marking.as_slice()) {
+                            *b = (*b).max(t);
+                        }
+                        let succs = guard.successors(i)?;
+                        if succs.is_empty() {
+                            deadlocks.push(i);
+                        }
+                        edge_total += succs.len();
+                        Ok(())
+                    })
+                    .expect("sweep completes");
 
-    let guard = g.max_state_segment_bytes() + g.max_edge_segment_bytes();
-    let slack = guard + g.max_state_segment_bytes().max(g.max_edge_segment_bytes());
-    assert!(
-        g.peak_resident_bytes() <= TINY_BUDGET + slack,
-        "sweep peaked at {} resident bytes (budget {TINY_BUDGET} + slack {slack})",
-        g.peak_resident_bytes()
-    );
-    assert_eq!(visited, (0..g.state_count()).collect::<Vec<_>>());
-    assert_eq!(edge_total, g.edge_count());
-    assert_eq!(bounds, g.place_bounds().expect("paged sweep"));
-    assert_eq!(deadlocks, g.deadlocks().expect("paged sweep"));
+                    if budget != usize::MAX {
+                        let guard = g.max_state_segment_bytes() + g.max_edge_segment_bytes();
+                        let slack =
+                            guard + g.max_state_segment_bytes().max(g.max_edge_segment_bytes());
+                        assert!(
+                            g.peak_resident_bytes() <= budget + slack,
+                            "{case}: sweep peaked at {} resident bytes (slack {slack})",
+                            g.peak_resident_bytes()
+                        );
+                    }
+                    assert_eq!(visited, (0..g.state_count()).collect::<Vec<_>>(), "{case}");
+                    assert_eq!(edge_total, g.edge_count(), "{case}");
+                    assert_eq!(bounds, g.place_bounds().expect("place bounds"), "{case}");
+                    assert_eq!(deadlocks, g.deadlocks().expect("deadlocks"), "{case}");
+                    deadlocked += usize::from(!deadlocks.is_empty());
+                }
+            }
+            assert!(
+                deadlocked >= 40,
+                "only {deadlocked} graphs deadlock at jobs={jobs}, budget={budget:#x}: \
+                 the empty-row case is barely exercised"
+            );
+        }
+    }
 }
 
 /// Random-net agreement sweep over `random_net(0..40)`, untimed and
