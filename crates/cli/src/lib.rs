@@ -445,9 +445,10 @@ budget (e.g. 64KiB, 512MB; default unlimited): cold level segments
 spill to a temp file in --spill-dir (default: system temp) and reload
 on demand, so state spaces can exceed RAM; results are identical at
 any budget. The budget is honored end to end: --ctl model checking,
-the deadlock/bound report, and markov's chain extraction all sweep
-the graph segment-at-a-time, evicting between segments, instead of
-faulting the whole store back into memory. (markov's *extracted*
+--check-invariants and markov's chain extraction all sweep the graph
+segment-at-a-time, evicting between segments, instead of faulting the
+whole store back into memory; the deadlock/bound report reads nothing
+back, since the build keeps both as it appends. (markov's *extracted*
 dense chain — one entry per edge — still lives outside the budget;
 its size is capped by --max-states, not --mem-budget.)
 

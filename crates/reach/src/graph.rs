@@ -16,16 +16,19 @@
 //! [`ReachabilityGraph::successors`]) faults evicted segments back in
 //! under `&self` but can never evict, so a full sweep through them
 //! silently grows the resident set to the whole store. Every analysis
-//! that reads the whole graph — CTL fixpoints,
-//! [`ReachabilityGraph::deadlocks`], [`ReachabilityGraph::place_bounds`],
-//! Markov extraction, the P-invariant check — instead goes through [`ReachabilityGraph::sweep`], the one
-//! bulk read path. It walks the graph **segment-at-a-time**: pin one
+//! that reads the whole graph — CTL fixpoints, Markov extraction, the
+//! P-invariant check — instead goes through [`ReachabilityGraph::sweep`],
+//! the one bulk read path. It walks the graph **segment-at-a-time**: pin one
 //! segment with a [`SegmentGuard`], hand its states to the analysis,
 //! drop the guard, and evict (an `&mut` point, so eviction is legal)
 //! before the next segment. That holds the resident envelope to
 //! `budget + one pinned guard (state segment + edge segment) + one
 //! segment of slack` for the *analysis* phase too, not just the build —
 //! asserted by `tests/paged_analysis.rs`.
+//!
+//! Deadlocks and place bounds read nothing back: the build appends each
+//! state and each successor row once, and the store keeps each place's
+//! running maximum and the edge arena each empty row as they append.
 //!
 //! # Exploration: one kernel, two sinks
 //!
@@ -380,42 +383,20 @@ impl ReachabilityGraph {
         Ok(())
     }
 
-    // -- analyses (all segment-ordered, so they honor the byte budget) ----
+    // -- answers kept by the build ----------------------------------------
 
-    /// Indices of deadlock states (no outgoing edges), found by one
-    /// [`Self::sweep`] over the edge rows.
-    ///
-    /// # Errors
-    ///
-    /// [`ReachError::Spill`] if a segment reload or eviction fails;
-    /// the graph stays usable and a retry re-faults from scratch.
-    pub fn deadlocks(&mut self) -> Result<Vec<usize>, ReachError> {
-        let mut out = Vec::new();
-        self.sweep(|i, guard| -> Result<(), ReachError> {
-            if guard.successors(i)?.is_empty() {
-                out.push(i);
-            }
-            Ok(())
-        })?;
-        Ok(out)
+    /// Indices of deadlock states (no outgoing edges), in index order,
+    /// as the edge arena noted them while appending the rows. It reads
+    /// no segment, so it never fails.
+    pub fn deadlocks(&self) -> Result<Vec<usize>, ReachError> {
+        Ok(self.edges.empty_rows.clone())
     }
 
     /// The bound of each place: the maximum token count over all
-    /// reachable states (a net is k-bounded iff every entry ≤ k), found
-    /// by one [`Self::sweep`] over the marking rows.
-    ///
-    /// # Errors
-    ///
-    /// As [`Self::deadlocks`].
-    pub fn place_bounds(&mut self) -> Result<Vec<u32>, ReachError> {
-        let mut bounds = vec![0u32; self.store.places()];
-        self.sweep(|i, guard| -> Result<(), ReachError> {
-            for (b, &t) in bounds.iter_mut().zip(guard.marking(i)?) {
-                *b = (*b).max(t);
-            }
-            Ok(())
-        })?;
-        Ok(bounds)
+    /// reachable states (a net is k-bounded iff every entry ≤ k), as the
+    /// store kept it while appending the states. Never fails either.
+    pub fn place_bounds(&self) -> Result<Vec<u32>, ReachError> {
+        Ok(self.store.bounds.clone())
     }
 
     // -- budget diagnostics -----------------------------------------------

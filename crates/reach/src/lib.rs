@@ -57,9 +57,11 @@
 //!   [`pager`]), so the state-count ceiling is disk, not RAM — the hot
 //!   frontier stays resident and the graph is still bit-identical at
 //!   any budget. Analyses honor the same budget: CTL fixpoints,
-//!   deadlock/bound sweeps, and Markov extraction read the graph
+//!   Markov extraction and the P-invariant check read the graph
 //!   segment-at-a-time through [`graph::SegmentGuard`]s, evicting
-//!   between segments, so *verification* runs past RAM too.
+//!   between segments, so *verification* runs past RAM too. Deadlocks
+//!   and place bounds read nothing back: the build keeps both as it
+//!   appends each state and successor row.
 //!
 //! Construction is O(edges × marking width) time with exactly one arena
 //! copy per distinct state; two builds of the same net yield

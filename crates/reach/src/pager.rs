@@ -10,9 +10,10 @@
 //! *cold* — the explorer only touches them again on the rare true hash
 //! hit (a duplicate successor that closes a long cycle back into an old
 //! level). Cold data can live on disk. The same holds for analyses:
-//! CTL fixpoints, deadlock/bound sweeps, and Markov extraction read the
+//! CTL fixpoints, Markov extraction and the P-invariant check read the
 //! graph in **segment order**, so at any instant only one segment needs
-//! to be resident.
+//! to be resident. (Deadlocks and place bounds need no read at all: the
+//! build keeps them as it appends.)
 //!
 //! # The three layers
 //!
@@ -1464,6 +1465,8 @@ pub(crate) struct PagedEdges {
     /// Total edges across all rows (the resident segments alone cannot
     /// answer this without faulting everything back in).
     total_edges: usize,
+    /// The rows appended empty (deadlock states), in row order.
+    pub(crate) empty_rows: Vec<usize>,
 }
 
 impl PagedEdges {
@@ -1478,6 +1481,7 @@ impl PagedEdges {
         PagedEdges {
             arena: Paged::with_shared(0, seg_states, shared, spill_dir),
             total_edges: 0,
+            empty_rows: Vec::new(),
         }
     }
 
@@ -1527,6 +1531,9 @@ impl PagedEdges {
         tail.offsets.push(end);
         let added = tail.bytes() - before;
         self.arena.note_tail_growth(added);
+        if row.is_empty() {
+            self.empty_rows.push(self.arena.len);
+        }
         self.arena.len += 1;
         self.total_edges += row.len();
         self.maintain()

@@ -379,6 +379,9 @@ pub struct StateRef<'a> {
 pub struct StateStore {
     /// The paged marking/env-id/in-flight arenas.
     states: PagedStates,
+    /// Each place's largest token count over the states appended so far
+    /// (every append goes through [`Self::intern_bounded`]).
+    pub(crate) bounds: Vec<u32>,
     envs: Vec<EnvSlots>,
     state_table: InternTable,
     env_table: InternTable,
@@ -395,6 +398,7 @@ impl StateStore {
     pub fn with_config(places: usize, config: &PagerConfig) -> Self {
         StateStore {
             states: PagedStates::new(places, config),
+            bounds: vec![0; places],
             envs: Vec::new(),
             state_table: InternTable::with_capacity(64),
             env_table: InternTable::with_capacity(4),
@@ -707,6 +711,9 @@ impl StateStore {
         let idx = u32::try_from(self.states.len()).map_err(|_| ReachError::CapacityExceeded {
             resource: "state index (more than u32::MAX states)",
         })?;
+        for (b, &t) in self.bounds.iter_mut().zip(marking) {
+            *b = (*b).max(t);
+        }
         self.states.append(marking, env_id, in_flight, enabling)?;
         self.state_table.insert(hash, idx);
         obs::metrics::STORE_MISSES.inc();
