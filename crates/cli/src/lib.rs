@@ -66,21 +66,18 @@ impl<'a> Args<'a> {
         }
     }
 
-    /// All values of a repeatable `--name value` option.
+    /// All values of a repeatable `--name value` option. A value is the
+    /// next token if it is unused and not a `--flag`; otherwise the
+    /// option stays unused, so [`Self::finish`] reports it.
     fn values(&mut self, name: &str) -> Vec<String> {
         let mut out = Vec::new();
-        let mut i = 0;
-        while i < self.items.len() {
-            if !self.used[i] && self.items[i] == name {
-                if let Some(v) = self.items.get(i + 1) {
-                    self.used[i] = true;
-                    self.used[i + 1] = true;
-                    out.push(v.clone());
-                    i += 2;
-                    continue;
-                }
+        for i in 1..self.items.len() {
+            let (flag, v) = (&self.items[i - 1], &self.items[i]);
+            if flag == name && !self.used[i - 1] && !self.used[i] && !v.starts_with("--") {
+                self.used[i - 1] = true;
+                self.used[i] = true;
+                out.push(v.clone());
             }
-            i += 1;
         }
         out
     }
