@@ -255,6 +255,8 @@ pub type NameParser<N> = fn(&mut Cursor, String) -> Result<N, ParseError>;
 pub struct Cursor {
     toks: Vec<(Tok, usize)>,
     pos: usize,
+    /// The source length: where an error past the last token points.
+    end: usize,
 }
 
 impl Cursor {
@@ -268,19 +270,16 @@ impl Cursor {
         Ok(Cursor {
             toks: lex(src)?,
             pos: 0,
+            end: src.len(),
         })
     }
 
-    /// An error at the current token (past the end: one byte after the
-    /// start of the last token).
+    /// An error at the current token (past the end: at the end of the
+    /// source).
     pub fn err(&self, message: &str) -> ParseError {
         ParseError {
             message: message.to_string(),
-            position: self
-                .toks
-                .get(self.pos)
-                .map(|&(_, p)| p)
-                .unwrap_or_else(|| self.toks.last().map(|&(_, p)| p + 1).unwrap_or(0)),
+            position: self.toks.get(self.pos).map_or(self.end, |&(_, p)| p),
         }
     }
 

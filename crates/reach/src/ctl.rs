@@ -631,4 +631,14 @@ mod tests {
             assert!(Formula::parse(bad).is_err(), "should fail: {bad}");
         }
     }
+
+    #[test]
+    fn an_unfinished_formula_fails_at_its_end() {
+        for (text, at) in [("AG (CPU", 7), ("EF (a + 12", 10), ("AG (CPU  ", 9)] {
+            match Formula::parse(text) {
+                Err(CtlError::Parse { position, .. }) => assert_eq!(position, at, "{text}"),
+                other => panic!("`{text}`: {other:?}"),
+            }
+        }
+    }
 }

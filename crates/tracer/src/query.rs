@@ -928,6 +928,19 @@ mod tests {
     }
 
     #[test]
+    fn an_unfinished_query_fails_at_its_end() {
+        for (text, at) in [
+            ("forall s in S [ Bus_busy(s) > 42", 32),
+            ("exists s in {s in S | Bus_busy", 30),
+        ] {
+            match Query::parse(text) {
+                Err(QueryError::Parse { position, .. }) => assert_eq!(position, at, "{text}"),
+                other => panic!("`{text}`: {other:?}"),
+            }
+        }
+    }
+
+    #[test]
     fn primed_variables_parse() {
         let q = Query::parse("forall s in {s' in S | Bus_busy(s')} [ true ]");
         assert!(q.is_ok());
