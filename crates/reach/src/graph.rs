@@ -389,14 +389,14 @@ impl ReachabilityGraph {
     /// as the edge arena noted them while appending the rows. It reads
     /// no segment, so it never fails.
     pub fn deadlocks(&self) -> Result<Vec<usize>, ReachError> {
-        Ok(self.edges.empty_rows.clone())
+        Ok(self.edges.empty_rows().to_vec())
     }
 
     /// The bound of each place: the maximum token count over all
     /// reachable states (a net is k-bounded iff every entry ≤ k), as the
     /// store kept it while appending the states. Never fails either.
     pub fn place_bounds(&self) -> Result<Vec<u32>, ReachError> {
-        Ok(self.store.bounds.clone())
+        Ok(self.store.bounds().to_vec())
     }
 
     // -- budget diagnostics -----------------------------------------------
@@ -1327,7 +1327,7 @@ mod tests {
     #[test]
     fn untimed_counts_multi_token_interleavings() {
         let net = ring(2);
-        let mut g = build_untimed(&net, &ReachOptions::default()).unwrap();
+        let g = build_untimed(&net, &ReachOptions::default()).unwrap();
         // Markings: (2,0), (1,1), (0,2).
         assert_eq!(g.state_count(), 3);
         assert_eq!(g.place_bounds().unwrap(), vec![2, 2]);
@@ -1340,7 +1340,7 @@ mod tests {
         b.place("b", 0);
         b.transition("t").input("a").output("b").add();
         let net = b.build().unwrap();
-        let mut g = build_untimed(&net, &ReachOptions::default()).unwrap();
+        let g = build_untimed(&net, &ReachOptions::default()).unwrap();
         assert_eq!(g.deadlocks().unwrap().len(), 1);
         let d = g.deadlocks().unwrap()[0];
         assert_eq!(
@@ -1428,7 +1428,7 @@ mod tests {
             .unwrap()
             .add();
         let net = b.build().unwrap();
-        let mut g = build_untimed(&net, &ReachOptions::default()).unwrap();
+        let g = build_untimed(&net, &ReachOptions::default()).unwrap();
         assert_eq!(g.state_count(), 1, "gate closed: nothing reachable");
         assert_eq!(g.deadlocks().unwrap(), vec![0]);
     }
@@ -1448,7 +1448,7 @@ mod tests {
             .unwrap()
             .add();
         let net = b.build().unwrap();
-        let mut g = build_untimed(&net, &ReachOptions::default()).unwrap();
+        let g = build_untimed(&net, &ReachOptions::default()).unwrap();
         assert_eq!(g.state_count(), 4, "n in 0..=3");
         assert_eq!(g.deadlocks().unwrap().len(), 1);
         // The four states share nothing but still intern four distinct
@@ -1490,7 +1490,7 @@ mod tests {
         b.place("b", 0);
         b.transition("work").input("a").output("b").firing(2).add();
         let net = b.build().unwrap();
-        let mut g = build_timed(&net, &ReachOptions::default()).unwrap();
+        let g = build_timed(&net, &ReachOptions::default()).unwrap();
         // Both tokens must start before time advances (maximal progress):
         // (2,0,[]) -> (1,0,[2]) -> (0,0,[2,2]) -> (0,2,[]) done.
         assert_eq!(g.state_count(), 4);
@@ -1530,7 +1530,7 @@ mod tests {
         b.place("b", 0);
         b.transition("t").input("a").output("b").enabling(4).add();
         let net = b.build().unwrap();
-        let mut g = build_timed(&net, &ReachOptions::default()).unwrap();
+        let g = build_timed(&net, &ReachOptions::default()).unwrap();
         // (a=1, clock 4) --Advance(4)--> (a=1, clock 0) --Fire--> (b=1).
         assert_eq!(g.state_count(), 3);
         assert_eq!(
@@ -1775,7 +1775,7 @@ mod tests {
             b.transition("t").input("p").input("p").output("q").add();
             b.build().unwrap()
         };
-        let mut g = build_untimed(&dup(1), &ReachOptions::default()).unwrap();
+        let g = build_untimed(&dup(1), &ReachOptions::default()).unwrap();
         assert_eq!(g.state_count(), 1, "merged arcs need 2 tokens");
         assert_eq!(g.deadlocks().unwrap(), vec![0]);
 

@@ -1466,7 +1466,7 @@ pub(crate) struct PagedEdges {
     /// answer this without faulting everything back in).
     total_edges: usize,
     /// The rows appended empty (deadlock states), in row order.
-    pub(crate) empty_rows: Vec<usize>,
+    empty_rows: Vec<usize>,
 }
 
 impl PagedEdges {
@@ -1493,6 +1493,11 @@ impl PagedEdges {
     /// Total edges across all rows.
     pub(crate) fn edge_count(&self) -> usize {
         self.total_edges
+    }
+
+    /// The rows appended empty so far, in row order.
+    pub(crate) fn empty_rows(&self) -> &[usize] {
+        &self.empty_rows
     }
 
     pub(crate) fn spilled_bytes(&self) -> usize {

@@ -381,7 +381,7 @@ pub struct StateStore {
     states: PagedStates,
     /// Each place's largest token count over the states appended so far
     /// (every append goes through [`Self::intern_bounded`]).
-    pub(crate) bounds: Vec<u32>,
+    bounds: Vec<u32>,
     envs: Vec<EnvSlots>,
     state_table: InternTable,
     env_table: InternTable,
@@ -423,6 +423,11 @@ impl StateStore {
     /// Number of distinct variable environments interned.
     pub fn env_count(&self) -> usize {
         self.envs.len()
+    }
+
+    /// Each place's largest token count over the states interned so far.
+    pub(crate) fn bounds(&self) -> &[u32] {
+        &self.bounds
     }
 
     /// The marking arena row of state `i`, faulting its segment in

@@ -13,7 +13,7 @@ fn untimed(net: &pnut::core::Net) -> graph::ReachabilityGraph {
 #[test]
 fn full_pipeline_model_is_bounded_and_deadlock_free() {
     let net = three_stage::build(&ThreeStageConfig::default()).expect("builds");
-    let mut g = untimed(&net);
+    let g = untimed(&net);
     assert!(g.state_count() > 10, "nontrivial state space");
     assert!(
         g.deadlocks().expect("paged sweep").is_empty(),
@@ -278,7 +278,7 @@ fn timed_reachability_of_a_pipeline_fragment() {
         .output("Done")
         .add();
     let net = b.build().expect("builds");
-    let mut g = graph::build_timed(&net, &graph::ReachOptions::default()).expect("bounded");
+    let g = graph::build_timed(&net, &graph::ReachOptions::default()).expect("bounded");
     assert!(
         (4..=16).contains(&g.state_count()),
         "small timed graph, got {}",
@@ -421,7 +421,7 @@ fn coverability_agrees_with_reachability_on_a_plain_fragment() {
         .add();
     let net = b.build().expect("builds");
 
-    let mut g = untimed(&net);
+    let g = untimed(&net);
     let tree = pnut::reach::coverability::coverability_tree(
         &net,
         &pnut::reach::coverability::CoverOptions::default(),
