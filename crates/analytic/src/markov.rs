@@ -241,14 +241,11 @@ pub fn steady_state(net: &Net, options: &MarkovOptions) -> Result<SteadyState, M
     // byte budget (verified below in debug builds).
     graph.reset_peak_resident_bytes();
 
-    // A deadlock has no jump-chain row; the build kept the list.
-    if let Some(&state) = graph.deadlocks()?.first() {
-        return Err(MarkovError::Deadlock { state });
-    }
-
     // Embedded jump chain, extracted by one sweep over the edge rows,
     // so the extraction phase stays inside the byte budget instead of
-    // faulting the whole graph resident.
+    // faulting the whole graph resident. Deadlocks surface here too
+    // (the sweep runs in state order, so the first one found is the
+    // lowest-numbered, matching `deadlocks().first()`).
     let extract_span = obs::span("markov.extract");
     let mut chain = JumpChain::with_capacity(n, graph.edge_count());
     let mut sojourn = vec![0.0f64; n];
@@ -262,11 +259,12 @@ pub fn steady_state(net: &Net, options: &MarkovOptions) -> Result<SteadyState, M
         // maximal progress leaves exactly one Advance edge.
         let total: f64 = edges.iter().map(|&(label, _)| frequency(label)).sum();
         match edges.first() {
+            None => return Err(MarkovError::Deadlock { state: s }),
             Some(&(EdgeLabel::Advance(dt), to)) if total == 0.0 => {
                 sojourn[s] = dt as f64;
                 chain.push(to, 1.0, None);
             }
-            _ => {
+            Some(_) => {
                 for &(label, to) in edges {
                     if let EdgeLabel::Fire(t) = label {
                         chain.push(to, frequency(label) / total, Some(t));
