@@ -26,7 +26,7 @@ fn cross_check(net: &Net, max_states: usize) -> bool {
         return false;
     };
 
-    let exact = g.place_bounds().expect("paged sweep");
+    let exact = g.place_bounds().expect("kept by the build");
     for (p, bound) in report.bounds.iter().enumerate() {
         if let Some(b) = bound {
             assert!(

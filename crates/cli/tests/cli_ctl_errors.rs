@@ -84,8 +84,8 @@ fn a_single_value_flag_given_twice_is_a_usage_error() {
 fn a_flag_never_takes_another_flag_as_its_value() {
     let dir = std::env::temp_dir().join(format!("pnut-flag-value-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir");
-    // `--until 5` is parsed first, then `-o` used to take the consumed
-    // `--until` as its file name; `--stats` is a flag of its own.
+    // `--until 5` is parsed before `-o`, so the token after `-o` is
+    // already consumed; `--stats` is a flag of its own.
     for args in [
         &["sim", SEQUENTIAL, "-o", "--until", "5"][..],
         &["sim", SEQUENTIAL, "-o", "--stats"],

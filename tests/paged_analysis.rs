@@ -1,14 +1,17 @@
 //! Budget-envelope harness for *paged analyses*: verification — not
 //! just graph construction — must run inside `--mem-budget`.
 //!
-//! Two properties are locked in for every analysis (CTL model
-//! checking, deadlock detection, place bounds, L1-liveness, the
-//! P-invariant check, Markov steady state) on the paper pipelines and
-//! the wide toggle lattice.
+//! Two properties are locked in on the paper pipelines and the wide
+//! toggle lattice.
 //!
 //! **Bit-identical results** across `budget ∈ {unlimited, 64 KiB}` ×
-//! `jobs ∈ {1, 4}`: paging and parallelism change where rows live and
-//! how fast they are found, never what any analysis computes.
+//! `jobs ∈ {1, 4}` for every answer: CTL model checking, L1-liveness,
+//! the P-invariant check and Markov steady state, which sweep the
+//! finished graph, and the deadlocks and place bounds, which the build
+//! keeps as it appends states and rows (and which
+//! `sweep_agrees_with_the_analyses` holds to an independent sweep).
+//! Paging and parallelism change where rows live and how fast they are
+//! found, never what any analysis computes.
 //!
 //! **The analysis-phase resident envelope**: with the peak probe reset
 //! after the build, the segment-ordered sweeps keep peak resident
@@ -70,8 +73,8 @@ fn run_battery(
     // construction envelope tests in `reach_golden.rs`.
     g.reset_peak_resident_bytes();
 
-    let bounds = g.place_bounds().expect("paged sweep");
-    let deadlocks = g.deadlocks().expect("paged sweep");
+    let bounds = g.place_bounds().expect("kept by the build");
+    let deadlocks = g.deadlocks().expect("kept by the build");
     let fires: Vec<bool> = net
         .transitions()
         .map(|(tid, _)| pnut_bench::fires(&mut g, tid).expect("paged sweep"))

@@ -49,7 +49,7 @@ fn pager_protocol_net_verifies() {
     let net = pnut::lang::parse(&protocol_file()).expect("parses");
     let mut g = untimed(&net);
     assert!(
-        g.deadlocks().expect("paged sweep").is_empty(),
+        g.deadlocks().expect("kept by the build").is_empty(),
         "the protocol must never deadlock: {:?}",
         g.deadlocks()
     );

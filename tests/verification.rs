@@ -16,12 +16,12 @@ fn full_pipeline_model_is_bounded_and_deadlock_free() {
     let g = untimed(&net);
     assert!(g.state_count() > 10, "nontrivial state space");
     assert!(
-        g.deadlocks().expect("paged sweep").is_empty(),
+        g.deadlocks().expect("kept by the build").is_empty(),
         "the pipeline must never deadlock: {:?}",
         g.deadlocks()
     );
     // Boundedness facts: the bus is 1-safe, the buffer 6-bounded.
-    let bounds = g.place_bounds().expect("paged sweep");
+    let bounds = g.place_bounds().expect("kept by the build");
     let bound_of = |name: &str| bounds[net.place_id(name).expect("exists").index()];
     assert_eq!(bound_of("Bus_busy"), 1);
     assert_eq!(bound_of("Bus_free"), 1);
@@ -295,7 +295,7 @@ fn timed_reachability_of_a_pipeline_fragment() {
     }));
     // Terminal state: both instructions done.
     let done = net.place_id("Done").expect("exists");
-    let deadlocks = g.deadlocks().expect("paged sweep");
+    let deadlocks = g.deadlocks().expect("kept by the build");
     assert_eq!(deadlocks.len(), 1);
     assert_eq!(
         g.state(deadlocks[0])
@@ -428,7 +428,7 @@ fn coverability_agrees_with_reachability_on_a_plain_fragment() {
     )
     .expect("plain net");
     assert!(!tree.is_unbounded());
-    let bounds = g.place_bounds().expect("paged sweep");
+    let bounds = g.place_bounds().expect("kept by the build");
     for (pid, p) in net.places() {
         assert_eq!(
             tree.place_bound(pid),
