@@ -398,6 +398,107 @@ fn state_limit_is_deterministic_and_consistent_on_a_paged_store() {
     }
 }
 
+/// Cells of [`trap_net`]. Level 5 (five cells flipped) holds
+/// C(11, 5) = 462 states, at least 8 × 48, so a parallel build spreads
+/// it over workers at jobs 2, 4 and 8. Levels 0–5 hold 1024 states.
+const TRAP_CELLS: u32 = 11;
+
+/// A toggle lattice whose `flips` place counts the flipped cells, plus
+/// a self-looping `trap` whose predicate divides by the variable `z`.
+/// The trap is ready only where five cells are flipped and cells 0 and
+/// 1 are still up, so at `z = 0` the build fails while expanding level
+/// 5, and levels are discovered in lexicographic order of the flipped
+/// sets: the first failing source is the 337th of the level's 462.
+fn trap_net(z: i64) -> Net {
+    use pnut_core::NetBuilder;
+    let mut b = NetBuilder::new("trap");
+    for i in 0..TRAP_CELLS {
+        b.place(format!("u{i}"), 1);
+        b.place(format!("d{i}"), 0);
+    }
+    b.place("flips", 0);
+    b.var("z", z);
+    for i in 0..TRAP_CELLS {
+        b.transition(format!("flip{i}"))
+            .input(format!("u{i}"))
+            .output(format!("d{i}"))
+            .output("flips")
+            .add();
+    }
+    b.transition("trap")
+        .input("u0")
+        .input("u1")
+        .input_weighted("flips", 5)
+        .output("u0")
+        .output("u1")
+        .output_weighted("flips", 5)
+        .predicate_str("1 / z > 0")
+        .expect("predicate parses")
+        .add();
+    b.build().expect("builds")
+}
+
+#[test]
+fn errors_inside_a_level_that_spawns_workers_match_jobs_one() {
+    use pnut::reach::graph::ReachError;
+    type Build = fn(&Net, &ReachOptions) -> Result<ReachabilityGraph, ReachError>;
+
+    // The trap's first ready source lies in the second half of level 5.
+    let net = trap_net(1);
+    let g = build_untimed(&net, &ReachOptions::default()).expect("z = 1 builds");
+    let flips = net.place_id("flips").expect("exists");
+    let (u0, u1) = (
+        net.place_id("u0").expect("u0"),
+        net.place_id("u1").expect("u1"),
+    );
+    let level: Vec<usize> = (0..g.state_count())
+        .filter(|&i| g.state(i).expect("resident").marking.tokens(flips) == 5)
+        .collect();
+    assert_eq!(level.len(), 462);
+    let first = level
+        .iter()
+        .position(|&i| {
+            let m = g.state(i).expect("resident").marking;
+            m.tokens(u0) == 1 && m.tokens(u1) == 1
+        })
+        .expect("the trap is ready somewhere in level 5");
+    assert_eq!(first, 336);
+    assert!(first * 2 >= level.len(), "first trap source {first}");
+
+    let before = 1024; // states of levels 0–5
+    let div = ReachError::Eval {
+        transition: "trap".to_string(),
+        source: pnut_core::EvalError::DivisionByZero,
+    };
+    let limit = |limit| ReachError::StateLimit { limit };
+    let cases = [
+        // (a) the cap bites halfway through level 6's discovery;
+        ("cap", 1, before + 231, limit(before + 231)),
+        // (b) the division fails at source 336 of level 5;
+        ("error", 0, 100_000, div.clone()),
+        // (c) the cap bites at source 1, before the error;
+        ("cap before error", 0, before + 10, limit(before + 10)),
+        // (d) the cap would bite at source 456, after the error.
+        ("error before cap", 0, before + 461, div),
+    ];
+    for (what, z, max_states, expected) in cases {
+        let net = trap_net(z);
+        for (timed, build) in [(false, build_untimed as Build), (true, build_timed)] {
+            for jobs in [1, 2, 4, 8] {
+                let opts = ReachOptions {
+                    max_states,
+                    ..with_jobs(jobs)
+                };
+                assert_eq!(
+                    build(&net, &opts).expect_err(what),
+                    expected,
+                    "{what}: timed = {timed}, jobs = {jobs}"
+                );
+            }
+        }
+    }
+}
+
 #[test]
 fn spill_io_failures_are_reported_not_panicked() {
     // An unusable spill directory must surface as ReachError::Spill
