@@ -237,19 +237,21 @@ fn parse_reach_options(
 
 /// The shared observability options `--stats` / `--metrics-json PATH` /
 /// `--progress[=N]`: if any is present the process-global
-/// [`pnut_obs`] recorder is installed for the duration of the command.
-/// All telemetry goes to stderr or the metrics file — stdout stays
-/// byte-identical with and without these flags.
+/// [`pnut_obs`] recorder is installed for the duration of the command,
+/// from [`Self::start`] on. All telemetry goes to stderr or the metrics
+/// file — stdout stays byte-identical with and without these flags.
 struct ObsSession {
     tool: String,
     stats: bool,
     metrics_json: Option<std::path::PathBuf>,
+    /// Heartbeat interval of `--progress`, if given.
+    progress: Option<u64>,
     active: bool,
 }
 
 impl ObsSession {
-    /// Parse the observability flags and install the recorder when any
-    /// is given. `--progress` without a value heartbeats at every tick.
+    /// Parse the observability flags. `--progress` without a value
+    /// heartbeats at every tick.
     fn from_args(args: &mut Args<'_>, cmd: &str) -> Result<Self, CliError> {
         let stats = args.flag("--stats");
         let metrics_json = args
@@ -264,17 +266,25 @@ impl ObsSession {
                     }),
                 })
                 .transpose()?;
-        let active = stats || metrics_json.is_some() || progress.is_some();
-        if active {
-            obs::install();
-            obs::set_progress_every(progress.unwrap_or(0));
-        }
         Ok(ObsSession {
             tool: cmd.to_string(),
             stats,
             metrics_json,
-            active,
+            progress,
+            active: false,
         })
+    }
+
+    /// Install the recorder if any flag asked for it. Call once the
+    /// command line (and any formula) is accepted, so a rejected command
+    /// emits no summary and writes no metrics file, and before the model
+    /// is read, so the `parse` span lands in the session.
+    fn start(&mut self) {
+        self.active = self.stats || self.metrics_json.is_some() || self.progress.is_some();
+        if self.active {
+            obs::install();
+            obs::set_progress_every(self.progress.unwrap_or(0));
+        }
     }
 
     /// Stop recording and emit the session's outputs: the human summary
@@ -329,7 +339,7 @@ fn load_net(path: &str) -> Result<Net, CliError> {
 
 /// Shared model-load plumbing (`lint`, `reach`): read, parse,
 /// and build a model inside the `parse` span, with uniform
-/// [`CliError`] reporting. Call after [`ObsSession::from_args`] so the
+/// [`CliError`] reporting. Call after [`ObsSession::start`] so the
 /// span lands in the session.
 fn load_model(path: &str) -> Result<Net, CliError> {
     let _parse = obs::span("parse");
@@ -519,6 +529,7 @@ fn cmd_lint(argv: &[String], out: &mut String) -> Result<i32, CliError> {
         return Err(err("lint: need at least one model file"));
     }
     args.finish()?;
+    session.start();
 
     let mut errors = 0usize;
     if json {
@@ -575,6 +586,7 @@ fn cmd_sim(argv: &[String], out: &mut String) -> Result<i32, CliError> {
     let output = args.value("-o", "sim")?;
     let mut session = ObsSession::from_args(&mut args, "sim")?;
     args.finish()?;
+    session.start();
 
     let net = {
         let _parse = obs::span("parse");
@@ -735,6 +747,7 @@ fn cmd_reach(argv: &[String], out: &mut String) -> Result<i32, CliError> {
         .map(pnut_reach::ctl::Formula::parse)
         .transpose()
         .map_err(|e| err(format!("ctl: {e}")))?;
+    session.start();
 
     let net = load_model(&path)?;
     let mut graph = if timed {
@@ -830,6 +843,7 @@ fn cmd_cover(argv: &[String], out: &mut String) -> Result<i32, CliError> {
     }
     let mut session = ObsSession::from_args(&mut args, "cover")?;
     args.finish()?;
+    session.start();
     let net = {
         let _parse = obs::span("parse");
         load_net(&path)?
@@ -967,6 +981,7 @@ fn cmd_markov(argv: &[String], out: &mut String) -> Result<i32, CliError> {
     options.reach = parse_reach_options(&mut args, "markov", options.reach)?;
     let mut session = ObsSession::from_args(&mut args, "markov")?;
     args.finish()?;
+    session.start();
     let net = {
         let _parse = obs::span("parse");
         load_net(&path)?

@@ -7,7 +7,9 @@
 //! * a single-value flag given twice is a usage error, instead of the
 //!   first value winning silently;
 //! * a flag never takes a token another flag consumed, or another
-//!   `--flag`, as its value.
+//!   `--flag`, as its value;
+//! * a command rejected for its arguments or its formula prints no
+//!   `--stats` summary and writes no `--metrics-json` file.
 
 use std::path::Path;
 use std::process::Command;
@@ -100,6 +102,33 @@ fn a_flag_never_takes_another_flag_as_its_value() {
     }
     for name in ["--until", "--stats"] {
         assert!(!dir.join(name).exists(), "a trace file named `{name}`");
+    }
+    std::fs::remove_dir_all(&dir).expect("clean up");
+}
+
+#[test]
+fn a_rejected_command_emits_no_telemetry() {
+    let dir = std::env::temp_dir().join(format!("pnut-rejected-stats-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    // An unknown argument and a malformed formula are both rejected
+    // before the model is read; the recorder must not have started.
+    for (args, error) in [
+        (
+            &["sim", SEQUENTIAL, "--bogus"][..],
+            "unexpected argument `--bogus`",
+        ),
+        (&["reach", SEQUENTIAL, "--ctl", "AG ("], "ctl: "),
+    ] {
+        let args = [args, &["--stats", "--metrics-json", "m.ndjson"]].concat();
+        let (code, stdout, stderr) = pnut_in(&dir, &args);
+        assert_eq!(code, 1, "{args:?}: {stderr}");
+        assert!(stdout.is_empty(), "{args:?} printed {stdout}");
+        assert!(stderr.contains(error), "{args:?}: {stderr}");
+        assert!(!stderr.contains("pnut stats:"), "{args:?}: {stderr}");
+        assert!(
+            !dir.join("m.ndjson").exists(),
+            "{args:?} wrote a metrics file"
+        );
     }
     std::fs::remove_dir_all(&dir).expect("clean up");
 }

@@ -191,15 +191,12 @@ pub static PAGER_BUDGET_BYTES: Gauge = Gauge::new();
 
 // --- store: interned state deduplication -----------------------------
 
-/// Duplicate-detection probes (every intern or lock-free lookup).
+/// Duplicate-detection probes (one per intern).
 pub static STORE_PROBES: Counter = Counter::new();
 /// Probes that found the state already interned.
 pub static STORE_HITS: Counter = Counter::new();
 /// New states appended to the arenas (`== distinct states`).
 pub static STORE_MISSES: Counter = Counter::new();
-/// States spliced from pending shards at parallel level barriers,
-/// bucketed by per-shard splice size.
-pub static STORE_SPLICE_STATES: Histogram = Histogram::new();
 
 // --- reach: breadth-first exploration --------------------------------
 
@@ -258,7 +255,6 @@ pub static REGISTRY: &[Metric] = &[
     Metric::Counter("store.probes", &STORE_PROBES),
     Metric::Counter("store.hits", &STORE_HITS),
     Metric::Counter("store.misses", &STORE_MISSES),
-    Metric::Histogram("store.splice_states", &STORE_SPLICE_STATES),
     Metric::Counter("reach.levels", &REACH_LEVELS),
     Metric::Histogram("reach.frontier_width", &REACH_FRONTIER_WIDTH),
     Metric::Gauge("reach.peak_frontier", &REACH_PEAK_FRONTIER),

@@ -30,7 +30,7 @@
 //! state and each successor row once, and the store keeps each place's
 //! running maximum and the edge arena each empty row as they append.
 //!
-//! # Exploration: one kernel, two sinks
+//! # Exploration: expand, then commit
 //!
 //! [`build_untimed`] and [`build_timed`] run the same breadth-first
 //! driver at every job count. States are numbered densely in discovery
@@ -43,52 +43,49 @@
 //! decision are methods of the lowered transitions of
 //! [`pnut_core::CompiledNet`], which the simulator runs too (see
 //! "Lowered transitions" in [`pnut_core::expr::compile`]). This module
-//! keeps only the explorer's scheduler, the `expand` kernel, which
-//! turns one loaded state into its successor row. Every transition
-//! that can start (ready, enabling clock run out, predicate true) is a
-//! `Fire` edge, in id order. Clocks are relative countdowns. When
-//! nothing can start, one maximal-progress `Advance` edge jumps to the
-//! earliest pending completion or enabling deadline. Untimed builds run
-//! the same rule with every firing atomic and no clocks, so they never
-//! advance.
+//! keeps only the explorer's scheduler, in two steps:
 //!
-//! The kernel hands each successor's state and environment slot row to
-//! an intern sink, and `jobs` alone picks which:
+//! * **expand** turns one loaded source into its row of successors
+//!   (label, state, post-action environment) without touching the
+//!   store. Every transition that can start (ready, enabling clock run
+//!   out, predicate true) is a `Fire` edge, in id order. Clocks are
+//!   relative countdowns. When nothing can start, one maximal-progress
+//!   `Advance` edge jumps to the earliest pending completion or
+//!   enabling deadline. Untimed builds run the same rule with every
+//!   firing atomic and no clocks, so they never advance.
+//! * **commit** interns the row's environments and states in edge order
+//!   through [`StateStore::intern_env`] and `StateStore::intern_bounded`,
+//!   the only way any state enters the store, and appends the row to
+//!   the paged edge arena.
 //!
-//! * **Direct** (`jobs = 1`) interns straight into the [`StateStore`]
-//!   and appends each row to the paged edge arena as soon as it is
-//!   finished. It evicts at every `&mut` point: after each state load,
-//!   inside each intern, and after each row, but never the segment of
-//!   the state it is expanding. Sources load in index order, so the
-//!   next one most likely lives in that segment too, yet every probe
-//!   since the load has made it the least recently touched.
-//! * **Pending shards** (`jobs > 1`) probe the frozen store read-only and
-//!   park misses in lock-striped pending shards under the *discovery
-//!   key* `(source, edge seq)` of the edge that found them. Levels of at
-//!   least `max(jobs, 2) × 48` states are split over scoped threads;
-//!   smaller ones run inline. At the level barrier the novel states are
-//!   spliced into the store, pending targets are rewritten, the rows are
-//!   appended, and the store evicts. The barrier is this sink's only
-//!   eviction point.
+//! At `jobs = 1`, and in any level narrower than `jobs × 48` sources,
+//! each source is loaded, kept resident, expanded and committed in
+//! turn. The store evicts at every `&mut` point: after each load,
+//! inside each intern, and after each row, but never the segment of the
+//! source being expanded. Sources load in index order, so the next one
+//! most likely lives in that segment too, yet every probe since the
+//! load has made it the least recently touched.
 //!
-//! Every `jobs` × budget setting builds a bit-identical graph. The
-//! ascending discovery-key order in which the barrier commits a level's
-//! states (and the environments its actions mint) is exactly the order
-//! in which the direct sink interns them, so both number every state
-//! and environment alike; and paging only changes where rows live,
-//! never what they hold. Only the work differs: the shards probe the
-//! frozen store during the level and again for each novel state at the
-//! splice, so the two sinks report different store and pager counters.
+//! A wider level goes to scoped workers a batch of `jobs × 512` sources
+//! at a time. Each worker loads and expands a contiguous chunk of the
+//! batch from the frozen store, which it may fault segments into but
+//! never evict from, and the barrier commits the chunks in order. So
+//! the barrier interns exactly what the sequential build interns, in
+//! the same order: every state and environment gets its `jobs = 1`
+//! number, the first error in source order wins, and every `jobs` ×
+//! budget setting builds a bit-identical graph. Paging only changes
+//! where rows live, never what they hold. Only the pager's work
+//! differs: workers fault their sources in without evicting, and the
+//! store counters (probes, hits, misses) are the same at any job count.
 
 use crate::pager::{EdgeSegment, PagedEdges, PagerConfig, SegmentData, SpillError};
-use crate::store::{self, EnvRef, MarkingView, PendingShard, StateRef, StateStore};
-use crate::sync::Mutex;
+use crate::store::{MarkingView, StateRef, StateStore};
 use pnut_core::expr::compile::{self as bc, Clock};
 use pnut_core::{Env, Net, TransitionId};
 use pnut_obs as obs;
 use std::cell::OnceCell;
 use std::fmt;
-use std::ops::{DerefMut, Range};
+use std::ops::Range;
 
 /// Limits for graph construction.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -97,9 +94,10 @@ pub struct ReachOptions {
     pub max_states: usize,
     /// Worker threads for frontier exploration: `1` builds sequentially,
     /// `0` uses [`std::thread::available_parallelism`], anything else is
-    /// an explicit thread count. Every job count produces a bit-identical
-    /// graph (see [`crate::store`] for how the level barrier guarantees
-    /// it), so this is purely a throughput knob.
+    /// an explicit thread count. Workers only expand the sources of wide
+    /// levels; the level barrier interns their successors in source
+    /// order, as the sequential build does, so every job count produces
+    /// a bit-identical graph and this is purely a throughput knob.
     pub jobs: usize,
     /// Resident byte budget for the state arenas; cold level segments
     /// beyond it spill to a temp file and are reloaded on demand (see
@@ -661,6 +659,62 @@ impl Scratch {
     }
 }
 
+/// One successor in a [`Row`]: the edge label, the state, and the
+/// environment the firing's action left, if it ran one.
+struct Successor {
+    label: EdgeLabel,
+    state: StateBuf,
+    /// The post-action environment; meaningful only when `acted`.
+    env: bc::EnvSlots,
+    acted: bool,
+}
+
+/// One source's successors in edge order, as [`Rule::expand`] leaves
+/// them for [`ReachabilityGraph::commit`]. Entries past `len` are spare
+/// buffers: [`Self::push`] swaps the kernel's scratch successor with
+/// one instead of copying it, so a row reused from source to source
+/// stops allocating once it has grown.
+#[derive(Default)]
+struct Row {
+    /// The source's environment id, which successors without an action
+    /// keep.
+    env: u32,
+    succs: Vec<Successor>,
+    len: usize,
+}
+
+impl Row {
+    fn clear(&mut self) {
+        self.len = 0;
+    }
+
+    /// Move the scratch successor `sc.next` (and, when `acted`, its
+    /// environment `sc.next_slots`) into the row, leaving spare buffers
+    /// in their place.
+    fn push(&mut self, label: EdgeLabel, sc: &mut Scratch, acted: bool) {
+        if self.len == self.succs.len() {
+            self.succs.push(Successor {
+                label,
+                state: StateBuf::default(),
+                env: bc::EnvSlots::default(),
+                acted,
+            });
+        }
+        let s = &mut self.succs[self.len];
+        s.label = label;
+        s.acted = acted;
+        std::mem::swap(&mut s.state, &mut sc.next);
+        if acted {
+            std::mem::swap(&mut s.env, &mut sc.next_slots);
+        }
+        self.len += 1;
+    }
+
+    fn successors(&self) -> &[Successor] {
+        &self.succs[..self.len]
+    }
+}
+
 /// The scheduler of one net's firing rule, shared read-only by every
 /// worker. The rule itself is `pnut-core`'s lowered
 /// [`bc::CompiledTransition`], which the simulator runs too.
@@ -749,21 +803,14 @@ impl<'n> Rule<'n> {
         self.refresh_clocks(sc, false, None, 0)
     }
 
-    /// The kernel: expand state `src` into its successor `row`,
-    /// interning every successor through `sink`. On error, `row` holds
-    /// the edges before the one that failed, so `row.len()` is that
-    /// edge's sequence number.
-    fn expand<S: Sink>(
-        &self,
-        sc: &mut Scratch,
-        sink: &mut S,
-        src: usize,
-        row: &mut Vec<(EdgeLabel, S::Target)>,
-    ) -> Result<(), ReachError> {
+    /// The kernel: expand the source loaded into `sc`, whose environment
+    /// id is `env`, into its successor `row`. It reads no store, so
+    /// workers run it side by side. On error, `row` holds the
+    /// successors before the edge that failed.
+    fn expand(&self, sc: &mut Scratch, env: u32, row: &mut Row) -> Result<(), ReachError> {
         row.clear();
+        row.env = env;
         let map = &self.programs.map;
-        let env_id = sc.load(sink.store(), src)?;
-        sink.loaded(src)?;
         let mut can_start = false;
         for (i, ct) in self.programs.transitions.iter().enumerate() {
             let id = TransitionId::new(i);
@@ -780,21 +827,16 @@ impl<'n> Rule<'n> {
                 continue;
             }
             can_start = true;
-            let key = discovery_key(src, row.len());
             // The action runs before the firing delay is resolved, as in
             // the simulator, so table-driven models compute their own
             // firing times (paper §3).
-            let env = match &ct.action {
-                None => S::EnvId::from(env_id),
-                Some(action) => {
-                    sc.next_slots.copy_from(&sc.cur_slots);
-                    action
-                        .apply_pure(&mut sc.next_slots, map, &mut sc.vm)
-                        .map_err(|e| self.eval_err(id, e))?;
-                    sink.intern_env(&sc.next_slots, key)?
-                }
-            };
             let acted = ct.action.is_some();
+            if let Some(action) = &ct.action {
+                sc.next_slots.copy_from(&sc.cur_slots);
+                action
+                    .apply_pure(&mut sc.next_slots, map, &mut sc.vm)
+                    .map_err(|e| self.eval_err(id, e))?;
+            }
             let ft = if self.timed {
                 let slots = if acted { &sc.next_slots } else { &sc.cur_slots };
                 ct.firing
@@ -814,7 +856,7 @@ impl<'n> Rule<'n> {
                 sc.next.in_flight.sort_unstable();
             }
             self.refresh_clocks(sc, acted, Some(id), 0)?;
-            row.push((EdgeLabel::Fire(id), sink.intern_state(&sc.next, env, key)?));
+            row.push(EdgeLabel::Fire(id), sc, acted);
         }
 
         // Maximal-progress time advance: only when nothing can start and
@@ -829,7 +871,6 @@ impl<'n> Rule<'n> {
             return Ok(());
         };
         debug_assert!(dt > 0, "zero advance would loop forever");
-        let key = discovery_key(src, row.len());
         sc.begin_next();
         sc.next.in_flight.clear();
         for &(tid, r) in &sc.cur.in_flight {
@@ -842,313 +883,167 @@ impl<'n> Rule<'n> {
         }
         sc.next.in_flight.sort_unstable();
         self.refresh_clocks(sc, false, None, dt)?;
-        let target = sink.intern_state(&sc.next, S::EnvId::from(env_id), key)?;
-        row.push((EdgeLabel::Advance(dt), target));
+        row.push(EdgeLabel::Advance(dt), sc, false);
         Ok(())
     }
 }
 
-// ---------------------------------------------------------------------------
-// Intern sinks
-// ---------------------------------------------------------------------------
-
-/// Where the kernel interns the successors it builds (see the module
-/// docs for the two implementations and their eviction points).
-trait Sink {
-    /// How a successor names its environment.
-    type EnvId: Copy + From<u32>;
-    /// How an edge names its target state.
-    type Target;
-    /// The committed store source states are loaded from.
-    fn store(&self) -> &StateStore;
-    /// Called after source state `src` is loaded.
-    fn loaded(&mut self, src: usize) -> Result<(), ReachError>;
-    /// Intern a post-action environment slot row found by the edge
-    /// with discovery `key`.
-    fn intern_env(&mut self, env: &bc::EnvSlots, key: u64) -> Result<Self::EnvId, ReachError>;
-    /// Intern the successor `next` found by the edge with discovery
-    /// `key`.
-    fn intern_state(
+impl ReachabilityGraph {
+    /// Intern `row`'s successors in edge order, then append their edges
+    /// as the next source's row. `expanded` is how that source's
+    /// expansion ended: an intern error comes earlier in edge order
+    /// than an expansion error that cut the row short, so it wins, and
+    /// a row cut short is never appended. `edges` is scratch space.
+    fn commit(
         &mut self,
-        next: &StateBuf,
-        env: Self::EnvId,
-        key: u64,
-    ) -> Result<Self::Target, ReachError>;
-}
-
-/// The `jobs = 1` sink: interns straight into the committed store.
-struct Direct<'s> {
-    store: &'s mut StateStore,
-    /// Checked before every append, so a [`ReachError::StateLimit`]
-    /// leaves the store with exactly `max_states` states.
-    max_states: usize,
-}
-
-impl Sink for Direct<'_> {
-    type EnvId = u32;
-    type Target = u32;
-
-    fn store(&self) -> &StateStore {
-        self.store
-    }
-
-    /// Loading may fault the source's segment back in; evict right
-    /// away, so the resident envelope stays at most one segment above
-    /// the budget between interns. The source's segment is kept
-    /// resident through this and every later eviction until the next
-    /// load: the next source is most likely in it.
-    fn loaded(&mut self, src: usize) -> Result<(), ReachError> {
-        self.store.keep_resident(Some(src));
-        self.store.maintain()
-    }
-
-    fn intern_env(&mut self, env: &bc::EnvSlots, _key: u64) -> Result<u32, ReachError> {
-        self.store.intern_env(env)
-    }
-
-    fn intern_state(&mut self, next: &StateBuf, env: u32, _key: u64) -> Result<u32, ReachError> {
-        let (target, _) = self.store.intern_bounded(
-            &next.marking,
-            next.hash,
-            env,
-            &next.in_flight,
-            &next.enabling,
-            self.max_states,
-        )?;
-        Ok(target as u32)
-    }
-}
-
-/// The discovery key of the `seq`-th edge out of state `src`: the
-/// position of that edge in the direct sink's traversal order. Pending
-/// states and environments are committed in ascending key order at the
-/// level barrier.
-fn discovery_key(src: usize, seq: usize) -> u64 {
-    ((src as u64) << 32) | seq as u64
-}
-
-/// An edge target during a sharded level: either a state the committed
-/// store already holds, or a packed pending id into the level's shards
-/// (rewritten to a dense index at the barrier).
-#[derive(Debug, Clone, Copy)]
-enum RawTarget {
-    Committed(u32),
-    Pending(u32),
-}
-
-/// The `jobs > 1` sink: probes the frozen committed store read-only and
-/// parks misses in the level's lock-striped pending shards.
-#[derive(Clone, Copy)]
-struct Pending<'a> {
-    store: &'a StateStore,
-    shards: &'a [Mutex<PendingShard>],
-}
-
-impl<'a> Pending<'a> {
-    /// Lock the shard selected by the top bits of `hash`.
-    fn shard(&self, hash: u64) -> impl DerefMut<Target = PendingShard> + 'a {
-        let shards = self.shards;
-        shards[store::shard_index(hash, shards.len())]
-            .lock()
-            .expect("pending shard lock")
-    }
-}
-
-impl Sink for Pending<'_> {
-    type EnvId = EnvRef;
-    type Target = RawTarget;
-
-    fn store(&self) -> &StateStore {
-        self.store
-    }
-
-    fn loaded(&mut self, _src: usize) -> Result<(), ReachError> {
-        Ok(())
-    }
-
-    fn intern_env(&mut self, env: &bc::EnvSlots, key: u64) -> Result<EnvRef, ReachError> {
-        let hash = store::fx_hash_of(env);
-        if let Some(id) = self.store.find_env_hashed(env, hash) {
-            return Ok(EnvRef::Committed(id));
-        }
-        self.shard(hash)
-            .intern_env(env, hash, key)
-            .map(EnvRef::Pending)
-    }
-
-    fn intern_state(
-        &mut self,
-        next: &StateBuf,
-        env: EnvRef,
-        key: u64,
-    ) -> Result<RawTarget, ReachError> {
-        if let EnvRef::Committed(e) = env {
-            if let Some(i) = self.store.find_state_hashed(
-                &next.marking,
-                next.hash,
-                e,
-                &next.in_flight,
-                &next.enabling,
-            )? {
-                return Ok(RawTarget::Committed(i));
-            }
-        }
-        let hash = store::pending_state_hash(next.hash, env, &next.in_flight, &next.enabling);
-        self.shard(hash)
-            .intern_state(
-                &next.marking,
-                next.hash,
-                hash,
+        row: &Row,
+        expanded: Result<(), ReachError>,
+        max_states: usize,
+        edges: &mut Vec<Edge>,
+    ) -> Result<(), ReachError> {
+        edges.clear();
+        for s in row.successors() {
+            let env = if s.acted {
+                self.store.intern_env(&s.env)?
+            } else {
+                row.env
+            };
+            let (target, _) = self.store.intern_bounded(
+                &s.state.marking,
+                s.state.hash,
                 env,
-                &next.in_flight,
-                &next.enabling,
-                key,
-            )
-            .map(RawTarget::Pending)
+                &s.state.in_flight,
+                &s.state.enabling,
+                max_states,
+            )?;
+            edges.push((s.label, target as u32));
+        }
+        expanded?;
+        // The edge arena evicts itself back under budget as its
+        // segments seal.
+        self.edges.push_row(edges)
     }
 }
 
-/// Split `level` into at most `jobs` contiguous chunks of near-equal
+// ---------------------------------------------------------------------------
+// Workers
+// ---------------------------------------------------------------------------
+
+/// Don't spawn threads for frontiers too small to amortize the spawn
+/// cost; such a level is expanded and committed source by source, as at
+/// `jobs = 1`.
+const SPAWN_THRESHOLD_PER_JOB: usize = 48;
+
+/// Sources each worker expands per batch of a wide level. The batch
+/// bounds the rows held between two barriers; fewer sources per batch
+/// spend more of the level spawning and joining threads.
+const BATCH_PER_JOB: usize = 512;
+
+/// Split `batch` into at most `jobs` contiguous chunks of near-equal
 /// size, in frontier order.
-fn split_chunks(level: Range<usize>, jobs: usize) -> Vec<Range<usize>> {
-    let n = level.len();
+fn split_chunks(batch: Range<usize>, jobs: usize) -> Vec<Range<usize>> {
+    let n = batch.len();
     let per = n.div_ceil(jobs);
     (0..jobs)
         .map(|w| {
-            let start = level.start + (w * per).min(n);
-            let end = level.start + ((w + 1) * per).min(n);
+            let start = batch.start + (w * per).min(n);
+            let end = batch.start + ((w + 1) * per).min(n);
             start..end
         })
         .filter(|r| !r.is_empty())
         .collect()
 }
 
-/// Don't spawn threads for frontiers too small to amortize the spawn
-/// cost; the level is explored inline instead (same code path, one
-/// chunk), which keeps shallow prefixes and tails cheap.
-const SPAWN_THRESHOLD_PER_JOB: usize = 48;
-
-/// The pending shards of the `jobs > 1` sink, reused level to level.
-struct Shards {
-    shards: Vec<Mutex<PendingShard>>,
-    jobs: usize,
+/// One scoped worker's state, reused from batch to batch so a wide
+/// level allocates nothing once its rows have grown.
+#[derive(Default)]
+struct Worker {
+    sc: Scratch,
+    rows: Vec<Row>,
+    /// Rows expanded in the current batch. When `err` is set, the last
+    /// of them is the row its source's expansion cut short (empty if
+    /// the source failed to load).
+    len: usize,
+    /// The first error of the worker's chunk, which stops it.
+    err: Option<ReachError>,
 }
 
-impl Shards {
-    fn new(jobs: usize, places: usize) -> Self {
-        let count = (jobs * 4).next_power_of_two().min(64);
-        Shards {
-            shards: (0..count)
-                .map(|s| Mutex::new(PendingShard::new(s, places)))
-                .collect(),
-            jobs,
+impl Worker {
+    /// Load and expand each source of `chunk` from the frozen `store`,
+    /// in order, until one fails.
+    fn expand(&mut self, rule: &Rule<'_>, store: &StateStore, chunk: Range<usize>) {
+        self.len = 0;
+        self.err = None;
+        for src in chunk {
+            if self.len == self.rows.len() {
+                self.rows.push(Row::default());
+            }
+            let row = &mut self.rows[self.len];
+            row.clear();
+            self.len += 1;
+            let sc = &mut self.sc;
+            if let Err(e) = sc
+                .load(store, src)
+                .and_then(|env| rule.expand(sc, env, row))
+            {
+                self.err = Some(e);
+                return;
+            }
         }
     }
 
-    /// Expand `level` into the pending shards, then commit it at the
-    /// barrier: splice the novel states, rewrite pending targets, append
-    /// the rows, evict.
-    fn expand_level(
+    /// Commit the rows of the current batch in source order; the
+    /// worker's error, if any, ends its last row.
+    fn commit(
         &mut self,
-        rule: &Rule<'_>,
         g: &mut ReachabilityGraph,
-        level: Range<usize>,
         max_states: usize,
+        edges: &mut Vec<Edge>,
     ) -> Result<(), ReachError> {
-        let sink = Pending {
-            store: &g.store,
-            shards: &self.shards,
+        let Some((last, rows)) = self.rows[..self.len].split_last() else {
+            return Ok(());
         };
-        let chunk = |range: Range<usize>| {
-            let (mut sc, mut sink) = (Scratch::default(), sink);
-            range
-                .map(|src| {
-                    let mut row = Vec::new();
-                    rule.expand(&mut sc, &mut sink, src, &mut row)
-                        .map_err(|e| (discovery_key(src, row.len()), e))?;
-                    Ok(row)
-                })
-                .collect::<Result<Vec<_>, (u64, ReachError)>>()
-        };
-        let results: Vec<_> = if level.len() < self.jobs.max(2) * SPAWN_THRESHOLD_PER_JOB {
-            vec![chunk(level)]
-        } else {
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = split_chunks(level, self.jobs)
-                    .into_iter()
-                    .map(|range| scope.spawn(move || chunk(range)))
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("worker thread panicked"))
-                    .collect()
-            })
-        };
-
-        // Barrier. Everything below is single-threaded and ordered by
-        // discovery key, so it is deterministic regardless of how the
-        // workers interleaved.
-        let mut chunks = Vec::with_capacity(results.len());
-        let mut first_err: Option<(u64, ReachError)> = None;
-        for result in results {
-            match result {
-                Ok(rows) => chunks.push(rows),
-                Err((key, e)) => {
-                    if first_err.as_ref().is_none_or(|&(first, _)| key < first) {
-                        first_err = Some((key, e));
-                    }
-                }
-            }
+        for row in rows {
+            g.commit(row, Ok(()), max_states, edges)?;
         }
-        let mut shard_refs: Vec<&mut PendingShard> = self
-            .shards
-            .iter_mut()
-            .map(|m| m.get_mut().expect("shard lock"))
-            .collect();
-        let novel = store::collect_novel_states(&shard_refs);
-        let base = g.store.len();
-        if !novel.is_empty() && base + novel.len() > max_states {
-            // The direct sink errors at the first novel state that does
-            // not fit — and never errors without an intern attempt,
-            // hence the emptiness guard (a deadlocked initial state
-            // builds fine even with `max_states` 0). Report StateLimit
-            // only if that key precedes the earliest worker error.
-            // (`saturating_sub` covers the degenerate `max_states <
-            // base` case — only reachable with a cap below the
-            // always-admitted initial state — where the first novel
-            // state is already over the cap.)
-            let limit_key = novel[max_states.saturating_sub(base)].0;
-            if first_err.as_ref().is_none_or(|&(key, _)| limit_key < key) {
-                return Err(ReachError::StateLimit { limit: max_states });
-            }
-        }
-        if let Some((_, e)) = first_err {
-            return Err(e);
-        }
-        let state_map = g.store.splice_level(&mut shard_refs, &novel)?;
-
-        // Append this level's CSR rows in source order (worker chunks
-        // are contiguous and ordered), rewriting pending targets to
-        // their dense indices.
-        let mut rewritten: Vec<Edge> = Vec::new();
-        for row in chunks.into_iter().flatten() {
-            rewritten.clear();
-            rewritten.extend(row.into_iter().map(|(label, target)| {
-                let target = match target {
-                    RawTarget::Committed(i) => i,
-                    RawTarget::Pending(p) => {
-                        state_map[store::pending_shard(p)][store::pending_local(p)]
-                    }
-                };
-                (label, target)
-            }));
-            g.edges.push_row(&rewritten)?;
-        }
-        // Workers may have faulted cold state segments in (read-only
-        // loads cannot evict); squeeze back under budget before the
-        // next level.
-        g.store.maintain()
+        g.commit(last, self.err.take().map_or(Ok(()), Err), max_states, edges)
     }
+}
+
+/// Expand a wide `level` a batch of `jobs × BATCH_PER_JOB` sources at
+/// a time: the workers expand contiguous chunks of the batch side by
+/// side, loading sources from the frozen store, and the barrier then
+/// commits the chunks in order, so every state and environment gets
+/// its `jobs = 1` number and the first error in source order wins.
+fn expand_wide(
+    rule: &Rule<'_>,
+    g: &mut ReachabilityGraph,
+    workers: &mut [Worker],
+    level: Range<usize>,
+    max_states: usize,
+    edges: &mut Vec<Edge>,
+) -> Result<(), ReachError> {
+    let jobs = workers.len();
+    let size = jobs * BATCH_PER_JOB;
+    for start in level.clone().step_by(size) {
+        let chunks = split_chunks(start..(start + size).min(level.end), jobs);
+        let active = &mut workers[..chunks.len()];
+        let store = &g.store;
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = active
+                .iter_mut()
+                .zip(chunks)
+                .map(|(w, chunk)| scope.spawn(move || w.expand(rule, store, chunk)))
+                .collect();
+            for h in handles {
+                h.join().expect("worker thread panicked");
+            }
+        });
+        for w in active {
+            w.commit(g, max_states, edges)?;
+        }
+    }
+    Ok(())
 }
 
 // ---------------------------------------------------------------------------
@@ -1174,8 +1069,8 @@ fn note_level(store: &StateStore, level: u64, width: usize, budget: usize) {
     });
 }
 
-/// Build the graph breadth-first, one level at a time, through the
-/// sink that `options.jobs` picks (see the module docs).
+/// Build the graph breadth-first, one level at a time (see the module
+/// docs).
 fn explore(
     net: &Net,
     options: &ReachOptions,
@@ -1207,25 +1102,34 @@ fn explore(
     let map = rule.programs.map.clone();
     let mut g = ReachabilityGraph { store, edges, map };
     let jobs = options.effective_jobs();
-    let mut shards = (jobs > 1).then(|| Shards::new(jobs, places));
-    let mut row = Vec::new();
+    let mut workers = Vec::new();
+    let (mut row, mut edges) = (Row::default(), Vec::new());
     let (mut level, mut levels) = (0..1, 0u64);
     while !level.is_empty() {
-        match &mut shards {
-            None => {
-                let mut sink = Direct {
-                    store: &mut g.store,
-                    max_states: options.max_states,
-                };
-                for src in level.clone() {
-                    rule.expand(&mut sc, &mut sink, src, &mut row)?;
-                    // The edge arena evicts itself back under budget as
-                    // its segments seal.
-                    g.edges.push_row(&row)?;
-                }
-            }
-            Some(shards) => {
-                shards.expand_level(&rule, &mut g, level.clone(), options.max_states)?
+        if jobs > 1 && level.len() >= jobs * SPAWN_THRESHOLD_PER_JOB {
+            workers.resize_with(jobs, Worker::default);
+            expand_wide(
+                &rule,
+                &mut g,
+                &mut workers,
+                level.clone(),
+                options.max_states,
+                &mut edges,
+            )?;
+        } else {
+            for src in level.clone() {
+                let env = sc.load(&g.store, src)?;
+                // Loading may fault the source's segment back in; evict
+                // right away, so the resident envelope stays at most one
+                // segment above the budget between interns. The source's
+                // segment is kept resident through this and every later
+                // eviction until the next load: the next source is most
+                // likely in it, yet every probe since the load has made
+                // it the least recently touched.
+                g.store.keep_resident(Some(src));
+                g.store.maintain()?;
+                let expanded = rule.expand(&mut sc, env, &mut row);
+                g.commit(&row, expanded, options.max_states, &mut edges)?;
             }
         }
         levels += 1;
@@ -1235,8 +1139,8 @@ fn explore(
     debug_assert_eq!(g.edges.row_count(), g.store.len(), "one edge row per state");
     // Final squeeze back under budget (a no-op unless the last appends
     // left the arenas over); also the "seal" phase boundary for the
-    // span hierarchy. The direct sink's kept segment is released first,
-    // so the analyses evict freely.
+    // span hierarchy. The kept segment is released first, so the
+    // analyses evict freely.
     let _seal = obs::span("seal");
     g.store.keep_resident(None);
     g.store.maintain()?;
@@ -1811,7 +1715,8 @@ mod tests {
     /// A net whose levels are wide in *environments*: two independent
     /// bounded counters, so level `L` holds every `(a, b)` with
     /// `a + b = L` and each level mints several environments at once —
-    /// exactly the case the pending-env min-key ordering must get right.
+    /// exactly the case where environment ids must follow the
+    /// sequential intern order.
     fn env_grid() -> Net {
         let mut b = NetBuilder::new("grid");
         b.place("p", 1);

@@ -45,12 +45,13 @@
 //!   (`Result<_, ReachError>`): a spill reload that fails degrades the
 //!   one analysis that hit it, never the process.
 //! * **Parallel frontiers.** With [`ReachOptions::jobs`] > 1 (or 0 for
-//!   all cores), each BFS level is split across a scoped worker pool:
-//!   the committed store is probed lock-free, new states land in
-//!   lock-striped pending shards keyed by the top bits of their hash,
-//!   and a level barrier splices them into dense discovery order (see
-//!   [`store`] for the design). Wide frontiers scale across cores;
-//!   narrow ones are explored inline without spawning.
+//!   all cores), a wide BFS level is expanded by a scoped worker pool,
+//!   a bounded batch of sources at a time: workers load their sources
+//!   from the frozen store and compute successor rows without probing
+//!   it, and the barrier interns the rows in source order, exactly as
+//!   the sequential build does (see [`graph`] for the design). Narrow
+//!   levels are expanded and interned source by source without
+//!   spawning.
 //! * **Disk-backed paging.** With [`ReachOptions::mem_budget`] set,
 //!   cold level segments of the state *and edge* arenas spill to a
 //!   temp file behind an LRU cache and fault back in on demand (see
@@ -93,7 +94,7 @@
 //! ```
 
 // The pager/store module docs deliberately narrate internal machinery
-// (segments, shards, spill files) with doc links so the story stays
+// (segments, workers, spill files) with doc links so the story stays
 // anchored to the code; those items are private on purpose.
 #![allow(rustdoc::private_intra_doc_links)]
 

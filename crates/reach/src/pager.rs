@@ -63,9 +63,10 @@
 //!
 //! # Concurrency and why faulting under `&self` is sound
 //!
-//! The parallel builder freezes the committed store during a level and
-//! probes it from many workers through `&self`. A probe that lands in a
-//! spilled segment must *fault it back in* without `&mut`:
+//! The parallel builder freezes the committed store during each batch
+//! of a wide level, and its workers load their sources from it through
+//! `&self`. A load that lands in a spilled segment must *fault it back
+//! in* without `&mut`:
 //!
 //! * each segment slot holds an [`AtomicPtr`] to its heap data; a fault
 //!   takes the arena's fault lock, re-checks, reads the image, and
@@ -88,10 +89,11 @@
 //! self-hosted with this repo's own reachability + CTL engine.
 //!
 //! The cost of that bargain: the resident set can only shrink at `&mut`
-//! points ([`Paged::maintain`] — called after every append, at every
-//! parallel level barrier, and between segments of an analysis sweep),
-//! so within one parallel level the resident set may transiently exceed
-//! the budget by the segments the level faults in. Sequentially the
+//! points ([`Paged::maintain`] — called after every load, intern and
+//! append of the build, and between segments of an analysis sweep), so
+//! within one batch of a wide level the resident set may transiently
+//! exceed the budget by the segments its workers fault in, until the
+//! barrier's interns evict them. Sequentially the
 //! envelope is tight: at most one faulted segment pair (states + edges)
 //! above budget at any instant (asserted by the golden tests and the
 //! `tests/paged_analysis.rs` harness). It holds while the sequential
@@ -124,8 +126,7 @@ use std::sync::Arc;
 /// A spill-file I/O failure: which operation failed, on which arena
 /// segment, against which spill file, and the underlying [`io::Error`].
 /// Wrapped in [`ReachError::Spill`]; the `Arc`s keep `ReachError`
-/// cheaply clonable (the parallel barrier clones the earliest worker
-/// error).
+/// cheaply clonable.
 #[derive(Debug, Clone)]
 pub struct SpillError {
     /// The file operation that failed (`"create"`, `"write"`, `"read"`).
@@ -1257,7 +1258,7 @@ impl<S: SegmentContent> Paged<S> {
     /// the budget (the tail and the kept segment, see [`Self::keep`],
     /// are never evicted; segments of sibling arenas are their own
     /// `maintain`'s job). Call sites are the `&mut` points: after
-    /// every append, at every parallel level barrier, and between
+    /// every load, intern and append of the build, and between
     /// segments of an analysis sweep.
     pub(crate) fn maintain(&mut self) -> Result<(), ReachError> {
         self.shared.clock.fetch_add(1, Ordering::Relaxed);
@@ -1273,7 +1274,7 @@ impl<S: SegmentContent> Paged<S> {
     /// Keep the segment holding row `row` resident through every
     /// [`Self::maintain`] until the next call; `None` releases it. The
     /// sequential build keeps the segment it expands from (see the
-    /// direct sink in [`crate::graph`] for why).
+    /// module docs of [`crate::graph`] for why).
     pub(crate) fn keep(&mut self, row: Option<usize>) {
         self.kept = row.map(|i| self.seg_of(i).0);
     }

@@ -54,32 +54,18 @@
 //! owned-key layout this replaced stored every state twice, before
 //! counting its per-state heap headers.
 //!
-//! # Parallel levels: sharding and the barrier splice
+//! # Parallel levels: expand side by side, intern in order
 //!
 //! The explorer in [`crate::graph`] runs breadth-first one *level* at a
-//! time. At `jobs > 1` its pending-shard sink keeps the committed store
-//! above frozen for the whole level (shared read-only — probes are
-//! plain `&self` loads, no atomics) while a scoped worker pool scans
-//! disjoint chunks of the frontier (levels too narrow to split run
-//! inline). Successors that miss the committed table land in a ring of
-//! [`PendingShard`]s — the same open-addressing scheme, lock-striped,
-//! with a shard picked by the **top bits** of the precomputed FxHash
-//! (the low bits index buckets *within* a table, so top-bit sharding
-//! keeps both selections independent). Each shard owns its own marking/in-flight/environment
-//! segment; the inserting worker copies the state in under the shard
-//! lock so other workers can probe it for duplicates immediately.
-//!
-//! Wall-clock insertion order under contention is racy, so dense state
-//! numbering is deferred to the **level barrier**: every reference to a
-//! pending state carries the discovery key `(source index, edge seq)`
-//! of the edge that produced it, shards min-reduce that key per entry,
-//! and [`StateStore::splice_level`] commits the level's novel states in
-//! ascending key order — exactly the order the `jobs = 1` direct sink,
-//! which interns every successor straight into this store, first interns
-//! them. Environments created by transition actions get the identical
-//! treatment (pending env sub-tables, min-key, committed at the barrier
-//! before the states that reference them). The result is a graph
-//! **bit-identical** to the `jobs = 1` build at any worker count.
+//! time, and only ever interns through [`StateStore::intern_env`] and
+//! [`StateStore::intern_bounded`], one source's successors after the
+//! other, in edge order. At `jobs > 1` a wide level is split into
+//! batches: scoped workers load their sources from this store, frozen
+//! and shared read-only, and expand them into rows without probing it;
+//! the barrier then interns the rows in source order. So every state
+//! and environment gets the number the `jobs = 1` build gives it, and
+//! the graph is **bit-identical** at any worker count, with no second
+//! table to reconcile.
 //!
 //! # Paging: how the arenas scale past RAM
 //!
@@ -98,14 +84,15 @@
 //! 3. **spill file** — write-once images of sealed segments.
 //!
 //! Read accessors fault evicted segments back in transparently — even
-//! under `&self`, which is what keeps the frozen-store parallel probes
-//! of the level builder working (see [`crate::pager`] for the
+//! under `&self`, which is what lets the workers of a wide level load
+//! their sources from the frozen store (see [`crate::pager`] for the
 //! load-only-under-`&self` safety argument). Eviction happens at `&mut`
-//! points: at `jobs = 1` after every state load, intern and edge row,
-//! so the resident set tracks the budget with at most one faulted
-//! segment of slack, and the segment of the state being expanded is
-//! kept resident throughout ([`StateStore::keep_resident`]); at
-//! `jobs > 1` only at the level barrier.
+//! points: after every state load of a narrow level, and inside every
+//! intern and after every edge row at any width, so the resident set
+//! tracks the budget with at most one faulted segment of slack, and the
+//! segment of the state being expanded is kept resident throughout
+//! ([`StateStore::keep_resident`]). A wide level's workers cannot
+//! evict; the segments their loads fault in go at the barrier.
 //! Environment slot rows are deduplicated and stay resident.
 //!
 //! The paged store is **bit-identical** to the unbounded in-memory
@@ -687,7 +674,8 @@ impl StateStore {
     /// the store exactly as it was (the seed construction interned
     /// first and checked after, leaving `max_states + 1` states behind).
     /// The same holds under paging: the only fallible step after the
-    /// append is budget eviction, which never loses appended data.
+    /// append is budget eviction, which never loses appended data, and
+    /// the new state is in the intern table before it runs.
     pub(crate) fn intern_bounded(
         &mut self,
         marking: &[u32],
@@ -719,9 +707,12 @@ impl StateStore {
         for (b, &t) in self.bounds.iter_mut().zip(marking) {
             *b = (*b).max(t);
         }
-        self.states.append(marking, env_id, in_flight, enabling)?;
+        // Table first: the append records the row before its eviction
+        // can fail, so a failed spill write must still leave the state
+        // findable, or interning it again would append a duplicate.
         self.state_table.insert(hash, idx);
         obs::metrics::STORE_MISSES.inc();
+        self.states.append(marking, env_id, in_flight, enabling)?;
         Ok((idx as usize, true))
     }
 
@@ -762,26 +753,6 @@ impl StateStore {
         }
     }
 
-    /// Look up an interned state without interning it (read-only; safe
-    /// to call concurrently from the parallel builder's workers while
-    /// the store is frozen between level barriers — including the
-    /// segment faults a probe may trigger, see [`crate::pager`]).
-    ///
-    /// # Errors
-    ///
-    /// [`ReachError::Spill`] if a probed segment fails to reload.
-    pub(crate) fn find_state_hashed(
-        &self,
-        marking: &[u32],
-        marking_hash: u64,
-        env_id: u32,
-        in_flight: &[(TransitionId, u64)],
-        enabling: &[(TransitionId, u64)],
-    ) -> Result<Option<u32>, ReachError> {
-        let hash = Self::hash_state(marking_hash, env_id, in_flight, enabling);
-        self.probe_state(hash, marking, env_id, in_flight, enabling)
-    }
-
     /// Intern an environment slot row (all rows of a store share one
     /// `SlotMap`); clones it only the first time it is seen.
     ///
@@ -805,14 +776,6 @@ impl StateStore {
         Ok(id)
     }
 
-    /// Look up an interned environment by content without interning it
-    /// (read-only companion of [`Self::intern_env`], with the content
-    /// hash precomputed).
-    pub(crate) fn find_env_hashed(&self, env: &EnvSlots, hash: u64) -> Option<u32> {
-        self.env_table
-            .find(hash, |idx| &self.envs[idx as usize] == env)
-    }
-
     /// Approximate heap footprint of the store in bytes (resident
     /// arenas, tables and environment slot rows; spilled segments
     /// excluded — see [`Self::spilled_bytes`]).
@@ -820,330 +783,6 @@ impl StateStore {
         let envs = self.envs.capacity() * std::mem::size_of::<EnvSlots>()
             + self.envs.iter().map(EnvSlots::heap_bytes).sum::<usize>();
         self.states.resident_bytes() + self.state_table.bytes() + self.env_table.bytes() + envs
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Parallel level shards
-// ---------------------------------------------------------------------------
-
-/// How a successor refers to its environment during a parallel level:
-/// either an id in the committed store, or a packed pending id in one of
-/// the level's shards (actions can mint environments the committed store
-/// has never seen).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum EnvRef {
-    /// An environment already interned in the committed store.
-    Committed(u32),
-    /// A packed `(shard, local)` id into the level's pending shards.
-    Pending(u32),
-}
-
-impl From<u32> for EnvRef {
-    fn from(id: u32) -> Self {
-        EnvRef::Committed(id)
-    }
-}
-
-/// Bits of a packed pending id reserved for the shard-local index; the
-/// remaining high bits carry the shard number.
-const PENDING_LOCAL_BITS: u32 = 26;
-const PENDING_LOCAL_MASK: u32 = (1 << PENDING_LOCAL_BITS) - 1;
-
-/// Pack a `(shard, local)` pending id; errors if the shard segment is
-/// (absurdly) full.
-fn pack_pending(shard: u32, local: usize) -> Result<u32, ReachError> {
-    if local >= (1usize << PENDING_LOCAL_BITS) {
-        return Err(ReachError::CapacityExceeded {
-            resource: "level shard segment (2^26 entries per shard)",
-        });
-    }
-    Ok((shard << PENDING_LOCAL_BITS) | local as u32)
-}
-
-/// The shard half of a packed pending id.
-pub(crate) fn pending_shard(id: u32) -> usize {
-    (id >> PENDING_LOCAL_BITS) as usize
-}
-
-/// The local-index half of a packed pending id.
-pub(crate) fn pending_local(id: u32) -> usize {
-    (id & PENDING_LOCAL_MASK) as usize
-}
-
-/// Which of `shards` (a power of two) a hash belongs to. Uses the
-/// **top** bits: bucket probing inside a table uses the folded low half,
-/// so shard selection stays independent of probe position.
-pub(crate) fn shard_index(hash: u64, shards: usize) -> usize {
-    debug_assert!(shards.is_power_of_two());
-    let bits = shards.trailing_zeros();
-    if bits == 0 {
-        0
-    } else {
-        (hash >> (64 - bits)) as usize
-    }
-}
-
-/// The pending-table hash of a state whose environment may itself be
-/// pending: the committed-table hash keys on the final env id, which a
-/// pending env does not have yet, so this variant mixes the env
-/// *reference* (tagged) instead. Only ever compared within one level's
-/// pending tables; the committed hash is recomputed at the barrier.
-pub(crate) fn pending_state_hash(
-    marking_hash: u64,
-    env_ref: EnvRef,
-    in_flight: &[(TransitionId, u64)],
-    enabling: &[(TransitionId, u64)],
-) -> u64 {
-    let (tag, id) = match env_ref {
-        EnvRef::Committed(e) => (0u64, e),
-        EnvRef::Pending(p) => (1u64, p),
-    };
-    let mut h = fx_mix(marking_hash, tag);
-    h = fx_mix(h, u64::from(id));
-    h = fx_mix(h, in_flight.len() as u64);
-    for &(t, r) in in_flight {
-        h = fx_mix(h, t.index() as u64);
-        h = fx_mix(h, r);
-    }
-    h = fx_mix(h, enabling.len() as u64);
-    for &(t, r) in enabling {
-        h = fx_mix(h, t.index() as u64);
-        h = fx_mix(h, r);
-    }
-    h
-}
-
-/// One lock stripe of the level-pending intern table: states (and
-/// environments) discovered during the current parallel level that are
-/// not in the committed store yet. Owns its own arena segments so any
-/// worker can probe entries other workers inserted; spliced into the
-/// committed store, in deterministic discovery-key order, at the level
-/// barrier (see the module docs).
-#[derive(Debug)]
-pub(crate) struct PendingShard {
-    shard: u32,
-    places: usize,
-    state_table: InternTable,
-    /// Min discovery key `(source << 32) | edge_seq` per pending state.
-    state_keys: Vec<u64>,
-    markings: Vec<u32>,
-    marking_hashes: Vec<u64>,
-    env_refs: Vec<EnvRef>,
-    inflight_offsets: Vec<u32>,
-    inflight: Vec<(TransitionId, u64)>,
-    enabling_offsets: Vec<u32>,
-    enabling: Vec<(TransitionId, u64)>,
-    env_table: InternTable,
-    /// Min discovery key per pending environment.
-    env_keys: Vec<u64>,
-    envs: Vec<EnvSlots>,
-}
-
-impl PendingShard {
-    /// An empty shard numbered `shard` for markings over `places`.
-    pub(crate) fn new(shard: usize, places: usize) -> Self {
-        PendingShard {
-            shard: shard as u32,
-            places,
-            state_table: InternTable::with_capacity(16),
-            state_keys: Vec::new(),
-            markings: Vec::new(),
-            marking_hashes: Vec::new(),
-            env_refs: Vec::new(),
-            inflight_offsets: vec![0],
-            inflight: Vec::new(),
-            enabling_offsets: vec![0],
-            enabling: Vec::new(),
-            env_table: InternTable::with_capacity(4),
-            env_keys: Vec::new(),
-            envs: Vec::new(),
-        }
-    }
-
-    fn state_count(&self) -> usize {
-        self.env_refs.len()
-    }
-
-    fn marking_slice(&self, i: usize) -> &[u32] {
-        &self.markings[i * self.places..(i + 1) * self.places]
-    }
-
-    fn inflight_slice(&self, i: usize) -> &[(TransitionId, u64)] {
-        &self.inflight[self.inflight_offsets[i] as usize..self.inflight_offsets[i + 1] as usize]
-    }
-
-    fn enabling_slice(&self, i: usize) -> &[(TransitionId, u64)] {
-        &self.enabling[self.enabling_offsets[i] as usize..self.enabling_offsets[i + 1] as usize]
-    }
-
-    /// Reset for the next level, keeping arena capacity.
-    fn clear(&mut self) {
-        self.state_table = InternTable::with_capacity(self.state_keys.len().max(16));
-        self.state_keys.clear();
-        self.markings.clear();
-        self.marking_hashes.clear();
-        self.env_refs.clear();
-        self.inflight_offsets.clear();
-        self.inflight_offsets.push(0);
-        self.inflight.clear();
-        self.enabling_offsets.clear();
-        self.enabling_offsets.push(0);
-        self.enabling.clear();
-        self.env_table = InternTable::with_capacity(self.env_keys.len().max(4));
-        self.env_keys.clear();
-        self.envs.clear();
-    }
-
-    /// Intern a pending environment under its content hash, min-reducing
-    /// the discovery key on a hit. Returns the packed pending id.
-    pub(crate) fn intern_env(
-        &mut self,
-        env: &EnvSlots,
-        hash: u64,
-        key: u64,
-    ) -> Result<u32, ReachError> {
-        if let Some(local) = self.env_table.find(hash, |i| &self.envs[i as usize] == env) {
-            let k = &mut self.env_keys[local as usize];
-            *k = (*k).min(key);
-            return pack_pending(self.shard, local as usize);
-        }
-        let local = self.envs.len();
-        let id = pack_pending(self.shard, local)?;
-        self.envs.push(env.clone());
-        self.env_keys.push(key);
-        self.env_table.insert(hash, local as u32);
-        Ok(id)
-    }
-
-    /// Intern a pending state under its [`pending_state_hash`],
-    /// min-reducing the discovery key on a hit. The inserting caller
-    /// copies the state into this shard's segments (under the shard
-    /// lock), so concurrent probes from other workers see it.
-    #[allow(clippy::too_many_arguments)] // mirrors the committed intern signature
-    pub(crate) fn intern_state(
-        &mut self,
-        marking: &[u32],
-        marking_hash: u64,
-        hash: u64,
-        env_ref: EnvRef,
-        in_flight: &[(TransitionId, u64)],
-        enabling: &[(TransitionId, u64)],
-        key: u64,
-    ) -> Result<u32, ReachError> {
-        debug_assert_eq!(marking.len(), self.places, "marking width mismatch");
-        let found = self.state_table.find(hash, |i| {
-            let i = i as usize;
-            self.env_refs[i] == env_ref
-                && self.marking_slice(i) == marking
-                && self.inflight_slice(i) == in_flight
-                && self.enabling_slice(i) == enabling
-        });
-        if let Some(local) = found {
-            let k = &mut self.state_keys[local as usize];
-            *k = (*k).min(key);
-            return pack_pending(self.shard, local as usize);
-        }
-        let local = self.state_count();
-        let id = pack_pending(self.shard, local)?;
-        let end = u32::try_from(self.inflight.len() + in_flight.len()).map_err(|_| {
-            ReachError::CapacityExceeded {
-                resource: "level in-flight segment (u32 offsets)",
-            }
-        })?;
-        let enabling_end = u32::try_from(self.enabling.len() + enabling.len()).map_err(|_| {
-            ReachError::CapacityExceeded {
-                resource: "level enabling segment (u32 offsets)",
-            }
-        })?;
-        self.markings.extend_from_slice(marking);
-        self.marking_hashes.push(marking_hash);
-        self.env_refs.push(env_ref);
-        self.inflight.extend_from_slice(in_flight);
-        self.inflight_offsets.push(end);
-        self.enabling.extend_from_slice(enabling);
-        self.enabling_offsets.push(enabling_end);
-        self.state_keys.push(key);
-        self.state_table.insert(hash, local as u32);
-        Ok(id)
-    }
-}
-
-/// All novel states of a level as sorted `(discovery key, packed id)`
-/// pairs — ascending key order **is** the order the `jobs = 1` build
-/// would first intern them.
-pub(crate) fn collect_novel_states(shards: &[&mut PendingShard]) -> Vec<(u64, u32)> {
-    let mut novel: Vec<(u64, u32)> = shards
-        .iter()
-        .flat_map(|sh| {
-            sh.state_keys
-                .iter()
-                .enumerate()
-                .map(|(local, &key)| (key, (sh.shard << PENDING_LOCAL_BITS) | local as u32))
-        })
-        .collect();
-    novel.sort_unstable();
-    novel
-}
-
-impl StateStore {
-    /// Commit one parallel level: intern the pending environments, then
-    /// the pending states (`novel`, already sorted by discovery key —
-    /// see [`collect_novel_states`]), into the committed arenas in
-    /// `jobs = 1` build order, and reset the shards for the next level.
-    ///
-    /// Returns the per-shard map from local pending index to final dense
-    /// state index, for edge-target rewriting.
-    pub(crate) fn splice_level(
-        &mut self,
-        shards: &mut [&mut PendingShard],
-        novel: &[(u64, u32)],
-    ) -> Result<Vec<Vec<u32>>, ReachError> {
-        for sh in shards.iter() {
-            if sh.state_count() > 0 {
-                obs::metrics::STORE_SPLICE_STATES.record(sh.state_count() as u64);
-            }
-        }
-        let mut env_order: Vec<(u64, u32)> = shards
-            .iter()
-            .flat_map(|sh| {
-                sh.env_keys
-                    .iter()
-                    .enumerate()
-                    .map(|(local, &key)| (key, (sh.shard << PENDING_LOCAL_BITS) | local as u32))
-            })
-            .collect();
-        env_order.sort_unstable();
-        let mut env_map: Vec<Vec<u32>> = shards.iter().map(|sh| vec![0; sh.envs.len()]).collect();
-        for &(_, packed) in &env_order {
-            let (s, l) = (pending_shard(packed), pending_local(packed));
-            let env = std::mem::take(&mut shards[s].envs[l]);
-            env_map[s][l] = self.intern_env(&env)?;
-        }
-        let mut state_map: Vec<Vec<u32>> =
-            shards.iter().map(|sh| vec![0; sh.state_count()]).collect();
-        for &(_, packed) in novel {
-            let (s, l) = (pending_shard(packed), pending_local(packed));
-            let sh = &*shards[s];
-            let env_id = match sh.env_refs[l] {
-                EnvRef::Committed(e) => e,
-                EnvRef::Pending(p) => env_map[pending_shard(p)][pending_local(p)],
-            };
-            let (idx, new) = self.intern_bounded(
-                sh.marking_slice(l),
-                sh.marking_hashes[l],
-                env_id,
-                sh.inflight_slice(l),
-                sh.enabling_slice(l),
-                usize::MAX,
-            )?;
-            debug_assert!(new, "pending state was already committed");
-            state_map[s][l] = idx as u32;
-        }
-        for sh in shards {
-            sh.clear();
-        }
-        Ok(state_map)
     }
 }
 
@@ -1288,10 +927,12 @@ mod tests {
             .unwrap_err();
         assert_eq!(err, ReachError::StateLimit { limit: 1 });
         assert_eq!(s.len(), 1, "failed intern must not grow the store");
-        assert!(s
-            .find_state_hashed(&[7], StateStore::marking_hash(&[7]), e, &[], &[])
-            .unwrap()
-            .is_none());
+        // The refused state was never interned: under a cap of 2 it is
+        // new, and takes the next index.
+        let (c, new) = s
+            .intern_bounded(&[7], StateStore::marking_hash(&[7]), e, &[], &[], 2)
+            .unwrap();
+        assert_eq!((c, new), (1, true));
     }
 
     #[test]
@@ -1405,164 +1046,5 @@ mod tests {
                 .unwrap();
         }
         assert_eq!(s, resident);
-    }
-
-    #[test]
-    fn shard_index_uses_top_bits() {
-        assert_eq!(shard_index(u64::MAX, 1), 0);
-        assert_eq!(shard_index(0, 16), 0);
-        assert_eq!(shard_index(u64::MAX, 16), 15);
-        assert_eq!(shard_index(1u64 << 63, 2), 1);
-    }
-
-    #[test]
-    fn splice_orders_novel_states_by_discovery_key() {
-        // Two shards, states inserted in "wrong" wall-clock order with
-        // min-reduced keys; the splice must commit them in key order and
-        // resolve pending environments first.
-        let mut store = StateStore::new(1);
-        let e0 = store.intern_env(&EnvSlots::new()).unwrap();
-        store.intern(&[0], e0, &[], &[]).unwrap(); // committed state 0
-        let mut sh0 = PendingShard::new(0, 1);
-        let mut sh1 = PendingShard::new(1, 1);
-
-        let env = x_is(9);
-        let eh = fx_hash_of(&env);
-        let pe = sh1.intern_env(&env, eh, 7).unwrap();
-        // The same env re-discovered earlier in sequential order.
-        let pe2 = sh1.intern_env(&env, eh, 3).unwrap();
-        assert_eq!(pe, pe2);
-
-        let mh = |m: &[u32]| StateStore::marking_hash(m);
-        // Discovered at key 5 in shard 0 with the pending env.
-        let er = EnvRef::Pending(pe);
-        let p_late = sh0
-            .intern_state(
-                &[2],
-                mh(&[2]),
-                pending_state_hash(mh(&[2]), er, &[], &[]),
-                er,
-                &[],
-                &[],
-                5,
-            )
-            .unwrap();
-        // Discovered at key 2 in shard 1 with the committed env.
-        let er0 = EnvRef::Committed(e0);
-        let p_early = sh1
-            .intern_state(
-                &[1],
-                mh(&[1]),
-                pending_state_hash(mh(&[1]), er0, &[], &[]),
-                er0,
-                &[],
-                &[],
-                2,
-            )
-            .unwrap();
-        // A duplicate reference with a *smaller* key min-reduces.
-        let p_again = sh0
-            .intern_state(
-                &[2],
-                mh(&[2]),
-                pending_state_hash(mh(&[2]), er, &[], &[]),
-                er,
-                &[],
-                &[],
-                4,
-            )
-            .unwrap();
-        assert_eq!(p_late, p_again);
-
-        let mut shards = [&mut sh0, &mut sh1];
-        let novel = collect_novel_states(&shards);
-        assert_eq!(novel.len(), 2);
-        assert!(novel[0].0 < novel[1].0, "sorted by discovery key");
-        let map = store.splice_level(&mut shards, &novel).unwrap();
-        // Key 2 (marking [1]) commits before key 4 (marking [2]).
-        assert_eq!(store.len(), 3);
-        assert_eq!(store.try_marking_slice(1).unwrap(), &[1]);
-        assert_eq!(store.try_marking_slice(2).unwrap(), &[2]);
-        assert_eq!(map[pending_shard(p_early)][pending_local(p_early)], 1);
-        assert_eq!(map[pending_shard(p_late)][pending_local(p_late)], 2);
-        // The pending env was committed and the state references it.
-        assert_eq!(store.env_count(), 2);
-        let env = store.env(store.try_env_id(2).unwrap());
-        assert_eq!(env.var(0), Some(Value::Int(9)));
-        // Shards are reset for the next level.
-        assert!(collect_novel_states(&shards).is_empty());
-    }
-}
-
-/// The parallel level-barrier protocol under the interleaving checker:
-/// workers race to intern into lock-striped pending shards, and the
-/// barrier splice must produce the same committed order on **every**
-/// schedule — the bit-identical-at-any-job-count guarantee, proved
-/// exhaustively at model scale instead of sampled by real threads.
-#[cfg(all(test, feature = "race-model"))]
-mod race_tests {
-    use super::*;
-    use crate::race::{self, Options};
-    use crate::sync::Mutex;
-
-    fn intern_pending(shards: &[Mutex<PendingShard>], env: u32, marking: &[u32], key: u64) {
-        let marking_hash = StateStore::marking_hash(marking);
-        let env_ref = EnvRef::Committed(env);
-        let hash = pending_state_hash(marking_hash, env_ref, &[], &[]);
-        let shard = shard_index(hash, shards.len());
-        let mut sh = shards[shard].lock().expect("pending shard lock");
-        sh.intern_state(marking, marking_hash, hash, env_ref, &[], &[], key)
-            .expect("pending intern");
-    }
-
-    #[test]
-    fn level_splice_is_deterministic_under_every_schedule() {
-        race::check(&Options::default(), || {
-            let mut store = StateStore::new(2);
-            let env = store.intern_env(&EnvSlots::new()).expect("env");
-            let (root, _) = store.intern(&[1, 0], env, &[], &[]).expect("root");
-            assert_eq!(root, 0);
-            let shards: Vec<Mutex<PendingShard>> = (0..2)
-                .map(|s| Mutex::new(PendingShard::new(s, 2)))
-                .collect();
-            race::scope(|s| {
-                s.spawn(|| {
-                    intern_pending(&shards, env, &[9, 0], 10);
-                    intern_pending(&shards, env, &[8, 0], 11);
-                });
-                s.spawn(|| {
-                    // Duplicates worker 0's [8, 0] with a *smaller*
-                    // discovery key: the min-reduction must win no
-                    // matter which worker inserted first.
-                    intern_pending(&shards, env, &[8, 0], 5);
-                    intern_pending(&shards, env, &[7, 0], 12);
-                });
-            });
-            let mut shards = shards;
-            let mut refs: Vec<&mut PendingShard> = shards
-                .iter_mut()
-                .map(|m| m.get_mut().expect("shard lock"))
-                .collect();
-            let novel = collect_novel_states(&refs);
-            assert_eq!(novel.len(), 3, "three distinct pending states");
-            store
-                .splice_level(&mut refs, &novel)
-                .expect("barrier splice");
-            // Discovery-key order, regardless of interleaving: the
-            // store is bit-identical to the `jobs = 1` build's.
-            assert_eq!(store.len(), 4);
-            assert_eq!(
-                store.try_marking_slice(1).unwrap(),
-                &[8, 0],
-                "key 5 splices first"
-            );
-            assert_eq!(
-                store.try_marking_slice(2).unwrap(),
-                &[9, 0],
-                "key 10 second"
-            );
-            assert_eq!(store.try_marking_slice(3).unwrap(), &[7, 0], "key 12 last");
-        })
-        .expect("level splice has no defects");
     }
 }

@@ -1,6 +1,6 @@
 //! The synchronization facade of the pager protocol — every atomic,
-//! lock, and raw-pointer operation that `pager.rs` and `graph.rs` use
-//! for cross-thread coordination goes through this module.
+//! lock, and raw-pointer operation that `pager.rs` uses for
+//! cross-thread coordination goes through this module.
 //!
 //! # Two personalities
 //!

@@ -160,6 +160,39 @@ fn spill_write_failure_surfaces_during_eviction_and_is_retryable() {
     assert_eq!(s.try_marking_slice(139).expect("tail stays"), &[139, 0]);
 }
 
+/// The append records a new state before its eviction writes a spill
+/// image, so when that write fails the state is already in the arena;
+/// it must be in the intern table too, or interning it again appends a
+/// duplicate.
+#[test]
+fn a_failed_spill_write_leaves_the_new_state_findable() {
+    let _g = arm();
+    let cfg = PagerConfig {
+        mem_budget: 512,
+        spill_dir: None,
+    };
+    let mut s = StateStore::with_config(2, &cfg);
+    let env = s.intern_env(&EnvSlots::new()).expect("env");
+    fail_nth_spill_write(1);
+    for i in 0..64u32 {
+        s.intern(&[i, 0], env, &[], &[])
+            .expect("the first segment fills without a spill");
+    }
+    // State 64 seals the first segment, and evicting it fails.
+    expect_spill(
+        s.intern(&[64, 0], env, &[], &[])
+            .expect_err("the first spill write fails"),
+        "write",
+    );
+    assert_eq!(s.len(), 65);
+    reset_spill_failures();
+    assert_eq!(
+        s.intern(&[64, 0], env, &[], &[]).expect("retry"),
+        (64, false)
+    );
+    assert_eq!(s.len(), 65, "the retry appended a duplicate");
+}
+
 /// A chain net with a marking wide enough (64 places × 4 bytes) that a
 /// few hundred states outgrow a 64 KiB budget: `step` moves one token
 /// at a time from `src` to `dst`, and the filler places never change, so

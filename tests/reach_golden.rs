@@ -225,9 +225,9 @@ fn parallel_timed_build_is_bit_identical_on_the_fragment() {
 #[test]
 fn parallel_build_is_bit_identical_on_wide_frontiers() {
     // The paper pipelines never grow a frontier past a few dozen states,
-    // so their parallel builds run the level machinery without spawning.
-    // The toggle lattice has levels thousands of states wide, forcing
-    // real cross-thread interning through the sharded pending tables.
+    // so their parallel builds never spawn workers. The toggle lattice
+    // has levels over a thousand states wide, so workers expand them and
+    // the barrier interns their rows in source order.
     let net = wide_toggle(13); // 8192 states, max level width C(13,6) = 1716
     let seq = build_untimed(&net, &ReachOptions::default()).expect("sequential build");
     assert_eq!(seq.state_count(), 1 << 13);
@@ -240,9 +240,11 @@ fn parallel_build_is_bit_identical_on_wide_frontiers() {
 #[test]
 fn parallel_interpreted_stress_is_stable_across_repeats() {
     // Run the 3383-state interpreted build repeatedly at several worker
-    // counts to shake out interleaving bugs in the shard/splice path:
-    // any racy key reduction or splice ordering would show up as a
-    // store/edge mismatch in some repetition.
+    // counts. Its levels (at most 64 states) stay under the spawn
+    // threshold, so the job count alone must never change the build;
+    // any state carried from one build into the next would show up as
+    // a store/edge mismatch in some repetition. The worker path itself
+    // is exercised by the toggle lattice above.
     let net = interpreted::build(&interpreted::InterpretedConfig {
         for_analysis: true,
         ..interpreted::InterpretedConfig::default()
