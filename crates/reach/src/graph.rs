@@ -556,13 +556,13 @@ impl<'g> SegmentGuard<'g> {
 // The expansion kernel
 // ---------------------------------------------------------------------------
 
-/// One state in scratch form: a copy that stays stable while the store
-/// grows.
+/// The state under expansion, copied out of the store so it stays
+/// stable while the store grows.
 #[derive(Default)]
-struct StateBuf {
+struct Source {
     marking: Vec<u32>,
     /// Marking-part hash of `marking` (see
-    /// [`StateStore::marking_elem_hash`]), maintained incrementally.
+    /// [`StateStore::marking_elem_hash`]).
     hash: u64,
     /// In-flight firings as `(transition, remaining ticks)`, sorted.
     in_flight: Vec<(TransitionId, u64)>,
@@ -570,54 +570,51 @@ struct StateBuf {
     enabling: Vec<(TransitionId, u64)>,
 }
 
-impl StateBuf {
-    /// In-flight firings of `t`.
-    #[inline]
-    fn in_flight_of(&self, t: TransitionId) -> u32 {
-        self.in_flight.iter().filter(|&&(x, _)| x == t).count() as u32
-    }
+/// In-flight firings of `t` in the multiset `in_flight`.
+#[inline]
+fn in_flight_of(in_flight: &[(TransitionId, u64)], t: TransitionId) -> u32 {
+    in_flight.iter().filter(|&&(x, _)| x == t).count() as u32
+}
 
-    /// Apply transition `t`'s token `delta` to the marking, keeping its
-    /// commutative hash in sync.
-    #[inline]
-    fn apply(
-        &mut self,
-        net: &Net,
-        t: TransitionId,
-        delta: &[(u32, i64)],
-    ) -> Result<(), ReachError> {
-        for &(p, d) in delta {
-            let p = p as usize;
-            let old = self.marking[p];
-            let new = i64::from(old) + d;
-            let Ok(new) = u32::try_from(new) else {
-                return Err(ReachError::MarkingCorrupt {
-                    transition: net.transition(t).name().to_string(),
-                    detail: if new < 0 {
-                        "input place underflow (arc weights exceed tokens)"
-                    } else {
-                        "token count overflowed u32"
-                    },
-                });
-            };
-            self.marking[p] = new;
-            self.hash = self
-                .hash
-                .wrapping_sub(StateStore::marking_elem_hash(p, old))
-                .wrapping_add(StateStore::marking_elem_hash(p, new));
-        }
-        Ok(())
+/// Apply transition `t`'s token `delta` to `marking`, keeping its
+/// commutative `hash` in sync.
+#[inline]
+fn apply(
+    net: &Net,
+    t: TransitionId,
+    delta: &[(u32, i64)],
+    marking: &mut [u32],
+    hash: &mut u64,
+) -> Result<(), ReachError> {
+    for &(p, d) in delta {
+        let p = p as usize;
+        let old = marking[p];
+        let new = i64::from(old) + d;
+        let Ok(new) = u32::try_from(new) else {
+            return Err(ReachError::MarkingCorrupt {
+                transition: net.transition(t).name().to_string(),
+                detail: if new < 0 {
+                    "input place underflow (arc weights exceed tokens)"
+                } else {
+                    "token count overflowed u32"
+                },
+            });
+        };
+        marking[p] = new;
+        *hash = hash
+            .wrapping_sub(StateStore::marking_elem_hash(p, old))
+            .wrapping_add(StateStore::marking_elem_hash(p, new));
     }
+    Ok(())
 }
 
 /// Reusable per-worker scratch: the state under expansion, the
-/// successor under construction, their environments in the slot form
-/// the store interns, and the bytecode registers, so successor
-/// generation is allocation-free on the steady state.
+/// environments in the slot form the store interns, and the bytecode
+/// registers, so successor generation is allocation-free on the steady
+/// state.
 #[derive(Default)]
 struct Scratch {
-    cur: StateBuf,
-    next: StateBuf,
+    cur: Source,
     /// Environment of the state under expansion.
     cur_slots: bc::EnvSlots,
     /// Which interned env id `cur_slots` holds: consecutive states
@@ -650,68 +647,105 @@ impl Scratch {
         }
         Ok(env)
     }
-
-    /// Reset the successor's marking to the current one.
-    #[inline]
-    fn begin_next(&mut self) {
-        self.next.marking.clone_from(&self.cur.marking);
-        self.next.hash = self.cur.hash;
-    }
-}
-
-/// One successor in a [`Row`]: the edge label, the state, and the
-/// environment the firing's action left, if it ran one.
-struct Successor {
-    label: EdgeLabel,
-    state: StateBuf,
-    /// The post-action environment; meaningful only when `acted`.
-    env: bc::EnvSlots,
-    acted: bool,
 }
 
 /// One source's successors in edge order, as [`Rule::expand`] leaves
-/// them for [`ReachabilityGraph::commit`]. Entries past `len` are spare
-/// buffers: [`Self::push`] swaps the kernel's scratch successor with
-/// one instead of copying it, so a row reused from source to source
-/// stops allocating once it has grown.
+/// them for [`ReachabilityGraph::commit`]: flat arrays the kernel builds
+/// each successor in, in place, so nothing is copied between the two
+/// and a batch of rows is written and read front to back. Successor `k`
+/// is `labels[k]`, `hashes[k]`, the `k`-th marking of `markings`, the
+/// in-flight and enabling entries up to its `…_ends[k]`, and
+/// `slots[envs[k]]` if its firing ran an action. Data past the last
+/// finished successor belongs to one that failed, and is ignored.
 #[derive(Default)]
 struct Row {
     /// The source's environment id, which successors without an action
     /// keep.
     env: u32,
-    succs: Vec<Successor>,
-    len: usize,
+    labels: Vec<EdgeLabel>,
+    /// Marking-part hashes.
+    hashes: Vec<u64>,
+    markings: Vec<u32>,
+    in_flight: Vec<(TransitionId, u64)>,
+    in_flight_ends: Vec<u32>,
+    enabling: Vec<(TransitionId, u64)>,
+    enabling_ends: Vec<u32>,
+    envs: Vec<Option<u32>>,
+    /// Post-action environments; entries from `acted` on are spare
+    /// buffers that [`Self::finish`] swaps the kernel's scratch
+    /// environment with, so a reused row stops allocating.
+    slots: Vec<bc::EnvSlots>,
+    acted: usize,
+}
+
+/// A finished successor of a [`Row`].
+struct Successor<'r> {
+    label: EdgeLabel,
+    hash: u64,
+    marking: &'r [u32],
+    in_flight: &'r [(TransitionId, u64)],
+    enabling: &'r [(TransitionId, u64)],
+    /// The post-action environment, if the firing ran an action.
+    env: Option<&'r bc::EnvSlots>,
 }
 
 impl Row {
-    fn clear(&mut self) {
-        self.len = 0;
+    fn clear(&mut self, env: u32) {
+        self.env = env;
+        self.labels.clear();
+        self.hashes.clear();
+        self.markings.clear();
+        self.in_flight.clear();
+        self.in_flight_ends.clear();
+        self.enabling.clear();
+        self.enabling_ends.clear();
+        self.envs.clear();
+        self.acted = 0;
     }
 
-    /// Move the scratch successor `sc.next` (and, when `acted`, its
-    /// environment `sc.next_slots`) into the row, leaving spare buffers
-    /// in their place.
-    fn push(&mut self, label: EdgeLabel, sc: &mut Scratch, acted: bool) {
-        if self.len == self.succs.len() {
-            self.succs.push(Successor {
-                label,
-                state: StateBuf::default(),
-                env: bc::EnvSlots::default(),
-                acted,
-            });
-        }
-        let s = &mut self.succs[self.len];
-        s.label = label;
-        s.acted = acted;
-        std::mem::swap(&mut s.state, &mut sc.next);
-        if acted {
-            std::mem::swap(&mut s.env, &mut sc.next_slots);
-        }
-        self.len += 1;
+    /// Where the in-flight entries of the successor under construction
+    /// begin.
+    fn in_flight_start(&self) -> usize {
+        self.in_flight_ends.last().map_or(0, |&e| e as usize)
     }
 
-    fn successors(&self) -> &[Successor] {
-        &self.succs[..self.len]
+    /// Finish the successor built at the end of the row: record its
+    /// label and marking hash, close its in-flight and enabling runs,
+    /// and, when `acted`, swap the scratch environment `next_slots`
+    /// into the row.
+    fn finish(&mut self, label: EdgeLabel, hash: u64, acted: bool, next_slots: &mut bc::EnvSlots) {
+        self.labels.push(label);
+        self.hashes.push(hash);
+        self.in_flight_ends.push(self.in_flight.len() as u32);
+        self.enabling_ends.push(self.enabling.len() as u32);
+        if !acted {
+            self.envs.push(None);
+            return;
+        }
+        if self.acted == self.slots.len() {
+            self.slots.push(bc::EnvSlots::default());
+        }
+        std::mem::swap(&mut self.slots[self.acted], next_slots);
+        self.envs.push(Some(self.acted as u32));
+        self.acted += 1;
+    }
+
+    /// The finished successors, in edge order, of markings `places`
+    /// wide.
+    fn successors(&self, places: usize) -> impl Iterator<Item = Successor<'_>> {
+        // Successor `k`'s run of a CSR array, given its ends.
+        let run = |ends: &[u32], k: usize| {
+            let start = if k == 0 { 0 } else { ends[k - 1] as usize };
+            start..ends[k] as usize
+        };
+        (0..self.labels.len()).map(move |k| Successor {
+            label: self.labels[k],
+            hash: self.hashes[k],
+            marking: &self.markings[k * places..(k + 1) * places],
+            in_flight: &self.in_flight[run(&self.in_flight_ends, k)],
+            enabling: &self.enabling[run(&self.enabling_ends, k)],
+            env: self.envs[k].map(|i| &self.slots[i as usize]),
+        })
     }
 }
 
@@ -743,9 +777,10 @@ impl<'n> Rule<'n> {
         }
     }
 
-    /// Recompute the successor's enabling clocks into `next.enabling`
-    /// with the shared clock rule, [`bc::CompiledTransition::clock`]
-    /// (untimed builds keep none). Clocks are relative countdowns:
+    /// Compute the enabling clocks of the successor under construction
+    /// at the end of `row` into `row.enabling`, with the shared clock
+    /// rule, [`bc::CompiledTransition::clock`] (untimed builds keep
+    /// none). Clocks are relative countdowns:
     ///
     /// * constant-0 enabling delays are skipped before asking, so they
     ///   are never stored;
@@ -761,22 +796,24 @@ impl<'n> Rule<'n> {
     fn refresh_clocks(
         &self,
         sc: &mut Scratch,
+        row: &mut Row,
         acted: bool,
         fired: Option<TransitionId>,
         elapsed: u64,
     ) -> Result<(), ReachError> {
-        sc.next.enabling.clear();
         if !self.timed {
             return Ok(());
         }
         let map = &self.programs.map;
         let slots = if acted { &sc.next_slots } else { &sc.cur_slots };
+        let marking = &row.markings[row.labels.len() * self.net.place_count()..];
+        let in_flight = &row.in_flight[row.in_flight_start()..];
         for (i, ct) in self.programs.transitions.iter().enumerate() {
             if ct.enabling.is_zero_constant() {
                 continue;
             }
             let (id, vm) = (TransitionId::new(i), &mut sc.vm);
-            let ready = ct.ready(&sc.next.marking, || sc.next.in_flight_of(id))
+            let ready = ct.ready(marking, || in_flight_of(in_flight, id))
                 && ct
                     .predicate_holds(slots, map, vm)
                     .map_err(|e| self.eval_err(id, e))?;
@@ -790,17 +827,20 @@ impl<'n> Rule<'n> {
                 Clock::Keep(k) => k - elapsed,
                 Clock::Arm(k) => k,
             };
-            sc.next.enabling.push((id, countdown));
+            row.enabling.push((id, countdown));
         }
         Ok(())
     }
 
-    /// Arm the initial state's enabling clocks into `sc.next.enabling`:
-    /// the simulator refreshes its clocks before the first step, so
-    /// every initially ready transition starts with a full countdown.
-    fn arm_initial(&self, sc: &mut Scratch) -> Result<(), ReachError> {
-        sc.next.marking = self.net.initial_marking().as_slice().to_vec();
-        self.refresh_clocks(sc, false, None, 0)
+    /// Arm the initial state's enabling clocks into `row.enabling`, with
+    /// the initial marking as the row's first marking: the simulator
+    /// refreshes its clocks before the first step, so every initially
+    /// ready transition starts with a full countdown.
+    fn arm_initial(&self, sc: &mut Scratch, row: &mut Row) -> Result<(), ReachError> {
+        row.clear(0);
+        row.markings
+            .extend_from_slice(self.net.initial_marking().as_slice());
+        self.refresh_clocks(sc, row, false, None, 0)
     }
 
     /// The kernel: expand the source loaded into `sc`, whose environment
@@ -808,8 +848,7 @@ impl<'n> Rule<'n> {
     /// workers run it side by side. On error, `row` holds the
     /// successors before the edge that failed.
     fn expand(&self, sc: &mut Scratch, env: u32, row: &mut Row) -> Result<(), ReachError> {
-        row.clear();
-        row.env = env;
+        row.clear(env);
         let map = &self.programs.map;
         let mut can_start = false;
         for (i, ct) in self.programs.transitions.iter().enumerate() {
@@ -818,7 +857,7 @@ impl<'n> Rule<'n> {
             // counting down cannot start. (Ready transitions with a
             // pending delay always carry a clock entry, so a missing
             // entry means the resolved delay was 0.)
-            if !ct.ready(&sc.cur.marking, || sc.cur.in_flight_of(id))
+            if !ct.ready(&sc.cur.marking, || in_flight_of(&sc.cur.in_flight, id))
                 || sc.cur.enabling.iter().any(|&(x, k)| x == id && k > 0)
                 || !ct
                     .predicate_holds(&sc.cur_slots, map, &mut sc.vm)
@@ -847,16 +886,18 @@ impl<'n> Rule<'n> {
             };
             // Zero-delay firings are atomic: outputs appear immediately
             // and the in-flight multiset is unchanged.
-            sc.begin_next();
+            let (at, mut hash) = (row.markings.len(), sc.cur.hash);
+            row.markings.extend_from_slice(&sc.cur.marking);
             let delta = if ft == 0 { &ct.atomic } else { &ct.start };
-            sc.next.apply(self.net, id, delta)?;
-            sc.next.in_flight.clone_from(&sc.cur.in_flight);
+            apply(self.net, id, delta, &mut row.markings[at..], &mut hash)?;
+            let start = row.in_flight.len();
+            row.in_flight.extend_from_slice(&sc.cur.in_flight);
             if ft != 0 {
-                sc.next.in_flight.push((id, ft));
-                sc.next.in_flight.sort_unstable();
+                row.in_flight.push((id, ft));
+                row.in_flight[start..].sort_unstable();
             }
-            self.refresh_clocks(sc, acted, Some(id), 0)?;
-            row.push(EdgeLabel::Fire(id), sc, acted);
+            self.refresh_clocks(sc, row, acted, Some(id), 0)?;
+            row.finish(EdgeLabel::Fire(id), hash, acted, &mut sc.next_slots);
         }
 
         // Maximal-progress time advance: only when nothing can start and
@@ -871,19 +912,20 @@ impl<'n> Rule<'n> {
             return Ok(());
         };
         debug_assert!(dt > 0, "zero advance would loop forever");
-        sc.begin_next();
-        sc.next.in_flight.clear();
+        let (at, mut hash) = (row.markings.len(), sc.cur.hash);
+        row.markings.extend_from_slice(&sc.cur.marking);
+        let start = row.in_flight.len();
         for &(tid, r) in &sc.cur.in_flight {
             if r == dt {
                 let done = &self.programs.transitions[tid.index()].end;
-                sc.next.apply(self.net, tid, done)?;
+                apply(self.net, tid, done, &mut row.markings[at..], &mut hash)?;
             } else {
-                sc.next.in_flight.push((tid, r - dt));
+                row.in_flight.push((tid, r - dt));
             }
         }
-        sc.next.in_flight.sort_unstable();
-        self.refresh_clocks(sc, false, None, dt)?;
-        row.push(EdgeLabel::Advance(dt), sc, false);
+        row.in_flight[start..].sort_unstable();
+        self.refresh_clocks(sc, row, false, None, dt)?;
+        row.finish(EdgeLabel::Advance(dt), hash, false, &mut sc.next_slots);
         Ok(())
     }
 }
@@ -902,18 +944,17 @@ impl ReachabilityGraph {
         edges: &mut Vec<Edge>,
     ) -> Result<(), ReachError> {
         edges.clear();
-        for s in row.successors() {
-            let env = if s.acted {
-                self.store.intern_env(&s.env)?
-            } else {
-                row.env
+        for s in row.successors(self.store.places()) {
+            let env = match s.env {
+                Some(slots) => self.store.intern_env(slots)?,
+                None => row.env,
             };
             let (target, _) = self.store.intern_bounded(
-                &s.state.marking,
-                s.state.hash,
+                s.marking,
+                s.hash,
                 env,
-                &s.state.in_flight,
-                &s.state.enabling,
+                s.in_flight,
+                s.enabling,
                 max_states,
             )?;
             edges.push((s.label, target as u32));
@@ -979,7 +1020,7 @@ impl Worker {
                 self.rows.push(Row::default());
             }
             let row = &mut self.rows[self.len];
-            row.clear();
+            row.clear(0);
             self.len += 1;
             let sc = &mut self.sc;
             if let Err(e) = sc
@@ -1030,11 +1071,15 @@ fn expand_wide(
         let active = &mut workers[..chunks.len()];
         let store = &g.store;
         std::thread::scope(|scope| {
-            let handles: Vec<_> = active
-                .iter_mut()
-                .zip(chunks)
+            let mut shares = active.iter_mut().zip(chunks);
+            let first = shares.next();
+            let handles: Vec<_> = shares
                 .map(|(w, chunk)| scope.spawn(move || w.expand(rule, store, chunk)))
                 .collect();
+            // The calling thread takes the first chunk itself.
+            if let Some((w, chunk)) = first {
+                w.expand(rule, store, chunk);
+            }
             for h in handles {
                 h.join().expect("worker thread panicked");
             }
@@ -1083,16 +1128,16 @@ fn explore(
     let places = net.place_count();
     let mut store = StateStore::with_config(places, &options.pager_config());
     let rule = Rule::new(net, timed)?;
-    let mut sc = Scratch::default();
+    let (mut sc, mut row) = (Scratch::default(), Row::default());
     // The build's one `EnvSlots::load`: every other env derives from it.
     sc.cur_slots.load(&rule.programs.map, net.initial_env());
     let initial_env = store.intern_env(&sc.cur_slots)?;
-    rule.arm_initial(&mut sc)?;
+    rule.arm_initial(&mut sc, &mut row)?;
     store.intern(
         net.initial_marking().as_slice(),
         initial_env,
         &[],
-        &sc.next.enabling,
+        &row.enabling,
     )?;
     let edges = PagedEdges::new(
         store.seg_states(),
@@ -1102,8 +1147,7 @@ fn explore(
     let map = rule.programs.map.clone();
     let mut g = ReachabilityGraph { store, edges, map };
     let jobs = options.effective_jobs();
-    let mut workers = Vec::new();
-    let (mut row, mut edges) = (Row::default(), Vec::new());
+    let (mut workers, mut edges) = (Vec::new(), Vec::new());
     let (mut level, mut levels) = (0..1, 0u64);
     while !level.is_empty() {
         if jobs > 1 && level.len() >= jobs * SPAWN_THRESHOLD_PER_JOB {
