@@ -650,32 +650,38 @@ impl Scratch {
 }
 
 /// One source's successors in edge order, as [`Rule::expand`] leaves
-/// them for [`ReachabilityGraph::commit`]: flat arrays the kernel builds
-/// each successor in, in place, so nothing is copied between the two
-/// and a batch of rows is written and read front to back. Successor `k`
-/// is `labels[k]`, `hashes[k]`, the `k`-th marking of `markings`, the
-/// in-flight and enabling entries up to its `…_ends[k]`, and
-/// `slots[envs[k]]` if its firing ran an action. Data past the last
-/// finished successor belongs to one that failed, and is ignored.
+/// them for [`ReachabilityGraph::commit`]. The kernel builds each
+/// successor's marking, in-flight firings and clocks in place at the end
+/// of flat arrays, so nothing is copied between the two and a batch of
+/// rows is written and read front to back. Data past the last finished
+/// successor belongs to one that failed, and is ignored.
 #[derive(Default)]
 struct Row {
     /// The source's environment id, which successors without an action
     /// keep.
     env: u32,
-    labels: Vec<EdgeLabel>,
-    /// Marking-part hashes.
-    hashes: Vec<u64>,
+    succs: Vec<Entry>,
+    /// Successor `k`'s marking is the `k`-th run of place-count length.
     markings: Vec<u32>,
     in_flight: Vec<(TransitionId, u64)>,
-    in_flight_ends: Vec<u32>,
     enabling: Vec<(TransitionId, u64)>,
-    enabling_ends: Vec<u32>,
-    envs: Vec<Option<u32>>,
     /// Post-action environments; entries from `acted` on are spare
     /// buffers that [`Self::finish`] swaps the kernel's scratch
     /// environment with, so a reused row stops allocating.
     slots: Vec<bc::EnvSlots>,
     acted: usize,
+}
+
+/// What a [`Row`] keeps of a finished successor besides its flat runs.
+struct Entry {
+    label: EdgeLabel,
+    /// Marking-part hash.
+    hash: u64,
+    /// Where its runs of `in_flight` and `enabling` end.
+    in_flight_end: u32,
+    enabling_end: u32,
+    /// Its post-action environment in `slots`, if it ran an action.
+    slot: Option<u32>,
 }
 
 /// A finished successor of a [`Row`].
@@ -692,59 +698,55 @@ struct Successor<'r> {
 impl Row {
     fn clear(&mut self, env: u32) {
         self.env = env;
-        self.labels.clear();
-        self.hashes.clear();
+        self.succs.clear();
         self.markings.clear();
         self.in_flight.clear();
-        self.in_flight_ends.clear();
         self.enabling.clear();
-        self.enabling_ends.clear();
-        self.envs.clear();
         self.acted = 0;
     }
 
-    /// Where the in-flight entries of the successor under construction
+    /// Where the in-flight firings of the successor under construction
     /// begin.
     fn in_flight_start(&self) -> usize {
-        self.in_flight_ends.last().map_or(0, |&e| e as usize)
+        self.succs.last().map_or(0, |s| s.in_flight_end as usize)
     }
 
-    /// Finish the successor built at the end of the row: record its
-    /// label and marking hash, close its in-flight and enabling runs,
-    /// and, when `acted`, swap the scratch environment `next_slots`
-    /// into the row.
+    /// Finish the successor built at the end of the row under `label`
+    /// with marking hash `hash`, swapping the scratch environment
+    /// `next_slots` into the row when its firing `acted`.
     fn finish(&mut self, label: EdgeLabel, hash: u64, acted: bool, next_slots: &mut bc::EnvSlots) {
-        self.labels.push(label);
-        self.hashes.push(hash);
-        self.in_flight_ends.push(self.in_flight.len() as u32);
-        self.enabling_ends.push(self.enabling.len() as u32);
-        if !acted {
-            self.envs.push(None);
-            return;
-        }
-        if self.acted == self.slots.len() {
-            self.slots.push(bc::EnvSlots::default());
-        }
-        std::mem::swap(&mut self.slots[self.acted], next_slots);
-        self.envs.push(Some(self.acted as u32));
-        self.acted += 1;
+        let slot = acted.then(|| {
+            if self.acted == self.slots.len() {
+                self.slots.push(bc::EnvSlots::default());
+            }
+            std::mem::swap(&mut self.slots[self.acted], next_slots);
+            self.acted += 1;
+            self.acted as u32 - 1
+        });
+        self.succs.push(Entry {
+            label,
+            hash,
+            in_flight_end: self.in_flight.len() as u32,
+            enabling_end: self.enabling.len() as u32,
+            slot,
+        });
     }
 
     /// The finished successors, in edge order, of markings `places`
     /// wide.
     fn successors(&self, places: usize) -> impl Iterator<Item = Successor<'_>> {
-        // Successor `k`'s run of a CSR array, given its ends.
-        let run = |ends: &[u32], k: usize| {
-            let start = if k == 0 { 0 } else { ends[k - 1] as usize };
-            start..ends[k] as usize
-        };
-        (0..self.labels.len()).map(move |k| Successor {
-            label: self.labels[k],
-            hash: self.hashes[k],
-            marking: &self.markings[k * places..(k + 1) * places],
-            in_flight: &self.in_flight[run(&self.in_flight_ends, k)],
-            enabling: &self.enabling[run(&self.enabling_ends, k)],
-            env: self.envs[k].map(|i| &self.slots[i as usize]),
+        let mut starts = (0, 0);
+        self.succs.iter().enumerate().map(move |(k, s)| {
+            let ends = (s.in_flight_end as usize, s.enabling_end as usize);
+            let (f, e) = std::mem::replace(&mut starts, ends);
+            Successor {
+                label: s.label,
+                hash: s.hash,
+                marking: &self.markings[k * places..(k + 1) * places],
+                in_flight: &self.in_flight[f..ends.0],
+                enabling: &self.enabling[e..ends.1],
+                env: s.slot.map(|i| &self.slots[i as usize]),
+            }
         })
     }
 }
@@ -806,7 +808,7 @@ impl<'n> Rule<'n> {
         }
         let map = &self.programs.map;
         let slots = if acted { &sc.next_slots } else { &sc.cur_slots };
-        let marking = &row.markings[row.labels.len() * self.net.place_count()..];
+        let marking = &row.markings[row.succs.len() * self.net.place_count()..];
         let in_flight = &row.in_flight[row.in_flight_start()..];
         for (i, ct) in self.programs.transitions.iter().enumerate() {
             if ct.enabling.is_zero_constant() {
@@ -980,21 +982,6 @@ const SPAWN_THRESHOLD_PER_JOB: usize = 48;
 /// spend more of the level spawning and joining threads.
 const BATCH_PER_JOB: usize = 512;
 
-/// Split `batch` into at most `jobs` contiguous chunks of near-equal
-/// size, in frontier order.
-fn split_chunks(batch: Range<usize>, jobs: usize) -> Vec<Range<usize>> {
-    let n = batch.len();
-    let per = n.div_ceil(jobs);
-    (0..jobs)
-        .map(|w| {
-            let start = batch.start + (w * per).min(n);
-            let end = batch.start + ((w + 1) * per).min(n);
-            start..end
-        })
-        .filter(|r| !r.is_empty())
-        .collect()
-}
-
 /// One scoped worker's state, reused from batch to batch so a wide
 /// level allocates nothing once its rows have grown.
 #[derive(Default)]
@@ -1032,23 +1019,6 @@ impl Worker {
             }
         }
     }
-
-    /// Commit the rows of the current batch in source order; the
-    /// worker's error, if any, ends its last row.
-    fn commit(
-        &mut self,
-        g: &mut ReachabilityGraph,
-        max_states: usize,
-        edges: &mut Vec<Edge>,
-    ) -> Result<(), ReachError> {
-        let Some((last, rows)) = self.rows[..self.len].split_last() else {
-            return Ok(());
-        };
-        for row in rows {
-            g.commit(row, Ok(()), max_states, edges)?;
-        }
-        g.commit(last, self.err.take().map_or(Ok(()), Err), max_states, edges)
-    }
 }
 
 /// Expand a wide `level` a batch of `jobs × BATCH_PER_JOB` sources at
@@ -1065,15 +1035,17 @@ fn expand_wide(
     edges: &mut Vec<Edge>,
 ) -> Result<(), ReachError> {
     let jobs = workers.len();
-    let size = jobs * BATCH_PER_JOB;
-    for start in level.clone().step_by(size) {
-        let chunks = split_chunks(start..(start + size).min(level.end), jobs);
-        let active = &mut workers[..chunks.len()];
+    for start in level.clone().step_by(jobs * BATCH_PER_JOB) {
+        let end = (start + jobs * BATCH_PER_JOB).min(level.end);
+        let per = (end - start).div_ceil(jobs);
+        let active = &mut workers[..(end - start).div_ceil(per)];
         let store = &g.store;
         std::thread::scope(|scope| {
-            let mut shares = active.iter_mut().zip(chunks);
-            let first = shares.next();
-            let handles: Vec<_> = shares
+            let mut chunks = active
+                .iter_mut()
+                .zip((start..end).step_by(per).map(|s| s..(s + per).min(end)));
+            let first = chunks.next();
+            let handles: Vec<_> = chunks
                 .map(|(w, chunk)| scope.spawn(move || w.expand(rule, store, chunk)))
                 .collect();
             // The calling thread takes the first chunk itself.
@@ -1085,7 +1057,13 @@ fn expand_wide(
             }
         });
         for w in active {
-            w.commit(g, max_states, edges)?;
+            let Some((last, rows)) = w.rows[..w.len].split_last() else {
+                continue;
+            };
+            for row in rows {
+                g.commit(row, Ok(()), max_states, edges)?;
+            }
+            g.commit(last, w.err.take().map_or(Ok(()), Err), max_states, edges)?;
         }
     }
     Ok(())
