@@ -1128,7 +1128,7 @@ fn explore(
     let (mut workers, mut edges) = (Vec::new(), Vec::new());
     let (mut level, mut levels) = (0..1, 0u64);
     while !level.is_empty() {
-        if jobs > 1 && level.len() >= jobs * SPAWN_THRESHOLD_PER_JOB {
+        if jobs > 1 && level.len() >= jobs.saturating_mul(SPAWN_THRESHOLD_PER_JOB) {
             workers.resize_with(jobs, Worker::default);
             expand_wide(
                 &rule,
