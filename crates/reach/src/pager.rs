@@ -1709,6 +1709,101 @@ mod tests {
         assert!(EdgeSegment::deserialize(&bad_tag, 0).is_err());
     }
 
+    /// The v3 image of an untimed state segment: three states over two
+    /// places, no in-flight firings, the enabling offsets in lazy form.
+    #[rustfmt::skip]
+    const UNTIMED_STATE_IMAGE: &[u8] = &[
+        3, 0, 0, 0,   1, 0, 0, 0,           // version 3, kind 1 (states)
+        3, 0, 0, 0,   0, 0, 0, 0,           // 3 states, 0 in-flight entries
+        0, 0, 0, 0,   1, 0, 0, 0,           // 0 enabling entries, 1 enabling offset
+        1, 0, 0, 0,   0, 0, 0, 0,           // marking [1, 0]
+        0, 0, 0, 0,   2, 0, 0, 0,           // marking [0, 2]
+        3, 0, 0, 0,   1, 0, 0, 0,           // marking [3, 1]
+        0, 0, 0, 0,   0, 0, 0, 0,   1, 0, 0, 0, // env ids 0, 0, 1
+        0, 0, 0, 0,   0, 0, 0, 0,           // in-flight offsets 0, 0,
+        0, 0, 0, 0,   0, 0, 0, 0,           //   0, 0
+        0, 0, 0, 0,                         // the lazy enabling offset 0
+    ];
+
+    /// The v3 image of a timed state segment: in-flight firings on two
+    /// states, an enabling clock on one, so the offsets are materialized.
+    #[rustfmt::skip]
+    const TIMED_STATE_IMAGE: &[u8] = &[
+        3, 0, 0, 0,   1, 0, 0, 0,           // version 3, kind 1 (states)
+        3, 0, 0, 0,   3, 0, 0, 0,           // 3 states, 3 in-flight entries
+        1, 0, 0, 0,   4, 0, 0, 0,           // 1 enabling entry, 4 enabling offsets
+        2, 1, 0, 0,   0, 0, 0, 0,           // marking [258, 0]
+        0, 0, 0, 0,   1, 0, 0, 0,           // marking [0, 1]
+        0, 0, 0, 0,   0, 0, 0, 0,           // marking [0, 0]
+        0, 0, 0, 0,   0, 0, 0, 0,   2, 0, 0, 0, // env ids 0, 0, 2
+        0, 0, 0, 0,   1, 0, 0, 0,           // in-flight offsets 0, 1,
+        1, 0, 0, 0,   3, 0, 0, 0,           //   1, 3
+        0, 0, 0, 0,   0, 0, 0, 0,           // enabling offsets 0, 0,
+        1, 0, 0, 0,   1, 0, 0, 0,           //   1, 1
+        1, 0, 0, 0, 0, 0, 0, 0,   2, 0, 0, 0, 1, 0, 0, 0, // (t1, 2^32 + 2)
+        0, 0, 0, 0, 0, 0, 0, 0,   1, 0, 0, 0, 0, 0, 0, 0, // (t0, 1)
+        2, 0, 0, 0, 0, 0, 0, 0,   5, 0, 0, 0, 0, 0, 0, 0, // (t2, 5)
+        3, 0, 0, 0, 0, 0, 0, 0,   4, 0, 0, 0, 0, 0, 0, 0, // enabling clock (t3, 4)
+    ];
+
+    /// The v3 image of an edge segment: two `Fire` edges, one
+    /// `Advance` edge and an empty row.
+    #[rustfmt::skip]
+    const EDGE_IMAGE: &[u8] = &[
+        3, 0, 0, 0,   2, 0, 0, 0,           // version 3, kind 2 (edges)
+        3, 0, 0, 0,   3, 0, 0, 0,           // 3 rows, 3 edges
+        0, 0, 0, 0,   2, 0, 0, 0,           // row offsets 0, 2,
+        3, 0, 0, 0,   3, 0, 0, 0,           //   3, 3
+        0, 0, 0, 0,   1, 0, 0, 0, 0, 0, 0, 0,   1, 0, 0, 0, // Fire(t1) → 1
+        0, 0, 0, 0,   4, 0, 0, 0, 0, 0, 0, 0,   2, 0, 0, 0, // Fire(t4) → 2
+        1, 0, 0, 0,   44, 1, 0, 0, 0, 0, 0, 0,  0, 0, 0, 0, // Advance(300) → 0
+    ];
+
+    /// `seg` serializes to exactly `golden`, which reads back to `seg`,
+    /// while every strict prefix of it and it plus one byte are refused.
+    fn assert_pinned<S: SegmentContent>(seg: &S, places: usize, golden: &[u8]) {
+        assert_eq!(seg.serialize(), golden, "serialized bytes");
+        assert_eq!(&S::deserialize(golden, places).unwrap(), seg);
+        for len in 0..golden.len() {
+            assert!(
+                S::deserialize(&golden[..len], places).is_err(),
+                "a {len}-byte prefix of a {}-byte image was accepted",
+                golden.len()
+            );
+        }
+        let mut longer = golden.to_vec();
+        longer.push(0);
+        assert!(S::deserialize(&longer, places).is_err(), "one byte more");
+    }
+
+    #[test]
+    fn images_match_the_pinned_v3_bytes() {
+        let t = TransitionId::new;
+        let mut untimed = PagedStates::new(2, &PagerConfig::default());
+        untimed.append(&[1, 0], 0, &[], &[]).unwrap();
+        untimed.append(&[0, 2], 0, &[], &[]).unwrap();
+        untimed.append(&[3, 1], 1, &[], &[]).unwrap();
+        assert_pinned(untimed.segment(0).unwrap(), 2, UNTIMED_STATE_IMAGE);
+
+        let mut timed = PagedStates::new(2, &PagerConfig::default());
+        timed
+            .append(&[258, 0], 0, &[(t(1), (1 << 32) + 2)], &[])
+            .unwrap();
+        timed.append(&[0, 1], 0, &[], &[(t(3), 4)]).unwrap();
+        timed
+            .append(&[0, 0], 2, &[(t(0), 1), (t(2), 5)], &[])
+            .unwrap();
+        assert_pinned(timed.segment(0).unwrap(), 2, TIMED_STATE_IMAGE);
+
+        let mut edges = PagedEdges::new(untimed.seg_states(), untimed.shared(), None);
+        edges
+            .push_row(&[(EdgeLabel::Fire(t(1)), 1), (EdgeLabel::Fire(t(4)), 2)])
+            .unwrap();
+        edges.push_row(&[(EdgeLabel::Advance(300), 0)]).unwrap();
+        edges.push_row(&[]).unwrap();
+        assert_pinned(edges.segment(0).unwrap(), 0, EDGE_IMAGE);
+    }
+
     #[test]
     fn lazy_enabling_segments_cost_and_spill_nothing_extra() {
         // An all-empty enabling arena (every untimed graph) keeps its
