@@ -170,7 +170,7 @@ fn state_envs(g: &ReachabilityGraph) -> (Vec<Env>, Vec<usize>) {
     let mut distinct: Vec<Option<Env>> = vec![None; g.store().env_count()];
     let ids = (0..g.state_count())
         .map(|i| {
-            let id = g.store().try_env_id(i).expect("resident bench graph") as usize;
+            let id = g.state(i).expect("resident bench graph").env_id as usize;
             if distinct[id].is_none() {
                 distinct[id] = Some(g.env(i).expect("resident bench graph"));
             }

@@ -79,7 +79,7 @@
 //! store counters (probes, hits, misses) are the same at any job count.
 
 use crate::pager::{EdgeSegment, PagedEdges, PagerConfig, SegmentData, SpillError};
-use crate::store::{MarkingView, StateRef, StateStore};
+use crate::store::{StateRef, StateStore};
 use pnut_core::expr::compile::{self as bc, Clock};
 use pnut_core::{Env, Net, TransitionId};
 use pnut_obs as obs;
@@ -318,7 +318,10 @@ impl ReachabilityGraph {
     ///
     /// Panics if `i` is out of range.
     pub fn env(&self, i: usize) -> Result<Env, ReachError> {
-        Ok(self.store.env(self.store.try_env_id(i)?).to_env(&self.map))
+        Ok(self
+            .store
+            .env(self.store.state(i)?.env_id)
+            .to_env(&self.map))
     }
 
     /// Outgoing edges of state `i` as `(label, target)` pairs, faulting
@@ -533,12 +536,7 @@ impl<'g> SegmentGuard<'g> {
     /// [`ReachError::Spill`] if the state segment fails to reload.
     pub fn state(&self, i: usize) -> Result<StateRef<'g>, ReachError> {
         let local = self.local(i);
-        let rows = self.state_rows()?;
-        Ok(StateRef {
-            marking: MarkingView::new(rows.marking(local, self.graph.store.places())),
-            in_flight: rows.in_flight(local),
-            enabling: rows.enabling(local),
-        })
+        Ok(self.state_rows()?.state(local, self.graph.store.places()))
     }
 
     /// The successor row of state `i` (global index).
@@ -630,17 +628,16 @@ impl Scratch {
     /// Load state `src` into `cur` (faulting its segment in if evicted)
     /// and its environment row into `cur_slots`; returns its env id.
     fn load(&mut self, store: &StateStore, src: usize) -> Result<u32, ReachError> {
+        let state = store.state(src)?;
         let cur = &mut self.cur;
         cur.marking.clear();
-        cur.marking.extend_from_slice(store.try_marking_slice(src)?);
+        cur.marking.extend_from_slice(state.marking.as_slice());
         cur.hash = StateStore::marking_hash(&cur.marking);
         cur.in_flight.clear();
-        cur.in_flight
-            .extend_from_slice(store.try_in_flight_slice(src)?);
+        cur.in_flight.extend_from_slice(state.in_flight);
         cur.enabling.clear();
-        cur.enabling
-            .extend_from_slice(store.try_enabling_slice(src)?);
-        let env = store.try_env_id(src)?;
+        cur.enabling.extend_from_slice(state.enabling);
+        let env = state.env_id;
         if self.loaded_env != Some(env) {
             self.cur_slots.copy_from(store.env(env));
             self.loaded_env = Some(env);
@@ -1822,8 +1819,8 @@ mod tests {
         assert_eq!(seq.store().env_count(), 25, "5×5 counter grid");
         for i in 0..seq.state_count() {
             assert_eq!(
-                seq.store().try_env_id(i).unwrap(),
-                par.store().try_env_id(i).unwrap(),
+                seq.store().state(i).unwrap().env_id,
+                par.store().state(i).unwrap().env_id,
                 "state {i}"
             );
         }

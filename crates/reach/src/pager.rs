@@ -61,6 +61,16 @@
 //!                                                     read of an evicted row
 //! ```
 //!
+//! # Rows and images
+//!
+//! [`SegmentData::push`] writes a state row and [`SegmentData::state`]
+//! reads one back whole. [`ImageWriter`] and [`ImageReader`] are the one
+//! place the spill-image format of both segment kinds lives; the reader
+//! checks every length before it sizes a vector and every CSR offset, so
+//! a damaged image fails its reload as a [`ReachError::Spill`] `"read"`
+//! error naming the segment instead of panicking a later row read. An
+//! env id, transition id or edge target out of range needs a checksum.
+//!
 //! # Concurrency and why faulting under `&self` is sound
 //!
 //! The parallel builder freezes the committed store during each batch
@@ -108,6 +118,7 @@
 //! (documented there).
 
 use crate::graph::{Edge, EdgeLabel, ReachError};
+use crate::store::{MarkingView, StateRef};
 use crate::sync::{mutation, raw, AtomicPtr, AtomicU64, AtomicUsize, Mutex, Ordering};
 use pnut_core::TransitionId;
 use pnut_obs as obs;
@@ -446,16 +457,11 @@ pub mod fail {
         if CORRUPT_READ_IN.load(Ordering::Relaxed) == 0 {
             return; // fast path: injection disarmed
         }
-        // Header: version, kind, count, ... as little-endian u32 words;
-        // markings start at byte 24.
-        let is_state_image = buf.len() > 24
-            && buf[4..8] == super::KIND_STATES.to_le_bytes()
-            && buf[8..12] != 0u32.to_le_bytes();
-        if !is_state_image {
+        let Some(at) = super::first_marking_byte(buf) else {
             return;
-        }
+        };
         if CORRUPT_READ_IN.fetch_sub(1, Ordering::Relaxed) == 1 {
-            buf[24] ^= 1;
+            buf[at] ^= 1;
         }
     }
 
@@ -554,34 +560,175 @@ fn corrupt() -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, "corrupt spill image")
 }
 
-/// Validate the `version, kind` prefix of an image; errors *name* the
-/// mismatch so a stale or foreign image is diagnosable, not just
-/// "corrupt".
-fn check_image_header(image: &[u8], kind: u32) -> io::Result<()> {
-    let word = |i: usize| -> io::Result<u32> {
-        Ok(u32::from_le_bytes(
-            image
-                .get(i * 4..i * 4 + 4)
-                .ok_or_else(corrupt)?
-                .try_into()
-                .expect("4-byte chunk"),
-        ))
-    };
-    let version = word(0)?;
-    if version != IMAGE_VERSION {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("spill image version {version} (expected {IMAGE_VERSION})"),
-        ));
+fn read_u32(c: &[u8]) -> u32 {
+    u32::from_le_bytes(c.try_into().expect("4-byte chunk"))
+}
+
+fn read_u64(c: &[u8]) -> u64 {
+    u64::from_le_bytes(c.try_into().expect("8-byte chunk"))
+}
+
+/// Writes one spill image. With [`ImageReader`] it is the one place the
+/// format is encoded (every field little-endian): the version and kind
+/// words, the segment's count words, then its arrays in order. Words
+/// are `u32`; a clock entry is `(transition:u64, ticks:u64)`; an edge
+/// is `(tag:u32, payload:u64, target:u32)`, where tag 0 is
+/// `Fire(payload)` and tag 1 is `Advance(payload)`.
+struct ImageWriter(Vec<u8>);
+
+impl ImageWriter {
+    /// Start an image of `kind` with its count words; `body` is the byte
+    /// length of the arrays to follow, so the image allocates once.
+    fn new(kind: u32, counts: &[usize], body: usize) -> Self {
+        let mut w = ImageWriter(Vec::with_capacity(4 * (2 + counts.len()) + body));
+        w.words(&[IMAGE_VERSION, kind]);
+        for &count in counts {
+            w.words(&[count as u32]);
+        }
+        w
     }
-    let got_kind = word(1)?;
-    if got_kind != kind {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("spill image kind {got_kind} (expected {kind})"),
-        ));
+
+    fn words(&mut self, words: &[u32]) {
+        for &w in words {
+            self.0.extend_from_slice(&w.to_le_bytes());
+        }
     }
-    Ok(())
+
+    fn clocks(&mut self, clocks: &[(TransitionId, u64)]) {
+        for &(t, ticks) in clocks {
+            self.0.extend_from_slice(&(t.index() as u64).to_le_bytes());
+            self.0.extend_from_slice(&ticks.to_le_bytes());
+        }
+    }
+
+    fn edges(&mut self, edges: &[Edge]) {
+        for &(label, target) in edges {
+            let (tag, payload) = match label {
+                EdgeLabel::Fire(t) => (0u32, t.index() as u64),
+                EdgeLabel::Advance(dt) => (1u32, dt),
+            };
+            self.0.extend_from_slice(&tag.to_le_bytes());
+            self.0.extend_from_slice(&payload.to_le_bytes());
+            self.0.extend_from_slice(&target.to_le_bytes());
+        }
+    }
+}
+
+/// Reads one spill image back: the one place the format is decoded.
+/// Every length is checked against the image before a vector is sized
+/// from it, so a damaged image is an [`io::ErrorKind::InvalidData`]
+/// error, never a panic or an allocation the image cannot fill. Each
+/// array decodes in bulk from one checked slice (reloads stay at
+/// memcpy-like speed), and CSR offsets are validated so that every row
+/// slices inside its array.
+struct ImageReader<'a> {
+    image: &'a [u8],
+    pos: usize,
+}
+
+impl<'a> ImageReader<'a> {
+    /// Open an image of `kind` and read its `N` count words. A wrong
+    /// version or kind word is an error that names it, so a stale or
+    /// foreign image is diagnosable, not just "corrupt".
+    fn open<const N: usize>(image: &'a [u8], kind: u32) -> io::Result<(Self, [usize; N])> {
+        let mut r = ImageReader { image, pos: 0 };
+        let [version, got_kind] = r.counts()?;
+        for (word, got, want) in [
+            ("version", version, IMAGE_VERSION),
+            ("kind", got_kind, kind),
+        ] {
+            if got != want as usize {
+                let msg = format!("spill image {word} {got} (expected {want})");
+                return Err(io::Error::new(io::ErrorKind::InvalidData, msg));
+            }
+        }
+        let counts = r.counts()?;
+        Ok((r, counts))
+    }
+
+    /// The next `n` records of `size` bytes each, once the image is
+    /// known to hold them all.
+    fn take(&mut self, n: usize, size: usize) -> io::Result<std::slice::ChunksExact<'a, u8>> {
+        let end = n
+            .checked_mul(size)
+            .and_then(|len| len.checked_add(self.pos))
+            .ok_or_else(corrupt)?;
+        let bytes = self.image.get(self.pos..end).ok_or_else(corrupt)?;
+        self.pos = end;
+        Ok(bytes.chunks_exact(size))
+    }
+
+    fn counts<const N: usize>(&mut self) -> io::Result<[usize; N]> {
+        let mut counts = [0; N];
+        for (count, c) in counts.iter_mut().zip(self.take(N, 4)?) {
+            *count = read_u32(c) as usize;
+        }
+        Ok(counts)
+    }
+
+    fn words(&mut self, n: usize) -> io::Result<Vec<u32>> {
+        Ok(self.take(n, 4)?.map(read_u32).collect())
+    }
+
+    /// `n` CSR offsets into an array of `entries` entries. They must
+    /// start at 0, never decrease and end at `entries`.
+    fn offsets(&mut self, n: usize, entries: usize) -> io::Result<Vec<u32>> {
+        let offsets = self.words(n)?;
+        if offsets.first() == Some(&0)
+            && offsets.windows(2).all(|w| w[0] <= w[1])
+            && offsets.last().map(|&o| o as usize) == Some(entries)
+        {
+            Ok(offsets)
+        } else {
+            Err(corrupt())
+        }
+    }
+
+    fn clocks(&mut self, n: usize) -> io::Result<Vec<(TransitionId, u64)>> {
+        Ok(self
+            .take(n, 16)?
+            .map(|c| {
+                (
+                    TransitionId::new(read_u64(&c[..8]) as usize),
+                    read_u64(&c[8..]),
+                )
+            })
+            .collect())
+    }
+
+    fn edges(&mut self, n: usize) -> io::Result<Vec<Edge>> {
+        let records = self.take(n, 16)?;
+        // Sized once, after `take` checked the length: collecting into
+        // an `io::Result` would lose the size hint and regrow the vector.
+        let mut edges = Vec::with_capacity(n);
+        for c in records {
+            let payload = read_u64(&c[4..12]);
+            let label = match read_u32(&c[..4]) {
+                0 => EdgeLabel::Fire(TransitionId::new(payload as usize)),
+                1 => EdgeLabel::Advance(payload),
+                _ => return Err(corrupt()),
+            };
+            edges.push((label, read_u32(&c[12..])));
+        }
+        Ok(edges)
+    }
+
+    /// Succeed only if nothing follows the last field.
+    fn finish(self) -> io::Result<()> {
+        if self.pos == self.image.len() {
+            Ok(())
+        } else {
+            Err(corrupt())
+        }
+    }
+}
+
+/// Where the first marking of a state image begins, for the
+/// silent-corruption hook ([`fail::corrupt_nth_spill_read`]); `None`
+/// for edge images and for state images without a marking word.
+fn first_marking_byte(image: &[u8]) -> Option<usize> {
+    let (r, [count, ..]) = SegmentData::open(image).ok()?;
+    (count != 0 && r.pos < image.len()).then_some(r.pos)
 }
 
 /// The content of one paged segment: how to measure it, serialize it,
@@ -652,25 +799,52 @@ impl SegmentData {
         self.enabling_offsets.push(self.enabling.len() as u32);
     }
 
+    /// Append one state's row: its marking, environment id, in-flight
+    /// firings and enabling clocks. The only writer of a state row.
+    pub(crate) fn push(
+        &mut self,
+        marking: &[u32],
+        env_id: u32,
+        in_flight: &[(TransitionId, u64)],
+        enabling: &[(TransitionId, u64)],
+    ) {
+        let count_before = self.count();
+        self.markings.extend_from_slice(marking);
+        self.env_ids.push(env_id);
+        self.inflight.extend_from_slice(in_flight);
+        self.inflight_offsets.push(self.inflight.len() as u32);
+        self.push_enabling(count_before, enabling);
+    }
+
     pub(crate) fn marking(&self, local: usize, places: usize) -> &[u32] {
         &self.markings[local * places..(local + 1) * places]
     }
 
-    pub(crate) fn env_id(&self, local: usize) -> u32 {
-        self.env_ids[local]
-    }
-
-    pub(crate) fn in_flight(&self, local: usize) -> &[(TransitionId, u64)] {
-        &self.inflight
-            [self.inflight_offsets[local] as usize..self.inflight_offsets[local + 1] as usize]
-    }
-
-    pub(crate) fn enabling(&self, local: usize) -> &[(TransitionId, u64)] {
+    fn enabling(&self, local: usize) -> &[(TransitionId, u64)] {
         if self.enabling_is_lazy() {
             return &[];
         }
         &self.enabling
             [self.enabling_offsets[local] as usize..self.enabling_offsets[local + 1] as usize]
+    }
+
+    /// The whole row of local state `local` over `places` places. The
+    /// only reader of a state row: every state access takes it from one
+    /// segment fetch.
+    pub(crate) fn state(&self, local: usize, places: usize) -> StateRef<'_> {
+        StateRef {
+            marking: MarkingView::new(self.marking(local, places)),
+            env_id: self.env_ids[local],
+            in_flight: &self.inflight
+                [self.inflight_offsets[local] as usize..self.inflight_offsets[local + 1] as usize],
+            enabling: self.enabling(local),
+        }
+    }
+
+    /// Open a state image and read its four count words: states,
+    /// in-flight entries, enabling entries and enabling offsets.
+    fn open(image: &[u8]) -> io::Result<(ImageReader<'_>, [usize; 4])> {
+        ImageReader::open(image, KIND_STATES)
     }
 }
 
@@ -700,114 +874,44 @@ impl SegmentContent for SegmentData {
                 * std::mem::size_of::<(TransitionId, u64)>()
     }
 
-    /// Serialize to the spill image format (all little-endian):
-    /// `version:u32, kind:u32, count:u32, inflight_len:u32,
-    /// enabling_len:u32, enabling_offsets_len:u32, markings, env_ids,
-    /// inflight_offsets, enabling_offsets, inflight as (id:u64,
-    /// remaining:u64)*, enabling likewise`. The enabling offsets keep
-    /// their lazy form on disk (`len == 1` for an all-empty segment),
-    /// so untimed images cost the same bytes they did before the arena
-    /// existed.
+    /// The state image: the four counts of [`Self::open`], then the
+    /// markings, env ids, in-flight offsets, enabling offsets, in-flight
+    /// clocks and enabling clocks. The enabling offsets keep their lazy
+    /// form on disk (`len == 1` for an all-empty segment), so untimed
+    /// images cost the same bytes they did before the arena existed.
     fn serialize(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(24 + self.bytes());
-        out.extend_from_slice(&IMAGE_VERSION.to_le_bytes());
-        out.extend_from_slice(&KIND_STATES.to_le_bytes());
-        out.extend_from_slice(&(self.count() as u32).to_le_bytes());
-        out.extend_from_slice(&(self.inflight.len() as u32).to_le_bytes());
-        out.extend_from_slice(&(self.enabling.len() as u32).to_le_bytes());
-        out.extend_from_slice(&(self.enabling_offsets.len() as u32).to_le_bytes());
-        for &w in &self.markings {
-            out.extend_from_slice(&w.to_le_bytes());
-        }
-        for &e in &self.env_ids {
-            out.extend_from_slice(&e.to_le_bytes());
-        }
-        for &o in self.inflight_offsets.iter().chain(&self.enabling_offsets) {
-            out.extend_from_slice(&o.to_le_bytes());
-        }
-        for &(t, r) in self.inflight.iter().chain(&self.enabling) {
-            out.extend_from_slice(&(t.index() as u64).to_le_bytes());
-            out.extend_from_slice(&r.to_le_bytes());
-        }
-        out
+        let counts = [
+            self.count(),
+            self.inflight.len(),
+            self.enabling.len(),
+            self.enabling_offsets.len(),
+        ];
+        let mut w = ImageWriter::new(KIND_STATES, &counts, self.bytes());
+        w.words(&self.markings);
+        w.words(&self.env_ids);
+        w.words(&self.inflight_offsets);
+        w.words(&self.enabling_offsets);
+        w.clocks(&self.inflight);
+        w.clocks(&self.enabling);
+        w.0
     }
 
     fn deserialize(image: &[u8], places: usize) -> io::Result<SegmentData> {
-        check_image_header(image, KIND_STATES)?;
-        let mut pos = 8usize; // past version + kind
-        let mut take = |n: usize| -> io::Result<&[u8]> {
-            let end = pos.checked_add(n).ok_or_else(corrupt)?;
-            let s = image.get(pos..end).ok_or_else(corrupt)?;
-            pos = end;
-            Ok(s)
-        };
-        let read_u32 = |s: &[u8]| u32::from_le_bytes(s.try_into().expect("4-byte chunk"));
-        let read_u64 = |s: &[u8]| u64::from_le_bytes(s.try_into().expect("8-byte chunk"));
-        let count = read_u32(take(4)?) as usize;
-        let inflight_len = read_u32(take(4)?) as usize;
-        let enabling_len = read_u32(take(4)?) as usize;
-        let eoff_len = read_u32(take(4)?) as usize;
-        // Validate the header against the image length *before* any
-        // allocation: a bit-flipped count must surface as the designed
-        // InvalidData error, not abort on a gigantic Vec::with_capacity.
+        let (mut r, [count, inflight_len, enabling_len, eoff_len]) = SegmentData::open(image)?;
         // The enabling offsets are either the lazy sentinel or fully
         // materialized; anything else is corrupt.
         if eoff_len != 1 && eoff_len != count + 1 {
             return Err(corrupt());
         }
-        if eoff_len == 1 && enabling_len != 0 {
-            return Err(corrupt());
-        }
-        let implied = 24u64
-            + count as u64 * places as u64 * 4
-            + count as u64 * 4
-            + (count as u64 + 1) * 4
-            + eoff_len as u64 * 4
-            + (inflight_len as u64 + enabling_len as u64) * 16;
-        if implied != image.len() as u64 {
-            return Err(corrupt());
-        }
-        // Bulk-parse each array from one validated slice (the header
-        // check above guarantees the lengths): chunked iteration keeps
-        // the fault path — reloads happen once per refault, not once
-        // per build — at memcpy-like speed instead of a bounds-checked
-        // closure call per element.
-        let mut data = SegmentData {
-            markings: Vec::with_capacity(count * places),
-            env_ids: Vec::with_capacity(count),
-            inflight_offsets: Vec::with_capacity(count + 1),
-            inflight: Vec::with_capacity(inflight_len),
-            enabling_offsets: Vec::with_capacity(eoff_len),
-            enabling: Vec::with_capacity(enabling_len),
+        let data = SegmentData {
+            markings: r.words(count.checked_mul(places).ok_or_else(corrupt)?)?,
+            env_ids: r.words(count)?,
+            inflight_offsets: r.offsets(count + 1, inflight_len)?,
+            enabling_offsets: r.offsets(eoff_len, enabling_len)?,
+            inflight: r.clocks(inflight_len)?,
+            enabling: r.clocks(enabling_len)?,
         };
-        data.markings
-            .extend(take(count * places * 4)?.chunks_exact(4).map(read_u32));
-        data.env_ids
-            .extend(take(count * 4)?.chunks_exact(4).map(read_u32));
-        data.inflight_offsets
-            .extend(take((count + 1) * 4)?.chunks_exact(4).map(read_u32));
-        data.enabling_offsets
-            .extend(take(eoff_len * 4)?.chunks_exact(4).map(read_u32));
-        data.inflight
-            .extend(take(inflight_len * 16)?.chunks_exact(16).map(|c| {
-                (
-                    TransitionId::new(read_u64(&c[..8]) as usize),
-                    read_u64(&c[8..]),
-                )
-            }));
-        data.enabling
-            .extend(take(enabling_len * 16)?.chunks_exact(16).map(|c| {
-                (
-                    TransitionId::new(read_u64(&c[..8]) as usize),
-                    read_u64(&c[8..]),
-                )
-            }));
-        if pos != image.len()
-            || data.inflight_offsets.last() != Some(&(inflight_len as u32))
-            || data.enabling_offsets.last() != Some(&(enabling_len as u32))
-        {
-            return Err(corrupt());
-        }
+        r.finish()?;
         Ok(data)
     }
 }
@@ -851,68 +955,24 @@ impl SegmentContent for EdgeSegment {
         self.offsets.len() * 4 + self.edges.len() * std::mem::size_of::<Edge>()
     }
 
-    /// Serialize to the spill image format (little-endian):
-    /// `version:u32, kind:u32, count:u32, edge_len:u32, offsets,
-    /// edges as (tag:u32, payload:u64, target:u32)*` where tag 0 is
-    /// `Fire(payload)` and tag 1 is `Advance(payload)`.
+    /// The edge image: the counts of rows and edges, then the row
+    /// offsets and the edges.
     fn serialize(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(16 + self.offsets.len() * 4 + self.edges.len() * 16);
-        out.extend_from_slice(&IMAGE_VERSION.to_le_bytes());
-        out.extend_from_slice(&KIND_EDGES.to_le_bytes());
-        out.extend_from_slice(&(self.count() as u32).to_le_bytes());
-        out.extend_from_slice(&(self.edges.len() as u32).to_le_bytes());
-        for &o in &self.offsets {
-            out.extend_from_slice(&o.to_le_bytes());
-        }
-        for &(label, target) in &self.edges {
-            let (tag, payload) = match label {
-                EdgeLabel::Fire(t) => (0u32, t.index() as u64),
-                EdgeLabel::Advance(dt) => (1u32, dt),
-            };
-            out.extend_from_slice(&tag.to_le_bytes());
-            out.extend_from_slice(&payload.to_le_bytes());
-            out.extend_from_slice(&target.to_le_bytes());
-        }
-        out
+        let counts = [self.count(), self.edges.len()];
+        let body = self.offsets.len() * 4 + self.edges.len() * 16;
+        let mut w = ImageWriter::new(KIND_EDGES, &counts, body);
+        w.words(&self.offsets);
+        w.edges(&self.edges);
+        w.0
     }
 
     fn deserialize(image: &[u8], _places: usize) -> io::Result<EdgeSegment> {
-        check_image_header(image, KIND_EDGES)?;
-        let mut pos = 8usize;
-        let mut take = |n: usize| -> io::Result<&[u8]> {
-            let end = pos.checked_add(n).ok_or_else(corrupt)?;
-            let s = image.get(pos..end).ok_or_else(corrupt)?;
-            pos = end;
-            Ok(s)
+        let (mut r, [count, edge_len]) = ImageReader::open(image, KIND_EDGES)?;
+        let seg = EdgeSegment {
+            offsets: r.offsets(count + 1, edge_len)?,
+            edges: r.edges(edge_len)?,
         };
-        let read_u32 = |s: &[u8]| u32::from_le_bytes(s.try_into().expect("4-byte chunk"));
-        let read_u64 = |s: &[u8]| u64::from_le_bytes(s.try_into().expect("8-byte chunk"));
-        let count = read_u32(take(4)?) as usize;
-        let edge_len = read_u32(take(4)?) as usize;
-        let implied = 16u64 + (count as u64 + 1) * 4 + edge_len as u64 * 16;
-        if implied != image.len() as u64 {
-            return Err(corrupt());
-        }
-        let mut seg = EdgeSegment {
-            offsets: Vec::with_capacity(count + 1),
-            edges: Vec::with_capacity(edge_len),
-        };
-        seg.offsets
-            .extend(take((count + 1) * 4)?.chunks_exact(4).map(read_u32));
-        for c in take(edge_len * 16)?.chunks_exact(16) {
-            let tag = read_u32(&c[..4]);
-            let payload = read_u64(&c[4..12]);
-            let target = read_u32(&c[12..]);
-            let label = match tag {
-                0 => EdgeLabel::Fire(TransitionId::new(payload as usize)),
-                1 => EdgeLabel::Advance(payload),
-                _ => return Err(corrupt()),
-            };
-            seg.edges.push((label, target));
-        }
-        if pos != image.len() || seg.offsets.last() != Some(&(edge_len as u32)) {
-            return Err(corrupt());
-        }
+        r.finish()?;
         Ok(seg)
     }
 }
@@ -1373,13 +1433,7 @@ impl PagedStates {
         self.seal_tail_if_full();
         let tail = self.tail_mut();
         let before = tail.bytes();
-        tail.markings.extend_from_slice(marking);
-        tail.env_ids.push(env_id);
-        tail.inflight.extend_from_slice(in_flight);
-        let end = tail.inflight.len() as u32;
-        tail.inflight_offsets.push(end);
-        let count_before = tail.env_ids.len() - 1;
-        tail.push_enabling(count_before, enabling);
+        tail.push(marking, env_id, in_flight, enabling);
         // Delta accounting (rather than an arithmetic formula): a lazy →
         // materialized transition of the enabling offsets backfills the
         // whole segment's offsets in one append.
@@ -1389,41 +1443,12 @@ impl PagedStates {
         self.maintain()
     }
 
-    /// The marking row of state `i`.
-    pub(crate) fn marking(&self, i: usize) -> Result<&[u32], ReachError> {
+    /// The whole row of state `i`, from one fetch of its segment
+    /// (faulting it in if evicted).
+    pub(crate) fn state(&self, i: usize) -> Result<StateRef<'_>, ReachError> {
         debug_assert!(i < self.len, "state {i} out of range");
         let (seg, local) = self.seg_of(i);
-        Ok(self.segment(seg)?.marking(local, self.places))
-    }
-
-    /// The environment id of state `i`.
-    pub(crate) fn env_id(&self, i: usize) -> Result<u32, ReachError> {
-        debug_assert!(i < self.len, "state {i} out of range");
-        let (seg, local) = self.seg_of(i);
-        Ok(self.segment(seg)?.env_ids[local])
-    }
-
-    /// The in-flight multiset of state `i`.
-    pub(crate) fn in_flight(&self, i: usize) -> Result<&[(TransitionId, u64)], ReachError> {
-        debug_assert!(i < self.len, "state {i} out of range");
-        let (seg, local) = self.seg_of(i);
-        Ok(self.segment(seg)?.in_flight(local))
-    }
-
-    /// The enabling-clock multiset of state `i`.
-    pub(crate) fn enabling(&self, i: usize) -> Result<&[(TransitionId, u64)], ReachError> {
-        debug_assert!(i < self.len, "state {i} out of range");
-        let (seg, local) = self.seg_of(i);
-        Ok(self.segment(seg)?.enabling(local))
-    }
-
-    /// The owning segment of state `i` plus its local index — one
-    /// fault/LRU touch for a whole-row compare instead of one per
-    /// field (the intern probe's hot path).
-    pub(crate) fn row(&self, i: usize) -> Result<(&SegmentData, usize), ReachError> {
-        debug_assert!(i < self.len, "state {i} out of range");
-        let (seg, local) = self.seg_of(i);
-        Ok((self.segment(seg)?, local))
+        Ok(self.segment(seg)?.state(local, self.places))
     }
 }
 
@@ -1436,19 +1461,9 @@ impl PartialEq for PagedStates {
         if self.places != other.places || self.len != other.len {
             return false;
         }
-        (0..self.len).all(|i| {
-            let row = |s: &Self| -> Result<_, ReachError> {
-                Ok((
-                    s.marking(i)?.to_vec(),
-                    s.env_id(i)?,
-                    s.in_flight(i)?.to_vec(),
-                    s.enabling(i)?.to_vec(),
-                ))
-            };
-            match (row(self), row(other)) {
-                (Ok(a), Ok(b)) => a == b,
-                _ => panic!("spill reload failed while comparing stores"),
-            }
+        (0..self.len).all(|i| match (self.state(i), other.state(i)) {
+            (Ok(a), Ok(b)) => a == b,
+            _ => panic!("spill reload failed while comparing stores"),
         })
     }
 }
@@ -1611,25 +1626,26 @@ mod tests {
     fn expect_row(ps: &PagedStates, i: usize) {
         let places = ps.places();
         let marking: Vec<u32> = (0..places).map(|p| (i + p) as u32).collect();
-        assert_eq!(ps.marking(i).unwrap(), &marking[..], "marking of state {i}");
-        assert_eq!(ps.env_id(i).unwrap(), (i % 7) as u32, "env of state {i}");
+        let state = ps.state(i).unwrap();
+        assert_eq!(
+            state.marking.as_slice(),
+            &marking[..],
+            "marking of state {i}"
+        );
+        assert_eq!(state.env_id, (i % 7) as u32, "env of state {i}");
         let inflight = if i.is_multiple_of(3) {
             vec![(TransitionId::new(i % 5), (i as u64) + 1)]
         } else {
             Vec::new()
         };
-        assert_eq!(
-            ps.in_flight(i).unwrap(),
-            &inflight[..],
-            "in-flight of state {i}"
-        );
+        assert_eq!(state.in_flight, &inflight[..], "in-flight of state {i}");
         let enabling = if i.is_multiple_of(4) {
             vec![(TransitionId::new(i % 3), (i as u64) % 9)]
         } else {
             Vec::new()
         };
         assert_eq!(
-            ps.enabling(i).unwrap(),
+            state.enabling,
             &enabling[..],
             "enabling clocks of state {i}"
         );
@@ -1802,6 +1818,70 @@ mod tests {
         edges.push_row(&[(EdgeLabel::Advance(300), 0)]).unwrap();
         edges.push_row(&[]).unwrap();
         assert_pinned(edges.segment(0).unwrap(), 0, EDGE_IMAGE);
+    }
+
+    /// Set each of `words` in `image` to each of `values` in turn, and
+    /// hand every damaged copy to `check`.
+    fn each_damaged_word(
+        image: &[u8],
+        words: std::ops::Range<usize>,
+        values: &[u32],
+        mut check: impl FnMut(&[u8]),
+    ) {
+        for word in words {
+            for value in values {
+                let mut bad = image.to_vec();
+                bad[word * 4..word * 4 + 4].copy_from_slice(&value.to_le_bytes());
+                check(&bad);
+            }
+        }
+    }
+
+    /// A damaged word must not turn into a panic on a later row read:
+    /// `deserialize` refuses the image, or every row of what it accepts
+    /// slices inside its arrays. (An env id, a transition id or an edge
+    /// target out of range reads back as it is: only a checksum could
+    /// judge those.)
+    #[test]
+    fn damaged_words_are_refused_or_read_in_bounds() {
+        let mut edges = EdgeSegment::empty();
+        for i in 0..7 {
+            edges.edges.extend_from_slice(&edge_row(i));
+            edges.offsets.push(edges.edges.len() as u32);
+        }
+        // The 8 row offsets follow the version, kind and two counts.
+        each_damaged_word(&edges.serialize(), 4..12, &[0, 1000, u32::MAX], |bad| {
+            if let Ok(seg) = EdgeSegment::deserialize(bad, 0) {
+                for local in 0..seg.count() {
+                    assert!(seg.row(local).len() <= seg.edges.len());
+                }
+            }
+        });
+
+        let mut states = SegmentData::empty();
+        for i in 0..5u32 {
+            let in_flight: &[(TransitionId, u64)] = if i % 2 == 0 {
+                &[(TransitionId::new(i as usize), 40 + u64::from(i))]
+            } else {
+                &[]
+            };
+            let enabling: &[(TransitionId, u64)] = if i % 3 == 0 {
+                &[(TransitionId::new(i as usize + 1), u64::from(i))]
+            } else {
+                &[]
+            };
+            states.push(&[i, i * 2, i * 3], i % 2, in_flight, enabling);
+        }
+        let image = states.serialize();
+        let values = [0, 1, 1000, u32::MAX];
+        // Every word after the version and kind words.
+        each_damaged_word(&image, 2..image.len() / 4, &values, |bad| {
+            if let Ok(seg) = SegmentData::deserialize(bad, 3) {
+                for local in 0..seg.count() {
+                    assert_eq!(seg.state(local, 3).marking.len(), 3);
+                }
+            }
+        });
     }
 
     #[test]

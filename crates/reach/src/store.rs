@@ -35,6 +35,13 @@
 //! eligible. Untimed graphs — and timed graphs of nets without enabling
 //! times — leave it empty, so they pay nothing for it.
 //!
+//! One type owns this row layout, the paged segment
+//! [`crate::pager::SegmentData`]: `SegmentData::push` writes a state's
+//! row and `SegmentData::state` reads it back whole as a [`StateRef`].
+//! Every reader ([`StateStore::state`], the intern probe, the
+//! explorer's source load, [`crate::graph::SegmentGuard::state`]) takes
+//! the whole row from one segment fetch.
+//!
 //! Duplicate detection is a hand-rolled open-addressing table of
 //! `(precomputed FxHash, state index)` pairs — the raw-entry pattern:
 //! no owned keys, no re-hashing on probe, equality checked directly
@@ -215,18 +222,23 @@ impl InternTable {
     }
 
     /// Find the index previously inserted under `hash` for which `eq`
-    /// holds.
+    /// holds. `eq` runs on true hash hits only, and may fail: the state
+    /// table's compare reads the paged arenas, which can fault.
     #[inline]
-    fn find(&self, hash: u64, mut eq: impl FnMut(u32) -> bool) -> Option<u32> {
+    fn find(
+        &self,
+        hash: u64,
+        mut eq: impl FnMut(u32) -> Result<bool, ReachError>,
+    ) -> Result<Option<u32>, ReachError> {
         let mask = self.entries.len() - 1;
         let mut i = self.start(hash);
         loop {
             let (h, idx) = self.entries[i];
             if idx == EMPTY {
-                return None;
+                return Ok(None);
             }
-            if h == hash && eq(idx) {
-                return Some(idx);
+            if h == hash && eq(idx)? {
+                return Ok(Some(idx));
             }
             i = (i + 1) & mask;
         }
@@ -339,12 +351,15 @@ impl fmt::Display for MarkingView<'_> {
     }
 }
 
-/// A borrowed view of one interned state's marking, in-flight firings
-/// and enabling clocks, all pointing into the store's arenas.
-#[derive(Debug, Clone, Copy)]
+/// A borrowed view of one interned state's marking, environment id,
+/// in-flight firings and enabling clocks, all pointing into the store's
+/// arenas.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StateRef<'a> {
     /// Token counts.
     pub marking: MarkingView<'a>,
+    /// The state's interned environment (see [`StateStore::env`]).
+    pub env_id: u32,
     /// In-flight firings as `(transition, remaining ticks)`, sorted —
     /// empty for untimed graphs.
     pub in_flight: &'a [(TransitionId, u64)],
@@ -417,62 +432,6 @@ impl StateStore {
         &self.bounds
     }
 
-    /// The marking arena row of state `i`, faulting its segment in
-    /// from the spill file if evicted.
-    ///
-    /// # Errors
-    ///
-    /// [`ReachError::Spill`] if the reload fails.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of range.
-    pub fn try_marking_slice(&self, i: usize) -> Result<&[u32], ReachError> {
-        self.states.marking(i)
-    }
-
-    /// The in-flight slice of state `i` (faulting like
-    /// [`Self::try_marking_slice`]).
-    ///
-    /// # Errors
-    ///
-    /// [`ReachError::Spill`] if the reload fails.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of range.
-    pub fn try_in_flight_slice(&self, i: usize) -> Result<&[(TransitionId, u64)], ReachError> {
-        self.states.in_flight(i)
-    }
-
-    /// The enabling-clock slice of state `i` (faulting like
-    /// [`Self::try_marking_slice`]).
-    ///
-    /// # Errors
-    ///
-    /// [`ReachError::Spill`] if the reload fails.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of range.
-    pub fn try_enabling_slice(&self, i: usize) -> Result<&[(TransitionId, u64)], ReachError> {
-        self.states.enabling(i)
-    }
-
-    /// The environment id of state `i` (faulting like
-    /// [`Self::try_marking_slice`]).
-    ///
-    /// # Errors
-    ///
-    /// [`ReachError::Spill`] if the reload fails.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of range.
-    pub fn try_env_id(&self, i: usize) -> Result<u32, ReachError> {
-        self.states.env_id(i)
-    }
-
     /// The interned environment `id`, in slot form.
     ///
     /// # Panics
@@ -492,11 +451,7 @@ impl StateStore {
     ///
     /// Panics if `i` is out of range.
     pub fn state(&self, i: usize) -> Result<StateRef<'_>, ReachError> {
-        Ok(StateRef {
-            marking: MarkingView(self.try_marking_slice(i)?),
-            in_flight: self.try_in_flight_slice(i)?,
-            enabling: self.try_enabling_slice(i)?,
-        })
+        self.states.state(i)
     }
 
     /// Evict cold *state* segments until the resident arenas fit the
@@ -692,7 +647,16 @@ impl StateStore {
             "stale incremental hash"
         );
         let hash = Self::hash_state(marking_hash, env_id, in_flight, enabling);
-        if let Some(idx) = self.probe_state(hash, marking, env_id, in_flight, enabling)? {
+        obs::metrics::STORE_PROBES.inc();
+        let hit = self.state_table.find(hash, |idx| {
+            let s = self.states.state(idx as usize)?;
+            Ok(s.env_id == env_id
+                && s.marking.as_slice() == marking
+                && s.in_flight == in_flight
+                && s.enabling == enabling)
+        })?;
+        if let Some(idx) = hit {
+            obs::metrics::STORE_HITS.inc();
             // The probe may have faulted an old segment in; this is a
             // `&mut` point, so evict back under budget right away.
             self.states.maintain()?;
@@ -716,43 +680,6 @@ impl StateStore {
         Ok((idx as usize, true))
     }
 
-    /// Walk the probe chain for `hash`, comparing content against the
-    /// paged arenas on true hash hits only. Hand-rolled (rather than
-    /// [`InternTable::find`] with a closure) because the compare may
-    /// fault a segment in, which is fallible.
-    fn probe_state(
-        &self,
-        hash: u64,
-        marking: &[u32],
-        env_id: u32,
-        in_flight: &[(TransitionId, u64)],
-        enabling: &[(TransitionId, u64)],
-    ) -> Result<Option<u32>, ReachError> {
-        obs::metrics::STORE_PROBES.inc();
-        let mask = self.state_table.entries.len() - 1;
-        let mut i = self.state_table.start(hash);
-        loop {
-            let (h, idx) = self.state_table.entries[i];
-            if idx == EMPTY {
-                return Ok(None);
-            }
-            if h == hash {
-                // One segment fetch (and at most one fault) covers the
-                // whole content compare.
-                let (seg, local) = self.states.row(idx as usize)?;
-                if seg.env_id(local) == env_id
-                    && seg.marking(local, self.places()) == marking
-                    && seg.in_flight(local) == in_flight
-                    && seg.enabling(local) == enabling
-                {
-                    obs::metrics::STORE_HITS.inc();
-                    return Ok(Some(idx));
-                }
-            }
-            i = (i + 1) & mask;
-        }
-    }
-
     /// Intern an environment slot row (all rows of a store share one
     /// `SlotMap`); clones it only the first time it is seen.
     ///
@@ -764,7 +691,7 @@ impl StateStore {
         let hash = fx_hash_of(env);
         if let Some(id) = self
             .env_table
-            .find(hash, |idx| &self.envs[idx as usize] == env)
+            .find(hash, |idx| Ok(&self.envs[idx as usize] == env))?
         {
             return Ok(id);
         }
@@ -821,7 +748,7 @@ mod tests {
         assert_eq!((b, new_b), (0, false));
         assert_eq!((c, new_c), (1, true));
         assert_eq!(s.len(), 2);
-        assert_eq!(s.try_marking_slice(1).unwrap(), &[1, 0, 3]);
+        assert_eq!(s.state(1).unwrap().marking.as_slice(), &[1, 0, 3]);
     }
 
     #[test]
@@ -980,10 +907,10 @@ mod tests {
         // in), then re-intern: all hits, nothing appended.
         for i in 0..n {
             assert_eq!(
-                s.try_marking_slice(i as usize).unwrap(),
+                s.state(i as usize).unwrap().marking.as_slice(),
                 &[i, i / 2, 7, i % 3]
             );
-            assert_eq!(s.try_env_id(i as usize).unwrap(), envs[(i % 4) as usize]);
+            assert_eq!(s.state(i as usize).unwrap().env_id, envs[(i % 4) as usize]);
             let inflight: &[(TransitionId, u64)] = if i % 2 == 0 {
                 &[(t0, u64::from(i) + 1)]
             } else {
@@ -994,8 +921,8 @@ mod tests {
             } else {
                 &[]
             };
-            assert_eq!(s.try_in_flight_slice(i as usize).unwrap(), inflight);
-            assert_eq!(s.try_enabling_slice(i as usize).unwrap(), enabling);
+            assert_eq!(s.state(i as usize).unwrap().in_flight, inflight);
+            assert_eq!(s.state(i as usize).unwrap().enabling, enabling);
         }
         s.maintain().unwrap();
         for i in 0..n {

@@ -53,19 +53,34 @@ fn probe_two(a: usize, b: usize, prefault: Option<usize>) -> impl Fn() + Send + 
         if let Some(p) = prefault {
             // Make this segment resident *and* imaged before the
             // threads start (it faulted once already).
-            assert_eq!(store.try_marking_slice(p).expect("prefault"), &expected(p));
+            assert_eq!(
+                store.state(p).expect("prefault").marking.as_slice(),
+                &expected(p)
+            );
         }
         race::scope(|s| {
             s.spawn(|| {
-                assert_eq!(store.try_marking_slice(a).expect("probe a"), &expected(a));
+                assert_eq!(
+                    store.state(a).expect("probe a").marking.as_slice(),
+                    &expected(a)
+                );
             });
             s.spawn(|| {
-                assert_eq!(store.try_marking_slice(b).expect("probe b"), &expected(b));
+                assert_eq!(
+                    store.state(b).expect("probe b").marking.as_slice(),
+                    &expected(b)
+                );
             });
         });
         // Post-join reads see exactly the same bytes.
-        assert_eq!(store.try_marking_slice(a).expect("reread a"), &expected(a));
-        assert_eq!(store.try_marking_slice(b).expect("reread b"), &expected(b));
+        assert_eq!(
+            store.state(a).expect("reread a").marking.as_slice(),
+            &expected(a)
+        );
+        assert_eq!(
+            store.state(b).expect("reread b").marking.as_slice(),
+            &expected(b)
+        );
     }
 }
 
@@ -107,10 +122,10 @@ fn ledger_accounts_each_fault_exactly_once() {
         let before = store.resident_arena_bytes();
         race::scope(|s| {
             s.spawn(|| {
-                store.try_marking_slice(0).expect("fault seg 0");
+                store.state(0).expect("fault seg 0");
             });
             s.spawn(|| {
-                store.try_marking_slice(SEG1_FIRST).expect("fault seg 1");
+                store.state(SEG1_FIRST).expect("fault seg 1");
             });
         });
         let after = store.resident_arena_bytes();
@@ -122,12 +137,10 @@ fn ledger_accounts_each_fault_exactly_once() {
         // Re-probing resident segments must not account again.
         race::scope(|s| {
             s.spawn(|| {
-                store.try_marking_slice(1).expect("fast path seg 0");
+                store.state(1).expect("fast path seg 0");
             });
             s.spawn(|| {
-                store
-                    .try_marking_slice(SEG1_FIRST + 1)
-                    .expect("fast path seg 1");
+                store.state(SEG1_FIRST + 1).expect("fast path seg 1");
             });
         });
         assert_eq!(
@@ -149,20 +162,23 @@ fn probe_seal_probe_phases_stay_sound() {
         let mut store = spilled_store();
         race::scope(|s| {
             s.spawn(|| {
-                store.try_marking_slice(0).expect("probe");
+                store.state(0).expect("probe");
             });
             s.spawn(|| {
-                store.try_marking_slice(1).expect("probe");
+                store.state(1).expect("probe");
             });
         });
         store.maintain().expect("evict the faulted segment again");
         race::scope(|s| {
             s.spawn(|| {
-                assert_eq!(store.try_marking_slice(0).expect("refault"), &expected(0));
+                assert_eq!(
+                    store.state(0).expect("refault").marking.as_slice(),
+                    &expected(0)
+                );
             });
             s.spawn(|| {
                 assert_eq!(
-                    store.try_marking_slice(SEG1_FIRST).expect("refault"),
+                    store.state(SEG1_FIRST).expect("refault").marking.as_slice(),
                     &expected(SEG1_FIRST)
                 );
             });

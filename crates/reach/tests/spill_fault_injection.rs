@@ -63,10 +63,7 @@ fn reload_failure_surfaces_as_spill_error_and_is_retryable() {
     pnut_obs::install();
 
     fail_nth_spill_read(1);
-    expect_spill(
-        store.try_marking_slice(0).expect_err("injected read fails"),
-        "read",
-    );
+    expect_spill(store.state(0).expect_err("injected read fails"), "read");
     let snap = pnut_obs::snapshot();
     assert_eq!(snap.counter("pager.faults"), 1, "one reload attempted");
     assert_eq!(snap.counter("pager.fault_failures"), 1, "and it failed");
@@ -76,7 +73,7 @@ fn reload_failure_surfaces_as_spill_error_and_is_retryable() {
     // spilled, nothing double-accounted, and the same probe succeeds
     // once the fault clears.
     reset_spill_failures();
-    assert_eq!(store.try_marking_slice(0).expect("retry"), &[0, 0]);
+    assert_eq!(store.state(0).expect("retry").marking.as_slice(), &[0, 0]);
     let snap = pnut_obs::snapshot();
     assert_eq!(snap.counter("pager.faults"), 2, "exactly one retry");
     assert_eq!(snap.counter("pager.fault_failures"), 1);
@@ -86,7 +83,7 @@ fn reload_failure_surfaces_as_spill_error_and_is_retryable() {
         "the successful reload read the spilled image"
     );
     assert_eq!(
-        store.try_marking_slice(70).expect("other segment"),
+        store.state(70).expect("other segment").marking.as_slice(),
         &[70, 0]
     );
 }
@@ -99,11 +96,11 @@ fn second_read_failing_spares_the_first_fault() {
     // N-th semantics: arm the *second* read; the first fault succeeds,
     // the next one fails.
     fail_nth_spill_read(2);
-    assert_eq!(store.try_marking_slice(0).expect("first fault"), &[0, 0]);
-    expect_spill(
-        store.try_marking_slice(70).expect_err("second fault fails"),
-        "read",
+    assert_eq!(
+        store.state(0).expect("first fault").marking.as_slice(),
+        &[0, 0]
     );
+    expect_spill(store.state(70).expect_err("second fault fails"), "read");
 }
 
 #[test]
@@ -139,7 +136,10 @@ fn spill_write_failure_surfaces_during_eviction_and_is_retryable() {
     // still readable (the store is merely over budget).
     for i in 0..=failed_at {
         assert_eq!(
-            s.try_marking_slice(i as usize).expect("still readable"),
+            s.state(i as usize)
+                .expect("still readable")
+                .marking
+                .as_slice(),
             &[i, 0]
         );
     }
@@ -156,8 +156,14 @@ fn spill_write_failure_surfaces_during_eviction_and_is_retryable() {
         s.intern(&[i, 0], env, &[], &[]).expect("intern resumes");
     }
     s.maintain().expect("steady state");
-    assert_eq!(s.try_marking_slice(0).expect("faults back in"), &[0, 0]);
-    assert_eq!(s.try_marking_slice(139).expect("tail stays"), &[139, 0]);
+    assert_eq!(
+        s.state(0).expect("faults back in").marking.as_slice(),
+        &[0, 0]
+    );
+    assert_eq!(
+        s.state(139).expect("tail stays").marking.as_slice(),
+        &[139, 0]
+    );
 }
 
 /// The append records a new state before its eviction writes a spill

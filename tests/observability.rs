@@ -492,7 +492,7 @@ fn fault_failures_tick_on_every_reload_error_path() {
     };
 
     // Baseline: one clean fault to learn the image length L.
-    assert_eq!(s.try_marking_slice(0).expect("clean fault"), &[0, 0]);
+    assert_eq!(s.state(0).expect("clean fault").marking.as_slice(), &[0, 0]);
     let (f, ff, r, len) = seq();
     assert_eq!((f, ff, r), (1, 0, 1), "clean fault: one reload");
     assert!(len > 0, "the reload read the image");
@@ -500,20 +500,19 @@ fn fault_failures_tick_on_every_reload_error_path() {
 
     // 1. I/O error: the read itself fails — no bytes are accounted.
     fail::fail_nth_spill_read(1);
-    s.try_marking_slice(0).expect_err("injected I/O error");
+    s.state(0).expect_err("injected I/O error");
     assert_eq!(seq(), (2, 1, 1, len), "I/O error path");
 
     // 2. Short read: the bytes arrive (and are counted — half of
     // them), but the format's bounds checks reject the image.
     fail::truncate_nth_spill_read(1);
-    s.try_marking_slice(0)
-        .expect_err("truncated image rejected");
+    s.state(0).expect_err("truncated image rejected");
     assert_eq!(seq(), (3, 2, 1, len + len / 2), "short-read path");
 
     // 3. Bad version/kind header: a full-length read whose header word
     // is garbage fails validation before anything is materialized.
     fail::bad_header_nth_spill_read(1);
-    s.try_marking_slice(0).expect_err("garbled header rejected");
+    s.state(0).expect_err("garbled header rejected");
     assert_eq!(seq(), (4, 3, 1, 2 * len + len / 2), "bad-header path");
 
     // 4. Silent marking corruption: structurally valid, so the reload
@@ -522,7 +521,10 @@ fn fault_failures_tick_on_every_reload_error_path() {
     // `--check-invariants` semantic sweep exists to catch).
     fail::corrupt_nth_spill_read(1);
     assert_eq!(
-        s.try_marking_slice(0).expect("silent corruption reloads"),
+        s.state(0)
+            .expect("silent corruption reloads")
+            .marking
+            .as_slice(),
         &[1, 0],
         "the low bit of the first marking byte flipped"
     );
@@ -535,6 +537,9 @@ fn fault_failures_tick_on_every_reload_error_path() {
 
     // 5. The corruption mangled only the in-memory reload, never the
     // spill file: a clean refault restores the true data.
-    assert_eq!(s.try_marking_slice(0).expect("clean refault"), &[0, 0]);
+    assert_eq!(
+        s.state(0).expect("clean refault").marking.as_slice(),
+        &[0, 0]
+    );
     assert_eq!(seq(), (6, 3, 3, 4 * len + len / 2), "clean refault");
 }
