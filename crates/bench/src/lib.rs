@@ -15,8 +15,10 @@
 //! | `sweeps` | intro claims: memory / buffer / mix / cache sweeps, pipelined vs sequential |
 //!
 //! Every binary accepts an optional seed as its first argument
-//! (default 1) and prints to stdout; see EXPERIMENTS.md for the
-//! paper-vs-measured record.
+//! (default 1) and prints to stdout. Where the paper quotes a number,
+//! the binary prints it beside the measured one: the description
+//! length of Figures 1–3, `fig5_report`'s paper-vs-measured table, and
+//! the Figure 7 readout.
 
 pub mod legacy_query;
 pub mod legacy_reach;
