@@ -318,10 +318,8 @@ impl ReachabilityGraph {
     ///
     /// Panics if `i` is out of range.
     pub fn env(&self, i: usize) -> Result<Env, ReachError> {
-        Ok(self
-            .store
-            .env(self.store.state(i)?.env_id)
-            .to_env(&self.map))
+        let env_id = self.store.state(i)?.env_id;
+        Ok(self.store.env(env_id).to_env(&self.map))
     }
 
     /// Outgoing edges of state `i` as `(label, target)` pairs, faulting

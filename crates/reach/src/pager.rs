@@ -632,7 +632,7 @@ impl<'a> ImageReader<'a> {
     /// foreign image is diagnosable, not just "corrupt".
     fn open<const N: usize>(image: &'a [u8], kind: u32) -> io::Result<(Self, [usize; N])> {
         let mut r = ImageReader { image, pos: 0 };
-        let [version, got_kind] = r.counts()?;
+        let [version, got_kind] = r.header_words()?;
         for (word, got, want) in [
             ("version", version, IMAGE_VERSION),
             ("kind", got_kind, kind),
@@ -642,7 +642,7 @@ impl<'a> ImageReader<'a> {
                 return Err(io::Error::new(io::ErrorKind::InvalidData, msg));
             }
         }
-        let counts = r.counts()?;
+        let counts = r.header_words()?;
         Ok((r, counts))
     }
 
@@ -658,7 +658,7 @@ impl<'a> ImageReader<'a> {
         Ok(bytes.chunks_exact(size))
     }
 
-    fn counts<const N: usize>(&mut self) -> io::Result<[usize; N]> {
+    fn header_words<const N: usize>(&mut self) -> io::Result<[usize; N]> {
         let mut counts = [0; N];
         for (count, c) in counts.iter_mut().zip(self.take(N, 4)?) {
             *count = read_u32(c) as usize;
