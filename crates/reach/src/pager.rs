@@ -828,9 +828,8 @@ impl SegmentData {
             [self.enabling_offsets[local] as usize..self.enabling_offsets[local + 1] as usize]
     }
 
-    /// The whole row of local state `local` over `places` places. The
-    /// only reader of a state row: every state access takes it from one
-    /// segment fetch.
+    /// The whole row of local state `local` over `places` places, so a
+    /// reader takes every field of a state from one segment fetch.
     pub(crate) fn state(&self, local: usize, places: usize) -> StateRef<'_> {
         StateRef {
             marking: MarkingView::new(self.marking(local, places)),
