@@ -961,6 +961,194 @@ mod tests {
         );
     }
 
+    /// One delta of each kind as `write_trace` writes it: start, finish,
+    /// place, var.
+    const WRITTEN: [&str; 4] = [
+        r#"{"time":15,"step":12,"kind":{"type":"start","transition":1,"firing":13}}"#,
+        r#"{"time":15,"step":12,"kind":{"type":"finish","transition":1,"firing":13}}"#,
+        r#"{"time":15,"step":12,"kind":{"type":"place","place":1,"delta":-1}}"#,
+        r#"{"time":15,"step":12,"kind":{"type":"var","name":"x","value":7}}"#,
+    ];
+
+    /// The header fields of the documents `delta_document` builds, in
+    /// the order `write_trace` writes them.
+    const HEADER: &str = concat!(
+        r#""net_name":"n","place_names":["p","q"],"transition_names":["t","u"],"#,
+        r#""initial_marking":[0,1],"initial_env":{"vars":{},"tables":{}},"#,
+        r#""start_time":0,"end_time":18446744073709551615"#
+    );
+
+    /// A trace whose one delta, `delta`, comes before the header, so
+    /// byte `N` of the delta is byte `N + 11` of the document.
+    fn delta_document(delta: &str) -> String {
+        format!(r#"{{"deltas":[{delta}],{HEADER}}}"#)
+    }
+
+    /// What reading `doc` gives: its one delta as `Delta` displays it
+    /// (the rest must be `HEADER`'s), or the error text.
+    fn outcome(doc: &str) -> String {
+        let empty = read_trace(delta_document("").as_bytes()).unwrap();
+        match read_trace(doc.as_bytes()) {
+            Ok(trace) => {
+                assert_eq!(trace.header(), empty.header(), "{doc}");
+                assert_eq!(trace.end_time(), empty.end_time(), "{doc}");
+                let [delta] = trace.deltas() else {
+                    panic!("{doc}: {} deltas", trace.deltas().len())
+                };
+                delta.to_string()
+            }
+            Err(e) => e.to_string(),
+        }
+    }
+
+    /// Where the value of `delta`'s member `key` starts and ends.
+    fn value_span(delta: &str, key: &str) -> (usize, usize) {
+        let member = format!("\"{key}\":");
+        let at = delta.find(&member).unwrap() + member.len();
+        let end = match key {
+            "kind" => delta.len() - 1,
+            _ => at + delta[at..].find([',', '}']).unwrap(),
+        };
+        (at, end)
+    }
+
+    /// The reader's answers on one written delta of each kind and on
+    /// variants `write_trace` never writes. A row of `VARIANTS` is a
+    /// whole delta, or `KIND KEY=VALUE` (that kind's written delta with
+    /// one member's value replaced), or `KIND cut KEY` (its document cut
+    /// before the last byte of that member's value).
+    #[test]
+    fn delta_variants_read_as_pinned() {
+        const VARIANTS: &str = r#"
+{ "time":15,"step":12,"kind":{ "type":"start","transition":1,"firing":13}} => @15 #12 start t1 (firing 13)
+{"time": 15,"step": 12,"kind": {"type": "finish","transition": 1,"firing": 13}} => @15 #12 finish t1 (firing 13)
+{"time":15, "step":12, "kind":{"type":"place", "place":1, "delta":-1}} => @15 #12 p1 -1
+{"kind":{"type":"start","transition":1,"firing":13},"time":15,"step":12} => @15 #12 start t1 (firing 13)
+{"time":15,"step":12,"kind":{"place":1,"delta":-1,"type":"place"}} => @15 #12 p1 -1
+{"time":15,"time":16,"step":12,"kind":{"type":"start","transition":1,"firing":13}} => @15 #12 start t1 (firing 13)
+{"time":15,"step":12,"kind":{"type":"start","type":"finish","transition":1,"firing":13}} => @15 #12 start t1 (firing 13)
+{"time":15,"step":"x","step":12,"kind":{"type":"start","transition":1,"firing":13}} => not a trace: delta step: expected integer, found string
+{"time":15,"x":[1,{"y":null}],"step":12,"kind":{"type":"finish","transition":1,"firing":13}} => @15 #12 finish t1 (firing 13)
+{"time":15,"step":12,"kind":{"type":"var","note":"hi","name":"x","value":7}} => @15 #12 x = 7
+var name="a\"b" => @15 #12 a"b = 7
+var name="\u0041" => @15 #12 A = 7
+var value=-5 => @15 #12 x = -5
+var value=1.5 => not a trace: var value: expected integer or bool, found number
+var value="x" => not a trace: var value: expected integer or bool, found string
+var value=true => @15 #12 x = true
+start time=007 => @7 #12 start t1 (firing 13)
+start time=-0 => @0 #12 start t1 (firing 13)
+start time=999999999999999999 => @999999999999999999 #12 start t1 (firing 13)
+start time=9999999999999999999 => @9999999999999999999 #12 start t1 (firing 13)
+start time=99999999999999999999 => not a trace: delta time: 99999999999999999999 out of range
+start time=1.0 => not a trace: delta time: expected integer, found number
+start time=1e0 => not a trace: delta time: expected integer, found number
+finish step=007 => @15 #7 finish t1 (firing 13)
+finish step=-0 => @15 #0 finish t1 (firing 13)
+finish step=999999999999999999 => @15 #999999999999999999 finish t1 (firing 13)
+finish step=9999999999999999999 => @15 #9999999999999999999 finish t1 (firing 13)
+finish step=99999999999999999999 => not a trace: delta step: 99999999999999999999 out of range
+finish step=1.0 => not a trace: delta step: expected integer, found number
+finish step=1e0 => not a trace: delta step: expected integer, found number
+start transition=007 => not a trace: transition index 7 out of range (2 transitions)
+start transition=-0 => @15 #12 start t0 (firing 13)
+start transition=999999999999999999 => not a trace: transition index 999999999999999999 out of range (2 transitions)
+start transition=9999999999999999999 => not a trace: transition index 9999999999999999999 out of range (2 transitions)
+start transition=99999999999999999999 => not a trace: transition: 99999999999999999999 out of range
+start transition=1.0 => not a trace: transition: expected integer, found number
+start transition=1e0 => not a trace: transition: expected integer, found number
+finish firing=007 => @15 #12 finish t1 (firing 7)
+finish firing=-0 => @15 #12 finish t1 (firing 0)
+finish firing=999999999999999999 => @15 #12 finish t1 (firing 999999999999999999)
+finish firing=9999999999999999999 => @15 #12 finish t1 (firing 9999999999999999999)
+finish firing=99999999999999999999 => not a trace: firing: 99999999999999999999 out of range
+finish firing=1.0 => not a trace: firing: expected integer, found number
+finish firing=1e0 => not a trace: firing: expected integer, found number
+place place=007 => not a trace: place index 7 out of range (2 places)
+place place=-0 => not a trace: place `p` would hold -1 tokens at time 15
+place place=999999999999999999 => not a trace: place index 999999999999999999 out of range (2 places)
+place place=9999999999999999999 => not a trace: place index 9999999999999999999 out of range (2 places)
+place place=99999999999999999999 => not a trace: place: 99999999999999999999 out of range
+place place=1.0 => not a trace: place: expected integer, found number
+place place=1e0 => not a trace: place: expected integer, found number
+place delta=007 => @15 #12 p1 +7
+place delta=-0 => @15 #12 p1 +0
+place delta=999999999999999999 => not a trace: place `q` would hold 1000000000000000000 tokens at time 15
+place delta=9999999999999999999 => not a trace: delta: 9999999999999999999 out of range
+place delta=99999999999999999999 => not a trace: delta: 99999999999999999999 out of range
+place delta=1.0 => not a trace: delta: expected integer, found number
+place delta=1e0 => not a trace: delta: expected integer, found number
+var value=007 => @15 #12 x = 7
+var value=-0 => @15 #12 x = 0
+var value=999999999999999999 => @15 #12 x = 999999999999999999
+var value=9999999999999999999 => not a trace: var value: 9999999999999999999 out of range
+var value=99999999999999999999 => not a trace: var value: 99999999999999999999 out of range
+var value=1.0 => not a trace: var value: expected integer or bool, found number
+var value=1e0 => not a trace: var value: expected integer or bool, found number
+start cut time => malformed JSON at byte 20: expected `,` or `}`
+start cut step => malformed JSON at byte 30: expected `,` or `}`
+start cut type => malformed JSON at byte 53: unterminated string
+start cut transition => malformed JSON at byte 68: expected a JSON value
+start cut firing => malformed JSON at byte 80: expected `,` or `}`
+start cut kind => malformed JSON at byte 81: expected `,` or `}`
+finish cut time => malformed JSON at byte 20: expected `,` or `}`
+finish cut step => malformed JSON at byte 30: expected `,` or `}`
+finish cut type => malformed JSON at byte 54: unterminated string
+finish cut transition => malformed JSON at byte 69: expected a JSON value
+finish cut firing => malformed JSON at byte 81: expected `,` or `}`
+finish cut kind => malformed JSON at byte 82: expected `,` or `}`
+place cut time => malformed JSON at byte 20: expected `,` or `}`
+place cut step => malformed JSON at byte 30: expected `,` or `}`
+place cut type => malformed JSON at byte 53: unterminated string
+place cut place => malformed JSON at byte 63: expected a JSON value
+place cut delta => malformed JSON at byte 74: invalid number
+place cut kind => malformed JSON at byte 75: expected `,` or `}`
+var cut time => malformed JSON at byte 20: expected `,` or `}`
+var cut step => malformed JSON at byte 30: expected `,` or `}`
+var cut type => malformed JSON at byte 51: unterminated string
+var cut name => malformed JSON at byte 62: unterminated string
+var cut value => malformed JSON at byte 72: expected a JSON value
+var cut kind => malformed JSON at byte 73: expected `,` or `}`
+"#;
+        for (i, delta) in WRITTEN.iter().enumerate() {
+            let trace = read_trace(delta_document(delta).as_bytes()).unwrap();
+            let canonical = format!(r#"{{{HEADER},"deltas":[{delta}]}}"#);
+            assert_eq!(written(&trace), canonical.as_bytes(), "WRITTEN[{i}]");
+        }
+        let kinds = ["start", "finish", "place", "var"];
+        // Whitespace of every kind, before `}` too.
+        let spaced = "{\"time\":15,\n\t\"step\":12,\r\"kind\":{\"type\":\"var\",\"name\":\"x\",\"value\":7 } }";
+        let mut rows = vec![(spaced.to_owned(), delta_document(spaced), "@15 #12 x = 7")];
+        for row in VARIANTS.trim().lines() {
+            let (variant, pinned) = row.split_once(" => ").unwrap();
+            let doc = match variant.split_once(' ') {
+                Some((kind, edit)) if !variant.starts_with('{') => {
+                    let delta = WRITTEN[kinds.iter().position(|&k| k == kind).unwrap()];
+                    match edit.split_once('=') {
+                        Some((key, value)) => {
+                            let (at, end) = value_span(delta, key);
+                            delta_document(&format!("{}{value}{}", &delta[..at], &delta[end..]))
+                        }
+                        None => {
+                            let (_, end) = value_span(delta, &edit["cut ".len()..]);
+                            delta_document(delta)[..end + 10].to_owned()
+                        }
+                    }
+                }
+                _ => delta_document(variant),
+            };
+            rows.push((variant.to_owned(), doc, pinned));
+        }
+        let wrong: Vec<String> = rows
+            .iter()
+            .filter_map(|(variant, doc, pinned)| {
+                let got = outcome(doc);
+                (got != *pinned).then(|| format!("{variant}\n  pinned {pinned}\n  got    {got}"))
+            })
+            .collect();
+        assert!(wrong.is_empty(), "{}", wrong.join("\n"));
+    }
+
     #[test]
     fn out_of_range_delta_indices_are_schema_errors() {
         let t = br#"{"net_name":"n","place_names":["p"],"transition_names":["t"],
