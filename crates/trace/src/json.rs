@@ -23,20 +23,40 @@
 //! }
 //! ```
 //!
+//! # Writing
+//!
+//! The writer lays every trace out one way: keys in the order above,
+//! no whitespace, integers in plain decimal, and only `"`, `\` and
+//! control characters escaped in strings. Each delta is built from
+//! fixed byte runs and one decimal formatter in a small reused buffer,
+//! and handed to the output with one `write_all`.
+//!
 //! # Reading
 //!
 //! The reader makes one pass, linear in the input. It validates UTF-8
 //! once over the whole buffer, then a byte cursor decodes the header
 //! fields and each delta straight into the trace types. Strings without
 //! escapes are borrowed from the input: keys and kind tags are never
-//! copied, and names only once, into the trace. The accepted language:
+//! copied, and names only once, into the trace.
 //!
-//! * keys come in any order, and the first occurrence of a duplicate
-//!   key wins;
+//! Two decoders read a delta. The canonical one takes only the layout
+//! the writer emits, matching the writer's own byte runs (integers of
+//! at most 18 digits), and declines anything else without an error.
+//! The general one then reads the declined delta from its first byte.
+//! It alone defines the accepted language and every error: wherever
+//! the canonical decoder reads a delta, it reads exactly what the
+//! general one would. Which of the two reads a delta depends on its
+//! bytes alone. The accepted language:
+//!
+//! * keys come in any order; a field given twice keeps its first
+//!   value, but a variable or table named twice inside `initial_env`
+//!   keeps its last;
 //! * unknown fields are skipped, but still syntax-checked, nesting
 //!   included (at most 128 levels);
 //! * integers are checked for type and range, and delta place and
 //!   transition indices against the header once the pass is done;
+//! * delta times never decrease and lie within `start_time..=end_time`,
+//!   and delta steps never decrease;
 //! * place counts are replayed from `initial_marking`, one add per
 //!   place delta, and must stay within `0..=u32::MAX` (a `finish` with
 //!   no `start` is fine: a continued run's header does not list the
@@ -103,134 +123,160 @@ impl From<std::io::Error> for JsonError {
 // Writing
 // ---------------------------------------------------------------------------
 
-fn write_str(out: &mut impl Write, s: &str) -> Result<(), JsonError> {
-    out.write_all(b"\"")?;
-    for c in s.chars() {
-        match c {
-            '"' => out.write_all(b"\\\"")?,
-            '\\' => out.write_all(b"\\\\")?,
-            '\n' => out.write_all(b"\\n")?,
-            '\r' => out.write_all(b"\\r")?,
-            '\t' => out.write_all(b"\\t")?,
-            c if (c as u32) < 0x20 => write!(out, "\\u{:04x}", c as u32)?,
-            c => write!(out, "{c}")?,
-        }
+// The fixed bytes of a delta in the one layout `write_delta` writes,
+// `{"time":T,"step":S,"kind":{"type":…}}`, in order; the canonical
+// decoder matches the same runs.
+const TIME: &[u8] = br#"{"time":"#;
+const STEP: &[u8] = br#","step":"#;
+const KIND: &[u8] = br#","kind":{"type":"#;
+const START: &[u8] = br#""start","transition":"#;
+const FINISH: &[u8] = br#""finish","transition":"#;
+const FIRING: &[u8] = br#","firing":"#;
+const PLACE: &[u8] = br#""place","place":"#;
+const DELTA: &[u8] = br#","delta":"#;
+const VAR: &[u8] = br#""var","name":"#;
+const VALUE: &[u8] = br#","value":"#;
+const END: &[u8] = b"}}";
+
+/// `n` in decimal: the one number formatter of the writer.
+fn decimal(out: &mut Vec<u8>, n: u64) {
+    if n >= 10 {
+        decimal(out, n / 10);
     }
-    out.write_all(b"\"")?;
-    Ok(())
+    out.push(b'0' + (n % 10) as u8);
 }
 
-fn write_str_list(out: &mut impl Write, items: &[String]) -> Result<(), JsonError> {
-    out.write_all(b"[")?;
-    for (i, s) in items.iter().enumerate() {
-        if i > 0 {
-            out.write_all(b",")?;
-        }
-        write_str(out, s)?;
+fn signed(out: &mut Vec<u8>, n: i64) {
+    if n < 0 {
+        out.push(b'-');
     }
-    out.write_all(b"]")?;
-    Ok(())
+    decimal(out, n.unsigned_abs());
 }
 
-fn write_value(out: &mut impl Write, v: Value) -> Result<(), JsonError> {
-    match v {
-        Value::Int(i) => write!(out, "{i}")?,
-        Value::Bool(b) => write!(out, "{b}")?,
-    }
-    Ok(())
-}
-
-fn write_env(out: &mut impl Write, env: &Env) -> Result<(), JsonError> {
-    out.write_all(b"{\"vars\":{")?;
-    for (i, (name, v)) in env.vars().enumerate() {
-        if i > 0 {
-            out.write_all(b",")?;
-        }
-        write_str(out, name)?;
-        out.write_all(b":")?;
-        write_value(out, v)?;
-    }
-    out.write_all(b"},\"tables\":{")?;
-    for (i, (name, vals)) in env.tables().enumerate() {
-        if i > 0 {
-            out.write_all(b",")?;
-        }
-        write_str(out, name)?;
-        out.write_all(b":[")?;
-        for (j, v) in vals.iter().enumerate() {
-            if j > 0 {
-                out.write_all(b",")?;
+/// A string, escaped byte by byte: every byte that needs an escape is
+/// ASCII, so the others are copied as they are.
+fn write_str(out: &mut Vec<u8>, s: &str) {
+    out.push(b'"');
+    for &b in s.as_bytes() {
+        match b {
+            b'"' => out.extend_from_slice(br#"\""#),
+            b'\\' => out.extend_from_slice(br"\\"),
+            b'\n' => out.extend_from_slice(br"\n"),
+            b'\r' => out.extend_from_slice(br"\r"),
+            b'\t' => out.extend_from_slice(br"\t"),
+            0..0x20 => {
+                let hex = b"0123456789abcdef";
+                out.extend_from_slice(br"\u00");
+                out.extend_from_slice(&[hex[usize::from(b >> 4)], hex[usize::from(b & 15)]]);
             }
-            write!(out, "{v}")?;
+            _ => out.push(b),
         }
-        out.write_all(b"]")?;
     }
-    out.write_all(b"}}")?;
-    Ok(())
+    out.push(b'"');
 }
 
-fn write_delta(out: &mut impl Write, d: &Delta) -> Result<(), JsonError> {
-    write!(
-        out,
-        "{{\"time\":{},\"step\":{},\"kind\":",
-        d.time.ticks(),
-        d.step
-    )?;
+/// `items` between the two `brackets`, comma-separated.
+fn write_seq<T>(
+    out: &mut Vec<u8>,
+    [open, close]: [u8; 2],
+    items: impl IntoIterator<Item = T>,
+    mut item: impl FnMut(&mut Vec<u8>, T),
+) {
+    out.push(open);
+    for (i, x) in items.into_iter().enumerate() {
+        if i > 0 {
+            out.push(b',');
+        }
+        item(out, x);
+    }
+    out.push(close);
+}
+
+fn write_value(out: &mut Vec<u8>, v: Value) {
+    match v {
+        Value::Int(i) => signed(out, i),
+        Value::Bool(b) => out.extend_from_slice(if b { b"true" } else { b"false" }),
+    }
+}
+
+fn write_env(out: &mut Vec<u8>, env: &Env) {
+    out.extend_from_slice(br#"{"vars":"#);
+    write_seq(out, *b"{}", env.vars(), |out, (name, v)| {
+        write_str(out, name);
+        out.push(b':');
+        write_value(out, v);
+    });
+    out.extend_from_slice(br#","tables":"#);
+    write_seq(out, *b"{}", env.tables(), |out, (name, vals)| {
+        write_str(out, name);
+        out.push(b':');
+        write_seq(out, *b"[]", vals, |out, &v| signed(out, v));
+    });
+    out.push(b'}');
+}
+
+fn write_delta(out: &mut Vec<u8>, d: &Delta) {
+    out.extend_from_slice(TIME);
+    decimal(out, d.time.ticks());
+    out.extend_from_slice(STEP);
+    decimal(out, d.step);
+    out.extend_from_slice(KIND);
     match &d.kind {
-        DeltaKind::Start { transition, firing } => write!(
-            out,
-            "{{\"type\":\"start\",\"transition\":{},\"firing\":{firing}}}",
-            transition.index()
-        )?,
-        DeltaKind::Finish { transition, firing } => write!(
-            out,
-            "{{\"type\":\"finish\",\"transition\":{},\"firing\":{firing}}}",
-            transition.index()
-        )?,
-        DeltaKind::PlaceDelta { place, delta } => write!(
-            out,
-            "{{\"type\":\"place\",\"place\":{},\"delta\":{delta}}}",
-            place.index()
-        )?,
+        DeltaKind::Start { transition, firing } | DeltaKind::Finish { transition, firing } => {
+            let start = matches!(d.kind, DeltaKind::Start { .. });
+            out.extend_from_slice(if start { START } else { FINISH });
+            decimal(out, transition.index() as u64);
+            out.extend_from_slice(FIRING);
+            decimal(out, *firing);
+        }
+        DeltaKind::PlaceDelta { place, delta } => {
+            out.extend_from_slice(PLACE);
+            decimal(out, place.index() as u64);
+            out.extend_from_slice(DELTA);
+            signed(out, *delta);
+        }
         DeltaKind::VarSet { name, value } => {
-            out.write_all(b"{\"type\":\"var\",\"name\":")?;
-            write_str(out, name)?;
-            out.write_all(b",\"value\":")?;
-            write_value(out, *value)?;
-            out.write_all(b"}")?;
+            out.extend_from_slice(VAR);
+            write_str(out, name);
+            out.extend_from_slice(VALUE);
+            write_value(out, *value);
         }
     }
-    out.write_all(b"}")?;
-    Ok(())
+    out.extend_from_slice(END);
 }
 
 pub(crate) fn write_trace(trace: &RecordedTrace, mut out: impl Write) -> Result<(), JsonError> {
     let h = trace.header();
-    out.write_all(b"{\"net_name\":")?;
-    write_str(&mut out, &h.net_name)?;
-    out.write_all(b",\"place_names\":")?;
-    write_str_list(&mut out, &h.place_names)?;
-    out.write_all(b",\"transition_names\":")?;
-    write_str_list(&mut out, &h.transition_names)?;
-    out.write_all(b",\"initial_marking\":[")?;
-    for (i, t) in h.initial_marking.iter().enumerate() {
-        if i > 0 {
-            out.write_all(b",")?;
-        }
-        write!(out, "{t}")?;
-    }
-    out.write_all(b"],\"initial_env\":")?;
-    write_env(&mut out, &h.initial_env)?;
-    write!(out, ",\"start_time\":{}", h.start_time.ticks())?;
-    write!(out, ",\"end_time\":{}", trace.end_time().ticks())?;
-    out.write_all(b",\"deltas\":[")?;
+    let mut buf = Vec::new();
+    buf.extend_from_slice(br#"{"net_name":"#);
+    write_str(&mut buf, &h.net_name);
+    buf.extend_from_slice(br#","place_names":"#);
+    write_seq(&mut buf, *b"[]", &h.place_names, |out, s| write_str(out, s));
+    buf.extend_from_slice(br#","transition_names":"#);
+    write_seq(&mut buf, *b"[]", &h.transition_names, |out, s| {
+        write_str(out, s)
+    });
+    buf.extend_from_slice(br#","initial_marking":"#);
+    write_seq(&mut buf, *b"[]", &h.initial_marking, |out, &m| {
+        decimal(out, m.into())
+    });
+    buf.extend_from_slice(br#","initial_env":"#);
+    write_env(&mut buf, &h.initial_env);
+    buf.extend_from_slice(br#","start_time":"#);
+    decimal(&mut buf, h.start_time.ticks());
+    buf.extend_from_slice(br#","end_time":"#);
+    decimal(&mut buf, trace.end_time().ticks());
+    buf.extend_from_slice(br#","deltas":["#);
     for (i, d) in trace.deltas().iter().enumerate() {
         if i > 0 {
-            out.write_all(b",")?;
+            buf.push(b',');
         }
-        write_delta(&mut out, d)?;
+        write_delta(&mut buf, d);
+        out.write_all(&buf)?;
+        buf.clear();
     }
-    out.write_all(b"]}")?;
+    buf.extend_from_slice(b"]}");
+    out.write_all(&buf)?;
     out.flush()?;
     Ok(())
 }
@@ -332,8 +378,8 @@ impl<'a> Cursor<'a> {
         }
     }
 
-    fn eat(&mut self, lit: &str) -> bool {
-        let hit = self.bytes()[self.pos..].starts_with(lit.as_bytes());
+    fn eat(&mut self, lit: &[u8]) -> bool {
+        let hit = self.bytes()[self.pos..].starts_with(lit);
         if hit {
             self.pos += lit.len();
         }
@@ -364,7 +410,7 @@ impl<'a> Cursor<'a> {
             Some(b'[') => self.array("", Cursor::skip),
             Some(b'"') => self.string().map(drop),
             Some(b'-' | b'0'..=b'9') => self.number().map(drop),
-            _ if self.eat("true") || self.eat("false") || self.eat("null") => Ok(()),
+            _ if self.eat(b"true") || self.eat(b"false") || self.eat(b"null") => Ok(()),
             _ => Err(self.err("expected a JSON value")),
         }
     }
@@ -568,9 +614,9 @@ impl<'a> Cursor<'a> {
     }
 
     fn value(&mut self, what: &str) -> Result<Value, JsonError> {
-        if self.eat("true") {
+        if self.eat(b"true") {
             Ok(Value::Bool(true))
-        } else if self.eat("false") {
+        } else if self.eat(b"false") {
             Ok(Value::Bool(false))
         } else {
             self.int_or(what, "integer or bool").map(Value::Int)
@@ -607,7 +653,78 @@ impl<'a> Cursor<'a> {
         Ok(env)
     }
 
+    /// One delta: by the canonical decoder if it is in the layout
+    /// `write_delta` writes, or else by the general one, from its first
+    /// byte.
     fn delta(&mut self) -> Result<Delta, JsonError> {
+        let start = self.pos;
+        if let Some(delta) = self.canonical_delta() {
+            return Ok(delta);
+        }
+        self.pos = start;
+        self.general_delta()
+    }
+
+    /// A delta in exactly the layout `write_delta` writes: its byte runs
+    /// in order, integers of at most 18 digits. Anything else is `None`,
+    /// never an error, with the cursor anywhere inside the delta.
+    fn canonical_delta(&mut self) -> Option<Delta> {
+        let time = Time::from_ticks(self.after(TIME)?.canonical_int(false)?);
+        let step = self.after(STEP)?.canonical_int(false)?;
+        let kind = if self.after(KIND)?.eat(PLACE) {
+            let place = PlaceId::new(self.canonical_int(false)?);
+            let delta = self.after(DELTA)?.canonical_int(true)?;
+            DeltaKind::PlaceDelta { place, delta }
+        } else if self.eat(VAR) {
+            let name = self.string().ok()?.into_owned();
+            let value = if self.after(VALUE)?.eat(b"true") {
+                Value::Bool(true)
+            } else if self.eat(b"false") {
+                Value::Bool(false)
+            } else {
+                Value::Int(self.canonical_int(true)?)
+            };
+            DeltaKind::VarSet { name, value }
+        } else if self.eat(START) {
+            let (transition, firing) = self.canonical_firing()?;
+            DeltaKind::Start { transition, firing }
+        } else {
+            let (transition, firing) = self.after(FINISH)?.canonical_firing()?;
+            DeltaKind::Finish { transition, firing }
+        };
+        self.after(END)?;
+        Some(Delta { time, step, kind })
+    }
+
+    /// A transition index and firing number, as `write_delta` writes
+    /// them.
+    fn canonical_firing(&mut self) -> Option<(TransitionId, u64)> {
+        let transition = TransitionId::new(self.canonical_int(false)?);
+        Some((transition, self.after(FIRING)?.canonical_int(false)?))
+    }
+
+    /// The cursor past `run`, which must come next.
+    fn after(&mut self, run: &[u8]) -> Option<&mut Self> {
+        self.eat(run).then_some(self)
+    }
+
+    /// An integer as `decimal` writes it, after a `-` only if `signed`:
+    /// at most 18 digits, so it cannot overflow an `i64`.
+    fn canonical_int<T: TryFrom<i64>>(&mut self, signed: bool) -> Option<T> {
+        let negative = signed && self.eat(b"-");
+        let digits = &self.bytes()[self.pos..];
+        let len = digits.iter().take(19).position(|b| !b.is_ascii_digit());
+        let len = len.filter(|&len| len > 0)?;
+        self.pos += len;
+        let n = digits[..len]
+            .iter()
+            .fold(0, |n, &d| n * 10 + i64::from(d - b'0'));
+        T::try_from(if negative { -n } else { n }).ok()
+    }
+
+    /// One delta, keys in any order: the general decoder, which defines
+    /// the language and every error.
+    fn general_delta(&mut self) -> Result<Delta, JsonError> {
         let (mut time, mut step, mut kind) = (None, None, None);
         self.object("delta", |c, key| match key {
             "time" => c.first(&mut time, |c| c.int("delta time")),
@@ -716,14 +833,14 @@ pub(crate) fn read_trace(mut reader: impl Read) -> Result<RecordedTrace, JsonErr
             "initial_marking length differs from place_names".into(),
         ));
     }
-    // Indices, times and place counts are checked once the header is in
-    // hand (keys come in any order), so a malformed trace fails here
-    // instead of panicking, or being clamped into wrong answers,
-    // downstream in `StateIter` or the statistics.
+    // Indices, times, steps and place counts are checked once the
+    // header is in hand (keys come in any order), so a malformed trace
+    // fails here instead of panicking, or being clamped or split into
+    // wrong states, downstream in `StateIter` or the statistics.
     let deltas = c.required(deltas, "deltas")?;
     let start_time = Time::from_ticks(c.required(start_time, "start_time")?);
     let end_time = Time::from_ticks(c.required(end_time, "end_time")?);
-    let mut clock = start_time;
+    let (mut clock, mut step) = (start_time, 0);
     let mut tokens: Vec<i64> = initial_marking.iter().map(|&m| i64::from(m)).collect();
     for d in &deltas {
         if d.time < clock {
@@ -732,7 +849,13 @@ pub(crate) fn read_trace(mut reader: impl Read) -> Result<RecordedTrace, JsonErr
                 d.time
             )));
         }
-        clock = d.time;
+        if d.step < step {
+            return Err(JsonError::Schema(format!(
+                "delta step {} precedes step {step}",
+                d.step
+            )));
+        }
+        (clock, step) = (d.time, d.step);
         let (what, index, count) = match d.kind {
             DeltaKind::Start { transition, .. } | DeltaKind::Finish { transition, .. } => {
                 ("transition", transition.index(), transition_names.len())
@@ -770,6 +893,20 @@ pub(crate) fn read_trace(mut reader: impl Read) -> Result<RecordedTrace, JsonErr
         start_time,
     };
     Ok(RecordedTrace::new(header, deltas, end_time))
+}
+
+/// The index of the first delta of `trace` that the canonical decoder
+/// does not read back exactly as `write_trace` writes it. Test-only: it
+/// lets a test show that every delta of a run takes the canonical path.
+#[doc(hidden)]
+pub fn first_noncanonical_delta(trace: &RecordedTrace) -> Option<usize> {
+    let mut buf = Vec::new();
+    trace.deltas().iter().position(|d| {
+        buf.clear();
+        write_delta(&mut buf, d);
+        let mut c = Cursor::new(std::str::from_utf8(&buf).expect("the writer writes UTF-8"));
+        c.canonical_delta().as_ref() != Some(d) || c.pos != buf.len()
+    })
 }
 
 #[cfg(test)]
@@ -1149,6 +1286,48 @@ var cut kind => malformed JSON at byte 73: expected `,` or `}`
         assert!(wrong.is_empty(), "{}", wrong.join("\n"));
     }
 
+    /// The canonical decoder declines a delta, or reads exactly what the
+    /// general one reads and stops at the same byte: on every `WRITTEN`
+    /// delta with a space inserted before any byte (or at the end), any
+    /// byte deleted, or any byte replaced by one of ten that JSON gives
+    /// a meaning to. It reads every delta `write_trace` writes.
+    #[test]
+    fn the_canonical_decoder_declines_or_agrees() {
+        let mut variants = Vec::new();
+        for delta in WRITTEN.map(str::as_bytes) {
+            for i in 0..=delta.len() {
+                variants.push([&delta[..i], b" ", &delta[i..]].concat());
+            }
+            for i in 0..delta.len() {
+                variants.push([&delta[..i], &delta[i + 1..]].concat());
+                for b in b"0-9\"\\x.e},".iter().filter(|&&b| b != delta[i]) {
+                    variants.push([&delta[..i], &[*b], &delta[i + 1..]].concat());
+                }
+            }
+        }
+        let mut read = 0;
+        for variant in &variants {
+            let text = std::str::from_utf8(variant).unwrap();
+            let (mut canonical, mut general) = (Cursor::new(text), Cursor::new(text));
+            let want = general.general_delta();
+            if let Some(delta) = canonical.canonical_delta() {
+                assert_eq!(Some(&delta), want.as_ref().ok(), "{text}");
+                assert_eq!(canonical.pos, general.pos, "{text}");
+                read += 1;
+            }
+        }
+        // Some variants, such as another digit in a number, are read.
+        assert!(read > WRITTEN.len(), "read {read} of {}", variants.len());
+        for delta in WRITTEN {
+            let mut c = Cursor::new(delta);
+            assert!(
+                c.canonical_delta().is_some() && c.pos == delta.len(),
+                "{delta}"
+            );
+        }
+        assert_eq!(first_noncanonical_delta(&odd_names_trace()), None);
+    }
+
     #[test]
     fn out_of_range_delta_indices_are_schema_errors() {
         let t = br#"{"net_name":"n","place_names":["p"],"transition_names":["t"],
@@ -1187,6 +1366,24 @@ var cut kind => malformed JSON at byte 73: expected `,` or `}`
             assert!(matches!(e, JsonError::Schema(_)), "{why}: {e}");
             assert!(e.to_string().contains("precedes"), "{why}: {e}");
         }
+    }
+
+    #[test]
+    fn step_reversed_traces_are_schema_errors() {
+        let trace = |steps: [u64; 2]| {
+            format!(
+                r#"{{"net_name":"n","place_names":["p"],"transition_names":["t"],
+                "initial_marking":[0],"initial_env":{{"vars":{{}},"tables":{{}}}},
+                "start_time":0,"end_time":9,"deltas":[
+                {{"time":5,"step":{},"kind":{{"type":"place","place":0,"delta":1}}}},
+                {{"time":5,"step":{},"kind":{{"type":"place","place":0,"delta":-1}}}}]}}"#,
+                steps[0], steps[1]
+            )
+        };
+        assert!(read_trace(trace([4, 4]).as_bytes()).is_ok());
+        let e = read_trace(trace([4, 3]).as_bytes()).unwrap_err();
+        assert!(matches!(e, JsonError::Schema(_)), "{e}");
+        assert_eq!(e.to_string(), "not a trace: delta step 3 precedes step 4");
     }
 
     #[test]

@@ -50,6 +50,8 @@ mod sink;
 mod state;
 
 pub use filter::{Filter, FilterSpec};
+#[doc(hidden)]
+pub use json::first_noncanonical_delta;
 pub use json::JsonError;
 pub use sink::{CountingSink, NullSink, Recorder, Tee, TraceSink};
 pub use state::{StateCursor, StateIter, TraceState};

@@ -644,7 +644,8 @@ type SimRun<'a> = (&'a str, u64, usize, u64, u64, u64);
 /// three_stage exercises enabling clocks and caps, and the random nets
 /// cover weighted arcs, inhibitors, predicates, table writes and one
 /// zero-delay cycle, whose livelock error leaves a closed partial
-/// trace.
+/// trace. Every delta written reads back on the trace reader's
+/// canonical path.
 #[test]
 fn simulator_output_is_pinned() {
     let mut runs: Vec<(String, Net, u64, u64)> = Vec::new();
@@ -683,6 +684,9 @@ fn simulator_output_is_pinned() {
         let back = RecordedTrace::read_json(bytes.as_slice())
             .unwrap_or_else(|e| panic!("{name}: the written trace does not read back: {e}"));
         assert_eq!(back, trace, "{name}");
+        if let Some(i) = pnut::trace::first_noncanonical_delta(&trace) {
+            panic!("{name}: written delta {i} is read by the general decoder");
+        }
         got.push((
             name.as_str(),
             *seed,
