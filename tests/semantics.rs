@@ -866,6 +866,264 @@ fn markov_throughput_is_the_inverse_cycle_time_on_marked_graphs() {
     );
 }
 
+/// Every Markov answer on the checked-in models and `random_net(0..200)`,
+/// pinned: a solve that succeeds holds `mean_sojourn` and each
+/// transition throughput (transition-id order) to within 1e-9, and one
+/// that fails keeps its exact error text.
+#[test]
+fn markov_answers_are_pinned() {
+    use pnut::analytic::markov::{steady_state, MarkovOptions};
+
+    let nets = ["three_stage", "interpreted_analysis", "sequential"]
+        .map(|name| (name.to_string(), model(name)))
+        .into_iter()
+        .chain((0..200).map(|seed| (format!("random_net({seed})"), random_net(seed))));
+    let mut mismatches = Vec::new();
+    let mut measured = String::new();
+    for (i, (name, net)) in nets.enumerate() {
+        let got = steady_state(&net, &MarkovOptions::default())
+            .map(|ss| (ss.mean_sojourn, ss.transition_throughput))
+            .map_err(|e| e.to_string());
+        measured += &match &got {
+            Ok((sojourn, throughput)) => {
+                format!("    ({name:?}, Ok(({sojourn:?}, &{throughput:?}))),\n")
+            }
+            Err(e) => format!("    ({name:?}, Err({e:?})),\n"),
+        };
+        let agrees = match (&got, MARKOV_ANSWERS.get(i)) {
+            (_, Some(&(pinned, _))) if pinned != name => false,
+            (Ok((sojourn, throughput)), Some((_, Ok((want_sojourn, want_throughput))))) => {
+                throughput.len() == want_throughput.len()
+                    && std::iter::once((sojourn, want_sojourn))
+                        .chain(throughput.iter().zip(want_throughput.iter()))
+                        .all(|(got, want)| (got - want).abs() <= 1e-9)
+            }
+            (Err(e), Some((_, Err(want)))) => e == want,
+            _ => false,
+        };
+        if !agrees {
+            mismatches.push(name);
+        }
+    }
+    assert!(
+        mismatches.is_empty(),
+        "markov answers changed on {mismatches:?}; the measured table is:\n{measured}"
+    );
+    assert_eq!(MARKOV_ANSWERS.len(), 203, "three models and 200 seeds");
+}
+
+/// A pinned Markov answer: `(mean_sojourn, throughput per transition)`,
+/// or the error text.
+type MarkovAnswer = Result<(f64, &'static [f64]), &'static str>;
+
+/// Each net's answer, for [`markov_answers_are_pinned`].
+#[rustfmt::skip]
+const MARKOV_ANSWERS: &[(&str, MarkovAnswer)] = &[
+    ("three_stage", Ok((0.8087164849593944, &[0.05844359241895087, 0.05844359241897305, 0.11688718483779162, 0.08182102938645568, 0.02337743696755881, 0.023377436967558934, 0.023377436967560835, 0.011688718483779404, 0.011688718483779467, 0.011688718483781606, 0.04675487393512377, 0.046754873935123904, 0.11688718483778539, 0.05844359241889281, 0.03506615545133569, 0.011688718483778563, 0.0058443592418892815, 0.0058443592418892815, 0.09350974787022416, 0.02337743696755604, 0.023377436967558902, 0.023377436967558594]))),
+    ("interpreted_analysis", Ok((0.690350181030357, &[0.09121792849928245, 0.09121792849928097, 0.0884163855635243, 0.0707331084508233, 0.08841638556352065, 0.07073310845083104, 0.07073310845083147, 0.08841638556352717, 0.08841638556352714, 0.017683277112708708, 0.0707331084508184, 0.02328636298421163, 0.017683277112702192, 0.0884163855635243, 0.05304983133811141, 0.03536655422540922, 0.035366554225410886, 0.03536655422541089]))),
+    ("sequential", Ok((1.133858267716536, &[0.06944444444444443, 0.06944444444444443, 0.06944444444444443, 0.048611111111111105, 0.013888888888888886, 0.01388888888888889, 0.01388888888888889, 0.006944444444444443, 0.006944444444444445, 0.006944444444444445, 0.02777777777777778, 0.02777777777777778, 0.03472222222222222, 0.02083333333333333, 0.006944444444444445, 0.0034722222222222225, 0.0034722222222222225, 0.05555555555555556, 0.01388888888888889, 0.013888888888888893, 0.013888888888888893, 0.06944444444444445]))),
+    ("random_net(0)", Err("state 9 deadlocks; no steady state exists")),
+    ("random_net(1)", Err("timed reachability failed: state space exceeds 20000 states (unbounded net?)")),
+    ("random_net(2)", Err("state 0 deadlocks; no steady state exists")),
+    ("random_net(3)", Err("state 2 deadlocks; no steady state exists")),
+    ("random_net(4)", Err("state 3 deadlocks; no steady state exists")),
+    ("random_net(5)", Ok((0.5, &[1.0]))),
+    ("random_net(6)", Err("state 0 deadlocks; no steady state exists")),
+    ("random_net(7)", Err("state 0 deadlocks; no steady state exists")),
+    ("random_net(8)", Err("timed reachability failed: state space exceeds 20000 states (unbounded net?)")),
+    ("random_net(9)", Ok((1.0, &[0.5]))),
+    ("random_net(10)", Err("timed reachability failed: state space exceeds 20000 states (unbounded net?)")),
+    ("random_net(11)", Err("state 0 deadlocks; no steady state exists")),
+    ("random_net(12)", Err("state 0 deadlocks; no steady state exists")),
+    ("random_net(13)", Err("state 3 deadlocks; no steady state exists")),
+    ("random_net(14)", Err("timed reachability failed: state space exceeds 20000 states (unbounded net?)")),
+    ("random_net(15)", Err("state 6 deadlocks; no steady state exists")),
+    ("random_net(16)", Err("timed reachability failed: state space exceeds 20000 states (unbounded net?)")),
+    ("random_net(17)", Err("timed reachability failed: state space exceeds 20000 states (unbounded net?)")),
+    ("random_net(18)", Err("timed reachability failed: state space exceeds 20000 states (unbounded net?)")),
+    ("random_net(19)", Err("state 0 deadlocks; no steady state exists")),
+    ("random_net(20)", Err("state 0 deadlocks; no steady state exists")),
+    ("random_net(21)", Err("state 7 deadlocks; no steady state exists")),
+    ("random_net(22)", Err("state 3 deadlocks; no steady state exists")),
+    ("random_net(23)", Err("state 11 deadlocks; no steady state exists")),
+    ("random_net(24)", Err("state 3 deadlocks; no steady state exists")),
+    ("random_net(25)", Err("state 6 deadlocks; no steady state exists")),
+    ("random_net(26)", Err("state 0 deadlocks; no steady state exists")),
+    ("random_net(27)", Err("state 3 deadlocks; no steady state exists")),
+    ("random_net(28)", Err("timed reachability failed: state space exceeds 20000 states (unbounded net?)")),
+    ("random_net(29)", Err("timed reachability failed: state space exceeds 20000 states (unbounded net?)")),
+    ("random_net(30)", Err("timed reachability failed: state space exceeds 20000 states (unbounded net?)")),
+    ("random_net(31)", Err("timed reachability failed: state space exceeds 20000 states (unbounded net?)")),
+    ("random_net(32)", Err("timed reachability failed: state space exceeds 20000 states (unbounded net?)")),
+    ("random_net(33)", Err("state 0 deadlocks; no steady state exists")),
+    ("random_net(34)", Err("timed reachability failed: state space exceeds 20000 states (unbounded net?)")),
+    ("random_net(35)", Err("timed reachability failed: state space exceeds 20000 states (unbounded net?)")),
+    ("random_net(36)", Err("state 0 deadlocks; no steady state exists")),
+    ("random_net(37)", Err("state 6 deadlocks; no steady state exists")),
+    ("random_net(38)", Ok((0.6666666666666666, &[0.5, 0.0]))),
+    ("random_net(39)", Ok((0.6000000000000001, &[0.3333333333333333, 0.3333333333333333]))),
+    ("random_net(40)", Err("timed reachability failed: state space exceeds 20000 states (unbounded net?)")),
+    ("random_net(41)", Err("state 0 deadlocks; no steady state exists")),
+    ("random_net(42)", Err("timed reachability failed: state space exceeds 20000 states (unbounded net?)")),
+    ("random_net(43)", Err("state 2 deadlocks; no steady state exists")),
+    ("random_net(44)", Err("timed reachability failed: state space exceeds 20000 states (unbounded net?)")),
+    ("random_net(45)", Err("timed reachability failed: state space exceeds 20000 states (unbounded net?)")),
+    ("random_net(46)", Err("state 4 deadlocks; no steady state exists")),
+    ("random_net(47)", Ok((0.5, &[1.0, 0.0, 0.0]))),
+    ("random_net(48)", Err("state 0 deadlocks; no steady state exists")),
+    ("random_net(49)", Err("state 0 deadlocks; no steady state exists")),
+    ("random_net(50)", Err("timed reachability failed: state space exceeds 20000 states (unbounded net?)")),
+    ("random_net(51)", Err("state 0 deadlocks; no steady state exists")),
+    ("random_net(52)", Err("state 0 deadlocks; no steady state exists")),
+    ("random_net(53)", Err("state 2 deadlocks; no steady state exists")),
+    ("random_net(54)", Err("state 0 deadlocks; no steady state exists")),
+    ("random_net(55)", Err("timed reachability failed: state space exceeds 20000 states (unbounded net?)")),
+    ("random_net(56)", Err("state 8 deadlocks; no steady state exists")),
+    ("random_net(57)", Ok((0.5, &[0.0, 0.0, 1.0]))),
+    ("random_net(58)", Err("timed reachability failed: state space exceeds 20000 states (unbounded net?)")),
+    ("random_net(59)", Err("state 0 deadlocks; no steady state exists")),
+    ("random_net(60)", Err("timed reachability failed: state space exceeds 20000 states (unbounded net?)")),
+    ("random_net(61)", Err("state 6 deadlocks; no steady state exists")),
+    ("random_net(62)", Err("state 0 deadlocks; no steady state exists")),
+    ("random_net(63)", Err("state 6 deadlocks; no steady state exists")),
+    ("random_net(64)", Err("state 0 deadlocks; no steady state exists")),
+    ("random_net(65)", Ok((1.0, &[0.5, 0.0]))),
+    ("random_net(66)", Err("state 3 deadlocks; no steady state exists")),
+    ("random_net(67)", Err("state 3 deadlocks; no steady state exists")),
+    ("random_net(68)", Err("timed reachability failed: state space exceeds 20000 states (unbounded net?)")),
+    ("random_net(69)", Err("state 3 deadlocks; no steady state exists")),
+    ("random_net(70)", Err("state 13 deadlocks; no steady state exists")),
+    ("random_net(71)", Err("timed reachability failed: state space exceeds 20000 states (unbounded net?)")),
+    ("random_net(72)", Err("timed reachability failed: state space exceeds 20000 states (unbounded net?)")),
+    ("random_net(73)", Err("timed reachability failed: state space exceeds 20000 states (unbounded net?)")),
+    ("random_net(74)", Ok((1.0, &[0.3333333333333333]))),
+    ("random_net(75)", Ok((1.5, &[0.3333333333333333, 0.0, 0.0]))),
+    ("random_net(76)", Err("state 9 deadlocks; no steady state exists")),
+    ("random_net(77)", Ok((1.0, &[0.0, 0.5]))),
+    ("random_net(78)", Err("state 2 deadlocks; no steady state exists")),
+    ("random_net(79)", Err("state 2 deadlocks; no steady state exists")),
+    ("random_net(80)", Err("timed reachability failed: state space exceeds 20000 states (unbounded net?)")),
+    ("random_net(81)", Err("timed reachability failed: state space exceeds 20000 states (unbounded net?)")),
+    ("random_net(82)", Err("state 0 deadlocks; no steady state exists")),
+    ("random_net(83)", Err("state 0 deadlocks; no steady state exists")),
+    ("random_net(84)", Err("timed reachability failed: state space exceeds 20000 states (unbounded net?)")),
+    ("random_net(85)", Err("state 0 deadlocks; no steady state exists")),
+    ("random_net(86)", Err("state 3 deadlocks; no steady state exists")),
+    ("random_net(87)", Err("state 2 deadlocks; no steady state exists")),
+    ("random_net(88)", Err("timed reachability failed: state space exceeds 20000 states (unbounded net?)")),
+    ("random_net(89)", Err("state 8 deadlocks; no steady state exists")),
+    ("random_net(90)", Err("state 0 deadlocks; no steady state exists")),
+    ("random_net(91)", Err("timed reachability failed: state space exceeds 20000 states (unbounded net?)")),
+    ("random_net(92)", Ok((0.5, &[1.0, 0.0, 0.0, 0.0]))),
+    ("random_net(93)", Err("timed reachability failed: state space exceeds 20000 states (unbounded net?)")),
+    ("random_net(94)", Err("state 6 deadlocks; no steady state exists")),
+    ("random_net(95)", Err("timed reachability failed: state space exceeds 20000 states (unbounded net?)")),
+    ("random_net(96)", Err("timed reachability failed: state space exceeds 20000 states (unbounded net?)")),
+    ("random_net(97)", Err("state 0 deadlocks; no steady state exists")),
+    ("random_net(98)", Ok((1.5, &[0.3333333333333333]))),
+    ("random_net(99)", Err("timed reachability failed: state space exceeds 20000 states (unbounded net?)")),
+    ("random_net(100)", Err("timed reachability failed: state space exceeds 20000 states (unbounded net?)")),
+    ("random_net(101)", Err("state 2 deadlocks; no steady state exists")),
+    ("random_net(102)", Err("timed reachability failed: state space exceeds 20000 states (unbounded net?)")),
+    ("random_net(103)", Ok((0.3333333333333333, &[1.0, 0.0, 0.0, 1.0]))),
+    ("random_net(104)", Err("state 0 deadlocks; no steady state exists")),
+    ("random_net(105)", Err("timed reachability failed: state space exceeds 20000 states (unbounded net?)")),
+    ("random_net(106)", Err("state 0 deadlocks; no steady state exists")),
+    ("random_net(107)", Ok((0.6666666666666665, &[0.5, 0.0, 0.5, 0.0]))),
+    ("random_net(108)", Ok((0.6666666666666666, &[0.5, 0.0, 0.0, 0.0]))),
+    ("random_net(109)", Err("state 0 deadlocks; no steady state exists")),
+    ("random_net(110)", Err("state 2 deadlocks; no steady state exists")),
+    ("random_net(111)", Err("timed reachability failed: state space exceeds 20000 states (unbounded net?)")),
+    ("random_net(112)", Ok((0.6666666666666666, &[0.0, 0.5, 0.0, 0.0]))),
+    ("random_net(113)", Ok((0.5, &[1.0, 0.0, 0.0]))),
+    ("random_net(114)", Err("timed reachability failed: state space exceeds 20000 states (unbounded net?)")),
+    ("random_net(115)", Err("state 0 deadlocks; no steady state exists")),
+    ("random_net(116)", Err("state 7 deadlocks; no steady state exists")),
+    ("random_net(117)", Err("timed reachability failed: state space exceeds 20000 states (unbounded net?)")),
+    ("random_net(118)", Err("state 0 deadlocks; no steady state exists")),
+    ("random_net(119)", Err("timed reachability failed: state space exceeds 20000 states (unbounded net?)")),
+    ("random_net(120)", Err("timed reachability failed: state space exceeds 20000 states (unbounded net?)")),
+    ("random_net(121)", Err("state 0 deadlocks; no steady state exists")),
+    ("random_net(122)", Err("timed reachability failed: state space exceeds 20000 states (unbounded net?)")),
+    ("random_net(123)", Err("state 0 deadlocks; no steady state exists")),
+    ("random_net(124)", Err("timed reachability failed: state space exceeds 20000 states (unbounded net?)")),
+    ("random_net(125)", Err("state 2 deadlocks; no steady state exists")),
+    ("random_net(126)", Err("state 2 deadlocks; no steady state exists")),
+    ("random_net(127)", Err("timed reachability failed: state space exceeds 20000 states (unbounded net?)")),
+    ("random_net(128)", Err("state 3 deadlocks; no steady state exists")),
+    ("random_net(129)", Err("timed reachability failed: state space exceeds 20000 states (unbounded net?)")),
+    ("random_net(130)", Err("state 7 deadlocks; no steady state exists")),
+    ("random_net(131)", Err("state 0 deadlocks; no steady state exists")),
+    ("random_net(132)", Err("state 0 deadlocks; no steady state exists")),
+    ("random_net(133)", Err("timed reachability failed: state space exceeds 20000 states (unbounded net?)")),
+    ("random_net(134)", Err("state 0 deadlocks; no steady state exists")),
+    ("random_net(135)", Err("state 8 deadlocks; no steady state exists")),
+    ("random_net(136)", Err("timed reachability failed: state space exceeds 20000 states (unbounded net?)")),
+    ("random_net(137)", Err("state 6 deadlocks; no steady state exists")),
+    ("random_net(138)", Ok((1.5, &[0.0, 0.3333333333333333, 0.0]))),
+    ("random_net(139)", Err("state 0 deadlocks; no steady state exists")),
+    ("random_net(140)", Err("state 0 deadlocks; no steady state exists")),
+    ("random_net(141)", Ok((1.0, &[0.5, 0.0]))),
+    ("random_net(142)", Err("timed reachability failed: state space exceeds 20000 states (unbounded net?)")),
+    ("random_net(143)", Err("timed reachability failed: state space exceeds 20000 states (unbounded net?)")),
+    ("random_net(144)", Err("state 0 deadlocks; no steady state exists")),
+    ("random_net(145)", Err("timed reachability failed: state space exceeds 20000 states (unbounded net?)")),
+    ("random_net(146)", Ok((0.5, &[1.0, 0.0, 0.0]))),
+    ("random_net(147)", Err("state 0 deadlocks; no steady state exists")),
+    ("random_net(148)", Err("state 3 deadlocks; no steady state exists")),
+    ("random_net(149)", Err("state 0 deadlocks; no steady state exists")),
+    ("random_net(150)", Err("state 5 deadlocks; no steady state exists")),
+    ("random_net(151)", Err("state 0 deadlocks; no steady state exists")),
+    ("random_net(152)", Err("timed reachability failed: state space exceeds 20000 states (unbounded net?)")),
+    ("random_net(153)", Err("timed reachability failed: state space exceeds 20000 states (unbounded net?)")),
+    ("random_net(154)", Ok((0.75, &[0.3333333333333333, 0.0, 0.0, 0.3333333333333333]))),
+    ("random_net(155)", Err("state 0 deadlocks; no steady state exists")),
+    ("random_net(156)", Err("state 0 deadlocks; no steady state exists")),
+    ("random_net(157)", Err("timed reachability failed: state space exceeds 20000 states (unbounded net?)")),
+    ("random_net(158)", Err("timed reachability failed: state space exceeds 20000 states (unbounded net?)")),
+    ("random_net(159)", Err("timed reachability failed: state space exceeds 20000 states (unbounded net?)")),
+    ("random_net(160)", Err("timed reachability failed: state space exceeds 20000 states (unbounded net?)")),
+    ("random_net(161)", Err("state 0 deadlocks; no steady state exists")),
+    ("random_net(162)", Ok((0.6666666666666666, &[0.5]))),
+    ("random_net(163)", Err("state 0 deadlocks; no steady state exists")),
+    ("random_net(164)", Err("state 0 deadlocks; no steady state exists")),
+    ("random_net(165)", Ok((0.5, &[0.0, 0.0, 0.0, 1.0]))),
+    ("random_net(166)", Err("timed reachability failed: state space exceeds 20000 states (unbounded net?)")),
+    ("random_net(167)", Err("timed reachability failed: state space exceeds 20000 states (unbounded net?)")),
+    ("random_net(168)", Err("state 0 deadlocks; no steady state exists")),
+    ("random_net(169)", Err("state 0 deadlocks; no steady state exists")),
+    ("random_net(170)", Err("state 2 deadlocks; no steady state exists")),
+    ("random_net(171)", Err("state 0 deadlocks; no steady state exists")),
+    ("random_net(172)", Ok((0.5, &[1.0]))),
+    ("random_net(173)", Err("state 0 deadlocks; no steady state exists")),
+    ("random_net(174)", Ok((0.8000000000000065, &[0.0, 0.25, 0.0, 0.49999999999999]))),
+    ("random_net(175)", Err("state 0 deadlocks; no steady state exists")),
+    ("random_net(176)", Ok((0.5000000000000002, &[1.0]))),
+    ("random_net(177)", Err("state 0 deadlocks; no steady state exists")),
+    ("random_net(178)", Ok((0.31189710610932453, &[0.0, 1.0000000000000004, 0.3092783505154668, 0.8969072164948445]))),
+    ("random_net(179)", Err("state 0 deadlocks; no steady state exists")),
+    ("random_net(180)", Err("state 0 deadlocks; no steady state exists")),
+    ("random_net(181)", Ok((1.0, &[0.0, 0.0, 0.0, 0.3333333333333333]))),
+    ("random_net(182)", Err("state 0 deadlocks; no steady state exists")),
+    ("random_net(183)", Err("state 0 deadlocks; no steady state exists")),
+    ("random_net(184)", Err("state 4 deadlocks; no steady state exists")),
+    ("random_net(185)", Err("state 2 deadlocks; no steady state exists")),
+    ("random_net(186)", Err("timed reachability failed: state space exceeds 20000 states (unbounded net?)")),
+    ("random_net(187)", Err("state 1 deadlocks; no steady state exists")),
+    ("random_net(188)", Err("state 2 deadlocks; no steady state exists")),
+    ("random_net(189)", Err("state 0 deadlocks; no steady state exists")),
+    ("random_net(190)", Err("state 0 deadlocks; no steady state exists")),
+    ("random_net(191)", Err("timed reachability failed: state space exceeds 20000 states (unbounded net?)")),
+    ("random_net(192)", Err("timed reachability failed: state space exceeds 20000 states (unbounded net?)")),
+    ("random_net(193)", Err("state 0 deadlocks; no steady state exists")),
+    ("random_net(194)", Err("state 0 deadlocks; no steady state exists")),
+    ("random_net(195)", Err("state 0 deadlocks; no steady state exists")),
+    ("random_net(196)", Err("timed reachability failed: state space exceeds 20000 states (unbounded net?)")),
+    ("random_net(197)", Err("timed reachability failed: state space exceeds 20000 states (unbounded net?)")),
+    ("random_net(198)", Err("state 3 deadlocks; no steady state exists")),
+    ("random_net(199)", Err("state 0 deadlocks; no steady state exists")),
+];
+
 /// The `random_net(0..40)` runs to `until`, each seeded with its net's
 /// seed. A run that fails is left out: the low livelock cap rejects the
 /// zero-delay cycles (`random_net(30)`) quickly.
