@@ -32,32 +32,63 @@
 //!   closed components mean the long run depends on which one the chain
 //!   falls into, so there is no single steady state
 //!   ([`MarkovError::NoConvergence`]).
-//! * **Gauss–Seidel.** The stationary vector `π = πP` of that class is
-//!   found by Gauss–Seidel sweeps in state order over the transposed
-//!   chain: each state's new weight is its inflow divided by the mass
-//!   that leaves it (one minus its self-loop probability), and the
+//! * **Compression.** Most class states have exactly one jump (a time
+//!   advance, or the one transition that can start), so a sweep would
+//!   mostly push weight along deterministic paths. The solver instead
+//!   watches the chain only at its *choice* states, the ones with two or
+//!   more jumps: the censored chain, or stochastic complement (Stewart,
+//!   *Introduction to the Numerical Solution of Markov Chains*, 1994).
+//!   It eliminates the single-jump states in Kahn's order over the jumps
+//!   between them, redirects each remaining jump to the first kept state
+//!   down its deterministic path (a path back to its own start becomes
+//!   a self-loop), and merges jumps with the same target. No fill-in
+//!   arises, since a single-jump state passes its weight to one state.
+//!   Kahn leaves only a cycle of single-jump states, and in a closed
+//!   class such a cycle is the whole class: a class without a choice
+//!   state is solved whole.
+//! * **Gauss–Seidel.** The stationary vector `π = πP` of the compressed
+//!   chain is found by Gauss–Seidel sweeps in state order over its
+//!   transpose: each state's new weight is its inflow divided by the
+//!   mass that leaves it (one minus its self-loop probability), and the
 //!   result `Tπ` is normalised.
 //! * **Damping.** On a periodic class a plain sweep can cycle for ever.
 //!   On a closed class the sweep operator `T` has 1 as a simple
 //!   eigenvalue and none outside the unit circle, but it may have others
 //!   on it. So the next sweep starts not from `Tπ` but from
-//!   `½(π + Tπ)`, normalised. That maps every eigenvalue `λ ≠ 1` to
-//!   `(1 + λ)/2`, strictly inside the circle, so the sweeps converge on
-//!   every closed class.
+//!   `(1 − ω)π + ωTπ`, normalised, with ω = 0.9. That maps every
+//!   eigenvalue `λ ≠ 1` to `(1 − ω) + ωλ`, a point strictly between 1
+//!   and `λ`; for any ω in (0, 1) it lies strictly inside the circle,
+//!   because `|λ| ≤ 1` and the disc is strictly convex. So the sweeps
+//!   converge on every closed class. A period-2 class (`λ = −1`) still
+//!   contracts by `|1 − 2ω| = 0.8` per sweep, while slowly mixing
+//!   classes (`λ` near 1) contract about twice as fast as at ω = ½.
+//! * **Rebuilding.** The compressed chain's weights are the kept states'
+//!   weights. One forward pass then pushes the flow of every class jump,
+//!   the kept states' first and the eliminated states' in Kahn's order,
+//!   so each eliminated state has all its inflow, which is its visit
+//!   rate, before its own jump passes it on. The whole vector is then
+//!   normalised.
 //! * **Stopping.** Once a sweep's normalised `Tπ` differs from `π` by
-//!   at most [`MarkovOptions::tolerance`] in L1, the solver computes the
-//!   residual `‖πP − π‖₁` of that `Tπ` and returns it when the residual
-//!   is within the tolerance too; it is reported as
-//!   [`SteadyState::residual`]. The residual says how nearly stationary
-//!   the vector is. It is not a bound on the forward error against the
-//!   exact distribution, which can be larger by the chain's condition
-//!   number.
+//!   at most [`MarkovOptions::tolerance`] in L1, the solver rebuilds the
+//!   full vector from it and computes the full chain's residual
+//!   `r = πP − π` in the same pass (an eliminated state balances by
+//!   construction); it returns that vector when `‖r‖₁` is within the
+//!   tolerance too, and sweeps on otherwise. `‖r‖₁` is reported as
+//!   [`SteadyState::residual`]. It is a backward error: with `π𝟙 = 1`,
+//!   `π` is exactly stationary for `P − 𝟙r`, whose rows still sum to 1
+//!   (`r𝟙 = 0`), and that perturbation has ∞-norm `‖𝟙r‖∞ = ‖r‖₁`. It is
+//!   not a bound on the forward error against the exact distribution,
+//!   which can be larger by the chain's condition number.
 
 use pnut_core::{Net, PlaceId, TransitionId};
 use pnut_obs as obs;
-use pnut_reach::graph::{build_timed, EdgeLabel, ReachOptions};
+use pnut_reach::graph::{build_timed, EdgeLabel, ReachOptions, ReachabilityGraph};
 use std::fmt;
 use std::ops::Range;
+
+/// The damping weight ω of the Gauss–Seidel sweeps: each sweep starts
+/// from `(1 − ω)π + ωTπ`, normalised (see the module docs).
+const OMEGA: f64 = 0.9;
 
 /// Why steady-state analysis failed.
 #[derive(Debug, Clone, PartialEq)]
@@ -129,9 +160,10 @@ pub struct MarkovOptions {
     /// budget governs the graph arenas only: the chain extraction and
     /// the place-average pass honor it by sweeping the *graph*
     /// segment-at-a-time, but the extracted jump chain (CSR arrays with
-    /// one target, probability and fired transition per edge, their
-    /// transpose over the recurrent class, and the `O(states)` solver
-    /// vectors) is dense and stays in memory, outside the pager ledger.
+    /// one target, probability and fired transition per edge, the
+    /// recurrent class compressed to its choice states and that
+    /// compressed chain's transpose, and the `O(states)` solver vectors)
+    /// is dense and stays in memory, outside the pager ledger.
     /// Paging the chain is not attempted, and `jobs` parallelizes the
     /// build only.
     pub reach: ReachOptions,
@@ -171,10 +203,12 @@ pub struct SteadyState {
     pub transition_throughput: Vec<f64>,
     /// Mean ticks per embedded jump (the normalization constant).
     pub mean_sojourn: f64,
-    /// The L1 residual `‖πP − π‖₁` of the jump chain's stationary
+    /// The L1 residual `‖πP − π‖₁` of the full jump chain's stationary
     /// vector `π` when the solver stopped, at most
-    /// [`MarkovOptions::tolerance`]. It measures how nearly stationary
-    /// `π` is, not its distance from the exact distribution.
+    /// [`MarkovOptions::tolerance`]. It is a backward error: `π` is
+    /// exactly stationary for a chain whose every row is within this
+    /// much of `P` in L1 (see the module docs), not a bound on its
+    /// distance from the exact distribution.
     pub residual: f64,
 }
 
@@ -241,40 +275,8 @@ pub fn steady_state(net: &Net, options: &MarkovOptions) -> Result<SteadyState, M
     // byte budget (verified below in debug builds).
     graph.reset_peak_resident_bytes();
 
-    // Embedded jump chain, extracted by one sweep over the edge rows,
-    // so the extraction phase stays inside the byte budget instead of
-    // faulting the whole graph resident. Deadlocks surface here too
-    // (the sweep runs in state order, so the first one found is the
-    // lowest-numbered, matching `deadlocks().first()`).
     let extract_span = obs::span("markov.extract");
-    let mut chain = JumpChain::with_capacity(n, graph.edge_count());
-    let mut sojourn = vec![0.0f64; n];
-    let frequency = |label| match label {
-        EdgeLabel::Fire(t) => net.transition(t).frequency(),
-        EdgeLabel::Advance(_) => 0.0,
-    };
-    graph.sweep(|s, guard| -> Result<(), MarkovError> {
-        let edges = guard.successors(s)?;
-        // Frequencies are positive, so a zero total means no Fire edge:
-        // maximal progress leaves exactly one Advance edge.
-        let total: f64 = edges.iter().map(|&(label, _)| frequency(label)).sum();
-        match edges.first() {
-            None => return Err(MarkovError::Deadlock { state: s }),
-            Some(&(EdgeLabel::Advance(dt), to)) if total == 0.0 => {
-                sojourn[s] = dt as f64;
-                chain.push(to, 1.0, None);
-            }
-            Some(_) => {
-                for &(label, to) in edges {
-                    if let EdgeLabel::Fire(t) = label {
-                        chain.push(to, frequency(label) / total, Some(t));
-                    }
-                }
-            }
-        }
-        chain.end_row();
-        Ok(())
-    })?;
+    let (chain, sojourn) = JumpChain::extract(net, &mut graph)?;
     obs::metrics::MARKOV_EXTRACTED_EDGES.add(chain.to.len() as u64);
     drop(extract_span);
     if sojourn.iter().all(|&t| t == 0.0) {
@@ -287,7 +289,7 @@ pub fn steady_state(net: &Net, options: &MarkovOptions) -> Result<SteadyState, M
     };
     let (pi, residual) = {
         let _solve = obs::span("markov.solve");
-        chain.gauss_seidel(&class, options)?
+        chain.stationary(&class, options)?
     };
 
     // Time-weight by sojourns.
@@ -370,6 +372,43 @@ struct JumpChain {
 }
 
 impl JumpChain {
+    /// The embedded jump chain of `graph` and each state's sojourn, by
+    /// one sweep over the edge rows, so the extraction stays inside the
+    /// byte budget. A deadlock is the first empty row in state order,
+    /// matching `deadlocks().first()`.
+    fn extract(net: &Net, graph: &mut ReachabilityGraph) -> Result<(Self, Vec<f64>), MarkovError> {
+        let n = graph.state_count();
+        let mut chain = JumpChain::with_capacity(n, graph.edge_count());
+        let mut sojourn = vec![0.0f64; n];
+        let frequency = |label| match label {
+            EdgeLabel::Fire(t) => net.transition(t).frequency(),
+            EdgeLabel::Advance(_) => 0.0,
+        };
+        graph.sweep(|s, guard| -> Result<(), MarkovError> {
+            let edges = guard.successors(s)?;
+            // Frequencies are positive, so a zero total means no Fire
+            // edge: maximal progress leaves exactly one Advance edge.
+            let total: f64 = edges.iter().map(|&(label, _)| frequency(label)).sum();
+            match edges.first() {
+                None => return Err(MarkovError::Deadlock { state: s }),
+                Some(&(EdgeLabel::Advance(dt), to)) if total == 0.0 => {
+                    sojourn[s] = dt as f64;
+                    chain.push(to, 1.0, None);
+                }
+                Some(_) => {
+                    for &(label, to) in edges {
+                        if let EdgeLabel::Fire(t) = label {
+                            chain.push(to, frequency(label) / total, Some(t));
+                        }
+                    }
+                }
+            }
+            chain.end_row();
+            Ok(())
+        })?;
+        Ok((chain, sojourn))
+    }
+
     fn with_capacity(states: usize, jumps: usize) -> Self {
         let mut row = Vec::with_capacity(states + 1);
         row.push(0);
@@ -477,40 +516,137 @@ impl JumpChain {
     }
 
     /// The stationary vector of the jump chain, zero outside `class`,
-    /// and its residual `‖πP − π‖₁`: Gauss–Seidel sweeps in state order
-    /// (Stewart, *Introduction to the Numerical Solution of Markov
-    /// Chains*, 1994) from the uniform vector on `class`, each damped by
-    /// averaging with the vector it started from (see the module docs).
+    /// and its residual `‖πP − π‖₁`, solved on the class's choice states
+    /// by [`Self::gauss_seidel`] (see the module docs).
     ///
     /// # Errors
     ///
     /// [`MarkovError::NoConvergence`] if the residual is still above
     /// `options.tolerance` after `options.max_iterations` sweeps.
-    fn gauss_seidel(
+    fn stationary(
         &self,
         class: &[u32],
         options: &MarkovOptions,
     ) -> Result<(Vec<f64>, f64), MarkovError> {
-        // The solver works on the class alone, member `i` being
-        // `class[i]`. The class is closed, so every jump out of a member
-        // lands on a member.
+        const CHOICE: u32 = u32::MAX;
         let n = self.states();
-        let m = class.len();
-        let mut member = vec![0u32; n];
-        for (i, &s) in class.iter().enumerate() {
-            member[s as usize] = i as u32;
+        // The target of each single-jump class state's one jump
+        // (`CHOICE` for every other state), and how many such jumps
+        // each state still waits for in Kahn's order.
+        let mut next = vec![CHOICE; n];
+        let mut waiting = vec![0u32; n];
+        for &s in class {
+            let jumps = self.jumps(s as usize);
+            if jumps.len() == 1 {
+                next[s as usize] = self.to[jumps.start];
+                waiting[self.to[jumps.start] as usize] += 1;
+            }
         }
-        // The transposed chain. Per member: `leave`, the mass of its
-        // jumps to other members, and its in-jumps from other members
+        let single = |s: usize| next[s] != CHOICE;
+        let mut order: Vec<u32> = class
+            .iter()
+            .copied()
+            .filter(|&s| single(s as usize) && waiting[s as usize] == 0)
+            .collect();
+        let mut done = 0;
+        while let Some(&s) = order.get(done) {
+            let t = next[s as usize] as usize;
+            if single(t) {
+                waiting[t] -= 1;
+                if waiting[t] == 0 {
+                    order.push(t as u32);
+                }
+            }
+            done += 1;
+        }
+        // Kahn took every single-jump state whose count fell to 0. The
+        // rest lie on a cycle of single jumps, and in a closed class such
+        // a cycle is the whole class.
+        let gone = |s: usize| single(s) && waiting[s] == 0;
+        // Each class state's number in the compressed chain: its own if
+        // kept, else that of the first kept state down its path.
+        let mut index = vec![0u32; n];
+        let mut kept = Vec::new();
+        for &s in class {
+            if !gone(s as usize) {
+                index[s as usize] = kept.len() as u32;
+                kept.push(s);
+            }
+        }
+        for &s in order.iter().rev() {
+            index[s as usize] = index[next[s as usize] as usize];
+        }
+        let mut compressed = JumpChain::with_capacity(kept.len(), kept.len());
+        for &s in &kept {
+            let row = compressed.to.len();
+            for k in self.jumps(s as usize) {
+                let to = index[self.to[k] as usize];
+                match compressed.to[row..].iter().position(|&t| t == to) {
+                    Some(j) => compressed.prob[row + j] += self.prob[k],
+                    None => compressed.push(to, self.prob[k], None),
+                }
+            }
+            compressed.end_row();
+        }
+
+        compressed.gauss_seidel(options, |weights| {
+            // The rebuild (see the module docs). An eliminated state's
+            // weight is its inflow, so only kept states can be unbalanced.
+            let mut pi = vec![0.0f64; n];
+            let mut inflow = vec![0.0f64; kept.len()];
+            for (&s, &w) in kept.iter().zip(weights) {
+                pi[s as usize] = w;
+            }
+            for &s in kept.iter().chain(&order) {
+                for k in self.jumps(s as usize) {
+                    let (t, flow) = (self.to[k] as usize, pi[s as usize] * self.prob[k]);
+                    if gone(t) {
+                        pi[t] += flow;
+                    } else {
+                        inflow[index[t] as usize] += flow;
+                    }
+                }
+            }
+            let imbalance: f64 = kept
+                .iter()
+                .zip(&inflow)
+                .map(|(&s, &f)| (f - pi[s as usize]).abs())
+                .sum();
+            let scale = 1.0 / pi.iter().sum::<f64>();
+            pi.iter_mut().for_each(|p| *p *= scale);
+            let residual = imbalance * scale;
+            (residual <= options.tolerance).then_some((pi, residual))
+        })
+    }
+
+    /// Gauss–Seidel sweeps in state order (Stewart, *Introduction to the
+    /// Numerical Solution of Markov Chains*, 1994) over a chain that is
+    /// one closed class, from the uniform vector, each damped by
+    /// [`OMEGA`] (see the module docs). Whenever a sweep changes the
+    /// normalised vector by at most `options.tolerance` in L1, `accept`
+    /// is offered it, and the first answer it gives is returned.
+    ///
+    /// # Errors
+    ///
+    /// [`MarkovError::NoConvergence`] if `accept` gave no answer in
+    /// `options.max_iterations` sweeps.
+    fn gauss_seidel<R>(
+        &self,
+        options: &MarkovOptions,
+        mut accept: impl FnMut(&[f64]) -> Option<R>,
+    ) -> Result<R, MarkovError> {
+        // The transposed chain. Per state: `leave`, the mass of its jumps
+        // to other states, and its in-jumps from other states
         // (source-ordered), each divided by the target's `leave` so that
-        // a member's new weight is its plain inflow.
+        // a state's new weight is its plain inflow.
+        let m = self.states();
         let mut leave = vec![0.0f64; m];
         let mut in_row = vec![0usize; m + 1];
-        for (i, &s) in class.iter().enumerate() {
-            for k in self.jumps(s as usize) {
-                let to = member[self.to[k] as usize] as usize;
+        for (i, out) in leave.iter_mut().enumerate() {
+            for k in self.jumps(i) {
+                let to = self.to[k] as usize;
                 if to != i {
-                    leave[i] += self.prob[k];
+                    *out += self.prob[k];
                     in_row[to + 1] += 1;
                 }
             }
@@ -521,9 +657,9 @@ impl JumpChain {
         let mut fill = in_row.clone();
         let mut in_from = vec![0u32; in_row[m]];
         let mut in_prob = vec![0.0f64; in_row[m]];
-        for (i, &s) in class.iter().enumerate() {
-            for k in self.jumps(s as usize) {
-                let to = member[self.to[k] as usize] as usize;
+        for i in 0..m {
+            for k in self.jumps(i) {
+                let to = self.to[k] as usize;
                 if to != i {
                     in_from[fill[to]] = i as u32;
                     in_prob[fill[to]] = self.prob[k] / leave[to];
@@ -531,14 +667,6 @@ impl JumpChain {
                 }
             }
         }
-        let inflow = |pi: &[f64], i: usize| -> f64 {
-            let jumps = in_row[i]..in_row[i + 1];
-            in_from[jumps.clone()]
-                .iter()
-                .zip(&in_prob[jumps])
-                .map(|(&from, &p)| pi[from as usize] * p)
-                .sum()
-        };
 
         let mut pi = vec![1.0 / m as f64; m];
         let mut prev = vec![0.0f64; m];
@@ -554,10 +682,15 @@ impl JumpChain {
             prev.copy_from_slice(&pi);
             let mut total = 0.0f64;
             for i in 0..m {
-                // A member whose every jump is a self-loop is a class of
+                // A state whose every jump is a self-loop is a class of
                 // its own and keeps its weight.
                 if leave[i] > 0.0 {
-                    pi[i] = inflow(&pi, i);
+                    let jumps = in_row[i]..in_row[i + 1];
+                    pi[i] = in_from[jumps.clone()]
+                        .iter()
+                        .zip(&in_prob[jumps])
+                        .map(|(&from, &p)| pi[from as usize] * p)
+                        .sum();
                 }
                 total += pi[i];
             }
@@ -568,24 +701,14 @@ impl JumpChain {
                 change += (*p - q).abs();
             }
             if change <= options.tolerance {
-                // (πP − π)(i) = Σⱼ π(j)·P(j, i) − π(i)·leave(i)
-                //            = leave(i)·(inflow(i) − π(i)),
-                // since `inflow` divides by `leave`.
-                let residual: f64 = (0..m)
-                    .map(|i| leave[i] * (inflow(&pi, i) - pi[i]).abs())
-                    .sum();
-                if residual <= options.tolerance {
-                    let mut full = vec![0.0f64; n];
-                    for (&s, &p) in class.iter().zip(&pi) {
-                        full[s as usize] = p;
-                    }
-                    return Ok((full, residual));
+                if let Some(answer) = accept(&pi) {
+                    return Ok(answer);
                 }
             }
-            // Damp: the next sweep starts from ½(π + Tπ), normalised.
-            // `π` sums to 1, and `Tπ` summed to `total` before the
-            // scaling above.
-            let blend = total / (1.0 + total);
+            // Damp: the next sweep starts from (1 − ω)π + ωTπ,
+            // normalised. `π` sums to 1, and `Tπ` summed to `total`
+            // before the scaling above.
+            let blend = OMEGA * total / (1.0 - OMEGA + OMEGA * total);
             for (p, &q) in pi.iter_mut().zip(&prev) {
                 *p = q * (1.0 - blend) + *p * blend;
             }
@@ -872,6 +995,216 @@ mod tests {
                 "{name}: {}",
                 ss.throughput(t)
             );
+        }
+    }
+
+    /// A splitmix64 stream (Steele, Lea & Flood, 2014).
+    struct Rng(u64);
+
+    impl Rng {
+        /// A number below `n`.
+        fn below(&mut self, n: usize) -> usize {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            ((z ^ (z >> 31)) % n as u64) as usize
+        }
+    }
+
+    /// A new state with no jumps yet.
+    fn state(out: &mut Vec<Vec<usize>>) -> usize {
+        out.push(Vec::new());
+        out.len() - 1
+    }
+
+    /// Adds a closed class to `out`, starting at the jumpless state
+    /// `first`: either a deterministic cycle (a self-loop if it is one
+    /// state long), or up to three choice states ("hubs"), each with two
+    /// or more jumps down single-jump paths of up to 7 states. A path ends
+    /// at a hub (its own one too), or merges into an earlier path; a hub
+    /// may also loop on itself or jump twice to the same state. Each
+    /// hub's first path leads to the next hub, so the hubs form one class.
+    fn closed_class(r: &mut Rng, out: &mut Vec<Vec<usize>>, first: usize) {
+        let hubs = r.below(4);
+        if hubs == 0 {
+            let mut prev = first;
+            for _ in 0..r.below(5) {
+                let s = state(out);
+                out[prev].push(s);
+                prev = s;
+            }
+            out[prev].push(first);
+            return;
+        }
+        let hub: Vec<usize> = std::iter::once(first)
+            .chain((1..hubs).map(|_| state(out)))
+            .collect();
+        let mut on_paths = Vec::new();
+        for (i, &h) in hub.iter().enumerate() {
+            for branch in 0..2 + r.below(3) {
+                let end = if branch == 0 {
+                    hub[(i + 1) % hubs]
+                } else if !on_paths.is_empty() && r.below(3) == 0 {
+                    on_paths[r.below(on_paths.len())]
+                } else {
+                    hub[r.below(hubs)]
+                };
+                let mut prev = h;
+                let mut path = Vec::new();
+                for _ in 0..r.below(8) {
+                    let s = state(out);
+                    out[prev].push(s);
+                    prev = s;
+                    path.push(s);
+                }
+                out[prev].push(end);
+                on_paths.extend(path);
+            }
+        }
+    }
+
+    /// A seeded jump chain of the shapes compression meets: a transient
+    /// prefix of up to two states from state 0 (none at all when state 0
+    /// starts the class), then one closed class, or two one time in five,
+    /// with its states numbered in a shuffled order and each jump
+    /// weighted from 1 to 4.
+    fn random_chain(seed: u64) -> JumpChain {
+        let mut r = Rng(seed);
+        let mut out = vec![Vec::new()];
+        for s in 1..=r.below(3) {
+            out.push(Vec::new());
+            out[s - 1].push(s);
+        }
+        let last = out.len() - 1;
+        let classes = if r.below(5) == 0 { 2 } else { 1 };
+        if classes == 1 && r.below(2) == 0 {
+            closed_class(&mut r, &mut out, last);
+        } else {
+            for _ in 0..classes {
+                let first = state(&mut out);
+                out[last].push(first);
+                closed_class(&mut r, &mut out, first);
+            }
+        }
+        // A shuffled numbering that keeps state 0 first.
+        let mut number: Vec<usize> = (0..out.len()).collect();
+        for i in (2..out.len()).rev() {
+            number.swap(i, 1 + r.below(i));
+        }
+        let mut by_number = vec![0; out.len()];
+        for (s, &n) in number.iter().enumerate() {
+            by_number[n] = s;
+        }
+        let mut chain = JumpChain::with_capacity(out.len(), 0);
+        for &s in &by_number {
+            let weights: Vec<f64> = out[s].iter().map(|_| 1.0 + r.below(4) as f64).collect();
+            let total: f64 = weights.iter().sum();
+            for (&to, w) in out[s].iter().zip(weights) {
+                chain.push(number[to] as u32, w / total, None);
+            }
+            chain.end_row();
+        }
+        chain
+    }
+
+    /// `‖πP − π‖₁`, computed directly over the whole chain.
+    fn direct_residual(chain: &JumpChain, pi: &[f64]) -> f64 {
+        let mut flow = vec![0.0f64; chain.states()];
+        for (s, &w) in pi.iter().enumerate() {
+            for k in chain.jumps(s) {
+                flow[chain.to[k] as usize] += w * chain.prob[k];
+            }
+        }
+        flow.iter().zip(pi).map(|(&f, &p)| (f - p).abs()).sum()
+    }
+
+    /// Solves `chain` twice: compressed, and by [`JumpChain::gauss_seidel`]
+    /// over its whole recurrent class. Both must fail alike, or agree
+    /// within 1e-10 in L1 with both residuals within the tolerance and
+    /// the compressed solve's residual equal to the direct one. Returns
+    /// whether they succeeded.
+    fn compression_agrees(chain: &JumpChain, what: &str) -> bool {
+        let options = MarkovOptions::default();
+        let whole = || -> Result<(Vec<f64>, f64), MarkovError> {
+            let class = chain.recurrent_class()?;
+            let mut index = vec![0u32; chain.states()];
+            for (i, &s) in class.iter().enumerate() {
+                index[s as usize] = i as u32;
+            }
+            let mut restricted = JumpChain::with_capacity(class.len(), 0);
+            for &s in &class {
+                for k in chain.jumps(s as usize) {
+                    restricted.push(index[chain.to[k] as usize], chain.prob[k], None);
+                }
+                restricted.end_row();
+            }
+            restricted.gauss_seidel(&options, |weights| {
+                let residual = direct_residual(&restricted, weights);
+                (residual <= options.tolerance).then(|| {
+                    let mut pi = vec![0.0f64; chain.states()];
+                    for (&s, &w) in class.iter().zip(weights) {
+                        pi[s as usize] = w;
+                    }
+                    (pi, residual)
+                })
+            })
+        };
+        let compressed = chain
+            .recurrent_class()
+            .and_then(|class| chain.stationary(&class, &options));
+        match (compressed, whole()) {
+            (Ok((pi, residual)), Ok((want, want_residual))) => {
+                let gap: f64 = pi.iter().zip(&want).map(|(a, b)| (a - b).abs()).sum();
+                assert!(gap <= 1e-10, "{what}: the solves differ by {gap:e} in L1");
+                assert!(
+                    residual <= options.tolerance,
+                    "{what}: residual {residual:e}"
+                );
+                assert!(want_residual <= options.tolerance, "{what}");
+                let direct = direct_residual(chain, &pi);
+                assert!(
+                    (residual - direct).abs() <= 1e-14,
+                    "{what}: residual {residual:e}, directly {direct:e}"
+                );
+                true
+            }
+            (Err(e), Err(want)) => {
+                assert_eq!(e, want, "{what}");
+                false
+            }
+            (got, want) => panic!("{what}: compressed {got:?}, whole {want:?}"),
+        }
+    }
+
+    #[test]
+    fn compression_agrees_with_the_whole_class() {
+        let solved = (0..400)
+            .filter(|&seed| compression_agrees(&random_chain(seed), &format!("chain {seed}")))
+            .count();
+        assert!(
+            (300..380).contains(&solved),
+            "{solved} of 400 chains solved"
+        );
+
+        let config = pnut_pipeline::ThreeStageConfig::default();
+        let analysis = pnut_pipeline::interpreted::InterpretedConfig {
+            for_analysis: true,
+            ..pnut_pipeline::interpreted::InterpretedConfig::default()
+        };
+        let models = [
+            ("three_stage", pnut_pipeline::three_stage::build(&config)),
+            (
+                "interpreted_analysis",
+                pnut_pipeline::interpreted::build(&analysis),
+            ),
+            ("sequential", pnut_pipeline::sequential::build(&config)),
+        ];
+        for (name, net) in models {
+            let net = net.unwrap();
+            let mut graph = build_timed(&net, &MarkovOptions::default().reach).unwrap();
+            let (chain, _) = JumpChain::extract(&net, &mut graph).unwrap();
+            assert!(compression_agrees(&chain, name), "{name} is analyzable");
         }
     }
 

@@ -301,12 +301,13 @@ fn explorer_work_is_pinned_on_the_checked_in_models() {
 
 /// The Markov solver's exact work on the checked-in models, one row per
 /// model: `markov.extracted_edges` and `markov.solver_iterations`
-/// (damped Gauss–Seidel sweeps) of one default `steady_state`.
+/// (damped Gauss–Seidel sweeps of the chain compressed to its choice
+/// states) of one default `steady_state`.
 #[rustfmt::skip]
 const MARKOV_WORK: &[(&str, [u64; 2])] = &[
-    ("three_stage", [4876, 186]),
-    ("interpreted_analysis", [984, 47]),
-    ("sequential", [39, 41]),
+    ("three_stage", [4876, 74]),
+    ("interpreted_analysis", [984, 17]),
+    ("sequential", [39, 1]),
 ];
 
 #[test]
