@@ -118,7 +118,7 @@ impl NetBuilder {
     ///
     /// Returns a [`NetError`] describing the first inconsistency found:
     /// duplicate names, arcs to undeclared places, zero weights, invalid
-    /// frequencies, or zero concurrency caps.
+    /// frequencies or ones whose sum overflows, or zero concurrency caps.
     pub fn build(&self) -> Result<Net, NetError> {
         let mut place_ids = std::collections::BTreeMap::new();
         let mut places = Vec::with_capacity(self.places.len());
@@ -166,6 +166,9 @@ impl NetBuilder {
 
         let mut seen_transitions = std::collections::BTreeSet::new();
         let mut transitions = Vec::with_capacity(self.transitions.len());
+        // Both engines divide a frequency by the sum over a choice, so
+        // the sum of all of them must stay finite.
+        let mut frequency_sum = 0.0f64;
         for d in &self.transitions {
             if !seen_transitions.insert(d.name.clone()) {
                 return Err(NetError::DuplicateTransition(d.name.clone()));
@@ -174,6 +177,12 @@ impl NetBuilder {
                 return Err(NetError::InvalidFrequency {
                     transition: d.name.clone(),
                     frequency: d.frequency,
+                });
+            }
+            frequency_sum += d.frequency;
+            if !frequency_sum.is_finite() {
+                return Err(NetError::FrequencyOverflow {
+                    transition: d.name.clone(),
                 });
             }
             if d.max_concurrent == Some(0) {
@@ -383,6 +392,25 @@ mod tests {
                 "frequency {freq} should be rejected"
             );
         }
+    }
+
+    #[test]
+    fn frequencies_whose_sum_overflows_are_rejected() {
+        let build = |freq: f64| {
+            let mut b = NetBuilder::new("n");
+            b.place("idle", 1);
+            for t in ["fa", "fb"] {
+                b.transition(t).input("idle").frequency(freq).add();
+            }
+            b.build()
+        };
+        assert_eq!(
+            build(1e308),
+            Err(NetError::FrequencyOverflow {
+                transition: "fb".into()
+            })
+        );
+        assert!(build(1e307).is_ok());
     }
 
     #[test]

@@ -33,6 +33,12 @@ pub enum NetError {
         /// The offending frequency.
         frequency: f64,
     },
+    /// The firing frequencies sum to more than `f64` holds, so no
+    /// transition's share of a choice can be computed.
+    FrequencyOverflow {
+        /// The transition whose frequency made the sum overflow.
+        transition: String,
+    },
     /// A predicate or action failed to parse.
     BadExpression {
         /// The transition carrying the expression.
@@ -70,6 +76,10 @@ impl fmt::Display for NetError {
             } => write!(
                 f,
                 "transition `{transition}` has invalid firing frequency {frequency}"
+            ),
+            NetError::FrequencyOverflow { transition } => write!(
+                f,
+                "the sum of the firing frequencies overflows at transition `{transition}`"
             ),
             NetError::BadExpression { transition, source } => {
                 write!(

@@ -37,7 +37,7 @@
 //! | `inhibit P` / `inhibit P@t` | inhibitor arc (threshold `t`, default 1) |
 //! | `firing N` / `firing expr E` | firing time (ticks or expression) |
 //! | `enabling N` / `enabling expr E` | enabling time |
-//! | `freq F` | relative firing frequency |
+//! | `freq F` | relative firing frequency: finite and positive, and the net's frequencies must sum to a finite number |
 //! | `maxconc N` | concurrent-firing cap |
 //! | `pred E` | predicate (rest of line is the expression) |
 //! | `act A` | action (rest of line; `;`-separated assignments) |
