@@ -574,23 +574,33 @@ impl<'a> Cursor<'a> {
     }
 
     /// One number: `Some` if integral, `None` if it has a fraction or an
-    /// exponent. Integers beyond `i128` are malformed.
+    /// exponent. As JSON has it, the integer part is `0` or starts with
+    /// another digit, and a `.` or an exponent needs a digit after it.
+    /// Integers beyond `i128` are malformed.
     fn number(&mut self) -> Result<Option<i128>, JsonError> {
-        fn digits(c: &mut Cursor<'_>) {
+        /// The number of digits passed.
+        fn digits(c: &mut Cursor<'_>) -> usize {
+            let start = c.pos;
             while matches!(c.peek(), Some(b'0'..=b'9')) {
                 c.pos += 1;
             }
+            c.pos - start
         }
         let start = self.pos;
         if self.peek() == Some(b'-') {
             self.pos += 1;
         }
-        digits(self);
+        let leading_zero = self.peek() == Some(b'0');
+        let mut valid = match digits(self) {
+            0 => false,
+            1 => true,
+            _ => !leading_zero,
+        };
         let mut integral = true;
         if self.peek() == Some(b'.') {
             integral = false;
             self.pos += 1;
-            digits(self);
+            valid &= digits(self) > 0;
         }
         if matches!(self.peek(), Some(b'e' | b'E')) {
             integral = false;
@@ -598,7 +608,10 @@ impl<'a> Cursor<'a> {
             if matches!(self.peek(), Some(b'+' | b'-')) {
                 self.pos += 1;
             }
-            digits(self);
+            valid &= digits(self) > 0;
+        }
+        if !valid {
+            return Err(self.err("invalid number"));
         }
         let text = &self.text[start..self.pos];
         let number = if integral {
@@ -722,12 +735,13 @@ impl<'a> Cursor<'a> {
     }
 
     /// An integer as `decimal` writes it, after a `-` only if `signed`:
-    /// at most 18 digits, so it cannot overflow an `i64`.
+    /// at most 18 digits, so it cannot overflow an `i64`, and no leading
+    /// `0` unless it is the only digit.
     fn canonical_int<T: TryFrom<i64>>(&mut self, signed: bool) -> Option<T> {
         let negative = signed && self.eat(b"-");
         let digits = &self.bytes()[self.pos..];
         let len = digits.iter().take(19).position(|b| !b.is_ascii_digit());
-        let len = len.filter(|&len| len > 0)?;
+        let len = len.filter(|&len| len == 1 || (len > 1 && digits[0] != b'0'))?;
         self.pos += len;
         let n = digits[..len]
             .iter()
@@ -1179,6 +1193,10 @@ mod tests {
 {"time":15,"step":12,"kind":{"type":"start","type":"finish","transition":1,"firing":13}} => @15 #12 start t1 (firing 13)
 {"time":15,"step":"x","step":12,"kind":{"type":"start","transition":1,"firing":13}} => not a trace: delta step: expected integer, found string
 {"time":15,"x":[1,{"y":null}],"step":12,"kind":{"type":"finish","transition":1,"firing":13}} => @15 #12 finish t1 (firing 13)
+{"time":15,"x":1.,"step":12,"kind":{"type":"start","transition":1,"firing":13}} => malformed JSON at byte 28: invalid number
+{"time":15,"x":-01,"step":12,"kind":{"type":"start","transition":1,"firing":13}} => malformed JSON at byte 29: invalid number
+{"time":15,"x":1.e5,"step":12,"kind":{"type":"start","transition":1,"firing":13}} => malformed JSON at byte 30: invalid number
+{"time":15,"x":01.5,"step":12,"kind":{"type":"start","transition":1,"firing":13}} => malformed JSON at byte 30: invalid number
 {"time":15,"step":12,"kind":{"type":"var","note":"hi","name":"x","value":7}} => @15 #12 x = 7
 var name="a\"b" => @15 #12 a"b = 7
 var name="\u0041" => @15 #12 A = 7
@@ -1186,49 +1204,49 @@ var value=-5 => @15 #12 x = -5
 var value=1.5 => not a trace: var value: expected integer or bool, found number
 var value="x" => not a trace: var value: expected integer or bool, found string
 var value=true => @15 #12 x = true
-start time=007 => @7 #12 start t1 (firing 13)
+start time=007 => malformed JSON at byte 22: invalid number
 start time=-0 => @0 #12 start t1 (firing 13)
 start time=999999999999999999 => @999999999999999999 #12 start t1 (firing 13)
 start time=9999999999999999999 => @9999999999999999999 #12 start t1 (firing 13)
 start time=99999999999999999999 => not a trace: delta time: 99999999999999999999 out of range
 start time=1.0 => not a trace: delta time: expected integer, found number
 start time=1e0 => not a trace: delta time: expected integer, found number
-finish step=007 => @15 #7 finish t1 (firing 13)
+finish step=007 => malformed JSON at byte 32: invalid number
 finish step=-0 => @15 #0 finish t1 (firing 13)
 finish step=999999999999999999 => @15 #999999999999999999 finish t1 (firing 13)
 finish step=9999999999999999999 => @15 #9999999999999999999 finish t1 (firing 13)
 finish step=99999999999999999999 => not a trace: delta step: 99999999999999999999 out of range
 finish step=1.0 => not a trace: delta step: expected integer, found number
 finish step=1e0 => not a trace: delta step: expected integer, found number
-start transition=007 => not a trace: transition index 7 out of range (2 transitions)
+start transition=007 => malformed JSON at byte 71: invalid number
 start transition=-0 => @15 #12 start t0 (firing 13)
 start transition=999999999999999999 => not a trace: transition index 999999999999999999 out of range (2 transitions)
 start transition=9999999999999999999 => not a trace: transition index 9999999999999999999 out of range (2 transitions)
 start transition=99999999999999999999 => not a trace: transition: 99999999999999999999 out of range
 start transition=1.0 => not a trace: transition: expected integer, found number
 start transition=1e0 => not a trace: transition: expected integer, found number
-finish firing=007 => @15 #12 finish t1 (firing 7)
+finish firing=007 => malformed JSON at byte 83: invalid number
 finish firing=-0 => @15 #12 finish t1 (firing 0)
 finish firing=999999999999999999 => @15 #12 finish t1 (firing 999999999999999999)
 finish firing=9999999999999999999 => @15 #12 finish t1 (firing 9999999999999999999)
 finish firing=99999999999999999999 => not a trace: firing: 99999999999999999999 out of range
 finish firing=1.0 => not a trace: firing: expected integer, found number
 finish firing=1e0 => not a trace: firing: expected integer, found number
-place place=007 => not a trace: place index 7 out of range (2 places)
+place place=007 => malformed JSON at byte 66: invalid number
 place place=-0 => not a trace: place `p` would hold -1 tokens at time 15
 place place=999999999999999999 => not a trace: place index 999999999999999999 out of range (2 places)
 place place=9999999999999999999 => not a trace: place index 9999999999999999999 out of range (2 places)
 place place=99999999999999999999 => not a trace: place: 99999999999999999999 out of range
 place place=1.0 => not a trace: place: expected integer, found number
 place place=1e0 => not a trace: place: expected integer, found number
-place delta=007 => @15 #12 p1 +7
+place delta=007 => malformed JSON at byte 76: invalid number
 place delta=-0 => @15 #12 p1 +0
 place delta=999999999999999999 => not a trace: place `q` would hold 1000000000000000000 tokens at time 15
 place delta=9999999999999999999 => not a trace: delta: 9999999999999999999 out of range
 place delta=99999999999999999999 => not a trace: delta: 99999999999999999999 out of range
 place delta=1.0 => not a trace: delta: expected integer, found number
 place delta=1e0 => not a trace: delta: expected integer, found number
-var value=007 => @15 #12 x = 7
+var value=007 => malformed JSON at byte 75: invalid number
 var value=-0 => @15 #12 x = 0
 var value=999999999999999999 => @15 #12 x = 999999999999999999
 var value=9999999999999999999 => not a trace: var value: 9999999999999999999 out of range
