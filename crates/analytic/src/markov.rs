@@ -1064,11 +1064,11 @@ mod tests {
         }
     }
 
-    /// A seeded jump chain of the shapes compression meets: a transient
-    /// prefix of up to two states from state 0 (none at all when state 0
-    /// starts the class), then one closed class, or two one time in five,
-    /// with its states numbered in a shuffled order and each jump
-    /// weighted from 1 to 4.
+    /// A seeded jump chain of the shapes compression meets: a path of up
+    /// to three states from state 0 that leads into one closed class, or
+    /// two one time in five (a lone class starts at the path's last
+    /// state half the time, so state 0 may be in it), with the states
+    /// numbered in a shuffled order and each jump weighted from 1 to 4.
     fn random_chain(seed: u64) -> JumpChain {
         let mut r = Rng(seed);
         let mut out = vec![Vec::new()];
