@@ -67,7 +67,7 @@
 //! # }
 //! ```
 
-use pnut_core::{Delay, Expr, Net, NetBuilder, TransitionBuilder};
+use pnut_core::{Delay, Expr, Net, NetBuilder, NetError, TransitionBuilder};
 use std::fmt;
 
 /// Error from parsing net description text.
@@ -190,7 +190,67 @@ pub fn parse(src: &str) -> Result<Net, LangError> {
     let builder = builder.ok_or_else(|| err(1, "missing `net` directive"))?;
     builder
         .build()
-        .map_err(|e| err(src.lines().count().max(1), e.to_string()))
+        .map_err(|e| err(build_error_line(src, &e), e.to_string()))
+}
+
+/// The line a failed [`NetBuilder::build`] points at, found by a second
+/// pass over the text, so a net that builds pays nothing for it: the
+/// second declaration of a duplicate name; else, in the first block of
+/// the transition at fault, the arc line naming the bad place or its
+/// `freq` or `maxconc` line, and failing those its `trans` line. The
+/// last line if the text holds none of them.
+fn build_error_line(src: &str, e: &NetError) -> usize {
+    let lines = (src.lines().enumerate()).map(|(i, raw)| (i + 1, split_word(strip_comment(raw))));
+    let found = match e {
+        NetError::DuplicatePlace(name) => lines
+            .filter(|&(_, (word, rest))| {
+                word == "place" && parse_assign(rest, 0).is_ok_and(|(n, _)| n == name)
+            })
+            .nth(1)
+            .map(|(line, _)| line),
+        NetError::DuplicateTransition(name) => lines
+            .filter(|&(_, (word, rest))| word == "trans" && rest == name)
+            .nth(1)
+            .map(|(line, _)| line),
+        NetError::UnknownPlace { transition, place }
+        | NetError::ZeroWeight { transition, place } => {
+            let zero = matches!(e, NetError::ZeroWeight { .. });
+            block_line(lines, transition, |word, rest| {
+                let sep = match word {
+                    "in" | "out" => '*',
+                    "inhibit" => '@',
+                    _ => return false,
+                };
+                rest.split_whitespace().any(|spec| {
+                    parse_weighted(spec, sep, 0).is_ok_and(|(p, w)| p == place && (w == 0 || !zero))
+                })
+            })
+        }
+        NetError::InvalidFrequency { transition, .. }
+        | NetError::FrequencyOverflow { transition } => {
+            block_line(lines, transition, |word, _| word == "freq")
+        }
+        NetError::ZeroConcurrency { transition } => {
+            block_line(lines, transition, |word, _| word == "maxconc")
+        }
+        NetError::BadExpression { transition, .. } => block_line(lines, transition, |_, _| false),
+    };
+    found.unwrap_or(src.lines().count().max(1))
+}
+
+/// In the first block of `transition`, the last line whose directive
+/// `hit` picks (the builder keeps a repeated `freq` or `maxconc`'s last
+/// value), else the block's `trans` line.
+fn block_line<'a>(
+    lines: impl Iterator<Item = (usize, (&'a str, &'a str))>,
+    transition: &str,
+    hit: impl Fn(&str, &str) -> bool,
+) -> Option<usize> {
+    let mut block = lines.skip_while(|&(_, (word, rest))| word != "trans" || rest != transition);
+    let (head, _) = block.next()?;
+    let body = block.take_while(|&(_, (word, _))| word != "end");
+    let last = body.filter(|&(_, (word, rest))| hit(word, rest)).last();
+    Some(last.map_or(head, |(line, _)| line))
 }
 
 fn transition_directive<'a>(
@@ -489,6 +549,29 @@ end
 
         let e = parse("net n\ntrans t\n  sideways a\nend").unwrap_err();
         assert!(e.message.contains("unknown transition directive"));
+
+        // Build errors point at the declaration at fault, not at the
+        // file's last line.
+        let build_line = |src: &str, message: &str| {
+            let e = parse(src).unwrap_err();
+            assert!(e.message.contains(message), "{e} in {src:?}");
+            e.line
+        };
+        let dup = "net n\nplace a = 1\nplace a = 2\ntrans t\n  in a\nend\n\n# trailing comment\n";
+        assert_eq!(build_line(dup, "duplicate place `a`"), 3);
+        let dup = "net n\nplace a = 1\ntrans t\nend\ntrans u\nend\ntrans t # again\n  in a\nend\n";
+        assert_eq!(build_line(dup, "duplicate transition `t`"), 7);
+        let arcs = "net n\nplace a = 1\ntrans t\n  in a\n  out a b\nend\n\n";
+        assert_eq!(build_line(arcs, "unknown place `b`"), 5);
+        let arcs = "net n\nplace a = 1\ntrans u\n  in a\nend\ntrans t\n  in a\n  inhibit a@0\n  out a\nend\n";
+        assert_eq!(build_line(arcs, "zero-weight arc to `a`"), 8);
+        let freq = "net n\nplace a = 1\ntrans t\n  in a\n  freq 0\n  out a\nend\n# end\n";
+        assert_eq!(build_line(freq, "invalid firing frequency"), 5);
+        let overflow = "net n\nplace p = 1\nplace q = 0\n\ntrans fa\n  in p\n  out q\n  freq 1e308\nend\n\
+                        trans fb\n  in p\n  out q\n  firing 2\n  freq 1e308\nend\n\n# two competitors\n\n";
+        assert_eq!(build_line(overflow, "overflows at transition `fb`"), 14);
+        let cap = "net n\nplace a = 1\ntrans t\n  in a\n  maxconc 0\nend\n\n";
+        assert_eq!(build_line(cap, "max_concurrent = 0"), 5);
     }
 
     #[test]
