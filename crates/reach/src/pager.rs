@@ -18,8 +18,8 @@
 //! # The three layers
 //!
 //! ```text
-//! intern table   (hash, state index)   always resident, probes first
-//!      │ true hash hit → content compare needs the arena row
+//! intern table   (hash fold, state index)   always resident, probes first
+//!      │ fold match → content compare needs the arena row
 //!      ▼
 //! level segments [seg 0 | seg 1 | … | tail]   fixed state count each
 //!      │ resident  → slice straight out of the segment
@@ -233,16 +233,20 @@ impl Default for PagerConfig {
 /// budget, one LRU clock, one resident-byte counter, one high-water
 /// mark. This is what makes "`--mem-budget 64KiB`" mean *64 KiB total*
 /// rather than 64 KiB per arena family.
+///
+/// Without a budget (`usize::MAX`) nothing is ever evicted, so the
+/// resident count never falls: the clock never ticks, and the peak is
+/// the resident count itself rather than a second counter.
 #[derive(Debug)]
 pub(crate) struct PagerShared {
     /// Resident byte budget across all attached arenas.
     budget: usize,
-    /// LRU clock; advanced by every [`Paged::maintain`].
+    /// LRU clock; advanced by every [`Paged::maintain`] under a budget.
     clock: AtomicU64,
     /// Resident arena bytes right now (all attached arenas, tails
     /// included).
     resident: AtomicUsize,
-    /// High-water mark of `resident`. Resettable
+    /// High-water mark of `resident` under a budget. Resettable
     /// ([`PagerShared::reset_peak`]) so tests can measure the envelope
     /// of one *phase* (e.g. an analysis sweep after the build).
     peak: AtomicUsize,
@@ -259,9 +263,16 @@ impl PagerShared {
         })
     }
 
+    /// Whether no budget is set, so nothing can ever be evicted.
+    fn unbudgeted(&self) -> bool {
+        self.budget == usize::MAX
+    }
+
     fn add_resident(&self, bytes: usize) {
         let now = self.resident.fetch_add(bytes, Ordering::Relaxed) + bytes;
-        self.peak.fetch_max(now, Ordering::Relaxed);
+        if !self.unbudgeted() {
+            self.peak.fetch_max(now, Ordering::Relaxed);
+        }
         obs::metrics::PAGER_RESIDENT_BYTES.set(now as u64);
         obs::metrics::PAGER_PEAK_RESIDENT_BYTES.set_max(now as u64);
     }
@@ -285,6 +296,10 @@ impl PagerShared {
     }
 
     pub(crate) fn peak(&self) -> usize {
+        if self.unbudgeted() {
+            // Exact: without eviction the resident count never falls.
+            return self.resident();
+        }
         self.peak.load(Ordering::Relaxed)
     }
 
@@ -1318,8 +1333,12 @@ impl<S: SegmentContent> Paged<S> {
     /// are never evicted; segments of sibling arenas are their own
     /// `maintain`'s job). Call sites are the `&mut` points: after
     /// every load, intern and append of the build, and between
-    /// segments of an analysis sweep.
+    /// segments of an analysis sweep. Without a budget it returns at
+    /// once: nothing can be evicted, so there is no clock to advance.
     pub(crate) fn maintain(&mut self) -> Result<(), ReachError> {
+        if self.shared.unbudgeted() {
+            return Ok(());
+        }
         self.shared.clock.fetch_add(1, Ordering::Relaxed);
         while self.shared.resident() > self.shared.budget {
             let Some(victim) = self.coldest_resident_sealed() else {
@@ -2068,6 +2087,14 @@ mod tests {
         for i in [0, 4095, 4096, 9999] {
             expect_row(&ps, i);
         }
+        // Nothing can be evicted, so the clock never ticks and the peak
+        // is the resident count, also after a reset.
+        ps.maintain().unwrap();
+        assert_eq!(ps.shared.clock.load(Ordering::Relaxed), 1);
+        assert_eq!(ps.peak_resident_bytes(), ps.resident_bytes());
+        ps.shared().reset_peak();
+        fill(&mut ps, 100);
+        assert_eq!(ps.peak_resident_bytes(), ps.resident_bytes());
     }
 
     #[test]
