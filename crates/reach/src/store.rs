@@ -43,23 +43,28 @@
 //! the whole row from one segment fetch.
 //!
 //! Duplicate detection is a hand-rolled open-addressing table of
-//! `(precomputed FxHash, state index)` pairs — the raw-entry pattern:
-//! no owned keys, no re-hashing on probe, equality checked directly
-//! against the arena slices. Environments are interned first, as the
-//! dense [`EnvSlots`] rows expressions run on, so state equality
-//! degrades to slice compares plus one `u32` compare, and exploring
-//! builds, hashes and compares no name-keyed maps.
+//! `(hash fold, state index)` buckets — the raw-entry pattern: no owned
+//! keys, no re-hashing on probe, equality checked directly against the
+//! arena slices. A bucket keeps the 32-bit fold `hash ^ (hash >> 32)` of
+//! the precomputed 64-bit hash, which also picks the start bucket, so a
+//! fold match runs the compare and the compare decides. A miss returns
+//! the free bucket its probe stopped at, and the new state goes there:
+//! one probe per new state, unless the table grows first.
+//! Environments are interned first, as the dense [`EnvSlots`] rows
+//! expressions run on, so state equality degrades to slice compares
+//! plus one `u32` compare, and exploring builds, hashes and compares no
+//! name-keyed maps.
 //!
 //! # Complexity
 //!
 //! Interning is amortized O(|marking| + |in-flight|) per successor with
 //! no allocation on the hit path (the overwhelmingly common case once
 //! the frontier saturates). Memory is one arena copy per distinct state
-//! plus its share of the intern table: each bucket is a `(u64, u32)`,
-//! 16 bytes with padding, and the bucket count is a power of two kept
-//! at a load of at most 7/8, so a state costs 18–37 bytes of table. The
-//! owned-key layout this replaced stored every state twice, before
-//! counting its per-state heap headers.
+//! plus its share of the intern table: each bucket is a `(u32, u32)`,
+//! 8 bytes, and the bucket count is a power of two kept at a load of at
+//! most 7/8, so a state costs 9–19 bytes of table. The owned-key layout
+//! this replaced stored every state twice, before counting its
+//! per-state heap headers.
 //!
 //! # Parallel levels: expand side by side, intern in order
 //!
@@ -82,9 +87,9 @@
 //! temp file under a configurable byte budget
 //! ([`crate::graph::ReachOptions::mem_budget`]). Three layers cooperate:
 //!
-//! 1. **intern table** — resident; holds only `(64-bit hash, index)`,
-//!    so probes touch a segment (and possibly disk) only on a *true*
-//!    hash hit;
+//! 1. **intern table** — resident; holds only `(32-bit hash fold,
+//!    index)`, so probes touch a segment (and possibly disk) only on a
+//!    fold match;
 //! 2. **segments** — the marking/env-id/in-flight rows of
 //!    `seg_states` consecutive states; the tail receives appends, full
 //!    segments seal immutable and become evictable;
@@ -194,15 +199,27 @@ pub fn fx_hash_of<T: Hash + ?Sized>(value: &T) -> u64 {
 
 const EMPTY: u32 = u32::MAX;
 
-/// Open-addressing table of `(hash, index)` pairs with linear probing.
+/// Where a probe of an [`InternTable`] ended.
+enum Probe {
+    /// The index whose compare held.
+    Hit(u32),
+    /// The empty bucket the probe stopped at, which
+    /// [`InternTable::insert`] fills.
+    Miss(usize),
+}
+
+/// Open-addressing table of `(fold, index)` buckets with linear probing.
 ///
 /// The table owns no keys: callers keep the real data in an arena and
 /// supply an equality predicate at probe time, exactly like hashbrown's
-/// raw-entry API but without the dependency.
+/// raw-entry API but without the dependency. A bucket keeps only the
+/// 32-bit fold of the key's 64-bit hash, the same fold that picks its
+/// start bucket, so a fold match runs the compare and the compare alone
+/// decides a hit.
 #[derive(Debug, Clone)]
 struct InternTable {
     /// Power-of-two bucket array; `idx == EMPTY` marks a free slot.
-    entries: Vec<(u64, u32)>,
+    entries: Vec<(u32, u32)>,
     len: usize,
 }
 
@@ -216,65 +233,75 @@ impl InternTable {
     }
 
     #[inline]
-    fn start(&self, hash: u64) -> usize {
+    fn fold(hash: u64) -> u32 {
         // Fold the high bits in: Fx concentrates entropy there.
-        (hash ^ (hash >> 32)) as usize & (self.entries.len() - 1)
+        (hash ^ (hash >> 32)) as u32
+    }
+
+    /// The first free bucket from `fold`'s start bucket on.
+    fn vacant(&self, fold: u32) -> usize {
+        let mask = self.entries.len() - 1;
+        let mut i = fold as usize & mask;
+        while self.entries[i].1 != EMPTY {
+            i = (i + 1) & mask;
+        }
+        i
     }
 
     /// Find the index previously inserted under `hash` for which `eq`
-    /// holds. `eq` runs on true hash hits only, and may fail: the state
-    /// table's compare reads the paged arenas, which can fault.
+    /// holds, or the free bucket where the probe stopped. `eq` runs on
+    /// fold matches only, and may fail: the state table's compare reads
+    /// the paged arenas, which can fault.
     #[inline]
     fn find(
         &self,
         hash: u64,
         mut eq: impl FnMut(u32) -> Result<bool, ReachError>,
-    ) -> Result<Option<u32>, ReachError> {
+    ) -> Result<Probe, ReachError> {
+        let fold = Self::fold(hash);
         let mask = self.entries.len() - 1;
-        let mut i = self.start(hash);
+        let mut i = fold as usize & mask;
         loop {
-            let (h, idx) = self.entries[i];
+            let (f, idx) = self.entries[i];
             if idx == EMPTY {
-                return Ok(None);
+                return Ok(Probe::Miss(i));
             }
-            if h == hash && eq(idx)? {
-                return Ok(Some(idx));
+            if f == fold && eq(idx)? {
+                return Ok(Probe::Hit(idx));
             }
             i = (i + 1) & mask;
         }
     }
 
-    /// Insert `idx` under `hash`. The caller guarantees it is absent.
-    fn insert(&mut self, hash: u64, idx: u32) {
-        if (self.len + 1) * 8 > self.entries.len() * 7 {
+    /// Insert `idx` under `hash` into `bucket`, where [`Self::find`]
+    /// just missed it with nothing inserted since. A table that must
+    /// grow first is probed again for the bucket.
+    fn insert(&mut self, bucket: usize, hash: u64, idx: u32) {
+        let fold = Self::fold(hash);
+        let bucket = if (self.len + 1) * 8 > self.entries.len() * 7 {
             self.grow();
-        }
-        let mask = self.entries.len() - 1;
-        let mut i = self.start(hash);
-        while self.entries[i].1 != EMPTY {
-            i = (i + 1) & mask;
-        }
-        self.entries[i] = (hash, idx);
+            self.vacant(fold)
+        } else {
+            bucket
+        };
+        debug_assert_eq!(self.entries[bucket].1, EMPTY, "bucket taken since the miss");
+        self.entries[bucket] = (fold, idx);
         self.len += 1;
     }
 
     fn grow(&mut self) {
         let doubled = self.entries.len() * 2;
         let old = std::mem::replace(&mut self.entries, vec![(0, EMPTY); doubled]);
-        let mask = self.entries.len() - 1;
-        for (h, idx) in old {
+        for (fold, idx) in old {
             if idx != EMPTY {
-                let mut i = (h ^ (h >> 32)) as usize & mask;
-                while self.entries[i].1 != EMPTY {
-                    i = (i + 1) & mask;
-                }
-                self.entries[i] = (h, idx);
+                let i = self.vacant(fold);
+                self.entries[i] = (fold, idx);
             }
         }
     }
 
     fn bytes(&self) -> usize {
-        self.entries.capacity() * std::mem::size_of::<(u64, u32)>()
+        self.entries.capacity() * std::mem::size_of::<(u32, u32)>()
     }
 }
 
@@ -648,20 +675,23 @@ impl StateStore {
         );
         let hash = Self::hash_state(marking_hash, env_id, in_flight, enabling);
         obs::metrics::STORE_PROBES.inc();
-        let hit = self.state_table.find(hash, |idx| {
+        let probe = self.state_table.find(hash, |idx| {
             let s = self.states.state(idx as usize)?;
             Ok(s.env_id == env_id
                 && s.marking.as_slice() == marking
                 && s.in_flight == in_flight
                 && s.enabling == enabling)
         })?;
-        if let Some(idx) = hit {
-            obs::metrics::STORE_HITS.inc();
-            // The probe may have faulted an old segment in; this is a
-            // `&mut` point, so evict back under budget right away.
-            self.states.maintain()?;
-            return Ok((idx as usize, false));
-        }
+        let bucket = match probe {
+            Probe::Hit(idx) => {
+                obs::metrics::STORE_HITS.inc();
+                // The probe may have faulted an old segment in; this is
+                // a `&mut` point, so evict back under budget right away.
+                self.states.maintain()?;
+                return Ok((idx as usize, false));
+            }
+            Probe::Miss(bucket) => bucket,
+        };
         if self.states.len() >= max_states {
             return Err(ReachError::StateLimit { limit: max_states });
         }
@@ -674,7 +704,7 @@ impl StateStore {
         // Table first: the append records the row before its eviction
         // can fail, so a failed spill write must still leave the state
         // findable, or interning it again would append a duplicate.
-        self.state_table.insert(hash, idx);
+        self.state_table.insert(bucket, hash, idx);
         obs::metrics::STORE_MISSES.inc();
         self.states.append(marking, env_id, in_flight, enabling)?;
         Ok((idx as usize, true))
@@ -689,17 +719,18 @@ impl StateStore {
     /// environments.
     pub fn intern_env(&mut self, env: &EnvSlots) -> Result<u32, ReachError> {
         let hash = fx_hash_of(env);
-        if let Some(id) = self
+        let bucket = match self
             .env_table
             .find(hash, |idx| Ok(&self.envs[idx as usize] == env))?
         {
-            return Ok(id);
-        }
+            Probe::Hit(id) => return Ok(id),
+            Probe::Miss(bucket) => bucket,
+        };
         let id = u32::try_from(self.envs.len()).map_err(|_| ReachError::CapacityExceeded {
             resource: "environment index (more than u32::MAX environments)",
         })?;
         self.envs.push(env.clone());
-        self.env_table.insert(hash, id);
+        self.env_table.insert(bucket, hash, id);
         Ok(id)
     }
 
@@ -793,6 +824,83 @@ mod tests {
             assert!(!new, "state {i} was re-interned");
         }
         assert_eq!(s.len(), 10_000);
+    }
+
+    /// Look `hash` up in `table`, whose index `i` holds key `keys[i]`,
+    /// and insert it as the next key on a miss; returns its index and
+    /// whether it was new.
+    fn intern_key(table: &mut InternTable, keys: &mut Vec<u64>, hash: u64) -> (u32, bool) {
+        let probe = table.find(hash, |idx| Ok(keys[idx as usize] == hash));
+        match probe.unwrap() {
+            Probe::Hit(idx) => (idx, false),
+            Probe::Miss(bucket) => {
+                let idx = keys.len() as u32;
+                keys.push(hash);
+                table.insert(bucket, hash, idx);
+                (idx, true)
+            }
+        }
+    }
+
+    #[test]
+    fn the_compare_decides_between_keys_of_one_fold() {
+        // Different 64-bit hashes, same 32-bit fold `hash ^ (hash >> 32)`.
+        let (a, b, c) = (1u64 << 32, 1u64, 0x8000_0001_8000_0000u64);
+        assert_eq!(InternTable::fold(a), InternTable::fold(b));
+        assert_eq!(InternTable::fold(a), InternTable::fold(c));
+        let (mut table, mut keys) = (InternTable::with_capacity(4), Vec::new());
+        assert_eq!(intern_key(&mut table, &mut keys, a), (0, true));
+        assert_eq!(intern_key(&mut table, &mut keys, b), (1, true));
+        assert_eq!(intern_key(&mut table, &mut keys, c), (2, true));
+        for (i, &key) in [a, b, c].iter().enumerate() {
+            assert_eq!(intern_key(&mut table, &mut keys, key), (i as u32, false));
+        }
+    }
+
+    #[test]
+    fn a_miss_that_grows_the_table_lands_where_it_is_found() {
+        let (mut table, mut keys) = (InternTable::with_capacity(4), Vec::new());
+        let mut doublings = 0;
+        for i in 0..5000u64 {
+            // Spread keys, and every eighth one shares its fold with the
+            // key before it.
+            let hash = if i % 8 == 7 {
+                keys[keys.len() - 1] ^ 0xffff_ffff_0000_0000 ^ 0xffff_ffff
+            } else {
+                fx_mix(0, i)
+            };
+            let buckets = table.entries.len();
+            assert_eq!(intern_key(&mut table, &mut keys, hash), (i as u32, true));
+            assert_eq!(intern_key(&mut table, &mut keys, hash), (i as u32, false));
+            if table.entries.len() != buckets {
+                doublings += 1;
+                for (j, key) in keys.clone().into_iter().enumerate() {
+                    assert_eq!(intern_key(&mut table, &mut keys, key), (j as u32, false));
+                }
+            }
+        }
+        assert_eq!(table.len, 5000);
+        assert!(doublings >= 9, "{doublings} doublings");
+    }
+
+    #[test]
+    fn an_unbudgeted_store_peaks_at_its_resident_bytes() {
+        let mut s = StateStore::new(3);
+        let e = s.intern_env(&EnvSlots::new()).unwrap();
+        // Past one 4096-state segment, so a tail seals and a fresh one
+        // opens.
+        for i in 0..5000u32 {
+            s.intern(&[i, i % 7, 1], e, &[], &[]).unwrap();
+            if i % 1000 == 0 {
+                assert_eq!(s.peak_resident_arena_bytes(), s.resident_arena_bytes());
+            }
+        }
+        assert!(s.resident_arena_bytes() > 5000 * 12);
+        assert_eq!(s.peak_resident_arena_bytes(), s.resident_arena_bytes());
+        s.reset_peak_resident_bytes();
+        assert_eq!(s.peak_resident_arena_bytes(), s.resident_arena_bytes());
+        s.intern(&[0, 0, 0], e, &[], &[]).unwrap();
+        assert_eq!(s.peak_resident_arena_bytes(), s.resident_arena_bytes());
     }
 
     #[test]
