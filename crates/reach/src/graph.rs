@@ -46,9 +46,11 @@
 //! keeps only the explorer's scheduler, in two steps:
 //!
 //! * **expand** turns one loaded source into its row of successors
-//!   (label, state, post-action environment) without touching the
-//!   store. Every transition that can start (ready, enabling clock run
-//!   out, predicate true) is a `Fire` edge, in id order. Clocks are
+//!   (label, state, post-action environment). It reads the source's
+//!   marking, in-flight firings and enabling clocks in place, from the
+//!   store row the load returned, and makes no store or pager call.
+//!   Every transition that can start (ready, enabling clock run out,
+//!   predicate true) is a `Fire` edge, in id order. Clocks are
 //!   relative countdowns. When nothing can start, one maximal-progress
 //!   `Advance` edge jumps to the earliest pending completion or
 //!   enabling deadline. Untimed builds run the same rule with every
@@ -58,13 +60,27 @@
 //!   the only way any state enters the store, and appends the row to
 //!   the paged edge arena.
 //!
+//! No marking is hashed whole during a build but the initial one. The
+//! marking part of a state hash is a sum over places
+//! ([`StateStore::marking_elem_hash`]), so expand derives each
+//! successor's hash from its source's through the places the firing
+//! touches, and commit keeps the hash of every state it appends, for
+//! the level under expansion and the next one only; a source's load
+//! takes its hash from there. This hash window sits outside the pager
+//! ledger, like the workers' row buffers: 8 bytes per state of two
+//! levels, about 27 KiB at `wide_toggle(13)`'s widest.
+//!
 //! At `jobs = 1`, and in any level narrower than `jobs × 48` sources,
-//! each source is loaded, kept resident, expanded and committed in
-//! turn. The store evicts at every `&mut` point: after each load,
-//! inside each intern, and after each row, but never the segment of the
-//! source being expanded. Sources load in index order, so the next one
-//! most likely lives in that segment too, yet every probe since the
-//! load has made it the least recently touched.
+//! each source runs load → expand → `keep_resident` + `maintain` →
+//! commit in turn. Expansion reads the loaded row before the next
+//! `&mut` call on the store could evict it, and makes no pager call, so
+//! the pager's touches, faults, ticks and evictions follow from the
+//! loads and the `&mut` calls alone. The store evicts at every `&mut`
+//! point: after each expansion, inside each intern, and after each row,
+//! but never the segment of the source being expanded. Sources load in
+//! index order, so the next one most likely lives in that segment too,
+//! yet every probe since the load has made it the least recently
+//! touched.
 //!
 //! A wider level goes to scoped workers a batch of `jobs × 512` sources
 //! at a time. Each worker loads and expands a contiguous chunk of the
@@ -552,18 +568,27 @@ impl<'g> SegmentGuard<'g> {
 // The expansion kernel
 // ---------------------------------------------------------------------------
 
-/// The state under expansion, copied out of the store so it stays
-/// stable while the store grows.
-#[derive(Default)]
-struct Source {
-    marking: Vec<u32>,
-    /// Marking-part hash of `marking` (see
-    /// [`StateStore::marking_elem_hash`]).
-    hash: u64,
-    /// In-flight firings as `(transition, remaining ticks)`, sorted.
-    in_flight: Vec<(TransitionId, u64)>,
-    /// Enabling clocks as `(transition, countdown)`, sorted by id.
-    enabling: Vec<(TransitionId, u64)>,
+/// The marking hashes of the states of the level under expansion and
+/// of the next level, in index order, as `commit` interned them:
+/// expansion takes a source's hash from here instead of rehashing its
+/// marking.
+struct Hashes {
+    /// The first state of the level under expansion.
+    start: usize,
+    window: Vec<u64>,
+}
+
+impl Hashes {
+    fn of(&self, state: usize) -> u64 {
+        self.window[state - self.start]
+    }
+
+    /// Drop the hashes of `level`, which has been expanded.
+    fn advance(&mut self, level: Range<usize>) {
+        debug_assert_eq!(level.start, self.start);
+        self.window.drain(..level.len());
+        self.start = level.end;
+    }
 }
 
 /// In-flight firings of `t` in the multiset `in_flight`.
@@ -604,13 +629,11 @@ fn apply(
     Ok(())
 }
 
-/// Reusable per-worker scratch: the state under expansion, the
-/// environments in the slot form the store interns, and the bytecode
-/// registers, so successor generation is allocation-free on the steady
-/// state.
+/// Reusable per-worker scratch: the environments in the slot form the
+/// store interns, and the bytecode registers, so successor generation
+/// is allocation-free on the steady state.
 #[derive(Default)]
 struct Scratch {
-    cur: Source,
     /// Environment of the state under expansion.
     cur_slots: bc::EnvSlots,
     /// Which interned env id `cur_slots` holds: consecutive states
@@ -623,24 +646,17 @@ struct Scratch {
 }
 
 impl Scratch {
-    /// Load state `src` into `cur` (faulting its segment in if evicted)
-    /// and its environment row into `cur_slots`; returns its env id.
-    fn load(&mut self, store: &StateStore, src: usize) -> Result<u32, ReachError> {
+    /// Read state `src` in place from its store row (faulting its
+    /// segment in if evicted), which stays put until the next `&mut`
+    /// call on the store, and load its environment row into `cur_slots`.
+    fn load<'s>(&mut self, store: &'s StateStore, src: usize) -> Result<StateRef<'s>, ReachError> {
         let state = store.state(src)?;
-        let cur = &mut self.cur;
-        cur.marking.clear();
-        cur.marking.extend_from_slice(state.marking.as_slice());
-        cur.hash = StateStore::marking_hash(&cur.marking);
-        cur.in_flight.clear();
-        cur.in_flight.extend_from_slice(state.in_flight);
-        cur.enabling.clear();
-        cur.enabling.extend_from_slice(state.enabling);
         let env = state.env_id;
         if self.loaded_env != Some(env) {
             self.cur_slots.copy_from(store.env(env));
             self.loaded_env = Some(env);
         }
-        Ok(env)
+        Ok(state)
     }
 }
 
@@ -753,6 +769,9 @@ struct Rule<'n> {
     net: &'n Net,
     /// Every transition, lowered once per build, with its slot map.
     programs: bc::CompiledNet,
+    /// The transitions whose enabling delay is not the constant 0: the
+    /// only ones that can hold an enabling clock.
+    clocked: Vec<TransitionId>,
     /// Timed semantics: firing delays, concurrency caps, enabling
     /// clocks and time advances. Untimed firings are atomic.
     timed: bool,
@@ -760,9 +779,15 @@ struct Rule<'n> {
 
 impl<'n> Rule<'n> {
     fn new(net: &'n Net, timed: bool) -> Result<Self, ReachError> {
+        let programs = bc::CompiledNet::compile(net).map_err(ReachError::Compile)?;
+        let clocked = (programs.transitions.iter().enumerate())
+            .filter(|(_, ct)| !ct.enabling.is_zero_constant())
+            .map(|(i, _)| TransitionId::new(i))
+            .collect();
         Ok(Rule {
             net,
-            programs: bc::CompiledNet::compile(net).map_err(ReachError::Compile)?,
+            programs,
+            clocked,
             timed,
         })
     }
@@ -777,10 +802,11 @@ impl<'n> Rule<'n> {
     /// Compute the enabling clocks of the successor under construction
     /// at the end of `row` into `row.enabling`, with the shared clock
     /// rule, [`bc::CompiledTransition::clock`] (untimed builds keep
-    /// none). Clocks are relative countdowns:
+    /// none). `clocks` are the source's. Clocks are relative
+    /// countdowns:
     ///
-    /// * constant-0 enabling delays are skipped before asking, so they
-    ///   are never stored;
+    /// * only the `clocked` transitions are asked: constant-0 enabling
+    ///   delays are never stored;
     /// * readiness and the predicate are judged on the successor, whose
     ///   environment is the post-action `next_slots` when `acted`, else
     ///   `cur_slots`; a fresh delay resolves against it too;
@@ -793,6 +819,7 @@ impl<'n> Rule<'n> {
     fn refresh_clocks(
         &self,
         sc: &mut Scratch,
+        clocks: &[(TransitionId, u64)],
         row: &mut Row,
         acted: bool,
         fired: Option<TransitionId>,
@@ -805,17 +832,14 @@ impl<'n> Rule<'n> {
         let slots = if acted { &sc.next_slots } else { &sc.cur_slots };
         let marking = &row.markings[row.succs.len() * self.net.place_count()..];
         let in_flight = &row.in_flight[row.in_flight_start()..];
-        for (i, ct) in self.programs.transitions.iter().enumerate() {
-            if ct.enabling.is_zero_constant() {
-                continue;
-            }
-            let (id, vm) = (TransitionId::new(i), &mut sc.vm);
+        for &id in &self.clocked {
+            let (ct, vm) = (&self.programs.transitions[id.index()], &mut sc.vm);
             let ready = ct.ready(marking, || in_flight_of(in_flight, id))
                 && ct
                     .predicate_holds(slots, map, vm)
                     .map_err(|e| self.eval_err(id, e))?;
             let running = || {
-                let cur = sc.cur.enabling.iter().find(|&&(x, _)| x == id);
+                let cur = clocks.iter().find(|&&(x, _)| x == id);
                 cur.filter(|_| fired != Some(id)).map(|&(_, k)| k)
             };
             let clock = ct.clock(ready, running, slots, map, vm, None);
@@ -837,15 +861,23 @@ impl<'n> Rule<'n> {
         row.clear(0);
         row.markings
             .extend_from_slice(self.net.initial_marking().as_slice());
-        self.refresh_clocks(sc, row, false, None, 0)
+        self.refresh_clocks(sc, &[], row, false, None, 0)
     }
 
-    /// The kernel: expand the source loaded into `sc`, whose environment
-    /// id is `env`, into its successor `row`. It reads no store, so
-    /// workers run it side by side. On error, `row` holds the
+    /// The kernel: expand `src`, whose environment `sc` has loaded and
+    /// whose marking hashes to `src_hash`, into its successor `row`. It
+    /// reads the source's row in place and makes no store or pager
+    /// call, so workers run it side by side. On error, `row` holds the
     /// successors before the edge that failed.
-    fn expand(&self, sc: &mut Scratch, env: u32, row: &mut Row) -> Result<(), ReachError> {
-        row.clear(env);
+    fn expand(
+        &self,
+        sc: &mut Scratch,
+        src: StateRef<'_>,
+        src_hash: u64,
+        row: &mut Row,
+    ) -> Result<(), ReachError> {
+        let (marking, in_flight, enabling) = (src.marking.as_slice(), src.in_flight, src.enabling);
+        row.clear(src.env_id);
         let map = &self.programs.map;
         let mut can_start = false;
         for (i, ct) in self.programs.transitions.iter().enumerate() {
@@ -854,8 +886,8 @@ impl<'n> Rule<'n> {
             // counting down cannot start. (Ready transitions with a
             // pending delay always carry a clock entry, so a missing
             // entry means the resolved delay was 0.)
-            if !ct.ready(&sc.cur.marking, || in_flight_of(&sc.cur.in_flight, id))
-                || sc.cur.enabling.iter().any(|&(x, k)| x == id && k > 0)
+            if !ct.ready(marking, || in_flight_of(in_flight, id))
+                || enabling.iter().any(|&(x, k)| x == id && k > 0)
                 || !ct
                     .predicate_holds(&sc.cur_slots, map, &mut sc.vm)
                     .map_err(|e| self.eval_err(id, e))?
@@ -883,17 +915,17 @@ impl<'n> Rule<'n> {
             };
             // Zero-delay firings are atomic: outputs appear immediately
             // and the in-flight multiset is unchanged.
-            let (at, mut hash) = (row.markings.len(), sc.cur.hash);
-            row.markings.extend_from_slice(&sc.cur.marking);
+            let (at, mut hash) = (row.markings.len(), src_hash);
+            row.markings.extend_from_slice(marking);
             let delta = if ft == 0 { &ct.atomic } else { &ct.start };
             apply(self.net, id, delta, &mut row.markings[at..], &mut hash)?;
             let start = row.in_flight.len();
-            row.in_flight.extend_from_slice(&sc.cur.in_flight);
+            row.in_flight.extend_from_slice(in_flight);
             if ft != 0 {
                 row.in_flight.push((id, ft));
                 row.in_flight[start..].sort_unstable();
             }
-            self.refresh_clocks(sc, row, acted, Some(id), 0)?;
+            self.refresh_clocks(sc, enabling, row, acted, Some(id), 0)?;
             row.finish(EdgeLabel::Fire(id), hash, acted, &mut sc.next_slots);
         }
 
@@ -904,15 +936,15 @@ impl<'n> Rule<'n> {
         if can_start {
             return Ok(());
         }
-        let pending = sc.cur.in_flight.iter().chain(&sc.cur.enabling);
+        let pending = in_flight.iter().chain(enabling);
         let Some(dt) = pending.map(|&(_, r)| r).min() else {
             return Ok(());
         };
         debug_assert!(dt > 0, "zero advance would loop forever");
-        let (at, mut hash) = (row.markings.len(), sc.cur.hash);
-        row.markings.extend_from_slice(&sc.cur.marking);
+        let (at, mut hash) = (row.markings.len(), src_hash);
+        row.markings.extend_from_slice(marking);
         let start = row.in_flight.len();
-        for &(tid, r) in &sc.cur.in_flight {
+        for &(tid, r) in in_flight {
             if r == dt {
                 let done = &self.programs.transitions[tid.index()].end;
                 apply(self.net, tid, done, &mut row.markings[at..], &mut hash)?;
@@ -921,24 +953,26 @@ impl<'n> Rule<'n> {
             }
         }
         row.in_flight[start..].sort_unstable();
-        self.refresh_clocks(sc, row, false, None, dt)?;
+        self.refresh_clocks(sc, enabling, row, false, None, dt)?;
         row.finish(EdgeLabel::Advance(dt), hash, false, &mut sc.next_slots);
         Ok(())
     }
 }
 
 impl ReachabilityGraph {
-    /// Intern `row`'s successors in edge order, then append their edges
-    /// as the next source's row. `expanded` is how that source's
-    /// expansion ended: an intern error comes earlier in edge order
-    /// than an expansion error that cut the row short, so it wins, and
-    /// a row cut short is never appended. `edges` is scratch space.
+    /// Intern `row`'s successors in edge order, keeping the marking
+    /// hash of each new one in `hashes`, then append their edges as the
+    /// next source's row. `expanded` is how that source's expansion
+    /// ended: an intern error comes earlier in edge order than an
+    /// expansion error that cut the row short, so it wins, and a row
+    /// cut short is never appended. `edges` is scratch space.
     fn commit(
         &mut self,
         row: &Row,
         expanded: Result<(), ReachError>,
         max_states: usize,
         edges: &mut Vec<Edge>,
+        hashes: &mut Hashes,
     ) -> Result<(), ReachError> {
         edges.clear();
         for s in row.successors(self.store.places()) {
@@ -946,7 +980,7 @@ impl ReachabilityGraph {
                 Some(slots) => self.store.intern_env(slots)?,
                 None => row.env,
             };
-            let (target, _) = self.store.intern_bounded(
+            let (target, new) = self.store.intern_bounded(
                 s.marking,
                 s.hash,
                 env,
@@ -954,6 +988,10 @@ impl ReachabilityGraph {
                 s.enabling,
                 max_states,
             )?;
+            if new {
+                debug_assert_eq!(hashes.start + hashes.window.len(), target);
+                hashes.window.push(s.hash);
+            }
             edges.push((s.label, target as u32));
         }
         expanded?;
@@ -994,7 +1032,13 @@ struct Worker {
 impl Worker {
     /// Load and expand each source of `chunk` from the frozen `store`,
     /// in order, until one fails.
-    fn expand(&mut self, rule: &Rule<'_>, store: &StateStore, chunk: Range<usize>) {
+    fn expand(
+        &mut self,
+        rule: &Rule<'_>,
+        store: &StateStore,
+        hashes: &Hashes,
+        chunk: Range<usize>,
+    ) {
         self.len = 0;
         self.err = None;
         for src in chunk {
@@ -1007,7 +1051,7 @@ impl Worker {
             let sc = &mut self.sc;
             if let Err(e) = sc
                 .load(store, src)
-                .and_then(|env| rule.expand(sc, env, row))
+                .and_then(|state| rule.expand(sc, state, hashes.of(src), row))
             {
                 self.err = Some(e);
                 return;
@@ -1028,24 +1072,25 @@ fn expand_wide(
     level: Range<usize>,
     max_states: usize,
     edges: &mut Vec<Edge>,
+    hashes: &mut Hashes,
 ) -> Result<(), ReachError> {
     let jobs = workers.len();
     for start in level.clone().step_by(jobs * BATCH_PER_JOB) {
         let end = (start + jobs * BATCH_PER_JOB).min(level.end);
         let per = (end - start).div_ceil(jobs);
         let active = &mut workers[..(end - start).div_ceil(per)];
-        let store = &g.store;
+        let (store, level_hashes) = (&g.store, &*hashes);
         std::thread::scope(|scope| {
             let mut chunks = active
                 .iter_mut()
                 .zip((start..end).step_by(per).map(|s| s..(s + per).min(end)));
             let first = chunks.next();
             let handles: Vec<_> = chunks
-                .map(|(w, chunk)| scope.spawn(move || w.expand(rule, store, chunk)))
+                .map(|(w, chunk)| scope.spawn(move || w.expand(rule, store, level_hashes, chunk)))
                 .collect();
             // The calling thread takes the first chunk itself.
             if let Some((w, chunk)) = first {
-                w.expand(rule, store, chunk);
+                w.expand(rule, store, level_hashes, chunk);
             }
             for h in handles {
                 h.join().expect("worker thread panicked");
@@ -1056,9 +1101,10 @@ fn expand_wide(
                 continue;
             };
             for row in rows {
-                g.commit(row, Ok(()), max_states, edges)?;
+                g.commit(row, Ok(()), max_states, edges, hashes)?;
             }
-            g.commit(last, w.err.take().map_or(Ok(()), Err), max_states, edges)?;
+            let expanded = w.err.take().map_or(Ok(()), Err);
+            g.commit(last, expanded, max_states, edges, hashes)?;
         }
     }
     Ok(())
@@ -1106,12 +1152,12 @@ fn explore(
     sc.cur_slots.load(&rule.programs.map, net.initial_env());
     let initial_env = store.intern_env(&sc.cur_slots)?;
     rule.arm_initial(&mut sc, &mut row)?;
-    store.intern(
-        net.initial_marking().as_slice(),
-        initial_env,
-        &[],
-        &row.enabling,
-    )?;
+    let initial = net.initial_marking();
+    store.intern(initial.as_slice(), initial_env, &[], &row.enabling)?;
+    let mut hashes = Hashes {
+        start: 0,
+        window: vec![StateStore::marking_hash(initial.as_slice())],
+    };
     let edges = PagedEdges::new(
         store.seg_states(),
         store.pager_shared(),
@@ -1132,25 +1178,27 @@ fn explore(
                 level.clone(),
                 options.max_states,
                 &mut edges,
+                &mut hashes,
             )?;
         } else {
             for src in level.clone() {
-                let env = sc.load(&g.store, src)?;
+                let state = sc.load(&g.store, src)?;
+                let expanded = rule.expand(&mut sc, state, hashes.of(src), &mut row);
                 // Loading may fault the source's segment back in; evict
-                // right away, so the resident envelope stays at most one
-                // segment above the budget between interns. The source's
-                // segment is kept resident through this and every later
-                // eviction until the next load: the next source is most
-                // likely in it, yet every probe since the load has made
-                // it the least recently touched.
+                // once the row is expanded, so the resident envelope
+                // stays at most one segment above the budget between
+                // interns. The source's segment is kept resident through
+                // this and every later eviction until the next load: the
+                // next source is most likely in it, yet every probe since
+                // the load has made it the least recently touched.
                 g.store.keep_resident(Some(src));
                 g.store.maintain()?;
-                let expanded = rule.expand(&mut sc, env, &mut row);
-                g.commit(&row, expanded, options.max_states, &mut edges)?;
+                g.commit(&row, expanded, options.max_states, &mut edges, &mut hashes)?;
             }
         }
         levels += 1;
         note_level(&g.store, levels, level.len(), options.mem_budget);
+        hashes.advance(level.clone());
         level = level.end..g.store.len();
     }
     debug_assert_eq!(g.edges.row_count(), g.store.len(), "one edge row per state");
